@@ -211,8 +211,3 @@ def upper_bound_b0(
         witness=f"strict prime family r={best[1]}; unipotent classes weakly below",
         q_at_value=q_value(recs, value),
     )
-
-
-def sandwich_consistent(lower: int, b0: int, b1: int, upper: int) -> bool:
-    """lower <= b0 <= b1 <= upper, the shape every certified case must have."""
-    return lower <= b0 <= b1 <= upper

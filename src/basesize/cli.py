@@ -7,9 +7,10 @@
     emit     table:parab|table:ep|table:c|table:e [--format csv|json]
 
 Machine output is JSON on stdout (CSV for tables); diagnostics go to
-stderr.  Exit codes: 0 success, 2 specification/validation error,
-3 inconclusive bound.  Every run echoes its seeds and primes.  ``emit``
-output is byte-stable: it contains no timing or environment data.
+stderr.  Exit codes: 0 success, 2 specification/validation error or a
+verifier sampling failure, 3 inconclusive bound.  Every run echoes its
+seeds and primes.  ``emit`` output is byte-stable: it contains no timing
+or environment data.
 """
 from __future__ import annotations
 
@@ -42,7 +43,7 @@ def emit_table(name: str, fmt: str = "csv") -> str:
     from . import rootsys
 
     if name == "table:parab":
-        header, rows = ["group", "node", "dim"], rootsys.parabolic_table_rows()
+        header, rows = ["group", "node", "dim"], rootsys.parabolic_dim_rows()
     elif name == "table:ep":
         header, rows = ["group", "node", "value"], formulas.parabolic_table_rows()
     elif name == "table:c":
@@ -151,6 +152,10 @@ def cmd_verify(args) -> int:
         if not isinstance(spec.subgroup, formulas.Subspace):
             raise formulas.SpecValidationError("verify handles classical subspace actions")
         if args.rational:
+            if spec.subgroup.flavor == "totally_singular":
+                # parts are sampled mod p, and a part totally singular mod p
+                # is not totally singular over Q
+                raise genstab.ConfigError("--rational does not handle totally singular parts")
             cfg = genstab.sample_configuration(
                 spec.family, spec.n, spec.subgroup.d, spec.subgroup.flavor,
                 args.c, seed=args.seed, p=97,
@@ -288,6 +293,7 @@ def main(argv: list[str] | None = None) -> int:
         classdata.DatasetError,
         bounds.BoundInputError,
         genstab.ConfigError,
+        genstab.SamplingError,
         FileNotFoundError,
         json.JSONDecodeError,
         ValueError,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Union
 
 from . import rootsys
@@ -361,19 +362,25 @@ _PLAIN_RE = re.compile(r"^(GL|Sp|SO|O)_?\{?(?:n(?:/(\d+))?|(\d+))\}?$")
 _TENSOR_RE = re.compile(r"^Sp_?4[x⊗]Sp_?2$")
 
 
-def _norm_label(label: str) -> str:
-    return label.replace(" ", "").replace("Ã", "~")
-
-
-def _resolve_size(n: int, divisor: str | None, absolute: str | None, label: str) -> int:
+@lru_cache(maxsize=1024)
+def _classical_label(label: str, n: int) -> tuple[str, int, int] | None:
+    """(base, size, t) for a normalized classical label inside a group on
+    an n-dimensional module: ``GL_{n/2}wrS2`` gives ("GL", n/2, 2) and a
+    plain ``Sp_n`` gives ("Sp", n, 1).  None when the label has neither
+    shape."""
+    m = _WREATH_RE.match(label) or _PLAIN_RE.match(label)
+    if not m:
+        return None
+    base, divisor, absolute = m.group(1), m.group(2), m.group(3)
+    t = int(m.group(4)) if m.re is _WREATH_RE else 1
     if absolute is not None:
-        return int(absolute)
+        return base, int(absolute), t
     if divisor is None:
-        return n
-    t = int(divisor)
-    if n % t != 0:
-        raise SpecValidationError(f"label {label!r} needs {t} | n, got n={n}")
-    return n // t
+        return base, n, t
+    k = int(divisor)
+    if k == 0 or n % k != 0:
+        raise SpecValidationError(f"label {label!r} needs {k} | n, got n={n}")
+    return base, n // k, t
 
 
 def nonsubspace_triple(spec: ActionSpec) -> BaseTriple:
@@ -391,7 +398,7 @@ def nonsubspace_triple(spec: ActionSpec) -> BaseTriple:
 
 def _classical_nonsubspace(spec: ActionSpec) -> BaseTriple:
     n = spec.n
-    label = _norm_label(spec.subgroup.label)
+    label = rootsys.normalize_label(spec.subgroup.label)
     fam = spec.family
     two = _char_is_two(spec)
 
@@ -403,19 +410,14 @@ def _classical_nonsubspace(spec: ActionSpec) -> BaseTriple:
         t = subspace_triple(ActionSpec("SO", Subspace(3, "nondeg"), n=8, char="odd"))
         return _retag(t, "nonsubspace:SO8.tensor->nondeg-3spaces")
 
-    m = _WREATH_RE.match(label)
-    if m:
-        base, divisor, absolute, t = m.group(1), m.group(2), m.group(3), int(m.group(4))
-        size = _resolve_size(n, divisor, absolute, label)
+    parsed = _classical_label(label, n)
+    if parsed:
+        base, size, t = parsed
+        if t == 1:
+            return _classical_irreducible(spec, fam, n, base, size)
         if size * t != n:
             raise SpecValidationError(f"label {label!r} does not decompose n={n}")
         return _classical_wreath(spec, fam, n, base, size, t)
-
-    m = _PLAIN_RE.match(label)
-    if m:
-        base, divisor, absolute = m.group(1), m.group(2), m.group(3)
-        size = _resolve_size(n, divisor, absolute, label)
-        return _classical_irreducible(spec, fam, n, base, size)
 
     if label == "G2":
         if fam == "SO" and n == 7:
@@ -581,8 +583,8 @@ def _check_char_requirement(spec: ActionSpec, req: str | None, label: str) -> No
 
 def _exceptional_nonparabolic(spec: ActionSpec) -> BaseTriple:
     g = spec.family
-    label = rootsys.canonical_subgroup_label(spec.subgroup.label)
-    if (g, _norm_label(spec.subgroup.label)) in _OUT_OF_SCOPE_LABELS:
+    label = rootsys.normalize_label(spec.subgroup.label)
+    if (g, label) in _OUT_OF_SCOPE_LABELS:
         raise UnsupportedLabelError(
             f"{spec.subgroup.label} < {g}: validated but outside the formula tables"
         )
@@ -705,10 +707,6 @@ def torus_normalizer_triple(spec: ActionSpec) -> BaseTriple:
     return _point_triple(2, f"torus-normalizer:{spec.family}")
 
 
-def torus_normalizer_generic_pair_order(family: str, n: int | None = None) -> int:
-    return 2 if (family == "SL" and n == 2) else 1
-
-
 # ---------------------------------------------------------------------------
 # Top-level dispatch and the b > 2 predicate
 
@@ -745,12 +743,19 @@ def dimhalf_predicate(spec: ActionSpec, dim_G: int, dim_H: int) -> bool:
 def dimhalf_predicate_p2(spec: ActionSpec, dim_G: int, dim_H: int) -> bool:
     """The p = 2 variant: same clauses minus the E6 case, undefined on the
     four excluded pairs (raises ExcludedCaseError there)."""
-    lbl = _norm_label(spec.subgroup.label) if isinstance(spec.subgroup, NonSubspace) else ""
-    if spec.family == "SO" and lbl.startswith("O") and "wrS2" in lbl and spec.n % 4 == 0:
-        raise ExcludedCaseError("SO_n with the half-dimension pair stabilizer, n/2 even")
-    if (spec.family, lbl) in (("E7", "A7"), ("E6", "A1A5"), ("G2", "A1~A1")):
-        raise ExcludedCaseError(f"({spec.family}, {lbl}) is excluded for p = 2")
+    if isinstance(spec.subgroup, NonSubspace):
+        label = rootsys.normalize_label(spec.subgroup.label)
+        if spec.family == "SO" and spec.n % 4 == 0 and _wreath_of(spec, label) == ("O", 2):
+            raise ExcludedCaseError("SO_n with the half-dimension pair stabilizer, n/2 even")
+        if (spec.family, label) in (("E7", "A7"), ("E6", "A1A5"), ("G2", "A1~A1")):
+            raise ExcludedCaseError(f"({spec.family}, {label}) is excluded for p = 2")
     return _dimhalf_clauses(spec, dim_G, dim_H, include_e6_a1a5=False)
+
+
+def _wreath_of(spec: ActionSpec, label: str) -> tuple[str, int] | None:
+    """(base, t) of a classical label, None for other labels."""
+    parsed = _classical_label(label, spec.n) if spec.family in CLASSICAL_FAMILIES else None
+    return parsed and (parsed[0], parsed[2])
 
 
 def _dimhalf_clauses(spec: ActionSpec, dim_G: int, dim_H: int, include_e6_a1a5: bool) -> bool:
@@ -765,32 +770,19 @@ def _dimhalf_clauses(spec: ActionSpec, dim_G: int, dim_H: int, include_e6_a1a5: 
         ell = spec.n - 2 * d
         if 2 <= ell <= d and ell * ell <= spec.n:
             return True
-    if spec.family == "SL" and isinstance(spec.subgroup, NonSubspace) and spec.n >= 4:
-        m = _WREATH_RE.match(_norm_label(spec.subgroup.label))
-        if m and m.group(1) == "GL" and int(m.group(4)) == 2:
+    if isinstance(spec.subgroup, NonSubspace):
+        label = rootsys.normalize_label(spec.subgroup.label)
+        if spec.family == "SL" and spec.n >= 4 and _wreath_of(spec, label) == ("GL", 2):
             return True
-    if spec.family == "Sp" and spec.n == 6 and isinstance(spec.subgroup, NonSubspace):
-        m = _WREATH_RE.match(_norm_label(spec.subgroup.label))
-        if m and m.group(1) == "Sp" and int(m.group(4)) == 3:
+        if spec.family == "Sp" and spec.n == 6 and _wreath_of(spec, label) == ("Sp", 3):
             return True
-    if include_e6_a1a5 and spec.family == "E6" and isinstance(spec.subgroup, NonSubspace):
-        if rootsys.canonical_subgroup_label(spec.subgroup.label) == "A1A5":
+        if include_e6_a1a5 and (spec.family, label) == ("E6", "A1A5"):
             return True
     return False
 
 
 # ---------------------------------------------------------------------------
 # Dimension helpers (for consistency cross-checks against the lower bound)
-
-def classical_group_dim(family: str, n: int) -> int:
-    if family == "SL":
-        return n * n - 1
-    if family == "Sp":
-        return n * (n + 1) // 2
-    if family == "SO":
-        return n * (n - 1) // 2
-    raise SpecValidationError(f"not classical: {family}")
-
 
 def spec_dims(spec: ActionSpec) -> tuple[int, int] | None:
     """(dim G, dim Omega) where computable; None when the label is not
@@ -813,7 +805,7 @@ def spec_dims(spec: ActionSpec) -> tuple[int, int] | None:
             return dim_g, dim_g - dim_h
         return None
     n = spec.n
-    dim_g = classical_group_dim(spec.family, n)
+    dim_g = rootsys.group_dim(spec.family, n)
     sub = spec.subgroup
     if isinstance(sub, TorusNormalizer):
         rank = n - 1 if spec.family == "SL" else n // 2
@@ -823,9 +815,7 @@ def spec_dims(spec: ActionSpec) -> tuple[int, int] | None:
         if spec.family == "SL":
             return dim_g, d * (n - d)
         if sub.flavor == "nondeg":
-            if spec.family == "Sp":
-                return dim_g, dim_g - (classical_group_dim("Sp", d) + classical_group_dim("Sp", n - d))
-            return dim_g, dim_g - (classical_group_dim("SO", d) + classical_group_dim("SO", n - d))
+            return dim_g, dim_g - rootsys.group_dim(spec.family, d) - rootsys.group_dim(spec.family, n - d)
         if sub.flavor == "totally_singular":
             if spec.family == "Sp":
                 return dim_g, d * (n - d) - d * (d - 1) // 2
@@ -835,22 +825,12 @@ def spec_dims(spec: ActionSpec) -> tuple[int, int] | None:
         if sub.flavor == "nonsingular_1space":
             return dim_g, n - 1
         return None
-    label = _norm_label(sub.label)
-    m = _WREATH_RE.match(label)
-    if m:
-        base, divisor, absolute, t = m.group(1), m.group(2), m.group(3), int(m.group(4))
-        size = _resolve_size(n, divisor, absolute, label)
-        per = {"GL": lambda s: s * s, "Sp": lambda s: s * (s + 1) // 2,
-               "O": lambda s: s * (s - 1) // 2, "SO": lambda s: s * (s - 1) // 2}[base]
-        dim_h = t * per(size) - (1 if spec.family == "SL" else 0)
-        return dim_g, dim_g - dim_h
-    m = _PLAIN_RE.match(label)
-    if m:
-        base, divisor, absolute = m.group(1), m.group(2), m.group(3)
-        size = _resolve_size(n, divisor, absolute, label)
-        per = {"GL": size * size, "Sp": size * (size + 1) // 2,
-               "SO": size * (size - 1) // 2, "O": size * (size - 1) // 2}[base]
-        dim_h = per - (1 if spec.family == "SL" and base == "GL" else 0)
+    label = rootsys.normalize_label(sub.label)
+    parsed = _classical_label(label, n)
+    if parsed:
+        base, size, t = parsed
+        # the scalars of GL factors are not in SL
+        dim_h = t * rootsys.group_dim(base, size) - (1 if spec.family == "SL" and base == "GL" else 0)
         return dim_g, dim_g - dim_h
     if label == "G2":
         return dim_g, dim_g - 14

@@ -20,11 +20,10 @@ avoid the bad small characteristics where smoothness can fail.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from . import linalg
+from . import linalg, rootsys
 
 #: default prime (largest below 2^31) and the cross-check prime
 PRIMES = (2147483647, 2147483629)
@@ -86,10 +85,11 @@ class B0Estimate:
         return str(self.value) if self.value is not None else f"not found <= {self.c_max}"
 
 
-def standard_form(family: str, n: int, p: int) -> np.ndarray | None:
-    """A fixed invertible Gram matrix: alternating for Sp, symmetric for SO,
-    none for SL.  The first floor(n/2) basis vectors span a maximal
-    isotropic subspace."""
+def standard_form(family: str, n: int) -> np.ndarray | None:
+    """A fixed invertible integer Gram matrix: alternating for Sp, symmetric
+    for SO, none for SL.  The first floor(n/2) basis vectors span a maximal
+    isotropic subspace.  Entries are signed, so the same matrix is the form
+    over Q and, reduced mod p, over F_p."""
     if family == "SL":
         return None
     m = n // 2
@@ -98,7 +98,7 @@ def standard_form(family: str, n: int, p: int) -> np.ndarray | None:
         if n % 2:
             raise ConfigError("Sp needs even n")
         j[:m, m:] = np.eye(m, dtype=np.int64)
-        j[m:, :m] = -np.eye(m, dtype=np.int64) % p
+        j[m:, :m] = -np.eye(m, dtype=np.int64)
         return j
     if family == "SO":
         j[:m, m : 2 * m] = np.eye(m, dtype=np.int64)
@@ -155,7 +155,7 @@ def sample_configuration(
         raise ConfigError("nondegenerate symplectic subspaces have even dimension")
     if not 1 <= d < n:
         raise ConfigError(f"need 1 <= d < n, got d={d}, n={n}")
-    j = standard_form(family, n, p)
+    j = standard_form(family, n)
     rng = _rng(seed, 0xC0FF, c)
     resamples = 0
     parts: list[np.ndarray] = []
@@ -216,40 +216,39 @@ def sample_configuration(
 
 
 # ---------------------------------------------------------------------------
-# Constraint assembly
+# Constraint assembly, shared by the F_p and the Q routes
 
-def _span_constraint(b: np.ndarray, p: int) -> np.ndarray:
+def _span_constraint(b: np.ndarray, ann: np.ndarray) -> np.ndarray:
     """Rows of the linear system expressing X * col(b) inside col(b):
-    w^T X B = 0 for every w annihilating col(b)."""
+    w^T X B = 0 for every row w of ``ann``, which annihilates col(b)."""
     n, d = b.shape
-    s = linalg.nullspace_basis_mod(b.T % p, p)  # (n-d) x n, rows kill col(b)
-    rows = np.einsum("ai,jb->abij", s, b).reshape((n - d) * d, n * n)
-    return rows % p
+    return np.einsum("ai,jb->abij", ann, b).reshape(len(ann) * d, n * n)
 
 
-def _form_constraint(j: np.ndarray, p: int) -> np.ndarray:
+def _form_constraint(j: np.ndarray) -> np.ndarray:
     """Rows expressing X^T J + J X = 0."""
     n = j.shape[0]
     eye = np.eye(n, dtype=np.int64)
     t1 = np.einsum("is,jr->rsij", j, eye)
     t2 = np.einsum("ri,js->rsij", j, eye)
-    return ((t1 + t2).reshape(n * n, n * n)) % p
+    return (t1 + t2).reshape(n * n, n * n)
 
 
-def _annihilate_form_constraint(s: np.ndarray, p: int) -> np.ndarray:
-    """Rows expressing X^T S + S X = 0 for a sampled bilinear form S."""
-    return _form_constraint(s, p)
+def _stabilizer_system(parts, annihilators, form) -> np.ndarray:
+    """The stabilizer system of a configuration over Z (or Q), unreduced:
+    span rows for every part, and the form rows unless ``form`` is None."""
+    blocks = [_span_constraint(b, ann) for b, ann in zip(parts, annihilators)]
+    if form is not None:
+        blocks.append(_form_constraint(form))
+    return np.concatenate(blocks, axis=0)
 
 
 def stabilizer_algebra_dim_once(config: Configuration) -> int:
     """Exact nullspace dimension of the stabilizer system for one sampled
     configuration, in gl for SL and in the form algebra for Sp/SO."""
-    n, p = config.n, config.p
-    blocks = [_span_constraint(b, p) for b in config.parts]
-    if config.family in ("Sp", "SO"):
-        blocks.append(_form_constraint(config.form, p))
-    system = np.concatenate(blocks, axis=0)
-    return linalg.nullspace_dim_mod(system, p)
+    p = config.p
+    anns = [linalg.nullspace_basis_mod(b.T, p) for b in config.parts]
+    return linalg.nullspace_dim_mod(_stabilizer_system(config.parts, anns, config.form), p)
 
 
 def _scalar_correction(family: str) -> int:
@@ -300,10 +299,6 @@ def _trial_seed(seed: int, prime_index: int, c: int, trial: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _classical_dim(family: str, n: int) -> int:
-    return {"SL": n * n - 1, "Sp": n * (n + 1) // 2, "SO": n * (n - 1) // 2}[family]
-
-
 def estimate_b0(
     family: str,
     n: int,
@@ -317,18 +312,21 @@ def estimate_b0(
     """Smallest c <= c_max whose generic configuration has a
     zero-dimensional stabilizer, with the orbit-dimension lower bound
     cross-checked."""
+    if c_max < 1:
+        raise ConfigError("need c_max >= 1")
     proj_dims = []
     value = None
     for c in range(1, c_max + 1):
         rep = stabilizer_report(family, n, d, flavor, c, seed=seed, trials=trials, primes=primes)
+        if c == 1:
+            # dim H from the first trial at the first prime, for the lower
+            # bound from dim G and dim Omega = dim G - dim H
+            dim_h = rep.dims_by_prime[0][0] - _scalar_correction(family)
         proj_dims.append(rep.projective_dim)
         if rep.projective_dim == 0:
             value = c
             break
-    # lower bound from dim G and dim Omega = dim G - dim H (H from the c=1 solve)
-    one = stabilizer_report(family, n, d, flavor, 1, seed=seed, trials=1, primes=primes[:1])
-    dim_g = _classical_dim(family, n)
-    dim_h = one.projective_dim if family == "SL" else one.algebra_dim
+    dim_g = rootsys.group_dim(family, n)
     dim_omega = dim_g - dim_h
     lb = -(-dim_g // dim_omega)
     if value is not None and value < lb:
@@ -384,7 +382,7 @@ def module_stabilizer_dim(
                 s = (a + a.T) % p
                 if linalg.det_mod(s, p) != 0:
                     break
-            blocks.append(_annihilate_form_constraint(s, p))
+            blocks.append(_form_constraint(s))
         system = np.concatenate(blocks, axis=0)
         dim = linalg.nullspace_dim_mod(system, p)
         return StabilizerReport(
@@ -394,8 +392,8 @@ def module_stabilizer_dim(
     # so_tensor: unknowns [vec X | vec Y]
     j = np.eye(n, dtype=np.int64)  # split form is unnecessary; any symmetric works
     zero = np.zeros((n * n, n * n), dtype=np.int64)
-    form_x = np.concatenate([_form_constraint(j, p), zero], axis=1)
-    form_y = np.concatenate([zero, _form_constraint(j, p)], axis=1)
+    form_x = np.concatenate([_form_constraint(j), zero], axis=1)
+    form_y = np.concatenate([zero, _form_constraint(j)], axis=1)
     blocks = [form_x, form_y]
     eye = np.eye(n, dtype=np.int64)
     for _ in range(c):
@@ -415,32 +413,18 @@ def module_stabilizer_dim(
 # Rational-field variant (small n)
 
 def stabilizer_algebra_dim_rational(parts: list, family: str, n: int, form=None) -> int:
-    """Exact stabilizer dimension over Q for a hand-supplied configuration.
+    """Exact stabilizer dimension over Q for an integer configuration.
 
-    Same system as the mod-p route, assembled with Fraction arithmetic.
+    The same system as the mod-p route, with the annihilators and the rank
+    taken over Q.  ``form`` must be the form over Q (as ``standard_form``
+    gives it); parts that are totally singular only mod p do not belong here.
     """
-    rows: list[list[Fraction]] = []
+    parts = [np.asarray(b) for b in parts]
+    anns = []
     for b in parts:
-        bq = [[Fraction(int(x)) for x in row] for row in np.asarray(b)]
-        d = len(bq[0])
-        ann = linalg.nullspace_basis_rational([list(col) for col in zip(*bq)])
-        if len(ann) != n - d:
+        ann = linalg.nullspace_basis_rational(b.T.tolist())
+        if len(ann) != n - b.shape[1]:
             raise ConfigError("part does not have full column rank")
-        for w in ann:
-            for col in range(d):
-                row = [Fraction(0)] * (n * n)
-                for i in range(n):
-                    for j in range(n):
-                        row[i * n + j] = w[i] * bq[j][col]
-                rows.append(row)
-    if family in ("Sp", "SO"):
-        jq = [[Fraction(int(x)) for x in r] for r in np.asarray(form)]
-        for r in range(n):
-            for s in range(n):
-                row = [Fraction(0)] * (n * n)
-                for i in range(n):
-                    row[i * n + r] += jq[i][s]  # from (X^T J)_{rs}
-                    row[i * n + s] += jq[r][i]  # from (J X)_{rs}
-                rows.append(row)
-    rank = linalg.rank_rational(rows) if rows else 0
-    return n * n - rank
+        anns.append(np.array(ann, dtype=object).reshape(len(ann), n))
+    system = _stabilizer_system(parts, anns, form if family in ("Sp", "SO") else None)
+    return n * n - linalg.rank_rational(system.tolist())

@@ -163,29 +163,4 @@ def _rref_rational(m: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[
 
 def rank_rational(rows: list[list[Fraction]]) -> int:
     """Exact rank over Q.  Intended for small systems; no pivoting heuristics."""
-    m = [list(map(Fraction, r)) for r in rows]
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        rank += 1
-        r += 1
-        if r == nrows:
-            break
-    return rank
+    return len(_rref_rational([list(map(Fraction, r)) for r in rows])[1])

@@ -2,8 +2,8 @@
 
 Roots are stored as integer coefficient vectors over the simple basis, so
 everything here is exact integer counting; no real coordinates appear.
-Node numbering follows the standard Bourbaki convention (see README for
-the diagrams):
+Node numbering follows the standard Bourbaki convention, as in these
+diagrams:
 
     A_n   1 - 2 - ... - n
     B_n   1 - 2 - ... - (n-1) => n          (n is the short root)
@@ -185,12 +185,23 @@ def parabolic_quotient_dim(p: ParabolicDescriptor) -> int:
 
 _FACTOR_RE = re.compile(r"(~?)([A-G])(\d+)(?:\^(\d+))?|T(\d+)")
 
+_LABEL_ALIASES = {
+    "D5T1": "T1D5", "D4T2": "T2D4", "E6T1": "T1E6", "E7A1": "A1E7",
+    "D6A1": "A1D6", "A5A1": "A1A5", "A5A2": "A2A5", "E6A2": "A2E6",
+    "A4A4": "A4^2", "D4D4": "D4^2", "A1A1": "A1^2",
+}
 
-def _canonical_label(label: str) -> str:
-    s = label.replace(" ", "").replace("Ã", "~").replace("̃", "~")
-    # component-group suffixes like ".2" name N(X)/X, not X itself
+
+@lru_cache(maxsize=1024)
+def normalize_label(label: str) -> str:
+    """The one spelling of a subgroup label that every table is keyed by:
+    no spaces, ``~A2`` for a tilde factor written ``Ã2``, no
+    component-group suffix such as ``.2`` (it names N(X)/X, not X itself),
+    and the factor order of the tables."""
+    s = label.replace(" ", "").replace("Ã", "~A")
+    s = re.sub("([A-G])\u0303", r"~\1", s)  # a letter with a combining tilde
     s = re.sub(r"\.\d+$", "", s)
-    return s
+    return _LABEL_ALIASES.get(s, s)
 
 
 def parse_subsystem_label(label: str) -> tuple[list[tuple[str, int]], int]:
@@ -200,7 +211,7 @@ def parse_subsystem_label(label: str) -> tuple[list[tuple[str, int]], int]:
     Tilde factors (short-root subsystems) have the same rank and dimension
     as their untilded type, so the tilde is dropped here.
     """
-    s = _canonical_label(label)
+    s = normalize_label(label)
     factors: list[tuple[str, int]] = []
     torus = 0
     pos = 0
@@ -220,16 +231,6 @@ def parse_subsystem_label(label: str) -> tuple[list[tuple[str, int]], int]:
     return factors, torus
 
 
-@dataclass(frozen=True)
-class SubgroupDescriptor:
-    """A (possibly reducible) subsystem subgroup plus torus factors."""
-
-    label: str
-    rank: int
-    dimension: int
-    component_group_order: int
-
-
 def subgroup_dim(label: str) -> int:
     """Dimension of the subsystem subgroup named by ``label``."""
     factors, torus = parse_subsystem_label(label)
@@ -237,56 +238,6 @@ def subgroup_dim(label: str) -> int:
     for fam, rank in factors:
         d += dim_group(build_root_system(fam, rank))
     return d
-
-
-def subgroup_rank(label: str) -> int:
-    factors, torus = parse_subsystem_label(label)
-    return torus + sum(rank for _, rank in factors)
-
-
-#: N_G(X)/X orders for the reductive maximal subgroups of the exceptional
-#: groups, keyed by (ambient group, canonical label).
-COMPONENT_GROUP_ORDERS: dict[tuple[str, str], int] = {
-    ("E8", "A1"): 1, ("E8", "B2"): 1, ("E8", "A1A2"): 2, ("E8", "A1G2^2"): 2,
-    ("E8", "G2F4"): 1, ("E8", "D8"): 1, ("E8", "A1E7"): 1, ("E8", "A8"): 2,
-    ("E8", "A2E6"): 2, ("E8", "A4^2"): 4, ("E8", "D4^2"): 12, ("E8", "A2^4"): 48,
-    ("E8", "A1^8"): 432, ("E8", "T8"): 696729600,
-    ("E7", "A1"): 1, ("E7", "A2"): 2, ("E7", "A1^2"): 1, ("E7", "A1G2"): 1,
-    ("E7", "A1F4"): 1, ("E7", "G2C3"): 1, ("E7", "T1E6"): 2, ("E7", "A1D6"): 1,
-    ("E7", "A7"): 2, ("E7", "A2A5"): 2, ("E7", "A1^3D4"): 6, ("E7", "A1^7"): 168,
-    ("E7", "T7"): 2903040,
-    ("E6", "A2"): 2, ("E6", "G2"): 1, ("E6", "C4"): 1, ("E6", "F4"): 1,
-    ("E6", "A2G2"): 2, ("E6", "T1D5"): 1, ("E6", "T2D4"): 6, ("E6", "A1A5"): 1,
-    ("E6", "A2^3"): 6, ("E6", "T6"): 51840,
-    ("F4", "A1"): 1, ("F4", "G2"): 1, ("F4", "A1G2"): 1, ("F4", "A1C3"): 1,
-    ("F4", "B4"): 1, ("F4", "C4"): 1, ("F4", "D4"): 6, ("F4", "~D4"): 6,
-    ("F4", "A2~A2"): 2,
-    ("G2", "A1"): 1, ("G2", "A1~A1"): 1, ("G2", "A2"): 2, ("G2", "~A2"): 2,
-}
-
-_LABEL_ALIASES = {
-    "D5T1": "T1D5", "D4T2": "T2D4", "E6T1": "T1E6", "E7A1": "A1E7",
-    "D6A1": "A1D6", "A5A1": "A1A5", "A5A2": "A2A5", "E6A2": "A2E6",
-    "A4A4": "A4^2", "D4D4": "D4^2", "A1A1": "A1^2",
-}
-
-
-def canonical_subgroup_label(label: str) -> str:
-    s = _canonical_label(label)
-    return _LABEL_ALIASES.get(s, s)
-
-
-def subgroup_descriptor(group: str, label: str) -> SubgroupDescriptor:
-    """Descriptor for a subsystem subgroup of an exceptional group, with the
-    normalizer component order filled in where tabulated."""
-    canon = canonical_subgroup_label(label)
-    order = COMPONENT_GROUP_ORDERS.get((group, canon), 1)
-    return SubgroupDescriptor(
-        label=canon,
-        rank=subgroup_rank(canon),
-        dimension=subgroup_dim(canon),
-        component_group_order=order,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +255,23 @@ def _group_type(name: str) -> tuple[str, int]:
     return fam, rank
 
 
-def group_dim(name: str) -> int:
+#: dim of the classical groups on their natural n-dimensional module
+_CLASSICAL_DIMS = {
+    "SL": lambda n: n * n - 1,
+    "GL": lambda n: n * n,
+    "Sp": lambda n: n * (n + 1) // 2,
+    "SO": lambda n: n * (n - 1) // 2,
+    "O": lambda n: n * (n - 1) // 2,
+}
+
+
+def group_dim(name: str, n: int | None = None) -> int:
+    """Dimension of a group: ``group_dim("Sp", 8)`` for a classical family
+    on its natural module, ``group_dim("E7")`` from the root system."""
+    if n is not None:
+        if name not in _CLASSICAL_DIMS:
+            raise InvalidTypeError(f"not a classical family: {name!r}")
+        return _CLASSICAL_DIMS[name](n)
     fam, rank = _group_type(name)
     return dim_group(build_root_system(fam, rank))
 
@@ -313,7 +280,7 @@ def group_rank(name: str) -> int:
     return _group_type(name)[1]
 
 
-def parabolic_table_rows() -> list[tuple[str, int, int]]:
+def parabolic_dim_rows() -> list[tuple[str, int, int]]:
     """(group, node, dim G/P_node) for every maximal parabolic of every
     exceptional group, computed from the root systems."""
     rows = []

@@ -1,5 +1,7 @@
 """Acceptance suite: one test per exit criterion, each printing a PASS line
 and holding its stated runtime budget.  Run with ``pytest -v -s``."""
+import hashlib
+import json
 import random
 import time
 
@@ -259,6 +261,29 @@ def _random_spec(rng: random.Random) -> ActionSpec | None:
         return ActionSpec(fam, NonSubspace(label), n=pick(rng), char=char)
     except fm.SpecValidationError:
         return None
+
+
+#: SHA-256 of the 200-spec suite's triples and dimensions (see below)
+SUITE_DIGEST = "be88cbc84fee195e0c9bf84e1891511033a2fb4d0eced3fb88ceb010c367d52b"
+
+
+def test_property_suite_results_are_pinned():
+    # the same draw as the property suite; any change to a triple or to
+    # spec_dims on these 200 specs changes the digest
+    rng = random.Random(0xBA5E)
+    digest = hashlib.sha256()
+    done = 0
+    while done < 200:
+        spec = _random_spec(rng)
+        if spec is None:
+            continue
+        try:
+            triple = fm.base_triple(spec)
+        except fm.SpecValidationError:
+            continue
+        digest.update(json.dumps([triple.to_json(), fm.spec_dims(spec)], sort_keys=True).encode())
+        done += 1
+    assert digest.hexdigest() == SUITE_DIGEST
 
 
 _CAP_SIX = {("E7", 7), ("E6", 1), ("E6", 6)}

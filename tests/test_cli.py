@@ -132,3 +132,28 @@ def test_run_record_replay_identical(capsys):
     a, b = json.loads(out1), json.loads(out2)
     assert a["outputs"] == b["outputs"]
     assert a["config_hash"] == b["config_hash"]
+
+
+def test_verify_rational_refuses_totally_singular_parts(capsys):
+    # parts sampled mod p are totally singular mod p only, not over Q
+    code, out, err = run_cli(
+        capsys, "verify", "--spec",
+        '{"family":"Sp","n":8,"subgroup":{"subspace":{"d":3,"flavor":"totally_singular"}},"char":"odd"}',
+        "--c", "2", "--rational",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_verify_sampling_failure_exit_2(capsys):
+    # two maximal totally singular subspaces of one family in SO10 always
+    # meet, so the sampler's transversality condition cannot hold
+    code, out, err = run_cli(
+        capsys, "verify", "--spec",
+        '{"family":"SO","n":10,"subgroup":{"subspace":{"d":5,"flavor":"totally_singular"}},"char":"odd"}',
+        "--c", "2", "--trials", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err

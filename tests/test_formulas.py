@@ -358,7 +358,6 @@ def test_involution_non_inverting_lower_bound():
 def test_torus_normalizer():
     t = torus_normalizer_triple(ActionSpec("SL", TorusNormalizer(), n=2))
     assert t.as_tuple() == (2, 2, 3)
-    assert fm.torus_normalizer_generic_pair_order("SL", 2) == 2
     for fam, n in (("SL", 5), ("Sp", 6), ("E8", None)):
         t = torus_normalizer_triple(ActionSpec(fam, TorusNormalizer(), n=n))
         assert t.as_tuple() == (2, 2, 2)

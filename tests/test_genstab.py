@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from basesize import genstab
+from basesize import formulas as fm, genstab
 from basesize.genstab import (
     PRIMES,
     ConfigError,
@@ -73,8 +73,8 @@ def test_form_algebra_dimensions_at_c0_via_identity_part():
     from basesize.genstab import _form_constraint, standard_form
 
     for family, n, want in (("Sp", 6, 21), ("SO", 7, 21), ("SO", 8, 28)):
-        j = standard_form(family, n, PRIMES[0])
-        dim = linalg.nullspace_dim_mod(_form_constraint(j, PRIMES[0]), PRIMES[0])
+        j = standard_form(family, n)
+        dim = linalg.nullspace_dim_mod(_form_constraint(j), PRIMES[0])
         assert dim == want
 
 
@@ -182,7 +182,36 @@ def test_module_kind_validated():
 # -- rational field -----------------------------------------------------------
 
 def test_rational_agrees_with_modular_on_small_config():
-    cfg = sample_configuration("SL", 3, 1, "linear", 2, seed=5, p=101)
-    dim_p = stabilizer_algebra_dim_once(cfg)
-    dim_q = stabilizer_algebra_dim_rational([np.asarray(b) for b in cfg.parts], "SL", 3)
-    assert dim_p == dim_q
+    # the Sp case needs the standard form to be the symplectic form over Q
+    for family, n, d, flavor in (("SL", 3, 1, "linear"), ("SO", 7, 2, "nondeg"), ("Sp", 8, 2, "nondeg")):
+        cfg = sample_configuration(family, n, d, flavor, 2, seed=5, p=101)
+        dim_p = stabilizer_algebra_dim_once(cfg)
+        dim_q = stabilizer_algebra_dim_rational(
+            [np.asarray(b) for b in cfg.parts], family, n, form=cfg.form
+        )
+        assert dim_p == dim_q, (family, n, d, flavor)
+
+
+# -- the formula's dimensions against the solver ---------------------------------
+
+def _subspace_cases(n_max):
+    """The b0 sweep's subspace families, up to n_max."""
+    cases = [("SL", n, d, "linear") for n in range(3, n_max + 1) for d in range(1, n // 2 + 1)]
+    for n in range(4, n_max + 1, 2):
+        cases += [("Sp", n, d, "totally_singular") for d in range(1, n // 2 + 1)]
+        cases += [("Sp", n, d, "nondeg") for d in range(2, n // 2 + 1, 2)]
+    for n in range(7, n_max + 1):
+        cases += [("SO", n, d, "totally_singular") for d in range(1, n // 2 + 1)]
+        cases += [("SO", n, d, "nondeg") for d in range(1, n // 2 + 1)]
+    return cases
+
+
+@pytest.mark.parametrize("family,n,d,flavor", _subspace_cases(8))
+def test_spec_dims_match_the_point_stabilizer(family, n, d, flavor):
+    # dim G - dim Omega is the dimension of a point stabilizer: projective
+    # for SL, where the scalars act trivially, and in sp/so otherwise
+    spec = fm.ActionSpec(family, fm.Subspace(d, flavor), n=n, char="any" if family == "SL" else "odd")
+    dim_g, dim_omega = fm.spec_dims(spec)
+    rep = stabilizer_report(family, n, d, flavor, 1, seed=0, trials=1)
+    assert rep.stable
+    assert dim_g - dim_omega == (rep.projective_dim if family == "SL" else rep.algebra_dim)
