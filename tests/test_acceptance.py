@@ -357,3 +357,89 @@ def test_criterion_7_property_suite():
         assert genstab.stabilizer_algebra_dim_once(cfg) == genstab.stabilizer_algebra_dim_once(dual)
         runs += 1
     _report(7, "randomized property suite", started, 60.0)
+
+
+# ---------------------------------------------------------------------------
+# The whole formula surface, rejections included
+
+_GRID_CLASSICAL_LABELS = [
+    "GL_{n/2} wr S2", "GL_{n/2}wrS2", "GL_{n/3} wr S3", "GL_{n/4} wr S4",
+    "GL_2 wr S3", "GL_{n/0} wr S2", "GL_n wr S1", "GL_{n/2}", "GL_n",
+    "Sp_{n/2} wr S2", "Sp_{n/3} wr S3", "Sp_2 wr S4", "Sp_{n/2} wr S1",
+    "Sp_n", "Sp_6", "Sp4xSp2", "Sp_4⊗Sp_2",
+    "O_{n/2} wr S2", "O_{n/4} wr S4", "O_1 wr S8", "O_n", "O_{n/2}",
+    "SO_{n/2} wr S2", "SO_n", "SO_7", "SO_{n/2}",
+    "G2", "G_2", "E6", "junk", "",
+]
+
+_GRID_EXCEPTIONAL_LABELS = [
+    "A1", "B2", "A1A2", "A1G2^2", "G2F4", "D8", "A1E7", "A8", "A2E6", "A4^2",
+    "D4^2", "A2^4", "A1^8", "A2", "A1^2", "A1G2", "A1F4", "G2C3", "T1E6",
+    "A1D6", "A7", "A2A5", "A1^3D4", "A1^7", "G2", "C4", "F4", "A2G2", "T1D5",
+    "T2D4", "A1A5", "A2^3", "A1C3", "B4", "D4", "~D4", "A2~A2", "A1~A1", "~A2",
+    # aliases and other spellings
+    "D5T1", "D4T2", "E6T1", "E7A1", "D6A1", "A5A1", "A5A2", "E6A2", "A4A4",
+    "D4D4", "A1A1", "A7.2", "A 2 ~A 2", "Ã2", "A1Ã1",
+    # maximal tori, out-of-scope labels and junk
+    "T2", "T4", "T6", "T7", "T8", "(2^2xD4).S3", "A1xS5", "X9", "",
+]
+
+_GRID_DIM_PAIRS = ((14, 6), (14, 8), (78, 39))
+
+
+def _grid_specs():
+    """(family, subgroup, n, char) for every spec shape the formula layer
+    reads: about 25,000 of them."""
+    chars = fm.CHAR_CASES
+    for fam in fm.CLASSICAL_FAMILIES:
+        for n in range(2, 17):
+            for char in chars:
+                for d in range(n + 1):
+                    for flavor in fm.SUBSPACE_FLAVORS:
+                        yield fam, Subspace(d, flavor), n, char
+                for label in _GRID_CLASSICAL_LABELS:
+                    yield fam, NonSubspace(label), n, char
+                yield fam, TorusNormalizer(), n, char
+            for node in range(10):
+                yield fam, Parabolic(node), n, "any"
+    for g in fm.EXCEPTIONAL_FAMILIES:
+        for char in chars:
+            for label in _GRID_EXCEPTIONAL_LABELS:
+                yield g, NonSubspace(label), None, char
+            for node in range(10):
+                yield g, Parabolic(node), None, char
+            yield g, TorusNormalizer(), None, char
+
+
+def _outcome(call):
+    try:
+        out = call()
+    except Exception as e:  # the class of a rejection is part of the result
+        return type(e).__name__
+    return out.to_json() if isinstance(out, fm.BaseTriple) else out
+
+
+#: SHA-256 over the grid below, computed before the rule tables replaced
+#: the dispatch functions of ``formulas``
+GRID_DIGEST = "41b86441387e2fe2e0ef00c5b82271f558bd71467a5bf756d351418e62668014"
+
+
+def test_formula_grid_is_pinned():
+    # each entry: the spec, its triple, spec_dims and both b > 2
+    # predicates, or the class of the error each of them raises
+    digest = hashlib.sha256()
+    count = 0
+    for family, subgroup, n, char in _grid_specs():
+        try:
+            spec = ActionSpec(family, subgroup, n=n, char=char)
+        except fm.SpecValidationError as e:
+            entry = [type(e).__name__]
+        else:
+            entry = [repr(spec), _outcome(lambda: fm.base_triple(spec)), _outcome(lambda: fm.spec_dims(spec))]
+            for dim_g, dim_h in _GRID_DIM_PAIRS:
+                entry.append(_outcome(lambda: fm.dimhalf_predicate(spec, dim_g, dim_h)))
+                entry.append(_outcome(lambda: fm.dimhalf_predicate_p2(spec, dim_g, dim_h)))
+        digest.update(json.dumps(entry, sort_keys=True).encode())
+        count += 1
+    assert count == 24810
+    assert digest.hexdigest() == GRID_DIGEST, digest.hexdigest()
