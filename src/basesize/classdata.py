@@ -60,6 +60,16 @@ class Dataset:
         return max(r.ratio for r in self.records)
 
 
+_HEADER_FIELDS = ("group", "subgroup_label", "expected_sup_ratio")
+_RECORD_FIELDS = ("class_label", "element_kind", "element_order", "dim_class_in_G", "dim_intersection_with_H")
+
+
+def _require(obj: dict, fields: tuple[str, ...], lineno: int) -> None:
+    for key in fields:
+        if key not in obj:
+            raise DatasetError(f"line {lineno}: missing field {key!r}")
+
+
 def _parse_fraction(s) -> Fraction:
     if isinstance(s, int):
         return Fraction(s)
@@ -105,27 +115,38 @@ def loads(text: str) -> Dataset:
             obj = json.loads(line)
         except json.JSONDecodeError as e:
             raise DatasetError(f"line {lineno}: invalid JSON ({e.msg})") from e
+        if not isinstance(obj, dict):
+            raise DatasetError(f"line {lineno}: not a JSON object")
         if header is None:
             if obj.get("schema") != SCHEMA_VERSION:
                 raise DatasetError(
                     f"line {lineno}: unsupported schema {obj.get('schema')!r}"
                 )
+            _require(obj, _HEADER_FIELDS, lineno)
             header = obj
-            fam, rank = rootsys._group_type(header["group"])
+            try:
+                expected_sup_ratio = _parse_fraction(header["expected_sup_ratio"])
+                fam, rank = rootsys._group_type(header["group"])
+            except (TypeError, ValueError, ZeroDivisionError) as e:
+                raise DatasetError(f"line {lineno}: {e}") from e
             max_class_dim = rootsys.dim_group(rootsys.build_root_system(fam, rank)) - rank
             continue
-        rec = ClassFusionRecord(
-            group=header["group"],
-            subgroup_label=header["subgroup_label"],
-            class_label=obj["class_label"],
-            element_kind=obj["element_kind"],
-            element_order=int(obj["element_order"]),
-            dim_class_in_G=int(obj["dim_class_in_G"]),
-            dim_intersection_with_H=int(obj["dim_intersection_with_H"]),
-            is_long_root=bool(obj.get("is_long_root", False)),
-            charp_condition=obj.get("charp_condition"),
-            excludable_sembd=bool(obj.get("excludable_sembd", False)),
-        )
+        _require(obj, _RECORD_FIELDS, lineno)
+        try:
+            rec = ClassFusionRecord(
+                group=header["group"],
+                subgroup_label=header["subgroup_label"],
+                class_label=obj["class_label"],
+                element_kind=obj["element_kind"],
+                element_order=int(obj["element_order"]),
+                dim_class_in_G=int(obj["dim_class_in_G"]),
+                dim_intersection_with_H=int(obj["dim_intersection_with_H"]),
+                is_long_root=bool(obj.get("is_long_root", False)),
+                charp_condition=obj.get("charp_condition"),
+                excludable_sembd=bool(obj.get("excludable_sembd", False)),
+            )
+        except (TypeError, ValueError) as e:
+            raise DatasetError(f"line {lineno}: {e}") from e
         _validate_record(rec, max_class_dim, lineno)
         records.append(rec)
     if header is None:
@@ -136,7 +157,7 @@ def loads(text: str) -> Dataset:
         group=header["group"],
         subgroup_label=header["subgroup_label"],
         characteristic=str(header.get("characteristic", "any")),
-        expected_sup_ratio=_parse_fraction(header["expected_sup_ratio"]),
+        expected_sup_ratio=expected_sup_ratio,
         claim=header.get("claim", ""),
         complete=bool(header.get("complete", False)),
         records=tuple(records),

@@ -7,8 +7,9 @@
     emit     table:parab|table:ep|table:c|table:e [--format csv|json]
 
 Machine output is JSON on stdout (CSV for tables); diagnostics go to
-stderr.  Exit codes: 0 success, 2 specification/validation error or a
-verifier sampling failure, 3 inconclusive bound.  Every run echoes its
+stderr.  Exit codes: 0 success, 2 specification/validation error
+(including malformed spec JSON and malformed datasets) or a verifier
+sampling failure, 3 inconclusive bound.  Every run echoes its
 seeds and primes.  ``emit`` output is byte-stable: it contains no timing
 or environment data.
 """
@@ -143,10 +144,9 @@ def cmd_verify(args) -> int:
         "primes": list(primes),
         "rational": bool(args.rational),
     }
-    if "module" in spec_obj:
-        rep = genstab.module_stabilizer_dim(
-            spec_obj["module"], int(spec_obj["n"]), args.c, seed=args.seed, p=primes[0]
-        )
+    if isinstance(spec_obj, dict) and "module" in spec_obj:
+        n = formulas._json_field(spec_obj, "n", int, "module spec")
+        rep = genstab.module_stabilizer_dim(spec_obj["module"], n, args.c, seed=args.seed, p=primes[0])
     else:
         spec = formulas.spec_from_json(spec_obj)
         if not isinstance(spec.subgroup, formulas.Subspace):

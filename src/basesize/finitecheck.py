@@ -3,9 +3,8 @@
 Matrix generators over F_q are converted to permutations of an enumerated
 point set (centers acting trivially disappear, matching the convention
 that scalars are ignored).  The permutation group is closed by breadth
-first search under a hard element bound, base sizes are found by a seeded
-randomized search whose minimality is then certified by an exhaustive
-pruned backtrack over stabilizer-orbit representatives.
+first search under a hard element bound, and base sizes are found by an
+exhaustive pruned backtrack over stabilizer-orbit representatives.
 """
 from __future__ import annotations
 
@@ -129,7 +128,7 @@ class PermAction:
         return self.perms.shape[0]
 
 
-def _perm_of_matrix(m: Matrix, points: list, to_index: dict, apply_pt, q: int) -> tuple[int, ...]:
+def _perm_of_matrix(m: Matrix, points: list, to_index: dict, apply_pt) -> tuple[int, ...]:
     return tuple(to_index[apply_pt(m, pt)] for pt in points)
 
 
@@ -159,7 +158,7 @@ def _action_from_matrices(
     bound: int = DEFAULT_ELEMENT_BOUND,
 ) -> PermAction:
     to_index = {pt: i for i, pt in enumerate(points)}
-    gen_perms = [_perm_of_matrix(g, points, to_index, apply_pt, q) for g in gens]
+    gen_perms = [_perm_of_matrix(g, points, to_index, apply_pt) for g in gens]
     perms = close_perm_group(gen_perms, bound)
     return PermAction(description=description, points=points, perms=perms, q=q)
 
@@ -302,42 +301,22 @@ def _exists_base(perms: np.ndarray, idx: np.ndarray, depth: int) -> bool:
     return False
 
 
-def exact_base_size(
-    action: PermAction, seed: int = 0, random_tries: int = 200
-) -> int:
+def exact_base_size(action: PermAction, seed: int = 0) -> int:
     """Minimal number of points whose pointwise stabilizer is trivial.
 
-    A seeded random search finds a working tuple size quickly; exhaustive
-    backtracking over stabilizer-orbit representatives then certifies that
-    one point fewer never suffices.
+    Exhaustive backtracking over stabilizer-orbit representatives decides,
+    for c = 1, 2, ..., whether some c points have trivial stabilizer; a base
+    stays a base when points are added, so the first such c is the base
+    size.  ``seed`` is unused: the search is deterministic.
     """
     perms = action.perms
-    m = perms.shape[1]
     if perms.shape[0] == 1:
         return 0
-    rng = random.Random(seed)
-    candidate = None
-    for c in range(1, m + 1):
-        for _ in range(random_tries):
-            tup = tuple(rng.sample(range(m), min(c, m)))
-            if stabilizer_indices(perms, tup).size == 1:
-                candidate = c
-                break
-        if candidate is not None:
-            break
     all_idx = np.arange(perms.shape[0])
-    if candidate is None:
-        for c in range(1, m + 1):
-            if _exists_base(perms, all_idx, c):
-                return c
-        raise RuntimeError("the action is not faithful")
-    if candidate > 1 and _exists_base(perms, all_idx, candidate - 1):
-        # the randomized phase overshot; walk down to the true minimum
-        c = candidate - 1
-        while c > 1 and _exists_base(perms, all_idx, c - 1):
-            c -= 1
-        return c
-    return candidate
+    for c in range(1, perms.shape[1] + 1):
+        if _exists_base(perms, all_idx, c):
+            return c
+    raise RuntimeError("the action is not faithful")
 
 
 def generic_tuple_stabilizer_order(

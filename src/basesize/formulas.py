@@ -3,15 +3,17 @@
 The dispatcher returns a :class:`BaseTriple` of integer intervals for
 (connected, exact, generic) base size.  Cases the theory leaves open are
 returned as honest intervals with a clause tag; they are never collapsed
-to a guess.  Actions that are equivalent to a subspace action are routed
-through the subspace dispatcher so both descriptions return identical
-triples.
+to a guess.  The classification is stored as ordered rule tables read by
+one interpreter, :func:`_apply`.  Actions that are equivalent to a
+subspace action name that action in their rule, so both descriptions
+return identical triples.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
 from typing import Union
 
 from . import rootsys
@@ -41,6 +43,15 @@ SUBSPACE_FLAVORS = (
 )
 
 CHAR_CASES = ("0", "2", "3", "odd", "not235", "any")
+
+#: the conditions on p that each characteristic case rules out
+_RULED_OUT = {
+    "0": ("p = 2", "p = 3"), "2": ("p != 2", "p = 3"), "3": ("p = 2",),
+    "odd": ("p = 2",), "not235": ("p = 2", "p = 3"), "any": (),
+}
+#: whether p = 2, or None when the characteristic case leaves it open
+_IS_TWO = {case: True if "p != 2" in out else False if "p = 2" in out else None
+           for case, out in _RULED_OUT.items()}
 
 
 @dataclass(frozen=True)
@@ -91,46 +102,33 @@ class ActionSpec:
             raise SpecValidationError(f"unknown flavor {self.subgroup.flavor!r}")
 
 
-def _char_is_two(spec: ActionSpec) -> bool | None:
-    """True/False when the characteristic case decides p = 2, else None."""
-    if spec.char == "2":
-        return True
-    if spec.char in ("0", "3", "odd", "not235"):
-        return False
-    return None
+def _json_field(obj, key: str, kind: type, where: str):
+    """obj[key], checked to be an int (not a bool) or a str."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    if type(value) is not kind:
+        what = "an integer" if kind is int else "a string"
+        raise SpecValidationError(f"{where}: {key!r} must be {what}, got {value!r}")
+    return value
 
 
-def _char_is_three(spec: ActionSpec) -> bool | None:
-    if spec.char == "3":
-        return True
-    if spec.char in ("0", "2", "not235"):
-        return False
-    return None
-
-
-def _require_two_known(spec: ActionSpec, why: str) -> bool:
-    two = _char_is_two(spec)
-    if two is None:
-        raise SpecValidationError(
-            f"{why}: the value depends on whether p = 2; give a characteristic case"
-        )
-    return two
-
-
-def spec_from_json(obj: dict) -> ActionSpec:
+def spec_from_json(obj) -> ActionSpec:
     """Build an ActionSpec from its JSON form (the CLI wire format)."""
-    sub = obj.get("subgroup")
+    if not isinstance(obj, dict) or "family" not in obj or "subgroup" not in obj:
+        raise SpecValidationError("a spec is a JSON object with 'family' and 'subgroup' keys")
+    sub = obj["subgroup"]
     if sub == "torus_normalizer":
         subgroup: Subgroup = TorusNormalizer()
     elif isinstance(sub, dict) and "subspace" in sub:
         s = sub["subspace"]
-        subgroup = Subspace(d=int(s["d"]), flavor=s.get("flavor", "linear"))
+        subgroup = Subspace(d=_json_field(s, "d", int, "subspace"), flavor=s.get("flavor", "linear"))
     elif isinstance(sub, dict) and "nonsubspace" in sub:
-        subgroup = NonSubspace(label=str(sub["nonsubspace"]["label"]))
+        subgroup = NonSubspace(label=_json_field(sub["nonsubspace"], "label", str, "nonsubspace"))
     elif isinstance(sub, dict) and "parabolic" in sub:
-        subgroup = Parabolic(node=int(sub["parabolic"]["i"]))
+        subgroup = Parabolic(node=_json_field(sub["parabolic"], "i", int, "parabolic"))
     else:
         raise SpecValidationError(f"unrecognized subgroup spec {sub!r}")
+    if obj.get("n") is not None:
+        _json_field(obj, "n", int, "spec")
     return ActionSpec(
         family=obj["family"],
         n=obj.get("n"),
@@ -192,16 +190,13 @@ class BaseTriple:
         return out
 
 
-def _pt(v: int) -> Interval:
-    return Interval(v, v)
-
-
 def _point_triple(v: int, tag: str, warnings: tuple[str, ...] = ()) -> BaseTriple:
-    return BaseTriple(_pt(v), _pt(v), _pt(v), tag, warnings)
+    iv = Interval(v, v)  # frozen, so one interval serves all three
+    return BaseTriple(iv, iv, iv, tag, warnings)
 
 
 def _triple(b0, b, b1, tag: str, warnings: tuple[str, ...] = ()) -> BaseTriple:
-    mk = lambda x: _pt(x) if isinstance(x, int) else Interval(*x)
+    mk = lambda x: Interval(x, x) if isinstance(x, int) else Interval(*x)
     return BaseTriple(mk(b0), mk(b), mk(b1), tag, warnings)
 
 
@@ -210,7 +205,174 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Subspace actions
+# The rule interpreter
+#
+# A rule table is an ordered list of rows (when, then, clause, warnings).
+# ``when`` is a predicate on a :class:`_Case`, or None for every case; the
+# first row whose ``when`` holds decides.  ``then`` is a point value, a
+# (b0, b, b1) triple of values or (lo, hi) pairs, the equivalent subspace
+# ActionSpec, a rejection reason, or a function of the case returning one
+# of these.  Every table ends with a row whose ``when`` is None.
+
+class _Case:
+    """What the rules read: the spec, n, the subspace dimension or the size
+    of a label's factor (d), ceil(n/d), the factor count t, whether p = 2
+    (None when open) and the normalized label."""
+
+    __slots__ = ("spec", "n", "d", "k", "t", "two", "label")
+
+    def __init__(self, spec: ActionSpec, d: int, t: int = 1, label: str = ""):
+        self.spec, self.n, self.d, self.t, self.label = spec, spec.n, d, t, label
+        self.k = -(-spec.n // d) if d else 0
+        self.two = _IS_TWO[spec.char]
+
+
+def _rules(*rows) -> list[tuple]:
+    """Rows written (when, then[, clause[, warnings]]), padded to four."""
+    return [row + (None, ())[len(row) - 2:] for row in rows]
+
+
+def _apply(rules: list[tuple], case: _Case) -> BaseTriple:
+    for when, then, clause, warnings in rules:
+        if when is None or when(case):
+            return _settle(then(case) if callable(then) else then, clause, warnings)
+    raise AssertionError("every rule table ends with an unconditional row")
+
+
+def _settle(then, clause: str, warnings: tuple[str, ...] = ()) -> BaseTriple:
+    if type(then) is int:
+        return _point_triple(then, clause, warnings)
+    if type(then) is tuple:
+        return _triple(*then, clause, warnings)
+    if type(then) is str:
+        raise SpecValidationError(then)
+    return _retag(subspace_triple(then), clause)
+
+
+def _retag(t: BaseTriple, tag: str) -> BaseTriple:
+    return BaseTriple(t.b0, t.b, t.b1, f"{tag};{t.case_tag}",
+                      t.warnings + ("subspace-equivalent action",))
+
+
+# ---------------------------------------------------------------------------
+# Subspace actions, keyed by (family, flavor)
+
+_P2_OPEN = "{}: the value depends on whether p = 2; give a characteristic case"
+_PAIR_ACTION = ("imprimitive: routed to the complementary-pair action",)
+_half = lambda c: 2 * c.d == c.n
+_k = lambda c: c.k
+# n = (k - 1) d + 1: one space fewer suffices, generically so for even n
+_hyperplane = lambda c: c.n == (c.k - 1) * c.d + 1
+
+
+def _one_short(c: _Case) -> tuple[int, int, int]:
+    return c.k - 1, c.k - 1, c.k - 1 if c.n % 2 == 0 else c.k
+
+
+def _sl_interval(c: _Case) -> tuple:
+    # the orbit-dimension bound can beat k+1; both ends stay certified
+    iv = (max(c.k + 1, _ceil_div(c.n * c.n - 1, c.d * (c.n - c.d))), c.k + 2 + (c.k == 3))
+    return iv, iv, iv
+
+
+_D_UP_TO_HALF = (lambda c: not 1 <= c.d <= c.n // 2,
+                 lambda c: f"need 1 <= d <= n/2, got d={c.d}, n={c.n}")
+_SP_EVEN_N = (lambda c: c.n % 2 != 0 or c.n < 4, "Sp needs even n >= 4")
+_SO_N = (lambda c: c.n < 5, "SO subspace actions are stated for n >= 5")
+_SO_FORM = (
+    _SO_N,
+    (lambda c: c.n % 2 == 1 and c.two is not False, "SO with odd n requires p != 2"),
+    (lambda c: c.n < 7 and c.d != 1, "SO subspace actions below n = 7 are supported for d = 1 only"),
+)
+
+_SUBSPACE_RULES = {
+    ("SL", "linear"): _rules(
+        _D_UP_TO_HALF,
+        (lambda c: c.d == 1, lambda c: c.k + 1, "subspace:SL.d=1"),
+        (_half, 5, "subspace:SL.d=n/2"),
+        (lambda c: c.n % c.d == 0, lambda c: c.k + 2, "subspace:SL.1<d<n/2"),
+        (None, _sl_interval,
+         "subspace:SL.d-not-dividing-n (open interval; the numeric verifier pins instances)"),
+    ),
+    ("Sp", "On_in_Spn"): _rules(
+        _SP_EVEN_N,
+        (lambda c: c.two is None, _P2_OPEN.format("orthogonal subgroup of Sp is maximal only for p = 2")),
+        (lambda c: not c.two, "orthogonal subgroup of Sp requires p = 2"),
+        (None, lambda c: (c.n, c.n, c.n + 1), "subspace:Sp.full-orthogonal-stabilizer.p2"),
+    ),
+    ("Sp", "nondeg"): _rules(
+        _SP_EVEN_N,
+        (lambda c: c.d % 2 != 0 or not 2 <= c.d <= c.n // 2,
+         "nondegenerate subspaces of Sp need even 2 <= d <= n/2"),
+        # stabilizer of one half is index 2 in the pair stabilizer: the
+        # action is imprimitive; report the pair-action value
+        (lambda c: (c.n, c.d) == (4, 2), 4, "subspace:Sp.nondeg-halfdim(pair action)", _PAIR_ACTION),
+        (_half, 3, "subspace:Sp.nondeg-halfdim(pair action)", _PAIR_ACTION),
+        (lambda c: (c.n, c.d) == (6, 2), 4, "subspace:Sp.nondeg.n6d2"),
+        (None, _k, "subspace:Sp.nondeg.generic-k"),
+    ),
+    ("Sp", "totally_singular"): _rules(
+        _SP_EVEN_N,
+        _D_UP_TO_HALF,
+        (lambda c: _half(c) and c.two is None, _P2_OPEN.format("Sp totally singular half-dimension")),
+        (lambda c: _half(c) and c.two, 4, "subspace:Sp.ts-halfdim"),
+        (_half, (4, 4, 5), "subspace:Sp.ts-halfdim"),
+        # b0 = 4 for every d.  Write n = 2(d + j); then
+        # 3 dim Omega - dim G = -2j^2 + (2d-1)j - d(d-1)/2, which is
+        # negative unless n = 3d or n = 3d - 1, so the orbit-dimension
+        # bound alone gives b0 >= 4.  In those two cases the stabilizer
+        # of three generic spaces reduces to the congruence stabilizer
+        # in GL_d of a generic d x d bilinear form, of dimension
+        # floor(d/2) >= 1: no dense orbit on Omega^3.  At c = 4 the
+        # verifier finds a finite stabilizer for every n <= 16.
+        (lambda c: c.k == 3 and c.d == 2, 4, "subspace:Sp.ts.k3"),
+        # b0 <= b <= b1 <= b0 + 1; nothing here settles whether the
+        # finite part of the 4-point stabilizer vanishes, so b and b1
+        # stay open
+        (lambda c: c.k == 3, (4, (4, 5), (4, 5)), "subspace:Sp.ts.k3"),
+        (None, _k, "subspace:Sp.ts.generic-k"),
+    ),
+    ("SO", "nonsingular_1space"): _rules(
+        _SO_N,
+        # for odd n this is the defining-characteristic-2 model of the
+        # odd orthogonal group: the symplectic group on a hyperplane
+        (lambda c: c.two is not True, "nonsingular 1-spaces only arise for p = 2"),
+        (lambda c: c.n % 2 == 1, lambda c: (c.n - 1, c.n - 1, c.n), "subspace:SO.ns1.odd-n(p2)"),
+        (None, lambda c: c.n - 1, "subspace:SO.ns1.even-n(p2)"),
+    ),
+    ("SO", "nondeg"): _rules(
+        *_SO_FORM,
+        _D_UP_TO_HALF,
+        (lambda c: c.two and c.d != 1 and c.d % 2 != 0,
+         "for p = 2 a nondegenerate subspace has d = 1 or d even"),
+        (lambda c: _half(c) and c.two and c.n % 4 != 0,
+         "half-dimension nondegenerate pairs need n = 0 mod 4 when p = 2"),
+        (_half, (2, 2, 3), "subspace:SO.nondeg-halfdim(pair action)", _PAIR_ACTION),
+        (_hyperplane, _one_short, "subspace:SO.nondeg.hyperplane-case"),
+        (None, _k, "subspace:SO.nondeg.generic-k"),
+    ),
+    ("SO", "totally_singular"): _rules(
+        *_SO_FORM,
+        _D_UP_TO_HALF,
+        (lambda c: c.d == 1, _one_short, "subspace:SO.ts.d1"),
+        (lambda c: (c.n, c.d) == (10, 5), (5, (5, 6), (5, 6)), "subspace:SO.ts-halfdim.n10 (open)"),
+        (_half, lambda c: {8: 7, 12: 6}.get(c.n, 5), "subspace:SO.ts-halfdim.c(n)"),
+        (lambda c: c.k == 3, lambda c: 4 - (c.n == 3 * c.d), "subspace:SO.ts.k3"),
+        (_hyperplane, _one_short, "subspace:SO.ts.hyperplane-case"),
+        (None, _k, "subspace:SO.ts.generic-k"),
+    ),
+}
+# every other flavor is refused after its family's preconditions
+_SUBSPACE_RULES.update({
+    (fam, flavor): _rules(*pre, (None, why.format(flavor)))
+    for fam, pre, why in (
+        ("SL", (), "SL subspace actions carry no form; use flavor 'linear'"),
+        ("Sp", (_SP_EVEN_N,), "flavor {!r} invalid for Sp"),
+        ("SO", _SO_FORM, "flavor {!r} invalid for SO (use nondeg/totally_singular/nonsingular_1space)"),
+    )
+    for flavor in SUBSPACE_FLAVORS if (fam, flavor) not in _SUBSPACE_RULES
+})
+
 
 def subspace_triple(spec: ActionSpec) -> BaseTriple:
     """Triple for a classical group acting on an orbit of subspaces of its
@@ -219,139 +381,7 @@ def subspace_triple(spec: ActionSpec) -> BaseTriple:
         raise SpecValidationError("subspace actions are classical")
     if not isinstance(spec.subgroup, Subspace):
         raise SpecValidationError("subspace_triple needs a Subspace subgroup")
-    n, d, flavor = spec.n, spec.subgroup.d, spec.subgroup.flavor
-
-    if spec.family == "SL":
-        return _sl_subspace(spec, n, d, flavor)
-    if spec.family == "Sp":
-        return _sp_subspace(spec, n, d, flavor)
-    return _so_subspace(spec, n, d, flavor)
-
-
-def _sl_subspace(spec: ActionSpec, n: int, d: int, flavor: str) -> BaseTriple:
-    if flavor != "linear":
-        raise SpecValidationError("SL subspace actions carry no form; use flavor 'linear'")
-    if not (1 <= d and 2 * d <= n):
-        raise SpecValidationError(f"need 1 <= d <= n/2, got d={d}, n={n}")
-    k = _ceil_div(n, d)
-    if n % d == 0:
-        if d == 1:
-            eps, case = 1, "SL.d=1"
-        elif 2 * d == n:
-            eps, case = 3, "SL.d=n/2"
-        else:
-            eps, case = 2, "SL.1<d<n/2"
-        return _point_triple(k + eps, f"subspace:{case}")
-    hi = k + 2 + (1 if k == 3 else 0)
-    # the orbit-dimension bound can beat k+1; both ends stay certified
-    lo = max(k + 1, _ceil_div(n * n - 1, d * (n - d)))
-    return _triple(
-        (lo, hi), (lo, hi), (lo, hi),
-        "subspace:SL.d-not-dividing-n (open interval; the numeric verifier pins instances)",
-    )
-
-
-def _sp_subspace(spec: ActionSpec, n: int, d: int, flavor: str) -> BaseTriple:
-    if n % 2 != 0 or n < 4:
-        raise SpecValidationError("Sp needs even n >= 4")
-    if flavor == "On_in_Spn":
-        if not _require_two_known(spec, "orthogonal subgroup of Sp is maximal only for p = 2"):
-            raise SpecValidationError("orthogonal subgroup of Sp requires p = 2")
-        return _triple(n, n, n + 1, "subspace:Sp.full-orthogonal-stabilizer.p2")
-    if flavor == "nondeg":
-        if d % 2 != 0 or not 2 <= d <= n // 2:
-            raise SpecValidationError("nondegenerate subspaces of Sp need even 2 <= d <= n/2")
-        if 2 * d == n:
-            # stabilizer of one half is index 2 in the pair stabilizer:
-            # the action is imprimitive; report the pair-action value
-            v = 4 if n == 4 else 3
-            return _point_triple(
-                v, "subspace:Sp.nondeg-halfdim(pair action)",
-                warnings=("imprimitive: routed to the complementary-pair action",),
-            )
-        k = _ceil_div(n, d)
-        if (n, d) == (6, 2):
-            return _point_triple(4, "subspace:Sp.nondeg.n6d2")
-        return _point_triple(k, "subspace:Sp.nondeg.generic-k")
-    if flavor == "totally_singular":
-        if not 1 <= d <= n // 2:
-            raise SpecValidationError(f"need 1 <= d <= n/2, got d={d}, n={n}")
-        if 2 * d == n:
-            two = _require_two_known(spec, "Sp totally singular half-dimension")
-            b1 = 4 if two else 5
-            return _triple(4, 4, b1, "subspace:Sp.ts-halfdim")
-        k = _ceil_div(n, d)
-        if k == 3:
-            # b0 = 4 for every d.  Write n = 2(d + j); then
-            # 3 dim Omega - dim G = -2j^2 + (2d-1)j - d(d-1)/2, which is
-            # negative unless n = 3d or n = 3d - 1, so the orbit-dimension
-            # bound alone gives b0 >= 4.  In those two cases the stabilizer
-            # of three generic spaces reduces to the congruence stabilizer
-            # in GL_d of a generic d x d bilinear form, of dimension
-            # floor(d/2) >= 1: no dense orbit on Omega^3.  At c = 4 the
-            # verifier finds a finite stabilizer for every n <= 16.
-            if d == 2:
-                return _point_triple(4, "subspace:Sp.ts.k3")
-            # b0 <= b <= b1 <= b0 + 1; nothing here settles whether the
-            # finite part of the 4-point stabilizer vanishes, so b and b1
-            # stay open
-            return _triple(4, (4, 5), (4, 5), "subspace:Sp.ts.k3")
-        return _point_triple(k, "subspace:Sp.ts.generic-k")
-    raise SpecValidationError(f"flavor {flavor!r} invalid for Sp")
-
-
-def _so_subspace(spec: ActionSpec, n: int, d: int, flavor: str) -> BaseTriple:
-    if n < 5:
-        raise SpecValidationError("SO subspace actions are stated for n >= 5")
-    two = _char_is_two(spec)
-    if flavor == "nonsingular_1space":
-        # for odd n this is the defining-characteristic-2 model of the
-        # odd orthogonal group: the symplectic group on a hyperplane
-        if two is not True:
-            raise SpecValidationError("nonsingular 1-spaces only arise for p = 2")
-        if n % 2 == 1:
-            return _triple(n - 1, n - 1, n, "subspace:SO.ns1.odd-n(p2)")
-        return _point_triple(n - 1, "subspace:SO.ns1.even-n(p2)")
-    if n % 2 == 1 and two is not False:
-        raise SpecValidationError("SO with odd n requires p != 2")
-    if n < 7 and d != 1:
-        raise SpecValidationError("SO subspace actions below n = 7 are supported for d = 1 only")
-    if flavor == "nondeg":
-        if not 1 <= d <= n // 2:
-            raise SpecValidationError(f"need 1 <= d <= n/2, got d={d}, n={n}")
-        if two is True and d != 1 and d % 2 != 0:
-            raise SpecValidationError("for p = 2 a nondegenerate subspace has d = 1 or d even")
-        if 2 * d == n:
-            if two is True and n % 4 != 0:
-                raise SpecValidationError("half-dimension nondegenerate pairs need n = 0 mod 4 when p = 2")
-            return _triple(
-                2, 2, 3, "subspace:SO.nondeg-halfdim(pair action)",
-                warnings=("imprimitive: routed to the complementary-pair action",),
-            )
-        k = _ceil_div(n, d)
-        if n == (k - 1) * d + 1:
-            b1 = k - 1 if n % 2 == 0 else k
-            return _triple(k - 1, k - 1, b1, "subspace:SO.nondeg.hyperplane-case")
-        return _point_triple(k, "subspace:SO.nondeg.generic-k")
-    if flavor == "totally_singular":
-        if not 1 <= d <= n // 2:
-            raise SpecValidationError(f"need 1 <= d <= n/2, got d={d}, n={n}")
-        if d == 1:
-            b1 = n - 1 if n % 2 == 0 else n
-            return _triple(n - 1, n - 1, b1, "subspace:SO.ts.d1")
-        if 2 * d == n:
-            if n == 10:
-                return _triple(5, (5, 6), (5, 6), "subspace:SO.ts-halfdim.n10 (open)")
-            c = {8: 7, 12: 6}.get(n, 5)
-            return _point_triple(c, "subspace:SO.ts-halfdim.c(n)")
-        k = _ceil_div(n, d)
-        if k == 3:
-            return _point_triple(4 - (1 if n == 3 * d else 0), "subspace:SO.ts.k3")
-        if n == (k - 1) * d + 1:
-            b1 = k - 1 if n % 2 == 0 else k
-            return _triple(k - 1, k - 1, b1, "subspace:SO.ts.hyperplane-case")
-        return _point_triple(k, "subspace:SO.ts.generic-k")
-    raise SpecValidationError(f"flavor {flavor!r} invalid for SO (use nondeg/totally_singular/nonsingular_1space)")
+    return _apply(_SUBSPACE_RULES[spec.family, spec.subgroup.flavor], _Case(spec, spec.subgroup.d))
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +413,107 @@ def _classical_label(label: str, n: int) -> tuple[str, int, int] | None:
     return base, n // k, t
 
 
+def _so(n: int, d: int, flavor: str, char: str) -> ActionSpec:
+    return ActionSpec("SO", Subspace(d, flavor), n=n, char=char)
+
+
+# Classical labels, keyed by (family, factor base, t != 1), where the label
+# names t factors of the base group, each of size d; the tensor and G2
+# labels are their own base.  Every key ends in a rejection.
+_LABEL_CASES = {
+    ("SL", "GL", True): [
+        (lambda c: c.t == 2 and c.n == 2, (2, 2, 3), "nonsubspace:SL2.torus-normalizer"),
+        (lambda c: c.t == 2, 3, "nonsubspace:SL.GLhalf-wr-S2"),
+        (None, 2, "nonsubspace:SL.GL-wr-St(t>=3)"),
+    ],
+    ("Sp", "Sp", True): [
+        (lambda c: c.d % 2 != 0, lambda c: f"Sp_{c.d} factor needs even size"),
+        # both characteristics land on the same 1-space value
+        (lambda c: c.t == 2 and c.n == 4 and c.two, _so(5, 1, "nonsingular_1space", "2"), "nonsubspace:Sp4.Sp2-wr-S2->SO5-1spaces"),
+        (lambda c: c.t == 2 and c.n == 4, _so(5, 1, "nondeg", "odd"), "nonsubspace:Sp4.Sp2-wr-S2->SO5-1spaces"),
+        (lambda c: c.t == 2, 3, "nonsubspace:Sp.Sphalf-wr-S2"),
+        (lambda c: (c.n, c.t) == (6, 3), 3, "nonsubspace:Sp6.Sp2-wr-S3"),
+        (None, 2, "nonsubspace:Sp.Sp-wr-St(t>=4 or n>6)"),
+    ],
+    ("SO", "O", True): [
+        (lambda c: c.t == 2 and c.two is False, (2, 2, 3), "nonsubspace:SO.Ohalf-wr-S2(p-odd)"),
+        (lambda c: c.t == 2 and c.two and (c.n % 4 != 0 or c.n < 8),
+         "O_{n/2} wr S2 < SO_n with p = 2 needs n = 0 mod 4, n >= 8"),
+        (lambda c: c.t == 2 and c.two, (2, (2, 3), 3), "nonsubspace:SO.Ohalf-wr-S2(p2, open middle)"),
+        (lambda c: c.t == 2, "O_{n/2} wr S2: give a characteristic case"),
+        (None, 2, "nonsubspace:SO.O-wr-St(t>=3)"),
+    ],
+    ("SL", "Sp", False): [
+        (lambda c: c.d != c.n or c.n % 2 != 0 or c.n < 4, "Sp_n < SL_n needs even n >= 4"),
+        # the same value in every characteristic
+        (lambda c: c.n == 4 and c.two, _so(6, 1, "nonsingular_1space", "2"), "nonsubspace:SL4.Sp4->SO6-1spaces"),
+        (lambda c: c.n == 4, _so(6, 1, "nondeg", "odd"), "nonsubspace:SL4.Sp4->SO6-1spaces"),
+        (None, lambda c: 4 if c.n == 6 else 3, "nonsubspace:SL.Sp_n"),
+    ],
+    ("SL", "SO", False): [
+        (lambda c: c.d != c.n or c.n < 3, "SO_n < SL_n needs the full natural dimension"),
+        (lambda c: c.two, "SO_n < SL_n is maximal only for p != 2"),
+        (None, (2, 2, 3), "nonsubspace:SL.SO_n"),
+    ],
+    ("Sp", "GL", False): [
+        (lambda c: 2 * c.d != c.n, "the Levi-type GL factor of Sp_n has size n/2"),
+        (lambda c: c.two, "GL_{n/2} < Sp_n is maximal only for p != 2"),
+        (None, (2, 2, 3), "nonsubspace:Sp.GLhalf"),
+    ],
+    ("Sp", "O", False): [
+        (lambda c: c.d != c.n, "the orthogonal subgroup of Sp_n acts on the full module"),
+        (lambda c: c.two is False, "O_n < Sp_n is maximal only for p = 2"),
+        (None, lambda c: ActionSpec("Sp", Subspace(1, "On_in_Spn"), n=c.n, char="2"),
+         "nonsubspace:Sp.On->hyperplane-action"),
+    ],
+    ("Sp", "G2", False): [
+        (lambda c: c.n == 6 and c.two is False, "G2 < Sp6 requires p = 2"),
+        (lambda c: c.n == 6, 4, "nonsubspace:Sp6.G2(p2)"),
+    ],
+    ("SO", "GL", False): [
+        (lambda c: 2 * c.d != c.n, "the GL factor of SO_n has size n/2"),
+        (lambda c: c.n == 8, lambda c: _so(8, 2, "nondeg", c.spec.char), "nonsubspace:SO8.GL4->nondeg-2spaces"),
+        (lambda c: c.n < 10, "GL_{n/2} < SO_n needs even n >= 8"),
+        (None, 3, "nonsubspace:SO.GLhalf"),
+    ],
+    ("SO", "SO", False): [
+        (lambda c: (c.n, c.d) == (8, 7) and c.two, "irreducible SO7 < SO8 requires p != 2"),
+        (lambda c: (c.n, c.d) == (8, 7), _so(8, 1, "nondeg", "odd"), "nonsubspace:SO8.SO7-irreducible->nondeg-1spaces"),
+    ],
+    ("SO", "Sp", False): [
+        (lambda c: (c.n, c.d) == (8, 6) and c.two is False, "irreducible Sp6 < SO8 requires p = 2"),
+        (lambda c: (c.n, c.d) == (8, 6), _so(8, 1, "nonsingular_1space", "2"), "nonsubspace:SO8.Sp6-irreducible->ns-1spaces"),
+    ],
+    ("SO", "Sp4xSp2", False): [
+        (lambda c: c.n == 8 and c.two, "Sp4 (x) Sp2 < SO8 requires p != 2"),
+        (lambda c: c.n == 8, _so(8, 3, "nondeg", "odd"), "nonsubspace:SO8.tensor->nondeg-3spaces"),
+    ],
+    ("SO", "G2", False): [
+        (lambda c: c.n == 7 and c.two, "G2 < SO7 requires p != 2"),
+        (lambda c: c.n == 7, 4, "nonsubspace:SO7.G2"),
+    ],
+}
+
+
+def _label_rules(family: str, base: str, wreath: bool) -> list[tuple]:
+    if wreath:
+        first = [(lambda c: c.d * c.t != c.n, lambda c: f"label {c.label!r} does not decompose n={c.n}")]
+        last = lambda c: f"wreath label {base} wr S{c.t} invalid inside {family}_n"
+    else:
+        first, last = [], {
+            "G2": "G2 is maximal only in SO7 (p != 2) or Sp6 (p = 2)",
+            "Sp4xSp2": "the Sp4 (x) Sp2 tensor stabilizer lives in SO8",
+        }.get(base, lambda c: f"label {c.spec.subgroup.label!r} invalid inside {family}_{c.n}")
+    return _rules(*first, *_LABEL_CASES.get((family, base, wreath), []), (None, last))
+
+
+_LABEL_RULES = {
+    (fam, base, wreath): _label_rules(fam, base, wreath)
+    for fam in CLASSICAL_FAMILIES
+    for base, wreath in [*product(("GL", "Sp", "SO", "O"), (False, True)), ("G2", False), ("Sp4xSp2", False)]
+}
+
+
 def nonsubspace_triple(spec: ActionSpec) -> BaseTriple:
     """Triple for a primitive non-subspace action, classical or exceptional.
 
@@ -393,159 +524,23 @@ def nonsubspace_triple(spec: ActionSpec) -> BaseTriple:
         raise SpecValidationError("nonsubspace_triple needs a NonSubspace subgroup")
     if spec.family in EXCEPTIONAL_FAMILIES:
         return _exceptional_nonparabolic(spec)
-    return _classical_nonsubspace(spec)
-
-
-def _classical_nonsubspace(spec: ActionSpec) -> BaseTriple:
-    n = spec.n
     label = rootsys.normalize_label(spec.subgroup.label)
-    fam = spec.family
-    two = _char_is_two(spec)
-
     if _TENSOR_RE.match(label):
-        if fam != "SO" or n != 8:
-            raise SpecValidationError("the Sp4 (x) Sp2 tensor stabilizer lives in SO8")
-        if two is True:
-            raise SpecValidationError("Sp4 (x) Sp2 < SO8 requires p != 2")
-        t = subspace_triple(ActionSpec("SO", Subspace(3, "nondeg"), n=8, char="odd"))
-        return _retag(t, "nonsubspace:SO8.tensor->nondeg-3spaces")
-
-    parsed = _classical_label(label, n)
-    if parsed:
-        base, size, t = parsed
-        if t == 1:
-            return _classical_irreducible(spec, fam, n, base, size)
-        if size * t != n:
-            raise SpecValidationError(f"label {label!r} does not decompose n={n}")
-        return _classical_wreath(spec, fam, n, base, size, t)
-
-    if label == "G2":
-        if fam == "SO" and n == 7:
-            if two is True:
-                raise SpecValidationError("G2 < SO7 requires p != 2")
-            return _point_triple(4, "nonsubspace:SO7.G2")
-        if fam == "Sp" and n == 6:
-            if two is False:
-                raise SpecValidationError("G2 < Sp6 requires p = 2")
-            return _point_triple(4, "nonsubspace:Sp6.G2(p2)")
-        raise SpecValidationError("G2 is maximal only in SO7 (p != 2) or Sp6 (p = 2)")
-
-    raise SpecValidationError(f"unknown classical subgroup label {label!r}")
-
-
-def _classical_wreath(spec, fam, n, base, size, t) -> BaseTriple:
-    two = _char_is_two(spec)
-    if fam == "SL" and base == "GL":
-        if t == 2:
-            if n == 2:
-                return _triple(2, 2, 3, "nonsubspace:SL2.torus-normalizer")
-            return _point_triple(3, "nonsubspace:SL.GLhalf-wr-S2")
-        return _point_triple(2, "nonsubspace:SL.GL-wr-St(t>=3)")
-    if fam == "Sp" and base == "Sp":
-        if size % 2 != 0:
-            raise SpecValidationError(f"Sp_{size} factor needs even size")
-        if t == 2:
-            if n == 4:
-                # both characteristics land on the same 1-space value
-                if two is True:
-                    sub = ActionSpec("SO", Subspace(1, "nonsingular_1space"), n=5, char="2")
-                else:
-                    sub = ActionSpec("SO", Subspace(1, "nondeg"), n=5, char="odd")
-                return _retag(subspace_triple(sub), "nonsubspace:Sp4.Sp2-wr-S2->SO5-1spaces")
-            return _point_triple(3, "nonsubspace:Sp.Sphalf-wr-S2")
-        if (n, t) == (6, 3):
-            return _point_triple(3, "nonsubspace:Sp6.Sp2-wr-S3")
-        return _point_triple(2, "nonsubspace:Sp.Sp-wr-St(t>=4 or n>6)")
-    if fam == "SO" and base == "O":
-        if t == 2:
-            if two is False:
-                return _triple(2, 2, 3, "nonsubspace:SO.Ohalf-wr-S2(p-odd)")
-            if two is True:
-                if n % 4 != 0 or n < 8:
-                    raise SpecValidationError("O_{n/2} wr S2 < SO_n with p = 2 needs n = 0 mod 4, n >= 8")
-                return _triple(2, (2, 3), 3, "nonsubspace:SO.Ohalf-wr-S2(p2, open middle)")
-            raise SpecValidationError("O_{n/2} wr S2: give a characteristic case")
-        return _point_triple(2, "nonsubspace:SO.O-wr-St(t>=3)")
-    raise SpecValidationError(f"wreath label {base} wr S{t} invalid inside {fam}_n")
-
-
-def _classical_irreducible(spec, fam, n, base, size) -> BaseTriple:
-    two = _char_is_two(spec)
-    if fam == "SL":
-        if base == "Sp":
-            if size != n or n % 2 != 0 or n < 4:
-                raise SpecValidationError("Sp_n < SL_n needs even n >= 4")
-            if n == 4:
-                # the same value in every characteristic
-                if two is True:
-                    sub = ActionSpec("SO", Subspace(1, "nonsingular_1space"), n=6, char="2")
-                else:
-                    sub = ActionSpec("SO", Subspace(1, "nondeg"), n=6, char="odd")
-                return _retag(subspace_triple(sub), "nonsubspace:SL4.Sp4->SO6-1spaces")
-            return _point_triple(4 if n == 6 else 3, "nonsubspace:SL.Sp_n")
-        if base == "SO":
-            if size != n or n < 3:
-                raise SpecValidationError("SO_n < SL_n needs the full natural dimension")
-            if two is True:
-                raise SpecValidationError("SO_n < SL_n is maximal only for p != 2")
-            return _triple(2, 2, 3, "nonsubspace:SL.SO_n")
-    if fam == "Sp" and base == "GL":
-        if 2 * size != n:
-            raise SpecValidationError("the Levi-type GL factor of Sp_n has size n/2")
-        if two is True:
-            raise SpecValidationError("GL_{n/2} < Sp_n is maximal only for p != 2")
-        return _triple(2, 2, 3, "nonsubspace:Sp.GLhalf")
-    if fam == "SO" and base == "GL":
-        if 2 * size != n:
-            raise SpecValidationError("the GL factor of SO_n has size n/2")
-        if n == 8:
-            t = subspace_triple(ActionSpec("SO", Subspace(2, "nondeg"), n=8, char=spec.char))
-            return _retag(t, "nonsubspace:SO8.GL4->nondeg-2spaces")
-        if n < 10 or n % 2 != 0:
-            raise SpecValidationError("GL_{n/2} < SO_n needs even n >= 8")
-        return _point_triple(3, "nonsubspace:SO.GLhalf")
-    if fam == "SO" and base == "SO" and n == 8 and size == 7:
-        if two is True:
-            raise SpecValidationError("irreducible SO7 < SO8 requires p != 2")
-        t = subspace_triple(ActionSpec("SO", Subspace(1, "nondeg"), n=8, char="odd"))
-        return _retag(t, "nonsubspace:SO8.SO7-irreducible->nondeg-1spaces")
-    if fam == "SO" and base == "Sp" and n == 8 and size == 6:
-        if two is False:
-            raise SpecValidationError("irreducible Sp6 < SO8 requires p = 2")
-        t = subspace_triple(ActionSpec("SO", Subspace(1, "nonsingular_1space"), n=8, char="2"))
-        return _retag(t, "nonsubspace:SO8.Sp6-irreducible->ns-1spaces")
-    if fam == "Sp" and base == "O":
-        if size != n:
-            raise SpecValidationError("the orthogonal subgroup of Sp_n acts on the full module")
-        if two is False:
-            raise SpecValidationError("O_n < Sp_n is maximal only for p = 2")
-        spec2 = ActionSpec("Sp", Subspace(1, "On_in_Spn"), n=n, char="2")
-        return _retag(subspace_triple(spec2), "nonsubspace:Sp.On->hyperplane-action")
-    raise SpecValidationError(f"label {spec.subgroup.label!r} invalid inside {fam}_{n}")
-
-
-def _retag(t: BaseTriple, tag: str) -> BaseTriple:
-    return BaseTriple(t.b0, t.b, t.b1, f"{tag};{t.case_tag}",
-                      t.warnings + ("subspace-equivalent action",))
+        parsed = ("Sp4xSp2", 0, 1)
+    else:
+        parsed = ("G2", 0, 1) if label == "G2" else _classical_label(label, spec.n)
+    if parsed is None:
+        raise SpecValidationError(f"unknown classical subgroup label {label!r}")
+    base, size, t = parsed
+    return _apply(_LABEL_RULES[spec.family, base, t != 1], _Case(spec, size, t, label))
 
 
 # Exceptional groups: reductive maximal subgroups and their triples.
-# Entries absent from the special tables give the default (2,2,2).
-_EXC_TABLE_B: dict[tuple[str, str], int] = {
-    ("E8", "A1E7"): 3,
-    ("E7", "A1D6"): 3,
-    ("E7", "T1E6"): 3,
-    ("E6", "F4"): 4,
-    ("E6", "T1D5"): 3,
-    ("F4", "B4"): 4,
-    ("F4", "D4"): 3,
-    ("G2", "A2"): 3,
-}
 
 # labels valid per group, with an optional characteristic requirement
 _EXC_LABELS: dict[str, dict[str, str | None]] = {
     "E8": {
-        "A1": None, "B2": None, "A1A2": None, "A1G2^2": "p!=2", "G2F4": None,
+        "A1": None, "B2": None, "A1A2": None, "A1G2^2": "p != 2", "G2F4": None,
         "D8": None, "A1E7": None, "A8": None, "A2E6": None, "A4^2": None,
         "D4^2": None, "A2^4": None, "A1^8": None, "T8": None,
     },
@@ -555,30 +550,35 @@ _EXC_LABELS: dict[str, dict[str, str | None]] = {
         "A1^3D4": None, "A1^7": None, "T7": None,
     },
     "E6": {
-        "A2": None, "G2": None, "C4": "p!=2", "F4": None, "A2G2": None,
+        "A2": None, "G2": None, "C4": "p != 2", "F4": None, "A2G2": None,
         "T1D5": None, "T2D4": None, "A1A5": None, "A2^3": None, "T6": None,
     },
     "F4": {
-        "A1": None, "G2": "p=7", "A1G2": "p!=2", "A1C3": "p!=2", "B4": None,
-        "C4": "p=2", "D4": None, "~D4": "p=2", "A2~A2": None,
+        # p = 7 is finer than the characteristic cases modelled: accepted
+        "A1": None, "G2": "p = 7", "A1G2": "p != 2", "A1C3": "p != 2", "B4": None,
+        "C4": "p = 2", "D4": None, "~D4": "p = 2", "A2~A2": None,
     },
-    "G2": {"A1": None, "A1~A1": None, "A2": None, "~A2": "p=3"},
+    "G2": {"A1": None, "A1~A1": None, "A2": None, "~A2": "p = 3"},
 }
 
 _OUT_OF_SCOPE_LABELS = {("E7", "(2^2xD4).S3"), ("E8", "A1xS5")}
 
+_TORUS_INVERTING = ((2, 2, 3), "(torus-inverting centralizer)")
+_OPEN_P2 = ((2, (2, 3), (2, 3)), "(p2, open)")
 
-def _check_char_requirement(spec: ActionSpec, req: str | None, label: str) -> None:
-    if req is None:
-        return
-    two, three = _char_is_two(spec), _char_is_three(spec)
-    if req == "p!=2" and two is True:
-        raise SpecValidationError(f"{label} < {spec.family} requires p != 2")
-    if req == "p=2" and two is False:
-        raise SpecValidationError(f"{label} < {spec.family} requires p = 2")
-    if req == "p=3" and three is False:
-        raise SpecValidationError(f"{label} < {spec.family} requires p = 3")
-    # "p=7" is finer than the characteristic cases we model; accept.
+#: (group, label) -> (value, clause suffix), or a pair of them for p odd and
+#: for p = 2; the clause is ``nonsubspace:<group>.<label><suffix>`` and a
+#: value is a point or a triple.  Labels not listed give 2, "(generic)".
+_EXC_VALUES = {
+    ("E8", "A1E7"): (3, ""), ("E7", "A1D6"): (3, ""), ("E7", "T1E6"): (3, ""), ("E6", "F4"): (4, ""),
+    ("E6", "T1D5"): (3, ""), ("F4", "B4"): (4, ""), ("F4", "D4"): (3, ""), ("G2", "A2"): (3, ""),
+    ("F4", "C4"): (4, "(p2)"), ("F4", "~D4"): (3, "(p2)"), ("G2", "~A2"): (3, "(p3)"),
+    ("E6", "C4"): _TORUS_INVERTING, ("F4", "A1C3"): _TORUS_INVERTING,
+    ("E6", "A1A5"): ((3, ""), _OPEN_P2),
+    ("E8", "D8"): (_TORUS_INVERTING, (2, "(p2)")),
+    ("E7", "A7"): (_TORUS_INVERTING, _OPEN_P2),
+    ("G2", "A1~A1"): (_TORUS_INVERTING, _OPEN_P2),
+}
 
 
 def _exceptional_nonparabolic(spec: ActionSpec) -> BaseTriple:
@@ -593,35 +593,15 @@ def _exceptional_nonparabolic(spec: ActionSpec) -> BaseTriple:
     labels = _EXC_LABELS[g]
     if label not in labels:
         raise SpecValidationError(f"unknown maximal subgroup label {label!r} for {g}")
-    _check_char_requirement(spec, labels[label], label)
-    two = _char_is_two(spec)
-
-    if (g, label) in _EXC_TABLE_B:
-        return _point_triple(_EXC_TABLE_B[(g, label)], f"nonsubspace:{g}.{label}")
-    if g == "E6" and label == "A1A5":
-        if two is None:
-            raise SpecValidationError("E6 with A1A5: give a characteristic case")
-        if two:
-            return _triple(2, (2, 3), (2, 3), "nonsubspace:E6.A1A5(p2, open)")
-        return _point_triple(3, "nonsubspace:E6.A1A5")
-    if g == "F4" and label == "C4":
-        return _point_triple(4, "nonsubspace:F4.C4(p2)")
-    if g == "F4" and label == "~D4":
-        return _point_triple(3, "nonsubspace:F4.~D4(p2)")
-    if g == "G2" and label == "~A2":
-        return _point_triple(3, "nonsubspace:G2.~A2(p3)")
-    # involution-type centralizers with the (2,2,3) / open-p2 split
-    if (g, label) in (("E8", "D8"), ("E7", "A7"), ("E6", "C4"), ("F4", "A1C3"), ("G2", "A1~A1")):
-        if (g, label) == ("E6", "C4") or (g, label) == ("F4", "A1C3"):
-            return _triple(2, 2, 3, f"nonsubspace:{g}.{label}(torus-inverting centralizer)")
+    if labels[label] in _RULED_OUT[spec.char]:
+        raise SpecValidationError(f"{label} < {g} requires {labels[label]}")
+    value, suffix = _EXC_VALUES.get((g, label), (2, "(generic)"))
+    if type(suffix) is not str:  # a p odd / p = 2 split
+        two = _IS_TWO[spec.char]
         if two is None:
             raise SpecValidationError(f"{g} with {label}: give a characteristic case")
-        if not two:
-            return _triple(2, 2, 3, f"nonsubspace:{g}.{label}(torus-inverting centralizer)")
-        if (g, label) == ("E8", "D8"):
-            return _point_triple(2, "nonsubspace:E8.D8(p2)")
-        return _triple(2, (2, 3), (2, 3), f"nonsubspace:{g}.{label}(p2, open)")
-    return _point_triple(2, f"nonsubspace:{g}.{label}(generic)")
+        value, suffix = suffix if two else value
+    return _settle(value, f"nonsubspace:{g}.{label}{suffix}")
 
 
 # ---------------------------------------------------------------------------
@@ -681,19 +661,9 @@ def involution_triple(family: str, rank: int, inverts_maximal_torus: bool = True
     """
     rec = involution_record(family, rank)
     if not inverts_maximal_torus:
-        return InvolutionActionReport(
-            record=InvolutionRecord(rec.group, "(other class)", "inner", False),
-            triple=None,
-            b0_lower_bound=3,
-            generic_pair_stabilizer_order=None,
-        )
+        return InvolutionActionReport(InvolutionRecord(rec.group, "(other class)", "inner", False), None, 3, None)
     triple = _triple(2, 2, 3, f"involution:{rec.group}.C({rec.centralizer_type})")
-    return InvolutionActionReport(
-        record=rec,
-        triple=triple,
-        b0_lower_bound=2,
-        generic_pair_stabilizer_order=2 ** rank,
-    )
+    return InvolutionActionReport(rec, triple, 2, 2 ** rank)
 
 
 def torus_normalizer_triple(spec: ActionSpec) -> BaseTriple:
@@ -733,7 +703,7 @@ def dimhalf_predicate(spec: ActionSpec, dim_G: int, dim_H: int) -> bool:
     """True exactly when the exact base size exceeds 2 (p != 2): the
     stabilizer is large (dim H > dim G / 2) or the pair is one of the four
     small-stabilizer exceptions."""
-    if _char_is_two(spec) is not False:
+    if _IS_TWO[spec.char] is not False:
         raise SpecValidationError(
             "this test is stated for p != 2; use dimhalf_predicate_p2 for p = 2"
         )
@@ -761,11 +731,7 @@ def _wreath_of(spec: ActionSpec, label: str) -> tuple[str, int] | None:
 def _dimhalf_clauses(spec: ActionSpec, dim_G: int, dim_H: int, include_e6_a1a5: bool) -> bool:
     if 2 * dim_H > dim_G:
         return True
-    if (
-        spec.family == "SO"
-        and isinstance(spec.subgroup, Subspace)
-        and spec.subgroup.flavor == "nondeg"
-    ):
+    if spec.family == "SO" and isinstance(spec.subgroup, Subspace) and spec.subgroup.flavor == "nondeg":
         d = spec.subgroup.d
         ell = spec.n - 2 * d
         if 2 <= ell <= d and ell * ell <= spec.n:
@@ -790,11 +756,8 @@ def spec_dims(spec: ActionSpec) -> tuple[int, int] | None:
     if spec.family in EXCEPTIONAL_FAMILIES:
         dim_g = rootsys.group_dim(spec.family)
         if isinstance(spec.subgroup, Parabolic):
-            fam, rank = rootsys._group_type(spec.family)
-            rs = rootsys.build_root_system(fam, rank)
-            return dim_g, rootsys.parabolic_quotient_dim(
-                rootsys.ParabolicDescriptor(rs, spec.subgroup.node)
-            )
+            rs = rootsys.build_root_system(*rootsys._group_type(spec.family))
+            return dim_g, rootsys.parabolic_quotient_dim(rootsys.ParabolicDescriptor(rs, spec.subgroup.node))
         if isinstance(spec.subgroup, TorusNormalizer):
             return dim_g, dim_g - rootsys.group_rank(spec.family)
         if isinstance(spec.subgroup, NonSubspace):
@@ -853,11 +816,8 @@ def table_c_rows() -> list[tuple[str, str, str, int]]:
         ("SO_n", "GL_{n/2}", "n >= 10", ("SO", 10, "GL_{n/2}", "odd")),
         ("SO_n", "G2", "n = 7, p != 2", ("SO", 7, "G2", "odd")),
     ]
-    out = []
-    for g, h, cond, (fam, n, label, char) in rows:
-        t = nonsubspace_triple(ActionSpec(fam, NonSubspace(label), n=n, char=char))
-        out.append((g, h, cond, t.b.lo))
-    return out
+    return [(g, h, cond, nonsubspace_triple(ActionSpec(fam, NonSubspace(label), n=n, char=char)).b.lo)
+            for g, h, cond, (fam, n, label, char) in rows]
 
 
 def table_e_rows() -> list[tuple[str, str, str, int]]:
@@ -876,8 +836,5 @@ def table_e_rows() -> list[tuple[str, str, str, int]]:
         ("G2", "A2", "", "any"),
         ("G2", "~A2", "p = 3", "3"),
     ]
-    out = []
-    for g, h, cond, char in rows:
-        t = nonsubspace_triple(ActionSpec(g, NonSubspace(h), char=char))
-        out.append((g, h, cond, t.b.lo))
-    return out
+    return [(g, h, cond, nonsubspace_triple(ActionSpec(g, NonSubspace(h), char=char)).b.lo)
+            for g, h, cond, char in rows]

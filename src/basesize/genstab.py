@@ -135,10 +135,6 @@ def _random_isometry(rng, family: str, n: int, j: np.ndarray, p: int) -> np.ndar
     raise SamplingError("could not sample an isometry (I + X kept degenerating)")
 
 
-def _full_rank(b: np.ndarray, p: int) -> bool:
-    return linalg.rank_mod(b, p) == min(b.shape)
-
-
 def sample_configuration(
     family: str, n: int, d: int, flavor: str, c: int, seed: int, p: int = PRIMES[0]
 ) -> Configuration:

@@ -70,6 +70,31 @@ def test_rejects_bad_schema_and_bad_json():
         loads(json.dumps(HEADER) + "\n{not json}")
 
 
+@pytest.mark.parametrize("field", ["group", "subgroup_label", "expected_sup_ratio"])
+def test_rejects_header_without_field(field):
+    header = {k: v for k, v in HEADER.items() if k != field}
+    with pytest.raises(DatasetError, match=f"line 1: missing field '{field}'"):
+        loads(_text(header, [_rec()]))
+
+
+@pytest.mark.parametrize(
+    "field", ["class_label", "element_kind", "element_order", "dim_class_in_G", "dim_intersection_with_H"]
+)
+def test_rejects_record_without_field(field):
+    rec = {k: v for k, v in _rec().items() if k != field}
+    with pytest.raises(DatasetError, match=f"line 2: missing field '{field}'"):
+        loads(_text(HEADER, [rec]))
+
+
+def test_rejects_lines_that_are_not_objects():
+    with pytest.raises(DatasetError, match="line 1: not a JSON object"):
+        loads("[1]\n" + json.dumps(_rec()))
+    with pytest.raises(DatasetError, match="line 3: not a JSON object"):
+        loads(_text(HEADER, [_rec(), "row"]))
+    with pytest.raises(DatasetError, match="line 2"):
+        loads(_text(HEADER, [_rec(element_order=None)]))
+
+
 def test_shipped_datasets_all_load():
     names = classdata.shipped_datasets()
     assert {"g2_na2", "f4_b4", "e6_f4", "e8_a1e7", "e7_a7_p2"} <= set(names)

@@ -32,7 +32,7 @@ def test_base_size_invariant_under_conjugation():
     def apply_pt(m, pt):
         return fc._canon_projective(fc.mat_vec(m, pt, q), q)
 
-    perms = [fc._perm_of_matrix(m, pts, to_index, apply_pt, q) for m in gens]
+    perms = [fc._perm_of_matrix(m, pts, to_index, apply_pt) for m in gens]
     b = fc.PermAction("conjugated", pts, fc.close_perm_group(perms), q)
     assert b.order == a.order
     assert fc.exact_base_size(b, seed=1) == fc.exact_base_size(a, seed=1)
@@ -131,3 +131,15 @@ def test_sl4_3_generic_subspace_tuple_has_scalar_stabilizer():
         pytest.fail("no generic 5-tuple found")
     # the scalar count in SL_4(F_3): lambda with lambda^4 = 1 -> {1, 2}
     assert order == 2
+
+
+def test_exact_base_size_is_the_least_base_length():
+    from itertools import combinations
+
+    for action in (fc.pgl2_line_action(5), fc.pgl2_pairs_action(5), fc.pgl2_line_action(7)):
+        m = len(action.points)
+        least = next(
+            c for c in range(1, m + 1)
+            if any(fc.stabilizer_order(action, tup) == 1 for tup in combinations(range(m), c))
+        )
+        assert fc.exact_base_size(action) == least

@@ -424,6 +424,21 @@ def test_spec_from_json_round_trips():
         spec_from_json({"family": "SL", "n": 4, "subgroup": {"weird": {}}})
 
 
+def test_spec_from_json_requires_integers_and_strings():
+    # 2.5 and 2.7 were read as n = 2.5 (giving [4.0, 6.0]) and d = 2
+    for bad in (
+        {"family": "SL", "n": 2.5, "subgroup": {"subspace": {"d": 1}}},
+        {"family": "SL", "n": 8, "subgroup": {"subspace": {"d": 2.7}}},
+        {"family": "SL", "n": 8, "subgroup": {"subspace": {"d": True}}},
+        {"family": "E7", "subgroup": {"parabolic": {"i": "7"}}},
+        {"family": "SO", "n": 8, "subgroup": {"nonsubspace": {"label": None}}},
+        {"subgroup": "torus_normalizer"},
+        ["SL", 8],
+    ):
+        with pytest.raises(SpecValidationError):
+            spec_from_json(bad)
+
+
 def test_json_rendering_carries_tags():
     out = base_triple(ActionSpec("F4", Parabolic(1))).to_json()
     assert out["b0"] == [4, 5]
