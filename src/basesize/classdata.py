@@ -70,6 +70,14 @@ def _require(obj: dict, fields: tuple[str, ...], lineno: int) -> None:
             raise DatasetError(f"line {lineno}: missing field {key!r}")
 
 
+def _typed(obj: dict, key: str, kind: type, lineno: int, default=None):
+    """obj[key], or ``default`` when absent, checked to be of type ``kind``."""
+    value = obj.get(key, default)
+    if type(value) is not kind:  # a JSON boolean is no integer
+        raise DatasetError(f"line {lineno}: {key!r} must be a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
 def _parse_fraction(s) -> Fraction:
     if isinstance(s, int):
         return Fraction(s)
@@ -115,6 +123,8 @@ def loads(text: str) -> Dataset:
             obj = json.loads(line)
         except json.JSONDecodeError as e:
             raise DatasetError(f"line {lineno}: invalid JSON ({e.msg})") from e
+        except RecursionError as e:
+            raise DatasetError(f"line {lineno}: JSON nested too deeply") from e
         if not isinstance(obj, dict):
             raise DatasetError(f"line {lineno}: not a JSON object")
         if header is None:
@@ -132,21 +142,18 @@ def loads(text: str) -> Dataset:
             max_class_dim = rootsys.dim_group(rootsys.build_root_system(fam, rank)) - rank
             continue
         _require(obj, _RECORD_FIELDS, lineno)
-        try:
-            rec = ClassFusionRecord(
-                group=header["group"],
-                subgroup_label=header["subgroup_label"],
-                class_label=obj["class_label"],
-                element_kind=obj["element_kind"],
-                element_order=int(obj["element_order"]),
-                dim_class_in_G=int(obj["dim_class_in_G"]),
-                dim_intersection_with_H=int(obj["dim_intersection_with_H"]),
-                is_long_root=bool(obj.get("is_long_root", False)),
-                charp_condition=obj.get("charp_condition"),
-                excludable_sembd=bool(obj.get("excludable_sembd", False)),
-            )
-        except (TypeError, ValueError) as e:
-            raise DatasetError(f"line {lineno}: {e}") from e
+        rec = ClassFusionRecord(
+            group=header["group"],
+            subgroup_label=header["subgroup_label"],
+            class_label=obj["class_label"],
+            element_kind=obj["element_kind"],
+            element_order=_typed(obj, "element_order", int, lineno),
+            dim_class_in_G=_typed(obj, "dim_class_in_G", int, lineno),
+            dim_intersection_with_H=_typed(obj, "dim_intersection_with_H", int, lineno),
+            is_long_root=_typed(obj, "is_long_root", bool, lineno, False),
+            charp_condition=obj.get("charp_condition"),
+            excludable_sembd=_typed(obj, "excludable_sembd", bool, lineno, False),
+        )
         _validate_record(rec, max_class_dim, lineno)
         records.append(rec)
     if header is None:

@@ -122,9 +122,16 @@ def cmd_bounds(args) -> int:
     return code
 
 
+def _load_spec(text: str):
+    try:
+        return json.loads(text)
+    except RecursionError as e:
+        raise formulas.SpecValidationError("spec JSON is nested too deeply") from e
+
+
 def cmd_formula(args) -> int:
     started = time.monotonic()
-    spec_obj = json.loads(args.spec)
+    spec_obj = _load_spec(args.spec)
     spec = formulas.spec_from_json(spec_obj)
     triple = formulas.base_triple(spec)
     out = triple.to_json()
@@ -134,7 +141,7 @@ def cmd_formula(args) -> int:
 
 def cmd_verify(args) -> int:
     started = time.monotonic()
-    spec_obj = json.loads(args.spec)
+    spec_obj = _load_spec(args.spec)
     primes = (args.prime,) if args.prime else genstab.PRIMES
     config = {
         "spec": spec_obj,
@@ -295,8 +302,7 @@ def main(argv: list[str] | None = None) -> int:
         genstab.ConfigError,
         genstab.SamplingError,
         FileNotFoundError,
-        json.JSONDecodeError,
-        ValueError,
+        ValueError,  # json.JSONDecodeError among them
     ) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SPEC_ERROR

@@ -114,11 +114,11 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
 
 
 def _random_lie_element(rng, family: str, n: int, j: np.ndarray, p: int) -> np.ndarray:
-    """Uniform element of sp/so via the Gram matrix: J^-1 S with S symmetric
-    (alternating form) or antisymmetric (symmetric form)."""
+    """Uniform element of sp/so: J^-1 S = J^T S (the standard forms are signed
+    permutations) with S symmetric (alternating J) or antisymmetric (symmetric J)."""
     a = rng.integers(0, p, size=(n, n), dtype=np.int64)
     s = (a + a.T) % p if family == "Sp" else (a - a.T) % p
-    return linalg.matmul_mod(linalg.inv_mod(j, p), s, p)
+    return linalg.matmul_mod(j.T, s, p)
 
 
 def _random_isometry(rng, family: str, n: int, j: np.ndarray, p: int) -> np.ndarray:
@@ -152,6 +152,8 @@ def sample_configuration(
     if not 1 <= d < n:
         raise ConfigError(f"need 1 <= d < n, got d={d}, n={n}")
     j = standard_form(family, n)
+    # two generic totally singular d-spaces of SO_2d in one family meet in dimension d mod 2
+    joint_rank = 2 * d - (d % 2 if (family, flavor, n) == ("SO", "totally_singular", 2 * d) else 0)
     rng = _rng(seed, 0xC0FF, c)
     resamples = 0
     parts: list[np.ndarray] = []
@@ -182,7 +184,7 @@ def sample_configuration(
         for other in parts:
             if 2 * d <= n:
                 joint = np.concatenate([other, b], axis=1)
-                if linalg.rank_mod(joint, p) < 2 * d:
+                if linalg.rank_mod(joint, p) < joint_rank:
                     return False
                 if flavor == "nondeg":
                     gram = linalg.matmul_mod(linalg.matmul_mod(joint.T, j, p), joint, p)

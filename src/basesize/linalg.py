@@ -1,8 +1,9 @@
 """Exact linear algebra over word-size prime fields and over the rationals.
 
-All mod-p routines use int64 numpy arrays.  For p < 2**31 a product of two
-reduced entries stays below 2**62, so every row operation fits in int64
-without overflow.
+Mod-p routines use int64 numpy arrays, primes p < 2**31 and one elimination
+kernel; a row operation multiplies two reduced entries, below 2**62.
+``matmul_mod`` splits ``b`` into 16-bit limbs, b = hi * 2**16 + lo, so a @ hi
+and a @ lo stay below inner * 2**47: exact in int64 for inner < 2**16.
 """
 from __future__ import annotations
 
@@ -27,62 +28,61 @@ def _as_modmat(a, p: int) -> np.ndarray:
 
 
 def matmul_mod(a, b, p: int) -> np.ndarray:
-    """Matrix product mod p.  Falls back to exact object arithmetic when the
-    inner dimension could overflow int64 accumulation."""
-    am = np.asarray(a, dtype=np.int64) % p
-    bm = np.asarray(b, dtype=np.int64) % p
-    inner = am.shape[-1]
-    if inner * (p - 1) * (p - 1) < 2**63:
-        return (am @ bm) % p
-    return np.array((am.astype(object) @ bm.astype(object)) % p, dtype=np.int64)
+    """Matrix product mod p, by 16-bit limbs of ``b``."""
+    am, bm = _as_modmat(a, p), _as_modmat(b, p)
+    if am.shape[1] >= 2**16:
+        raise ValueError(f"inner dimension {am.shape[1]} is not below 2**16")
+    return (((am @ (bm >> 16)) % p << 16) + am @ (bm & 0xFFFF)) % p
+
+
+def _eliminate(a, p: int, reduce: bool) -> tuple[np.ndarray, list[int], int]:
+    """Row-reduce ``a`` mod p to unit pivots, clearing above them too when
+    ``reduce``.  A pivot row is zero left of its column c, so a step changes
+    columns c.. only.  Returns (matrix, pivot columns, det of a square ``a``)."""
+    m = _as_modmat(a, p)
+    pivots: list[int] = []
+    det = 1
+    for c in range(m.shape[1]):
+        r = len(pivots)
+        if r == len(m):
+            break
+        nz = np.flatnonzero(m[r:, c])
+        if nz.size == 0:
+            continue
+        if nz[0]:  # row r is zero in column c: rows r + nz[1:] still need clearing
+            m[[r, r + nz[0]]] = m[[r + nz[0], r]]
+            det = -det
+        det = det * int(m[r, c]) % p
+        m[r, c:] = m[r, c:] * pow(int(m[r, c]), p - 2, p) % p
+        targets = nz[1:] + r
+        if reduce:
+            targets = np.concatenate([np.flatnonzero(m[:r, c]), targets])
+        m[targets, c:] = (m[targets, c:] - m[targets, c, None] * m[r, c:]) % p
+        pivots.append(c)
+    return m, pivots, det if len(pivots) == len(m) else 0
 
 
 def rref_mod(a, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row-echelon form mod p; returns (matrix, pivot columns)."""
-    m = _as_modmat(a, p)
-    rows, cols = m.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        col = m[r:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            m[[r, piv]] = m[[piv, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r] = (m[r] * inv) % p
-        others = np.nonzero(m[:, c])[0]
-        others = others[others != r]
-        if others.size:
-            m[others] = (m[others] - m[others, c][:, None] * m[r][None, :]) % p
-        pivots.append(c)
-        r += 1
-    return m, pivots
+    return _eliminate(a, p, reduce=True)[:2]
 
 
 def rank_mod(a, p: int) -> int:
-    return len(rref_mod(a, p)[1])
+    return len(_eliminate(a, p, reduce=False)[1])
 
 
 def nullspace_dim_mod(a, p: int) -> int:
-    m = _as_modmat(a, p)
-    return m.shape[1] - rank_mod(m, p)
+    m, pivots, _ = _eliminate(a, p, reduce=False)
+    return m.shape[1] - len(pivots)
 
 
 def nullspace_basis_mod(a, p: int) -> np.ndarray:
     """Basis of the right nullspace mod p, one vector per row."""
     m, pivots = rref_mod(a, p)
-    cols = m.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for r, pc in enumerate(pivots):
-            basis[k, pc] = (-m[r, fc]) % p
+    free = np.setdiff1d(np.arange(m.shape[1]), pivots)
+    basis = np.zeros((free.size, m.shape[1]), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = -m[: len(pivots), free].T % p
     return basis
 
 
@@ -91,32 +91,17 @@ def inv_mod(a, p: int) -> np.ndarray:
     n = m.shape[0]
     if m.shape[1] != n:
         raise ValueError("matrix must be square")
-    aug = np.concatenate([m, np.eye(n, dtype=np.int64)], axis=1)
-    red, pivots = rref_mod(aug, p)
-    if len(pivots) < n or pivots[:n] != list(range(n)):
+    red, pivots = rref_mod(np.hstack([m, np.eye(n, dtype=np.int64)]), p)
+    if pivots[:n] != list(range(n)):
         raise SingularMatrixError("matrix is singular mod p")
     return red[:, n:]
 
 
 def det_mod(a, p: int) -> int:
     """Determinant mod p by elimination."""
-    m = _as_modmat(a, p)
-    n = m.shape[0]
-    det = 1
-    for c in range(n):
-        nz = np.nonzero(m[c:, c])[0]
-        if nz.size == 0:
-            return 0
-        piv = c + int(nz[0])
-        if piv != c:
-            m[[c, piv]] = m[[piv, c]]
-            det = (-det) % p
-        det = (det * int(m[c, c])) % p
-        inv = pow(int(m[c, c]), p - 2, p)
-        m[c] = (m[c] * inv) % p
-        below = np.nonzero(m[c + 1 :, c])[0] + c + 1
-        if below.size:
-            m[below] = (m[below] - m[below, c][:, None] * m[c][None, :]) % p
+    m, _, det = _eliminate(a, p, reduce=False)
+    if m.shape[0] != m.shape[1]:
+        raise ValueError("matrix must be square")
     return det
 
 

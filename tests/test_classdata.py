@@ -95,6 +95,30 @@ def test_rejects_lines_that_are_not_objects():
         loads(_text(HEADER, [_rec(element_order=None)]))
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("dim_class_in_G", 6.9),
+        ("dim_intersection_with_H", 4.2),
+        ("element_order", 2.9),
+        ("dim_class_in_G", "6"),
+        ("element_order", True),
+        ("is_long_root", "false"),
+        ("is_long_root", 1),
+        ("excludable_sembd", "no"),
+    ],
+)
+def test_rejects_fields_of_the_wrong_json_type(field, value):
+    # int() and bool() read 6.9 as 6 and "false" as True
+    with pytest.raises(DatasetError, match=f"line 2: '{field}' must be a JSON"):
+        loads(_text(HEADER, [_rec(**{field: value})]))
+
+
+def test_rejects_deeply_nested_line():
+    with pytest.raises(DatasetError, match="line 2: JSON nested too deeply"):
+        loads(json.dumps(HEADER) + "\n" + "[" * 100000 + "]" * 100000)
+
+
 def test_shipped_datasets_all_load():
     names = classdata.shipped_datasets()
     assert {"g2_na2", "f4_b4", "e6_f4", "e8_a1e7", "e7_a7_p2"} <= set(names)

@@ -5,7 +5,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from basesize import formulas as fm
+from basesize import formulas as fm, genstab
 from basesize.cli import emit_table, main
 
 
@@ -150,12 +150,12 @@ def test_verify_rational_refuses_totally_singular_parts(capsys):
     assert err.startswith("error: ")
 
 
-def test_verify_sampling_failure_exit_2(capsys):
-    # two maximal totally singular subspaces of one family in SO10 always
-    # meet, so the sampler's transversality condition cannot hold
+def test_verify_sampling_failure_exit_2(capsys, monkeypatch):
+    # with no resampling budget the first rejected part ends the run
+    monkeypatch.setattr(genstab, "RESAMPLE_BUDGET", 0)
     code, out, err = run_cli(
         capsys, "verify", "--spec",
-        '{"family":"SO","n":10,"subgroup":{"subspace":{"d":5,"flavor":"totally_singular"}},"char":"odd"}',
+        '{"family":"SL","n":4,"subgroup":{"subspace":{"d":2}}}',
         "--c", "2", "--trials", "1",
     )
     assert code == 2
@@ -186,6 +186,27 @@ def test_malformed_spec_exit_2(capsys, spec):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_DEEP = "[" * 100000 + "]" * 100000
+
+
+@pytest.mark.parametrize("argv", [["formula"], ["verify", "--c", "1"]], ids=["formula", "verify"])
+def test_deeply_nested_spec_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--spec", _DEEP)
+    assert code == 2
+    assert out == ""
+    assert err == "error: spec JSON is nested too deeply\n"
+
+
+def test_bounds_deeply_nested_dataset_exit_2(capsys, tmp_path, monkeypatch):
+    header = {"schema": 1, "group": "G2", "subgroup_label": "X", "expected_sup_ratio": "1"}
+    (tmp_path / "deep.jsonl").write_text(json.dumps(header) + "\n" + _DEEP + "\n")
+    monkeypatch.setenv("BASESIZE_DATA_DIR", str(tmp_path))
+    code, out, err = run_cli(capsys, "bounds", "--dataset", "deep")
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 2: JSON nested too deeply\n"
 
 
 @pytest.mark.parametrize("spec", ['{"module":"sym2"}', '{"module":"sym2","n":"2"}', '{"module":"sym2","n":2.0}'])

@@ -136,6 +136,17 @@ def test_sp_totally_singular_k3_has_no_dense_orbit_on_triples(n, d):
     assert four.dims_by_prime == ((0,),) * len(PRIMES)
 
 
+def test_so10_half_dimension_odd_d_is_sampled():
+    # two maximal totally singular subspaces of one SO10 family meet in odd
+    # dimension, so the sampler asks pairs for joint rank 2d - 1, not 2d
+    spec = fm.ActionSpec("SO", fm.Subspace(5, "totally_singular"), n=10, char="odd")
+    b0 = fm.base_triple(spec).b0
+    assert (b0.lo, b0.hi) == (5, 5)
+    for seed in range(3):
+        est = estimate_b0("SO", 10, 5, "totally_singular", c_max=7, trials=1, seed=seed)
+        assert (est.value, est.projective_dims, est.lower_bound) == (5, (35, 25, 15, 6, 0), 5)
+
+
 def test_estimate_b0_not_found():
     est = estimate_b0("SO", 8, 4, "totally_singular", c_max=3, trials=2, seed=7)
     assert est.value is None
