@@ -217,6 +217,67 @@ def _subspace_cases(n_max):
     return cases
 
 
+# estimate_b0 at seed 0, one trial, the first prime, c_max = n + 2:
+# (value, projective_dims, lower_bound), pinned before the stabilizer
+# engine became incremental in c; the generic dimensions do not depend on
+# how the parts are drawn
+B0_PINS = {
+    ('SL', 3, 1, 'linear'): (4, (6, 4, 2, 0), 4),
+    ('SL', 4, 1, 'linear'): (5, (12, 9, 6, 3, 0), 5),
+    ('SL', 4, 2, 'linear'): (5, (11, 7, 3, 1, 0), 4),
+    ('SL', 5, 1, 'linear'): (6, (20, 16, 12, 8, 4, 0), 6),
+    ('SL', 5, 2, 'linear'): (4, (18, 12, 6, 0), 4),
+    ('SL', 6, 1, 'linear'): (7, (30, 25, 20, 15, 10, 5, 0), 7),
+    ('SL', 6, 2, 'linear'): (5, (27, 19, 11, 3, 0), 5),
+    ('SL', 6, 3, 'linear'): (5, (26, 17, 8, 2, 0), 4),
+    ('SL', 7, 1, 'linear'): (8, (42, 36, 30, 24, 18, 12, 6, 0), 8),
+    ('SL', 7, 2, 'linear'): (5, (38, 28, 18, 8, 0), 5),
+    ('SL', 7, 3, 'linear'): (4, (36, 24, 12, 0), 4),
+    ('SL', 8, 1, 'linear'): (9, (56, 49, 42, 35, 28, 21, 14, 7, 0), 9),
+    ('SL', 8, 2, 'linear'): (6, (51, 39, 27, 15, 3, 0), 6),
+    ('SL', 8, 3, 'linear'): (5, (48, 33, 18, 3, 0), 5),
+    ('SL', 8, 4, 'linear'): (5, (47, 31, 15, 3, 0), 4),
+    ('Sp', 4, 1, 'totally_singular'): (4, (7, 4, 1, 0), 4),
+    ('Sp', 4, 2, 'totally_singular'): (4, (7, 4, 1, 0), 4),
+    ('Sp', 4, 2, 'nondeg'): (4, (6, 3, 1, 0), 3),
+    ('Sp', 6, 1, 'totally_singular'): (6, (16, 11, 6, 3, 1, 0), 5),
+    ('Sp', 6, 2, 'totally_singular'): (4, (14, 7, 1, 0), 3),
+    ('Sp', 6, 3, 'totally_singular'): (4, (15, 9, 3, 0), 4),
+    ('Sp', 6, 2, 'nondeg'): (4, (13, 6, 1, 0), 3),
+    ('Sp', 8, 1, 'totally_singular'): (8, (29, 22, 15, 10, 6, 3, 1, 0), 6),
+    ('Sp', 8, 2, 'totally_singular'): (4, (25, 14, 4, 0), 4),
+    ('Sp', 8, 3, 'totally_singular'): (4, (24, 12, 1, 0), 3),
+    ('Sp', 8, 4, 'totally_singular'): (4, (26, 16, 6, 0), 4),
+    ('Sp', 8, 2, 'nondeg'): (4, (24, 13, 4, 0), 3),
+    ('Sp', 8, 4, 'nondeg'): (3, (20, 6, 0), 3),
+    ('SO', 7, 1, 'totally_singular'): (6, (16, 11, 6, 3, 1, 0), 5),
+    ('SO', 7, 2, 'totally_singular'): (4, (14, 7, 1, 0), 3),
+    ('SO', 7, 3, 'totally_singular'): (4, (15, 9, 3, 0), 4),
+    ('SO', 7, 1, 'nondeg'): (6, (15, 10, 6, 3, 1, 0), 4),
+    ('SO', 7, 2, 'nondeg'): (3, (11, 3, 0), 3),
+    ('SO', 7, 3, 'nondeg'): (2, (9, 0), 2),
+    ('SO', 8, 1, 'totally_singular'): (7, (22, 16, 10, 6, 3, 1, 0), 5),
+    ('SO', 8, 2, 'totally_singular'): (4, (19, 10, 2, 0), 4),
+    ('SO', 8, 3, 'totally_singular'): (4, (19, 10, 1, 0), 4),
+    ('SO', 8, 4, 'totally_singular'): (7, (22, 16, 10, 6, 3, 1, 0), 5),
+    ('SO', 8, 1, 'nondeg'): (7, (21, 15, 10, 6, 3, 1, 0), 4),
+    ('SO', 8, 2, 'nondeg'): (4, (16, 6, 1, 0), 3),
+    ('SO', 8, 3, 'nondeg'): (3, (13, 1, 0), 2),
+    ('SO', 8, 4, 'nondeg'): (2, (12, 0), 2),
+}
+
+
+def test_b0_pins_cover_the_small_sweep():
+    assert sorted(B0_PINS) == sorted(_subspace_cases(8))
+
+
+@pytest.mark.parametrize("case", sorted(B0_PINS))
+def test_estimate_b0_is_pinned(case):
+    family, n, d, flavor = case
+    est = estimate_b0(family, n, d, flavor, c_max=n + 2, trials=1, seed=0, primes=PRIMES[:1])
+    assert (est.value, est.projective_dims, est.lower_bound) == B0_PINS[case]
+
+
 @pytest.mark.parametrize("family,n,d,flavor", _subspace_cases(8))
 def test_spec_dims_match_the_point_stabilizer(family, n, d, flavor):
     # dim G - dim Omega is the dimension of a point stabilizer: projective
