@@ -23,9 +23,9 @@ import json
 import sys
 import time
 
-import numpy as np
-
-from . import __version__, bounds, classdata, finitecheck, formulas, genstab
+# numpy, genstab and finitecheck load inside the subcommands that use them,
+# so formula, bounds and emit start without numpy
+from . import __version__, bounds, classdata, formulas
 
 EXIT_OK = 0
 EXIT_SPEC_ERROR = 2
@@ -139,7 +139,23 @@ def cmd_formula(args) -> int:
     return EXIT_OK
 
 
+def _fail(e: Exception) -> int:
+    print(f"error: {e}", file=sys.stderr)
+    return EXIT_SPEC_ERROR
+
+
 def cmd_verify(args) -> int:
+    from . import genstab
+
+    try:
+        return _verify(args, genstab)
+    except genstab.SamplingError as e:
+        return _fail(e)
+
+
+def _verify(args, genstab) -> int:
+    import numpy as np
+
     started = time.monotonic()
     spec_obj = _load_spec(args.spec)
     primes = (args.prime,) if args.prime else genstab.PRIMES
@@ -197,7 +213,11 @@ _FINITE_ACTIONS = ("projective-line", "torus-normalizer", "decomposition-pairs",
 
 
 def cmd_finite(args) -> int:
+    from . import finitecheck
+
     started = time.monotonic()
+    if args.bound is None:
+        args.bound = finitecheck.DEFAULT_ELEMENT_BOUND
     config = {
         "family": args.family, "n": args.n, "q": args.q,
         "action": args.action, "mode": args.mode, "seed": args.seed,
@@ -276,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     fin.add_argument("--mode", choices=("base", "order"), default="base")
     fin.add_argument("--seed", type=int, default=0)
     fin.add_argument("--tuple-length", type=int, default=2)
-    fin.add_argument("--bound", type=int, default=finitecheck.DEFAULT_ELEMENT_BOUND)
+    fin.add_argument("--bound", type=int, default=None)
     fin.set_defaults(func=cmd_finite)
 
     e = sub.add_parser("emit", help="reproduce a reference table byte-stably")
@@ -299,13 +319,10 @@ def main(argv: list[str] | None = None) -> int:
         formulas.UnsupportedLabelError,
         classdata.DatasetError,
         bounds.BoundInputError,
-        genstab.ConfigError,
-        genstab.SamplingError,
         FileNotFoundError,
-        ValueError,  # json.JSONDecodeError among them
+        ValueError,  # json.JSONDecodeError and genstab.ConfigError among them
     ) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_SPEC_ERROR
+        return _fail(e)
 
 
 def run() -> None:

@@ -12,6 +12,22 @@ negligible probability; reports keep the minimum over independent trials
 prime.  Scalars are subtracted for linear-group actions, where the center
 acts trivially on subspace varieties.
 
+Coordinates.  For SL the unknowns are the n^2 entries of X in gl.  For Sp
+and SO they are Lie-algebra coordinates: X = J^T S with S symmetric
+(alternating J) or antisymmetric (symmetric J), so the unknowns are the
+n(n+1)/2 or n(n-1)/2 upper-triangle entries of S and no form rows are
+needed.  A part b with annihilator rows w gives the rows u^T S b = 0 with
+u = J w, folded onto the upper triangle.
+
+Part streams.  Each (prime, trial) pair draws its parts from one stream
+whose RNG key holds no part count, so the configuration of c parts is a
+prefix of the one of c + 1 (``sample_configuration`` returns that prefix).
+``stabilizer_report`` solves the stacked system of c parts at once;
+``estimate_b0`` keeps the reduced echelon form of each stream's rows,
+reduces every new part's rows against it and eliminates only the
+remainder, so an estimate draws b0 parts per stream and eliminates each
+block once, and the dimensions are non-increasing in c by construction.
+
 Characteristic caveat: the dimension computed here is the Lie-algebra
 stabilizer dimension, which matches the group stabilizer dimension at
 generic points when the stabilizer scheme is smooth; the default primes
@@ -135,14 +151,7 @@ def _random_isometry(rng, family: str, n: int, j: np.ndarray, p: int) -> np.ndar
     raise SamplingError("could not sample an isometry (I + X kept degenerating)")
 
 
-def sample_configuration(
-    family: str, n: int, d: int, flavor: str, c: int, seed: int, p: int = PRIMES[0]
-) -> Configuration:
-    """c parts of the requested flavor with the open conditions enforced:
-    full column rank, pairwise transversality where dimensions allow,
-    exact (non)degeneracy against the standard form."""
-    if c < 1:
-        raise ConfigError("need c >= 1 parts")
+def _validate(family: str, n: int, d: int, flavor: str) -> None:
     if family == "SL" and flavor != "linear":
         raise ConfigError("SL parts carry no form")
     if family in ("Sp", "SO") and flavor not in ("nondeg", "totally_singular"):
@@ -151,18 +160,27 @@ def sample_configuration(
         raise ConfigError("nondegenerate symplectic subspaces have even dimension")
     if not 1 <= d < n:
         raise ConfigError(f"need 1 <= d < n, got d={d}, n={n}")
+    if flavor == "totally_singular" and d > n // 2:
+        raise ConfigError("totally singular dimension exceeds the Witt index")
+
+
+def _part_stream(family: str, n: int, d: int, flavor: str, seed: int, p: int):
+    """Endless stream of parts of the requested flavor, each drawn with the
+    open conditions enforced against the parts before it: full column rank,
+    pairwise transversality where dimensions allow, exact (non)degeneracy
+    against the standard form.  Yields (part, rejections before it).  The
+    RNG key holds no part count, so c parts are a prefix of c + 1."""
+    _validate(family, n, d, flavor)
     j = standard_form(family, n)
     # two generic totally singular d-spaces of SO_2d in one family meet in dimension d mod 2
     joint_rank = 2 * d - (d % 2 if (family, flavor, n) == ("SO", "totally_singular", 2 * d) else 0)
-    rng = _rng(seed, 0xC0FF, c)
+    rng = _rng(seed, 0xC0FF)
     resamples = 0
     parts: list[np.ndarray] = []
 
     def try_one() -> np.ndarray | None:
         if flavor == "totally_singular":
             m = n // 2
-            if d > m:
-                raise ConfigError("totally singular dimension exceeds the Witt index")
             coeff = rng.integers(0, p, size=(m, d), dtype=np.int64)
             if linalg.rank_mod(coeff, p) < d:
                 return None
@@ -192,39 +210,81 @@ def sample_configuration(
                         return False
         return True
 
-    for _ in range(c):
-        for attempt in range(RESAMPLE_BUDGET):
+    while True:
+        for rejects in range(RESAMPLE_BUDGET):
             b = try_one()
             if b is not None and compatible(b):
-                parts.append(b)
                 break
             resamples += 1
         else:
             raise SamplingError(f"resampling budget exhausted after {resamples} rejects")
+        if flavor == "totally_singular" and np.any(
+            linalg.matmul_mod(linalg.matmul_mod(b.T, j, p), b, p)
+        ):
+            raise SamplingError("totally singular part failed the exact form check")
+        parts.append(b)
+        yield b, rejects
 
-    if flavor == "totally_singular":
-        for b in parts:
-            if np.any(linalg.matmul_mod(linalg.matmul_mod(b.T, j, p), b, p)):
-                raise SamplingError("totally singular part failed the exact form check")
 
+def sample_configuration(
+    family: str, n: int, d: int, flavor: str, c: int, seed: int, p: int = PRIMES[0]
+) -> Configuration:
+    """The first c parts of the part stream for ``seed``."""
+    if c < 1:
+        raise ConfigError("need c >= 1 parts")
+    stream = _part_stream(family, n, d, flavor, seed, p)
+    drawn = [next(stream) for _ in range(c)]
     return Configuration(
-        family=family, p=p, n=n, d=d, flavor=flavor, form=j,
-        parts=tuple(parts), seed=seed, resamples=resamples,
+        family=family, p=p, n=n, d=d, flavor=flavor, form=standard_form(family, n),
+        parts=tuple(b for b, _ in drawn), seed=seed, resamples=sum(r for _, r in drawn),
     )
 
 
 # ---------------------------------------------------------------------------
 # Constraint assembly, shared by the F_p and the Q routes
 
-def _span_constraint(b: np.ndarray, ann: np.ndarray) -> np.ndarray:
+def _unknowns(family: str, n: int) -> int:
+    """Columns of the stabilizer system: the entries of X in gl, the
+    upper-triangle entries of S in sp (symmetric) and so (antisymmetric)."""
+    if family == "SL":
+        return n * n
+    return n * (n + 1) // 2 if family == "Sp" else n * (n - 1) // 2
+
+
+def _lie_coordinates(coef: np.ndarray, family: str) -> np.ndarray:
+    """Fold rows over the n x n entries of S (shape (rows, n, n)) onto the
+    upper-triangle entries that parametrise S: symmetric for Sp,
+    antisymmetric for SO."""
+    n = coef.shape[-1]
+    i, j = np.triu_indices(n, 0 if family == "Sp" else 1)
+    if family == "Sp":
+        return coef[:, i, j] + coef[:, j, i] * (i != j)
+    return coef[:, i, j] - coef[:, j, i]
+
+
+def _span_constraint(b: np.ndarray, ann: np.ndarray, family: str, form, p: int | None = None):
     """Rows of the linear system expressing X * col(b) inside col(b):
-    w^T X B = 0 for every row w of ``ann``, which annihilates col(b)."""
+    w^T X b = 0 for every row w of ``ann``, which annihilates col(b), and
+    every column b.  In gl the unknowns are the entries of X.  In sp/so,
+    X = J^T S, so w^T X b = u^T S b with u = J w, and the unknowns are the
+    upper-triangle entries of S.  With ``p`` the outer products are reduced
+    mod p before the fold adds them."""
     n, d = b.shape
-    return np.einsum("ai,jb->abij", ann, b).reshape(len(ann) * d, n * n)
+    if family == "SL":
+        return np.einsum("ai,jb->abij", ann, b).reshape(len(ann) * d, n * n)
+    coef = np.einsum("ai,jb->abij", ann @ form.T, b).reshape(len(ann) * d, n, n)
+    if p is not None:
+        coef %= p
+    return _lie_coordinates(coef, family)
+
+
+def _part_rows(b: np.ndarray, family: str, form, p: int) -> np.ndarray:
+    """The stabilizer rows of one part mod p."""
+    return _span_constraint(b, linalg.nullspace_basis_mod(b.T, p), family, form, p)
 
 
 def _form_constraint(j: np.ndarray) -> np.ndarray:
-    """Rows expressing X^T J + J X = 0."""
+    """Rows over gl expressing X^T J + J X = 0."""
     n = j.shape[0]
     eye = np.eye(n, dtype=np.int64)
     t1 = np.einsum("is,jr->rsij", j, eye)
@@ -232,26 +292,35 @@ def _form_constraint(j: np.ndarray) -> np.ndarray:
     return (t1 + t2).reshape(n * n, n * n)
 
 
-def _stabilizer_system(parts, annihilators, form) -> np.ndarray:
-    """The stabilizer system of a configuration over Z (or Q), unreduced:
-    span rows for every part, and the form rows unless ``form`` is None."""
-    blocks = [_span_constraint(b, ann) for b, ann in zip(parts, annihilators)]
-    if form is not None:
-        blocks.append(_form_constraint(form))
-    return np.concatenate(blocks, axis=0)
-
-
 def stabilizer_algebra_dim_once(config: Configuration) -> int:
-    """Exact nullspace dimension of the stabilizer system for one sampled
-    configuration, in gl for SL and in the form algebra for Sp/SO."""
-    p = config.p
-    anns = [linalg.nullspace_basis_mod(b.T, p) for b in config.parts]
-    return linalg.nullspace_dim_mod(_stabilizer_system(config.parts, anns, config.form), p)
+    """Exact nullspace dimension of the stacked stabilizer system for one
+    sampled configuration, in gl for SL and in Lie coordinates for Sp/SO."""
+    system = np.concatenate(
+        [_part_rows(b, config.family, config.form, config.p) for b in config.parts], axis=0
+    )
+    return linalg.nullspace_dim_mod(system, config.p)
+
+
+def _stream_dims(family: str, n: int, d: int, flavor: str, seed: int, p: int):
+    """Stabilizer algebra dimension after each part of one part stream,
+    c = 1, 2, ...: each part's rows are reduced against the echelon form of
+    the rows before them, so every block is eliminated once."""
+    form = standard_form(family, n)
+    echelon = linalg.EchelonMod(_unknowns(family, n), p)
+    for b, _ in _part_stream(family, n, d, flavor, seed, p):
+        echelon.add(_part_rows(b, family, form, p))
+        yield echelon.nullity
 
 
 def _scalar_correction(family: str) -> int:
     # scalars lie in every gl-stabilizer of subspaces but meet sp/so trivially
     return 1 if family == "SL" else 0
+
+
+def _trial_seed(seed: int, prime_index: int, trial: int) -> int:
+    """Seed of the part stream of one (prime, trial) pair."""
+    ss = np.random.SeedSequence(seed, spawn_key=(prime_index, trial))
+    return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
 def stabilizer_report(
@@ -270,19 +339,16 @@ def stabilizer_report(
     for pi, p in enumerate(primes):
         dims = []
         for t in range(trials):
-            config = sample_configuration(
-                family, n, d, flavor, c, seed=_trial_seed(seed, pi, c, t), p=p
-            )
+            config = sample_configuration(family, n, d, flavor, c, seed=_trial_seed(seed, pi, t), p=p)
             resamples += config.resamples
             dims.append(stabilizer_algebra_dim_once(config))
         dims_by_prime.append(tuple(dims))
     all_dims = [x for row in dims_by_prime for x in row]
     algebra_dim = min(all_dims)
-    corr = _scalar_correction(family)
     return StabilizerReport(
         algebra="gl" if family == "SL" else ("sp" if family == "Sp" else "so"),
         algebra_dim=algebra_dim,
-        projective_dim=algebra_dim - corr,
+        projective_dim=algebra_dim - _scalar_correction(family),
         trials=trials,
         stable=len(set(all_dims)) == 1,
         primes=tuple(primes),
@@ -290,11 +356,6 @@ def stabilizer_report(
         resamples=resamples,
         seed=seed,
     )
-
-
-def _trial_seed(seed: int, prime_index: int, c: int, trial: int) -> int:
-    ss = np.random.SeedSequence(seed, spawn_key=(prime_index, c, trial))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
 def estimate_b0(
@@ -309,19 +370,27 @@ def estimate_b0(
 ) -> B0Estimate:
     """Smallest c <= c_max whose generic configuration has a
     zero-dimensional stabilizer, with the orbit-dimension lower bound
-    cross-checked."""
+    cross-checked.  Each (prime, trial) pair grows one part stream by one
+    part per c, so the estimate draws b0 parts per stream and eliminates
+    each part's rows once."""
     if c_max < 1:
         raise ConfigError("need c_max >= 1")
+    corr = _scalar_correction(family)
+    streams = [
+        _stream_dims(family, n, d, flavor, _trial_seed(seed, pi, t), p)
+        for pi, p in enumerate(primes)
+        for t in range(trials)
+    ]
     proj_dims = []
     value = None
     for c in range(1, c_max + 1):
-        rep = stabilizer_report(family, n, d, flavor, c, seed=seed, trials=trials, primes=primes)
+        dims = [next(s) for s in streams]
         if c == 1:
             # dim H from the first trial at the first prime, for the lower
             # bound from dim G and dim Omega = dim G - dim H
-            dim_h = rep.dims_by_prime[0][0] - _scalar_correction(family)
-        proj_dims.append(rep.projective_dim)
-        if rep.projective_dim == 0:
+            dim_h = dims[0] - corr
+        proj_dims.append(min(dims) - corr)
+        if proj_dims[-1] == 0:
             value = c
             break
     dim_g = rootsys.group_dim(family, n)
@@ -366,8 +435,9 @@ def module_stabilizer_dim(
     """Stabilizer algebra of c generic module vectors.
 
     sym2: X in sl_n annihilating c generic nondegenerate symmetric forms
-    (X^T S + S X = 0).  so_tensor: (X, Y) in so_n x so_n annihilating c
-    generic tensors W (X W + W Y^T = 0).
+    (X^T S + S X = 0), in gl coordinates with the form rows.  so_tensor:
+    (X, Y) in so_n x so_n annihilating c generic tensors W
+    (X W + W Y^T = 0), in antisymmetric coordinates.
     """
     if kind not in MODULE_KINDS:
         raise ConfigError(f"unsupported module kind {kind!r}")
@@ -387,18 +457,15 @@ def module_stabilizer_dim(
             algebra="sl", algebra_dim=dim, projective_dim=dim, trials=1, stable=True,
             primes=(p,), dims_by_prime=((dim,),), resamples=0, seed=seed,
         )
-    # so_tensor: unknowns [vec X | vec Y]
-    j = np.eye(n, dtype=np.int64)  # split form is unnecessary; any symmetric works
-    zero = np.zeros((n * n, n * n), dtype=np.int64)
-    form_x = np.concatenate([_form_constraint(j), zero], axis=1)
-    form_y = np.concatenate([zero, _form_constraint(j)], axis=1)
-    blocks = [form_x, form_y]
+    # so_tensor: so_n of the identity form, so X and Y are antisymmetric; the
+    # unknowns are their strict upper triangles, [X | Y]
     eye = np.eye(n, dtype=np.int64)
+    blocks = []
     for _ in range(c):
         w = rng.integers(0, p, size=(n, n), dtype=np.int64)
-        tx = np.einsum("ir,js->rsij", eye, w).reshape(n * n, n * n) % p
-        ty = np.einsum("is,rj->rsij", eye, w).reshape(n * n, n * n) % p
-        blocks.append(np.concatenate([tx, ty], axis=1))
+        tx = np.einsum("ir,js->rsij", eye, w).reshape(n * n, n, n)
+        ty = np.einsum("is,rj->rsij", eye, w).reshape(n * n, n, n)
+        blocks.append(np.concatenate([_lie_coordinates(tx, "SO"), _lie_coordinates(ty, "SO")], axis=1))
     system = np.concatenate(blocks, axis=0)
     dim = linalg.nullspace_dim_mod(system, p)
     return StabilizerReport(
@@ -424,5 +491,7 @@ def stabilizer_algebra_dim_rational(parts: list, family: str, n: int, form=None)
         if len(ann) != n - b.shape[1]:
             raise ConfigError("part does not have full column rank")
         anns.append(np.array(ann, dtype=object).reshape(len(ann), n))
-    system = _stabilizer_system(parts, anns, form if family in ("Sp", "SO") else None)
-    return n * n - linalg.rank_rational(system.tolist())
+    system = np.concatenate(
+        [_span_constraint(b, ann, family, form) for b, ann in zip(parts, anns)], axis=0
+    )
+    return _unknowns(family, n) - linalg.rank_rational(system.tolist())

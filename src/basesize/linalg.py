@@ -46,17 +46,17 @@ def _eliminate(a, p: int, reduce: bool) -> tuple[np.ndarray, list[int], int]:
         r = len(pivots)
         if r == len(m):
             break
-        nz = np.flatnonzero(m[r:, c])
+        nz = m[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         if nz[0]:  # row r is zero in column c: rows r + nz[1:] still need clearing
             m[[r, r + nz[0]]] = m[[r + nz[0], r]]
             det = -det
         det = det * int(m[r, c]) % p
-        m[r, c:] = m[r, c:] * pow(int(m[r, c]), p - 2, p) % p
+        m[r, c:] = m[r, c:] * pow(int(m[r, c]), -1, p) % p
         targets = nz[1:] + r
         if reduce:
-            targets = np.concatenate([np.flatnonzero(m[:r, c]), targets])
+            targets = np.concatenate([m[:r, c].nonzero()[0], targets])
         m[targets, c:] = (m[targets, c:] - m[targets, c, None] * m[r, c:]) % p
         pivots.append(c)
     return m, pivots, det if len(pivots) == len(m) else 0
@@ -76,10 +76,53 @@ def nullspace_dim_mod(a, p: int) -> int:
     return m.shape[1] - len(pivots)
 
 
+def _complement(pivots: list[int], ncols: int) -> np.ndarray:
+    """The columns that are not pivots, in order."""
+    free = np.ones(ncols, dtype=bool)
+    free[pivots] = False
+    return free.nonzero()[0]
+
+
+class EchelonMod:
+    """Reduced row-echelon form mod p of a growing stack of row blocks.
+
+    The kept rows have unit pivots and are zero in every other pivot
+    column, so ``add`` clears a new block's pivot columns with one product,
+    row-reduces only the remainder, and clears the new pivot columns from
+    the kept rows with one more product."""
+
+    def __init__(self, ncols: int, p: int):
+        self.p = p
+        self.rows = np.zeros((0, ncols), dtype=np.int64)
+        self.pivots: list[int] = []
+
+    @property
+    def nullity(self) -> int:
+        return self.rows.shape[1] - len(self.pivots)
+
+    def add(self, block) -> None:
+        p = self.p
+        b = _as_modmat(block, p)
+        free = _complement(self.pivots, b.shape[1])
+        rest = b[:, free]
+        if self.pivots:
+            rest = (rest - matmul_mod(b[:, self.pivots], self.rows[:, free], p)) % p
+        red, found = rref_mod(rest, p)
+        if not found:
+            return
+        new = np.zeros((len(found), b.shape[1]), dtype=np.int64)
+        new[:, free] = red[: len(found)]
+        pivots = free[found].tolist()
+        if self.pivots:
+            self.rows = (self.rows - matmul_mod(self.rows[:, pivots], new, p)) % p
+        self.rows = np.concatenate([self.rows, new])
+        self.pivots += pivots
+
+
 def nullspace_basis_mod(a, p: int) -> np.ndarray:
     """Basis of the right nullspace mod p, one vector per row."""
     m, pivots = rref_mod(a, p)
-    free = np.setdiff1d(np.arange(m.shape[1]), pivots)
+    free = _complement(pivots, m.shape[1])
     basis = np.zeros((free.size, m.shape[1]), dtype=np.int64)
     basis[np.arange(free.size), free] = 1
     basis[:, pivots] = -m[: len(pivots), free].T % p

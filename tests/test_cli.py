@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -7,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from basesize import formulas as fm, genstab
 from basesize.cli import emit_table, main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(capsys, *argv):
@@ -269,3 +274,55 @@ def test_formula_spec_fuzz_never_raises(spec):
         assert all(type(x) is int for key in ("b0", "b", "b1") for x in triple[key])
     else:
         assert err.getvalue().startswith("error: ")
+
+
+def test_formula_bounds_and_emit_do_not_import_numpy():
+    calls = [
+        ["formula", "--spec", '{"family":"SL","n":4,"subgroup":{"subspace":{"d":2}}}'],
+        ["bounds", "--dataset", "g2_na2"],
+        ["emit", "table:c"],
+    ]
+    script = (
+        "import sys\nfrom basesize.cli import main\n"
+        f"assert all(main(argv) == 0 for argv in {calls!r})\n"
+        "print('numpy' in sys.modules, file=sys.stderr)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == "False\n"
+
+
+_FLAVORS = {"SL": ["linear"], "Sp": ["nondeg", "totally_singular"], "SO": ["nondeg", "totally_singular"]}
+
+
+@st.composite
+def _verify_specs(draw):
+    """A subspace spec with n <= 8, mostly well formed; half of the time one
+    field (or a field nobody reads) is replaced by junk."""
+    family = draw(st.sampled_from(sorted(_FLAVORS)))
+    n = draw(st.integers(2, 8))
+    subspace = {"d": draw(st.one_of(st.integers(1, n // 2), st.integers(0, 8)))}
+    flavor = draw(st.sampled_from(_FLAVORS[family] * 3 + [None, *fm.SUBSPACE_FLAVORS]))
+    if flavor is not None:
+        subspace["flavor"] = flavor
+    char = draw(st.sampled_from(fm.CHAR_CASES))
+    spec = {"family": family, "n": n, "subgroup": {"subspace": subspace}, "char": char}
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(["family", "n", "subgroup", "char", "d", "flavor", "extra"]))
+        (subspace if key in ("d", "flavor") else spec)[key] = draw(_JUNK)
+    return json.dumps(spec)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_verify_specs(), st.sampled_from([1, 2, 3, 4, 0, -1]))
+def test_verify_fuzz_never_raises(spec, c):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["verify", "--spec", spec, "--c", str(c), "--trials", "1"])
+    assert code in (0, 2)
+    if code == 0:
+        rec = json.loads(out.getvalue())["outputs"]
+        assert 0 <= rec["projective_dim"] <= rec["algebra_dim"]
+    else:
+        assert err.getvalue().startswith("error: ") and out.getvalue() == ""

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from basesize import formulas as fm, genstab
+from basesize import formulas as fm, genstab, linalg
 from basesize.genstab import (
     PRIMES,
     ConfigError,
@@ -27,16 +27,12 @@ def test_primes_are_prime():
 def test_sl_parts_are_transverse():
     cfg = sample_configuration("SL", 4, 2, "linear", 4, seed=1)
     assert len(cfg.parts) == 4
-    from basesize import linalg
-
     for i, a in enumerate(cfg.parts):
         for b in cfg.parts[i + 1 :]:
             assert linalg.rank_mod(np.concatenate([a, b], axis=1), cfg.p) == 4
 
 
 def test_totally_singular_exact():
-    from basesize import linalg
-
     cfg = sample_configuration("Sp", 8, 4, "totally_singular", 2, seed=2)
     for b in cfg.parts:
         gram = linalg.matmul_mod(linalg.matmul_mod(b.T, cfg.form, cfg.p), b, cfg.p)
@@ -47,8 +43,6 @@ def test_totally_singular_exact():
 
 
 def test_nondeg_gram_invertible():
-    from basesize import linalg
-
     cfg = sample_configuration("Sp", 6, 2, "nondeg", 3, seed=3)
     for b in cfg.parts:
         gram = linalg.matmul_mod(linalg.matmul_mod(b.T, cfg.form, cfg.p), b, cfg.p)
@@ -69,7 +63,6 @@ def test_sampler_validates_inputs():
 def test_form_algebra_dimensions_at_c0_via_identity_part():
     # with d = n the span condition is void; the form rows alone must cut
     # gl down to sp/so of the right dimension
-    from basesize import linalg
     from basesize.genstab import _form_constraint, standard_form
 
     for family, n, want in (("Sp", 6, 21), ("SO", 7, 21), ("SO", 8, 28)):
@@ -167,6 +160,80 @@ def test_duality_matches():
         assert stabilizer_algebra_dim_once(cfg) == stabilizer_algebra_dim_once(dual)
 
 
+# -- Lie-algebra coordinates and nested part streams ------------------------------
+
+def _gl_reference_dim(cfg):
+    """Nullity of the system over all n^2 entries of X: the span rows of
+    every part and the n^2 rows of X^T J + J X = 0."""
+    p, n = cfg.p, cfg.n
+    blocks = [
+        np.einsum("ai,jb->abij", linalg.nullspace_basis_mod(b.T, p), b).reshape(-1, n * n) % p
+        for b in cfg.parts
+    ]
+    blocks.append(genstab._form_constraint(cfg.form))
+    return linalg.nullspace_dim_mod(np.concatenate(blocks), p)
+
+
+def _form_cases(n_max):
+    cases = []
+    for n in range(4, n_max + 1, 2):
+        cases += [("Sp", n, d, "totally_singular") for d in range(1, n // 2 + 1)]
+        cases += [("Sp", n, d, "nondeg") for d in range(2, n // 2 + 1, 2)]
+    for n in range(5, n_max + 1):
+        cases += [("SO", n, d, f) for d in range(1, n // 2 + 1) for f in ("totally_singular", "nondeg")]
+    return cases
+
+
+@pytest.mark.parametrize("family,n,d,flavor", _form_cases(10))
+def test_lie_coordinates_match_the_gl_system_with_form_rows(family, n, d, flavor):
+    for p in (101, PRIMES[0]):
+        for c in (1, 2, 3):
+            cfg = sample_configuration(family, n, d, flavor, c, seed=100 * n + d, p=p)
+            assert stabilizer_algebra_dim_once(cfg) == _gl_reference_dim(cfg), (p, c)
+
+
+@pytest.mark.parametrize(
+    "family,n,d,flavor",
+    [
+        ("SL", 5, 1, "linear"), ("SL", 6, 2, "linear"),
+        ("Sp", 6, 2, "nondeg"), ("Sp", 8, 4, "totally_singular"),
+        ("SO", 7, 2, "nondeg"), ("SO", 10, 5, "totally_singular"),
+    ],
+)
+def test_configurations_nest_and_incremental_dims_match_the_stacked_solve(family, n, d, flavor):
+    seed, p = 21, PRIMES[0]
+    dims = genstab._stream_dims(family, n, d, flavor, seed, p)
+    prev = None
+    for c in range(1, 6):
+        cfg = sample_configuration(family, n, d, flavor, c, seed=seed, p=p)
+        if prev is not None:
+            assert all((a == b).all() for a, b in zip(prev.parts, cfg.parts))
+            assert cfg.resamples >= prev.resamples
+        stacked = np.concatenate([genstab._part_rows(b, family, cfg.form, p) for b in cfg.parts])
+        assert next(dims) == linalg.nullspace_dim_mod(stacked, p) == stabilizer_algebra_dim_once(cfg)
+        prev = cfg
+
+
+def test_estimate_b0_draws_value_parts_per_stream_and_eliminates_each_once(monkeypatch):
+    family, n, d, flavor, trials, seed = "Sp", 6, 2, "nondeg", 2, 5
+    drawn, added = [], []
+    part_rows, add = genstab._part_rows, linalg.EchelonMod.add
+    monkeypatch.setattr(genstab, "_part_rows", lambda b, *a: drawn.append(b) or part_rows(b, *a))
+    monkeypatch.setattr(linalg.EchelonMod, "add", lambda self, rows: added.append(rows) or add(self, rows))
+    est = estimate_b0(family, n, d, flavor, c_max=8, trials=trials, seed=seed)
+    assert est.value == 4
+    streams = trials * len(PRIMES)
+    assert len(drawn) == len(added) == est.value * streams
+    # stream k holds every streams-th part, and its parts are a sampled configuration
+    for pi, p in enumerate(PRIMES):
+        for t in range(trials):
+            cfg = sample_configuration(
+                family, n, d, flavor, est.value, seed=genstab._trial_seed(seed, pi, t), p=p
+            )
+            got = drawn[pi * trials + t :: streams]
+            assert all((a == b).all() for a, b in zip(got, cfg.parts))
+
+
 # -- module actions --------------------------------------------------------------
 
 def test_sl2_two_quadratic_forms_rigid():
@@ -185,6 +252,24 @@ def test_so3_tensor_rigid():
     assert rep.algebra_dim == 0
 
 
+@pytest.mark.parametrize("n,c", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (5, 1)])
+def test_so_tensor_coordinates_match_the_gl_system_with_form_rows(n, c):
+    # the same tensors W, with (X, Y) over all 2 n^2 entries and the form rows
+    p, seed = PRIMES[0], 4
+    rng = genstab._rng(seed, 0x30D, c)
+    eye = np.eye(n, dtype=np.int64)
+    zero = np.zeros((n * n, n * n), dtype=np.int64)
+    form = genstab._form_constraint(eye)
+    blocks = [np.concatenate([form, zero], axis=1), np.concatenate([zero, form], axis=1)]
+    for _ in range(c):
+        w = rng.integers(0, p, size=(n, n), dtype=np.int64)
+        tx = np.einsum("ir,js->rsij", eye, w).reshape(n * n, n * n)
+        ty = np.einsum("is,rj->rsij", eye, w).reshape(n * n, n * n)
+        blocks.append(np.concatenate([tx, ty], axis=1))
+    want = linalg.nullspace_dim_mod(np.concatenate(blocks), p)
+    assert module_stabilizer_dim("so_tensor", n, c, seed=seed, p=p).algebra_dim == want
+
+
 def test_module_kind_validated():
     with pytest.raises(ConfigError):
         module_stabilizer_dim("nope", 3, 1, seed=0)
@@ -194,7 +279,10 @@ def test_module_kind_validated():
 
 def test_rational_agrees_with_modular_on_small_config():
     # the Sp case needs the standard form to be the symplectic form over Q
-    for family, n, d, flavor in (("SL", 3, 1, "linear"), ("SO", 7, 2, "nondeg"), ("Sp", 8, 2, "nondeg")):
+    for family, n, d, flavor in (
+        ("SL", 3, 1, "linear"), ("SO", 7, 2, "nondeg"), ("SO", 8, 2, "nondeg"),
+        ("Sp", 6, 2, "nondeg"), ("Sp", 8, 2, "nondeg"),
+    ):
         cfg = sample_configuration(family, n, d, flavor, 2, seed=5, p=101)
         dim_p = stabilizer_algebra_dim_once(cfg)
         dim_q = stabilizer_algebra_dim_rational(

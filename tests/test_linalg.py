@@ -148,3 +148,18 @@ def test_matmul_mod_matches_object_arithmetic_at_inner_400(seed, extreme):
         a[:], b[:] = p - 1, p - 1
     exact = (a.astype(object) @ b.astype(object)) % p
     assert linalg.matmul_mod(a, b, p).tolist() == exact.tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_matrices(), min_size=1, max_size=4), st.sampled_from(_PRIMES), st.integers(1, 6))
+def test_echelon_mod_matches_rref_of_the_stack(blocks, p, cols):
+    # blocks of any shape and rank, cut or tiled to a common width
+    blocks = [np.resize(a, (a.shape[0], cols)) % p for a, _ in blocks]
+    echelon = linalg.EchelonMod(cols, p)
+    for k in range(1, len(blocks) + 1):
+        echelon.add(blocks[k - 1])
+        red, pivots = linalg.rref_mod(np.concatenate(blocks[:k]), p)
+        order = np.argsort(echelon.pivots)
+        assert [echelon.pivots[i] for i in order] == pivots
+        assert echelon.rows[order].tolist() == red[: len(pivots)].tolist()
+        assert echelon.nullity == cols - len(pivots)
