@@ -3,23 +3,28 @@
     bounds   --dataset <file> [--refine-long-root] [--mode b0|b1] [--char p]
     formula  --spec '<json>'
     verify   --spec '<json>' --c N [--trials N] [--seed N] [--prime P] [--rational]
-    finite   --family PGL|SL|Sp --n N --q Q --action <name> --mode base|order
+    finite   --family PGL|SL|Sp --n N --q Q --action <name> --mode base|order [--bound N]
     emit     table:parab|table:ep|table:c|table:e [--format csv|json]
 
-Machine output is JSON on stdout (CSV for tables); diagnostics go to
-stderr.  Exit codes: 0 success, 2 specification/validation error
-(including malformed spec JSON and malformed datasets) or a verifier
-sampling failure, 3 inconclusive bound.  Every run echoes its
-seeds and primes.  ``emit`` output is byte-stable: it contains no timing
-or environment data.
+Machine output is JSON on stdout (CSV for tables); errors go to stderr,
+and ``verify`` records carry the size of their first solve under
+``diagnostics``, outside ``outputs``.  Exit codes: 0 success, 2
+specification/validation error (including malformed spec JSON and
+malformed datasets, a ``--prime`` that is not a prime below 2^31, and
+``--trials`` or ``--bound`` below 1), a verifier sampling failure or a
+finite group that outgrows ``--bound``, 3 inconclusive bound.  Every run
+echoes its seeds and primes.  ``emit`` output is byte-stable: it contains
+no timing or environment data.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
+import math
 import sys
 import time
 
@@ -60,9 +65,10 @@ def emit_table(name: str, fmt: str = "csv") -> str:
     raise formulas.SpecValidationError(f"unknown format {fmt!r}")
 
 
-def _run_record(subcommand: str, config: dict, outputs: dict, started: float) -> dict:
+def _run_record(subcommand: str, config: dict, outputs: dict, started: float,
+                diagnostics: dict | None = None) -> dict:
     canonical = json.dumps(config, sort_keys=True)
-    return {
+    record = {
         "subcommand": subcommand,
         "config": config,
         "outputs": outputs,
@@ -70,6 +76,9 @@ def _run_record(subcommand: str, config: dict, outputs: dict, started: float) ->
         "version": __version__,
         "config_hash": hashlib.sha256((__version__ + canonical).encode()).hexdigest()[:16],
     }
+    if diagnostics is not None:
+        record["diagnostics"] = diagnostics
+    return record
 
 
 def _bound_to_json(result) -> tuple[dict, int]:
@@ -153,11 +162,21 @@ def cmd_verify(args) -> int:
         return _fail(e)
 
 
+def _is_prime(p: int) -> bool:
+    """Trial division, enough below 2^31."""
+    return p >= 2 and all(p % q for q in range(2, math.isqrt(p) + 1))
+
+
 def _verify(args, genstab) -> int:
     import numpy as np
 
+    from .linalg import MAX_PRIME
+
     started = time.monotonic()
     spec_obj = _load_spec(args.spec)
+    if args.prime is not None and not (args.prime < MAX_PRIME and _is_prime(args.prime)):
+        # elimination over a composite modulus divides by zero divisors
+        raise formulas.SpecValidationError(f"--prime {args.prime} is not a prime below 2^31")
     primes = (args.prime,) if args.prime else genstab.PRIMES
     config = {
         "spec": spec_obj,
@@ -205,7 +224,8 @@ def _verify(args, genstab) -> int:
         "resamples": rep.resamples,
         "seed": rep.seed,
     }
-    print(json.dumps(_run_record("verify", config, out, started), sort_keys=True))
+    diagnostics = dataclasses.asdict(rep.first_system)
+    print(json.dumps(_run_record("verify", config, out, started, diagnostics=diagnostics), sort_keys=True))
     return EXIT_OK
 
 
@@ -215,9 +235,18 @@ _FINITE_ACTIONS = ("projective-line", "torus-normalizer", "decomposition-pairs",
 def cmd_finite(args) -> int:
     from . import finitecheck
 
+    try:
+        return _finite(args, finitecheck)
+    except finitecheck.EnumerationBoundExceeded as e:
+        return _fail(e)
+
+
+def _finite(args, finitecheck) -> int:
     started = time.monotonic()
     if args.bound is None:
         args.bound = finitecheck.DEFAULT_ELEMENT_BOUND
+    if args.bound < 1:
+        raise formulas.SpecValidationError("need --bound >= 1")
     config = {
         "family": args.family, "n": args.n, "q": args.q,
         "action": args.action, "mode": args.mode, "seed": args.seed,

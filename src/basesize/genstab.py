@@ -19,14 +19,36 @@ n(n+1)/2 or n(n-1)/2 upper-triangle entries of S and no form rows are
 needed.  A part b with annihilator rows w gives the rows u^T S b = 0 with
 u = J w, folded onto the upper triangle.
 
+Adapted basis.  The system is solved in a basis B = [b_1 | ... | b_k | C]
+adapted to a head of leading parts, with unknowns X' = B^-1 X B (SL) or
+S' = B^T S B (Sp/SO).  There the head's rows are exactly coordinate
+functionals: they delete columns, and only the later parts, mapped by B^-1
+and paired by F = B^-1 J B^-T, are eliminated on the columns left.  The
+head, each condition checked exactly mod p:
+
+* SL: the longest prefix of at most floor(n/d) parts of rank k d, C the
+  coordinate vectors off the pivots; part i deletes X'(outside W_i, W_i).
+* totally singular: the first two parts when W_1 + W_2 is nondegenerate,
+  C = (W_1 + W_2)^perp; part i deletes S'(W_i + C, W_i).
+* nondegenerate: the first part, C = W_1^perp; it deletes S'(C, W_1).
+* otherwise none, B = I (two totally singular parts of SO_2d meet for
+  odd d).
+
+The nullity is the free columns minus the rank, for every configuration,
+generic or not.
+
 Part streams.  Each (prime, trial) pair draws its parts from one stream
 whose RNG key holds no part count, so the configuration of c parts is a
 prefix of the one of c + 1 (``sample_configuration`` returns that prefix).
-``stabilizer_report`` solves the stacked system of c parts at once;
-``estimate_b0`` keeps the reduced echelon form of each stream's rows,
-reduces every new part's rows against it and eliminates only the
-remainder, so an estimate draws b0 parts per stream and eliminates each
-block once, and the dimensions are non-increasing in c by construction.
+``stabilizer_report`` solves the stacked system of c parts at once, its
+head taken among the first c - 1 parts, so at least one part is always
+eliminated.  ``estimate_b0`` solves each stream's first part on its own;
+while every part drawn is a head part the dimension is the free column
+count, and from the first later part on it keeps the reduced echelon form
+of the adapted rows, reduces every new part's rows against it and
+eliminates only the remainder.  An estimate draws b0 parts per stream and
+eliminates each block after the head once, and the dimensions are
+non-increasing in c by construction.
 
 Characteristic caveat: the dimension computed here is the Lie-algebra
 stabilizer dimension, which matches the group stabilizer dimension at
@@ -77,6 +99,19 @@ class Configuration:
 
 
 @dataclass(frozen=True)
+class SystemShape:
+    """Size of one solve: the unknowns, the head parts whose rows became
+    deleted columns, the columns left, and the rows eliminated on them with
+    their rank."""
+
+    unknowns: int
+    head_parts: int
+    columns: int
+    rows: int
+    rank: int
+
+
+@dataclass(frozen=True)
 class StabilizerReport:
     algebra: str  # which Lie algebra the solve ran in
     algebra_dim: int  # minimum over trials and primes
@@ -87,6 +122,7 @@ class StabilizerReport:
     dims_by_prime: tuple[tuple[int, ...], ...]
     resamples: int
     seed: int
+    first_system: SystemShape  # the solve of the first trial at the first prime
 
 
 @dataclass(frozen=True)
@@ -267,12 +303,15 @@ def _span_constraint(b: np.ndarray, ann: np.ndarray, family: str, form, p: int |
     w^T X b = 0 for every row w of ``ann``, which annihilates col(b), and
     every column b.  In gl the unknowns are the entries of X.  In sp/so,
     X = J^T S, so w^T X b = u^T S b with u = J w, and the unknowns are the
-    upper-triangle entries of S.  With ``p`` the outer products are reduced
+    upper-triangle entries of S.  ``form`` may be any Gram matrix J' with
+    J'^T G = I for the form G that the part lives in (J for the standard
+    form, B^-1 J B^-T in the basis B).  With ``p`` the products are reduced
     mod p before the fold adds them."""
     n, d = b.shape
     if family == "SL":
         return np.einsum("ai,jb->abij", ann, b).reshape(len(ann) * d, n * n)
-    coef = np.einsum("ai,jb->abij", ann @ form.T, b).reshape(len(ann) * d, n, n)
+    u = ann @ form.T if p is None else linalg.matmul_mod(ann, form.T, p)
+    coef = np.einsum("ai,jb->abij", u, b).reshape(len(ann) * d, n, n)
     if p is not None:
         coef %= p
     return _lie_coordinates(coef, family)
@@ -292,29 +331,148 @@ def _form_constraint(j: np.ndarray) -> np.ndarray:
     return (t1 + t2).reshape(n * n, n * n)
 
 
+# ---------------------------------------------------------------------------
+# Adapted basis: the head parts' rows become deleted columns
+
+def _head_size(parts, family: str, flavor: str, form, p: int) -> int:
+    """How many leading ``parts`` the adapted basis is built on, by the head
+    rules of the module docstring."""
+    if not parts:
+        return 0
+    n, d = parts[0].shape
+    if family == "SL":
+        k = min(len(parts), n // d)
+        pivots = linalg.rref_mod(np.concatenate(parts[:k], axis=1), p)[1]
+        # the first i parts have rank i d exactly when columns 0..id-1 are all pivots
+        lead = next((i for i, c in enumerate(pivots) if c != i), len(pivots))
+        return min(k, lead // d)
+    size = 2 if flavor == "totally_singular" else 1
+    if len(parts) < size:
+        return 0
+    h = np.concatenate(parts[:size], axis=1)
+    gram = linalg.matmul_mod(linalg.matmul_mod(h.T, form, p), h, p)
+    if flavor == "totally_singular" and (gram[:d, :d].any() or gram[d:, d:].any()):
+        return 0
+    return size if linalg.det_mod(gram, p) else 0
+
+
+def _free_columns(family: str, flavor: str, n: int, d: int, head: int) -> np.ndarray:
+    """Columns left after deleting the coordinates that the head's rows fix,
+    in the adapted basis with blocks W_1, ..., W_head of d columns, then C."""
+    block_of = np.arange(n) // d  # head blocks 0..head-1, then C
+    mask = np.zeros((n, n), dtype=bool)
+    for i in range(head):
+        if family == "SL":
+            rows = block_of != i
+        elif flavor == "totally_singular":
+            rows = (block_of == i) | (block_of >= head)
+        else:
+            rows = block_of >= head
+        mask[rows, i * d : (i + 1) * d] = True
+    if family == "SL":
+        return (~mask).ravel().nonzero()[0]
+    i, j = np.triu_indices(n, 0 if family == "Sp" else 1)
+    return (~(mask | mask.T)[i, j]).nonzero()[0]
+
+
+@dataclass(frozen=True)
+class _Adapted:
+    """The stabilizer system in the basis B adapted to the head parts: a
+    later part b gives the rows of B^-1 b, paired by F = B^-1 J B^-T, on
+    the free columns."""
+
+    family: str
+    p: int
+    head: int
+    inv: np.ndarray | None  # B^-1; None for the empty head, B = I
+    form: np.ndarray | None  # F, or J for the empty head; None for SL
+    free: np.ndarray
+
+    def rows(self, b: np.ndarray) -> np.ndarray:
+        if self.inv is None:
+            return _part_rows(b, self.family, self.form, self.p)
+        b = linalg.matmul_mod(self.inv, b, self.p)
+        return _part_rows(b, self.family, self.form, self.p)[:, self.free]
+
+
+def _adapted(parts, head: int, family: str, flavor: str, form, p: int) -> _Adapted:
+    """The adapted system whose head is the first ``head`` parts, a size
+    that ``_head_size`` accepted."""
+    n, d = parts[0].shape
+    free = _free_columns(family, flavor, n, d, head)
+    if not head:
+        return _Adapted(family, p, 0, None, form, free)
+    h = np.concatenate(parts[:head], axis=1)
+    if family == "SL":
+        # the coordinate vectors off the pivots of h^T complete h to a basis
+        rest = np.delete(np.eye(n, dtype=np.int64), linalg.rref_mod(h.T, p)[1], axis=1)
+    else:  # C = (col h)^perp, a complement since col h is nondegenerate
+        rest = linalg.nullspace_basis_mod(linalg.matmul_mod(h.T, form, p), p).T
+    inv = linalg.inv_mod(np.concatenate([h, rest], axis=1), p)
+    if form is not None:
+        form = linalg.matmul_mod(linalg.matmul_mod(inv, form, p), inv.T, p)
+    return _Adapted(family, p, head, inv, form, free)
+
+
+def _stacked_system(config: Configuration) -> tuple[_Adapted, np.ndarray]:
+    """The adapted system of a configuration, its head taken among all parts
+    but the last, and the stacked rows of the parts after the head."""
+    parts, family, flavor, form, p = config.parts, config.family, config.flavor, config.form, config.p
+    adapted = _adapted(parts, _head_size(parts[:-1], family, flavor, form, p), family, flavor, form, p)
+    return adapted, np.concatenate([adapted.rows(b) for b in parts[adapted.head :]], axis=0)
+
+
 def stabilizer_algebra_dim_once(config: Configuration) -> int:
-    """Exact nullspace dimension of the stacked stabilizer system for one
-    sampled configuration, in gl for SL and in Lie coordinates for Sp/SO."""
-    system = np.concatenate(
-        [_part_rows(b, config.family, config.form, config.p) for b in config.parts], axis=0
-    )
-    return linalg.nullspace_dim_mod(system, config.p)
+    """Exact nullspace dimension of the stabilizer system for one sampled
+    configuration, in gl for SL and in Lie coordinates for Sp/SO: the free
+    columns of the adapted basis minus the rank of the later parts' rows."""
+    return linalg.nullspace_dim_mod(_stacked_system(config)[1], config.p)
+
+
+def _system_shape(config: Configuration, dim: int) -> SystemShape:
+    """The shape of ``stabilizer_algebra_dim_once(config)``, whose answer is
+    ``dim``, counted without assembling it: every part after the head gives
+    (n - d) d rows."""
+    head = _head_size(config.parts[:-1], config.family, config.flavor, config.form, config.p)
+    columns = len(_free_columns(config.family, config.flavor, config.n, config.d, head))
+    rows = (len(config.parts) - head) * (config.n - config.d) * config.d
+    return SystemShape(_unknowns(config.family, config.n), head, columns, rows, columns - dim)
 
 
 def _stream_dims(family: str, n: int, d: int, flavor: str, seed: int, p: int):
     """Stabilizer algebra dimension after each part of one part stream,
-    c = 1, 2, ...: each part's rows are reduced against the echelon form of
-    the rows before them, so every block is eliminated once."""
+    c = 1, 2, ..., as the module docstring's "Part streams" describes."""
     form = standard_form(family, n)
-    echelon = linalg.EchelonMod(_unknowns(family, n), p)
-    for b, _ in _part_stream(family, n, d, flavor, seed, p):
-        echelon.add(_part_rows(b, family, form, p))
+    stream = (b for b, _ in _part_stream(family, n, d, flavor, seed, p))
+    parts = [next(stream)]
+    yield linalg.nullspace_dim_mod(_part_rows(parts[0], family, form, p), p)
+    while True:
+        parts.append(next(stream))
+        head = _head_size(parts, family, flavor, form, p)
+        if head < len(parts):
+            break
+        yield len(_free_columns(family, flavor, n, d, head))
+    adapted = _adapted(parts, head, family, flavor, form, p)
+    echelon = linalg.EchelonMod(len(adapted.free), p)
+    for b in parts[head:]:
+        echelon.add(adapted.rows(b))
+    yield echelon.nullity
+    for b in stream:
+        echelon.add(adapted.rows(b))
         yield echelon.nullity
 
 
 def _scalar_correction(family: str) -> int:
     # scalars lie in every gl-stabilizer of subspaces but meet sp/so trivially
     return 1 if family == "SL" else 0
+
+
+def _check_runs(trials: int, primes: tuple[int, ...]) -> None:
+    # the minimum over trials and primes needs at least one of each
+    if trials < 1:
+        raise ConfigError("need trials >= 1")
+    if not primes:
+        raise ConfigError("need at least one prime")
 
 
 def _trial_seed(seed: int, prime_index: int, trial: int) -> int:
@@ -334,6 +492,7 @@ def stabilizer_report(
     primes: tuple[int, ...] = PRIMES,
 ) -> StabilizerReport:
     """Min-over-trials stabilizer dimension at each prime, cross-checked."""
+    _check_runs(trials, primes)
     dims_by_prime = []
     resamples = 0
     for pi, p in enumerate(primes):
@@ -342,6 +501,8 @@ def stabilizer_report(
             config = sample_configuration(family, n, d, flavor, c, seed=_trial_seed(seed, pi, t), p=p)
             resamples += config.resamples
             dims.append(stabilizer_algebra_dim_once(config))
+            if pi == t == 0:
+                first_system = _system_shape(config, dims[0])
         dims_by_prime.append(tuple(dims))
     all_dims = [x for row in dims_by_prime for x in row]
     algebra_dim = min(all_dims)
@@ -355,6 +516,7 @@ def stabilizer_report(
         dims_by_prime=tuple(dims_by_prime),
         resamples=resamples,
         seed=seed,
+        first_system=first_system,
     )
 
 
@@ -372,9 +534,10 @@ def estimate_b0(
     zero-dimensional stabilizer, with the orbit-dimension lower bound
     cross-checked.  Each (prime, trial) pair grows one part stream by one
     part per c, so the estimate draws b0 parts per stream and eliminates
-    each part's rows once."""
+    the rows of each part after the head once."""
     if c_max < 1:
         raise ConfigError("need c_max >= 1")
+    _check_runs(trials, primes)
     corr = _scalar_correction(family)
     streams = [
         _stream_dims(family, n, d, flavor, _trial_seed(seed, pi, t), p)
@@ -451,12 +614,7 @@ def module_stabilizer_dim(
                 if linalg.det_mod(s, p) != 0:
                     break
             blocks.append(_form_constraint(s))
-        system = np.concatenate(blocks, axis=0)
-        dim = linalg.nullspace_dim_mod(system, p)
-        return StabilizerReport(
-            algebra="sl", algebra_dim=dim, projective_dim=dim, trials=1, stable=True,
-            primes=(p,), dims_by_prime=((dim,),), resamples=0, seed=seed,
-        )
+        return _module_report("sl", np.concatenate(blocks, axis=0), p, seed)
     # so_tensor: so_n of the identity form, so X and Y are antisymmetric; the
     # unknowns are their strict upper triangles, [X | Y]
     eye = np.eye(n, dtype=np.int64)
@@ -466,11 +624,16 @@ def module_stabilizer_dim(
         tx = np.einsum("ir,js->rsij", eye, w).reshape(n * n, n, n)
         ty = np.einsum("is,rj->rsij", eye, w).reshape(n * n, n, n)
         blocks.append(np.concatenate([_lie_coordinates(tx, "SO"), _lie_coordinates(ty, "SO")], axis=1))
-    system = np.concatenate(blocks, axis=0)
+    return _module_report("so+so", np.concatenate(blocks, axis=0), p, seed)
+
+
+def _module_report(algebra: str, system: np.ndarray, p: int, seed: int) -> StabilizerReport:
     dim = linalg.nullspace_dim_mod(system, p)
+    rows, columns = system.shape
     return StabilizerReport(
-        algebra="so+so", algebra_dim=dim, projective_dim=dim, trials=1, stable=True,
+        algebra=algebra, algebra_dim=dim, projective_dim=dim, trials=1, stable=True,
         primes=(p,), dims_by_prime=((dim,),), resamples=0, seed=seed,
+        first_system=SystemShape(columns, 0, columns, rows, columns - dim),
     )
 
 

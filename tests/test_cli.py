@@ -168,6 +168,66 @@ def test_verify_sampling_failure_exit_2(capsys, monkeypatch):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+_SL42 = '{"family":"SL","n":4,"subgroup":{"subspace":{"d":2}}}'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 1000001 = 101 * 9901 and 2147483641 = 2699 * 795659: elimination
+        # over these rings used to answer algebra_dim 8
+        ["--prime", "1000001"], ["--prime", "2147483641"], ["--prime", "4"],
+        ["--prime", "1"], ["--prime", "2147483659"], ["--trials", "0"], ["--trials", "-2"],
+    ],
+)
+def test_verify_rejects_composite_primes_and_no_trials(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", "--spec", _SL42, "--c", "3", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_accepts_a_small_prime(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--spec", _SL42, "--c", "3", "--prime", "101")
+    assert code == 0
+    assert json.loads(out)["outputs"]["primes"] == [101]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--family", "PGL", "--n", "2", "--q", "7", "--action", "projective-line", "--bound", "3"],
+        ["--family", "PGL", "--n", "2", "--q", "7", "--action", "projective-line", "--bound", "0"],
+        ["--family", "PGL", "--n", "2", "--q", "5", "--action", "torus-normalizer", "--mode", "order",
+         "--bound", "-1"],
+    ],
+)
+def test_finite_bound_overflow_and_bad_bound_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, "finite", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_diagnostics_sit_outside_the_stable_outputs(capsys):
+    # outputs and config_hash as they were before the adapted basis
+    spec = '{"family":"Sp","n":8,"char":"odd","subgroup":{"subspace":{"d":2,"flavor":"totally_singular"}}}'
+    code, out, _ = run_cli(capsys, "verify", "--spec", spec, "--c", "3", "--trials", "2", "--seed", "4")
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["outputs"] == {
+        "algebra": "sp", "algebra_dim": 4, "dims_by_prime": [[4, 4], [4, 4]],
+        "primes": [2147483647, 2147483629], "projective_dim": 4, "resamples": 0, "seed": 4,
+        "stable": True, "trials": 2,
+    }
+    assert rec["config_hash"] == "e247da0cb47819f0"
+    # sp_8 has 36 unknowns; two totally singular 2-spaces delete 11 columns
+    # each, and the third part's 12 rows have rank 14 - 4
+    assert rec["diagnostics"] == {"unknowns": 36, "head_parts": 2, "columns": 14, "rows": 12, "rank": 10}
+    code, out, _ = run_cli(capsys, "verify", "--spec", '{"module":"sym2","n":3}', "--c", "1", "--seed", "3")
+    assert json.loads(out)["diagnostics"] == {"unknowns": 9, "head_parts": 0, "columns": 9, "rows": 10, "rank": 6}
+
+
 _MALFORMED_SPECS = [
     '"x"',
     "null",

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -214,24 +216,160 @@ def test_configurations_nest_and_incremental_dims_match_the_stacked_solve(family
         prev = cfg
 
 
+# (family, n, d, flavor, trials, seed) -> (value, head parts per stream)
+_STREAM_COUNTS = {
+    ("Sp", 6, 2, "nondeg", 2, 5): (4, 1),
+    ("SL", 6, 2, "linear", 1, 5): (5, 3),
+    ("Sp", 8, 4, "totally_singular", 1, 5): (4, 2),
+    ("SO", 10, 5, "totally_singular", 1, 5): (5, 0),  # pairs meet: no head
+}
+
+
 def test_estimate_b0_draws_value_parts_per_stream_and_eliminates_each_once(monkeypatch):
-    family, n, d, flavor, trials, seed = "Sp", 6, 2, "nondeg", 2, 5
-    drawn, added = [], []
-    part_rows, add = genstab._part_rows, linalg.EchelonMod.add
-    monkeypatch.setattr(genstab, "_part_rows", lambda b, *a: drawn.append(b) or part_rows(b, *a))
-    monkeypatch.setattr(linalg.EchelonMod, "add", lambda self, rows: added.append(rows) or add(self, rows))
-    est = estimate_b0(family, n, d, flavor, c_max=8, trials=trials, seed=seed)
-    assert est.value == 4
-    streams = trials * len(PRIMES)
-    assert len(drawn) == len(added) == est.value * streams
-    # stream k holds every streams-th part, and its parts are a sampled configuration
-    for pi, p in enumerate(PRIMES):
-        for t in range(trials):
-            cfg = sample_configuration(
-                family, n, d, flavor, est.value, seed=genstab._trial_seed(seed, pi, t), p=p
-            )
-            got = drawn[pi * trials + t :: streams]
-            assert all((a == b).all() for a, b in zip(got, cfg.parts))
+    # every stream draws value parts and solves its first one alone (c = 1);
+    # its head parts become deleted columns and each later part is reduced
+    # by EchelonMod.add exactly once
+    part_stream, add, solve = genstab._part_stream, linalg.EchelonMod.add, linalg.nullspace_dim_mod
+    drawn, added, solved = {}, {}, []
+
+    def recording_stream(family, n, d, flavor, seed, p):
+        for b, rejects in part_stream(family, n, d, flavor, seed, p):
+            drawn.setdefault(seed, []).append(b)
+            yield b, rejects
+
+    monkeypatch.setattr(genstab, "_part_stream", recording_stream)
+    monkeypatch.setattr(
+        linalg.EchelonMod, "add", lambda self, rows: added.update({id(self): added.get(id(self), 0) + 1}) or add(self, rows)
+    )
+    monkeypatch.setattr(linalg, "nullspace_dim_mod", lambda rows, p: solved.append(rows) or solve(rows, p))
+    for (family, n, d, flavor, trials, seed), (value, head) in _STREAM_COUNTS.items():
+        drawn.clear()
+        added.clear()
+        solved.clear()
+        est = estimate_b0(family, n, d, flavor, c_max=n + 2, trials=trials, seed=seed)
+        assert est.value == value
+        streams = trials * len(PRIMES)
+        assert len(drawn) == streams and len(added) == streams and len(solved) == streams
+        assert sorted(added.values()) == [value - head] * streams
+        # each stream's parts are the sampled configuration, with that head
+        got = {s: list(parts) for s, parts in drawn.items()}
+        for pi, p in enumerate(PRIMES):
+            for t in range(trials):
+                s = genstab._trial_seed(seed, pi, t)
+                cfg = sample_configuration(family, n, d, flavor, value, seed=s, p=p)
+                assert len(got[s]) == value
+                assert all((a == b).all() for a, b in zip(got[s], cfg.parts))
+                assert genstab._head_size(cfg.parts, family, flavor, cfg.form, p) == head
+
+
+def test_trials_below_one_and_no_primes_are_rejected():
+    with pytest.raises(ConfigError, match="trials >= 1"):
+        stabilizer_report("SL", 4, 2, "linear", 2, seed=0, trials=0)
+    with pytest.raises(ConfigError, match="trials >= 1"):
+        estimate_b0("SL", 4, 2, "linear", c_max=3, trials=0)
+    with pytest.raises(ConfigError, match="one prime"):
+        stabilizer_report("SL", 4, 2, "linear", 2, seed=0, trials=1, primes=())
+    with pytest.raises(ConfigError, match="one prime"):
+        estimate_b0("SL", 4, 2, "linear", c_max=3, trials=1, primes=())
+
+
+# -- adapted basis -----------------------------------------------------------------
+
+def _plain_dim(cfg):
+    """Nullity of the stacked rows of every part in the standard basis."""
+    rows = np.concatenate([genstab._part_rows(b, cfg.family, cfg.form, cfg.p) for b in cfg.parts])
+    return linalg.nullspace_dim_mod(rows, cfg.p)
+
+
+def _all_flavor_cases(n_max):
+    """(family, flavor, n) -> every admissible d, n <= n_max."""
+    cases = {("SL", "linear", n): range(1, n) for n in range(2, n_max + 1)}
+    for n in range(4, n_max + 1, 2):
+        cases["Sp", "totally_singular", n] = range(1, n // 2 + 1)
+        cases["Sp", "nondeg", n] = range(2, n, 2)
+    for n in range(3, n_max + 1):
+        cases["SO", "totally_singular", n] = range(1, n // 2 + 1)
+        cases["SO", "nondeg", n] = range(1, n)
+    return cases
+
+
+_ADAPTED_CASES = _all_flavor_cases(12)
+
+
+@pytest.mark.parametrize("family,flavor,n", sorted(_ADAPTED_CASES))
+def test_adapted_nullity_matches_the_plain_stacked_system(family, flavor, n):
+    for d in _ADAPTED_CASES[family, flavor, n]:
+        for p in PRIMES:
+            seed = 100 * n + d
+            cfg = sample_configuration(family, n, d, flavor, 5, seed=seed, p=p)
+            dims = genstab._stream_dims(family, n, d, flavor, seed, p)
+            for c in range(1, 6):
+                prefix = dataclasses.replace(cfg, parts=cfg.parts[:c])
+                want = _plain_dim(prefix)
+                assert stabilizer_algebra_dim_once(prefix) == want == next(dims), (d, p, c)
+
+
+def _degenerate(family, n, d, flavor, build):
+    """A configuration of five sampled parts with some replaced by ``build``."""
+    cfg = sample_configuration(family, n, d, flavor, 5, seed=3)
+    parts = list(cfg.parts)
+    build(parts, cfg.p)
+    return dataclasses.replace(cfg, parts=tuple(parts))
+
+
+def _in_span(parts, p):
+    # part 3 inside the span of parts 1 and 2
+    rng = np.random.default_rng(0)
+    mix = rng.integers(0, p, size=(2 * parts[0].shape[1], parts[0].shape[1]))
+    parts[2] = linalg.matmul_mod(np.concatenate(parts[:2], axis=1), mix, p)
+
+
+@pytest.mark.parametrize(
+    "family,n,d,flavor,build,head",
+    [
+        ("SL", 6, 2, "linear", lambda parts, p: None, 3),
+        ("SL", 6, 2, "linear", lambda parts, p: parts.__setitem__(1, parts[0]), 1),  # a repeated part
+        ("SL", 6, 2, "linear", _in_span, 2),
+        ("SL", 9, 2, "linear", _in_span, 2),
+        ("Sp", 8, 2, "totally_singular", lambda parts, p: None, 2),
+        ("Sp", 8, 2, "totally_singular", lambda parts, p: parts.__setitem__(1, parts[0]), 0),
+        ("SO", 10, 5, "totally_singular", lambda parts, p: None, 0),  # the pair meets in a line
+        ("SO", 9, 3, "nondeg", lambda parts, p: None, 1),
+        # an isotropic first part: its Gram matrix is zero
+        ("Sp", 8, 2, "nondeg", lambda parts, p: parts.__setitem__(0, np.eye(8, 2, dtype=np.int64)), 0),
+    ],
+    ids=["sl-generic", "sl-repeated", "sl-in-span", "sl9-in-span", "sp-ts-generic", "sp-ts-repeated",
+         "so10-ts-pairs-meet", "so-nondeg", "sp-nondeg-singular-gram"],
+)
+def test_degenerate_heads_fall_back_to_a_shorter_head(family, n, d, flavor, build, head):
+    cfg = _degenerate(family, n, d, flavor, build)
+    adapted, rows = genstab._stacked_system(cfg)
+    assert adapted.head == head
+    dim = stabilizer_algebra_dim_once(cfg)
+    assert linalg.nullspace_dim_mod(rows, cfg.p) == dim == _plain_dim(cfg)
+    assert rows.shape[1] == len(adapted.free)
+    assert genstab._system_shape(cfg, dim) == genstab.SystemShape(
+        genstab._unknowns(family, n), head, len(adapted.free), len(rows), len(adapted.free) - dim
+    )
+
+
+@pytest.mark.parametrize(
+    "family,n,d,flavor",
+    [("SL", 7, 2, "linear"), ("SL", 8, 4, "linear"), ("SL", 5, 3, "linear"), ("Sp", 10, 3, "totally_singular"),
+     ("Sp", 8, 4, "totally_singular"), ("SO", 9, 2, "totally_singular"), ("Sp", 8, 2, "nondeg"),
+     ("SO", 8, 3, "nondeg")],
+)
+def test_head_rows_are_the_deleted_coordinates(family, n, d, flavor):
+    cfg = sample_configuration(family, n, d, flavor, 5, seed=9)
+    adapted = genstab._stacked_system(cfg)[0]
+    assert adapted.head > 0
+    rows = np.concatenate([
+        genstab._part_rows(linalg.matmul_mod(adapted.inv, b, cfg.p), family, adapted.form, cfg.p)
+        for b in cfg.parts[: adapted.head]
+    ]) % cfg.p
+    deleted = genstab._unknowns(family, n) - len(adapted.free)
+    assert not rows[:, adapted.free].any()
+    assert linalg.rank_mod(rows, cfg.p) == deleted
 
 
 # -- module actions --------------------------------------------------------------
