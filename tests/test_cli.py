@@ -86,6 +86,82 @@ def test_bounds_b0_mode_uses_dataset_characteristic(capsys):
     assert json.loads(out)["outputs"]["value"] == 2
 
 
+def _b1(value, q, record):
+    return {"inconclusive": False, "kind": "upper_b1", "q_at_value": q, "value": value,
+            "witness": f"binding record: {record}"}
+
+
+def _b0(value, q, prime):
+    return {"inconclusive": False, "kind": "upper_b0", "q_at_value": q, "value": value,
+            "witness": f"strict prime family r={prime}; unipotent classes weakly below"}
+
+
+def _inconclusive(kind, reason, sup_ratio):
+    return {"inconclusive": True, "kind": kind, "reason": reason, "sup_ratio": sup_ratio}
+
+
+# (dataset, argv after --mode) -> (exit code, outputs) for every shipped
+# dataset, at every characteristic it admits; outputs None means exit 2 with
+# nothing on stdout (b0 needs --char unless the dataset fixes it)
+_BOUNDS_PINS = {
+    ("e6_f4", "b1"): (0, _b1(4, "32/33", "long root")),
+    ("e6_f4", "b1 --refine-long-root"): (0, _b1(4, "32/33", "long root")),
+    ("e6_f4", "b0"): (2, None),
+    ("e6_f4", "b0 --char 0"): (0, _b0(4, "32/33", 2)),
+    ("e6_f4", "b0 --char 2"): (0, _b0(4, "32/33", 3)),
+    ("e6_f4", "b0 --char 3"): (0, _b0(4, "32/33", 2)),
+    ("e6_f4", "b0 --char 5"): (0, _b0(4, "32/33", 2)),
+    ("e7_a7_p2", "b1"): (0, _b1(3, "3/4", "(3A1)'")),
+    ("e7_a7_p2", "b1 --refine-long-root"): (0, _b1(3, "3/4", "(3A1)'")),
+    ("e7_a7_p2", "b0"): (0, _b0(2, "1", 3)),
+    ("e7_a7_p2", "b0 --char 2"): (0, _b0(2, "1", 3)),
+    ("e8_a1e7", "b1"): (0, _b1(3, "51/58", "long root")),
+    ("e8_a1e7", "b1 --refine-long-root"): (0, _b1(3, "51/58", "long root")),
+    ("e8_a1e7", "b0"): (2, None),
+    ("e8_a1e7", "b0 --char 0"): (0, _b0(3, "51/58", 3)),
+    ("e8_a1e7", "b0 --char 2"): (0, _b0(3, "51/58", 3)),
+    ("e8_a1e7", "b0 --char 3"): (0, _b0(3, "51/58", 5)),
+    ("e8_a1e7", "b0 --char 5"): (0, _b0(3, "51/58", 3)),
+    ("f4_b4", "b1"): (0, _b1(5, "15/16", "long root")),
+    ("f4_b4", "b1 --refine-long-root"): (0, _b1(4, "1", "long root")),
+    ("f4_b4", "b0"): (2, None),
+    ("f4_b4", "b0 --char 0"): (0, _b0(4, "1", 2)),
+    ("f4_b4", "b0 --char 2"): (3, _inconclusive("upper_b0", "no semisimple records of prime order != 2 available", "3/4")),
+    ("f4_b4", "b0 --char 3"): (0, _b0(4, "1", 2)),
+    ("f4_b4", "b0 --char 5"): (0, _b0(4, "1", 2)),
+    ("g2_na2", "b1"): (0, _b1(4, "8/9", "long root")),
+    ("g2_na2", "b1 --refine-long-root"): (0, _b1(3, "1", "long root")),
+    ("g2_na2", "b0"): (2, None),
+    ("g2_na2", "b0 --char 0"): (0, _b0(3, "1", 3)),
+    ("g2_na2", "b0 --char 2"): (0, _b0(3, "1", 3)),
+    ("g2_na2", "b0 --char 3"): (0, _b0(3, "1", 2)),
+    ("g2_na2", "b0 --char 5"): (0, _b0(3, "1", 3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BOUNDS_PINS), ids=" ".join)
+def test_bounds_outputs_are_pinned(capsys, case):
+    dataset, mode = case
+    code, out, err = run_cli(capsys, "bounds", "--dataset", dataset, "--mode", *mode.split())
+    want_code, want = _BOUNDS_PINS[case]
+    assert code == want_code
+    if want is None:
+        assert out == "" and err.startswith("error: ")
+    else:
+        assert json.loads(out)["outputs"] == want
+
+
+def test_bounds_pins_cover_every_shipped_dataset():
+    from basesize import classdata
+
+    assert {name for name, _ in _BOUNDS_PINS} == set(classdata.shipped_datasets())
+    for name in classdata.shipped_datasets():
+        char = classdata.load_shipped(name).characteristic
+        chars = ("0", "2", "3", "5") if char == "any" else (char,)
+        assert {mode for ds, mode in _BOUNDS_PINS if ds == name} == {
+            "b1", "b1 --refine-long-root", "b0", *(f"b0 --char {c}" for c in chars)}
+
+
 def test_verify_subcommand_echoes_seeds_and_primes(capsys):
     code, out, _ = run_cli(
         capsys,
