@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .classdata import ClassFusionRecord
 
@@ -49,29 +49,8 @@ def lower_bound_b0(dim_G: int, dim_Omega: int) -> int:
     return -(-dim_G // dim_Omega)
 
 
-def fixed_space_dim(dim_Omega: int, dim_xG: int, dim_xG_cap_H: int) -> int:
-    """Dimension of the fixed-point variety of x on Omega = G/H:
-    dim Omega - dim x^G + dim(x^G meet H)."""
-    if min(dim_Omega, dim_xG, dim_xG_cap_H) < 0:
-        raise BoundInputError("dimensions must be nonnegative")
-    if dim_xG_cap_H > dim_xG:
-        raise BoundInputError("dim(x^G meet H) cannot exceed dim x^G")
-    out = dim_Omega - dim_xG + dim_xG_cap_H
-    if out < 0:
-        raise BoundInputError(
-            f"inconsistent inputs: fixed space dimension would be {out} < 0"
-        )
-    return out
-
-
 def _sup_record(records: Sequence[ClassFusionRecord]) -> ClassFusionRecord:
     return max(records, key=lambda r: r.ratio)
-
-
-def apply_sembd_filter(records: Iterable[ClassFusionRecord]) -> list[ClassFusionRecord]:
-    """Drop semisimple records flagged excludable for the reduced prime set
-    (those whose centralizer center is too large to constrain)."""
-    return [r for r in records if not r.excludable_sembd]
 
 
 def q_value(records: Sequence[ClassFusionRecord], c: int) -> Fraction:
@@ -100,7 +79,6 @@ def _min_c_weak(g: int, h: int) -> int | None:
 def upper_bound_b1(
     records: Sequence[ClassFusionRecord],
     long_root_refinement: bool = False,
-    use_sembd_filter: bool = False,
 ) -> BoundResult | Inconclusive:
     """Smallest c certified for the generic base size.
 
@@ -111,12 +89,9 @@ def upper_bound_b1(
     """
     if not records:
         raise BoundInputError("no records: supremum over an empty set")
-    recs = apply_sembd_filter(records) if use_sembd_filter else list(records)
-    if not recs:
-        raise BoundInputError("all records were filtered out")
     needed = 2
     blocker = None
-    for r in recs:
+    for r in records:
         weak_ok = long_root_refinement and r.is_long_root
         c_r = (
             _min_c_weak(r.dim_class_in_G, r.dim_intersection_with_H)
@@ -130,24 +105,20 @@ def upper_bound_b1(
                     f"record {r.class_label!r} has intersection ratio >= 1; "
                     "no c satisfies the criterion"
                 ),
-                sup_ratio=_sup_record(recs).ratio,
+                sup_ratio=_sup_record(records).ratio,
             )
         if c_r > needed:
             needed, blocker = c_r, r
-    witness_rec = blocker if blocker is not None else _sup_record(recs)
+    witness_rec = blocker if blocker is not None else _sup_record(records)
     return BoundResult(
         kind="upper_b1",
         value=needed,
         witness=f"binding record: {witness_rec.class_label}",
-        q_at_value=q_value(recs, needed),
+        q_at_value=q_value(records, needed),
     )
 
 
-def upper_bound_b0(
-    records: Sequence[ClassFusionRecord],
-    p: int,
-    use_sembd_filter: bool = False,
-) -> BoundResult | Inconclusive:
+def upper_bound_b0(records: Sequence[ClassFusionRecord], p: int) -> BoundResult | Inconclusive:
     """Smallest c certified for the connected base size.
 
     Requires, at c: (i) some prime r != p whose order-r records all satisfy
@@ -156,14 +127,13 @@ def upper_bound_b0(
     """
     if not records:
         raise BoundInputError("no records: supremum over an empty set")
-    recs = apply_sembd_filter(records) if use_sembd_filter else list(records)
 
     def is_unip(r: ClassFusionRecord) -> bool:
         return r.element_kind == "unipotent" or (p > 0 and r.element_order == p)
 
-    unipotent = [r for r in recs if is_unip(r)]
+    unipotent = [r for r in records if is_unip(r)]
     semis: dict[int, list[ClassFusionRecord]] = {}
-    for r in recs:
+    for r in records:
         if is_unip(r):
             continue
         if r.element_order > 1 and r.element_order != p:
@@ -172,7 +142,7 @@ def upper_bound_b0(
         return Inconclusive(
             kind="upper_b0",
             reason=f"no semisimple records of prime order != {p} available",
-            sup_ratio=_sup_record(recs).ratio,
+            sup_ratio=_sup_record(records).ratio,
         )
 
     c_unip = 2
@@ -182,7 +152,7 @@ def upper_bound_b0(
             return Inconclusive(
                 kind="upper_b0",
                 reason=f"unipotent record {r.class_label!r} has ratio >= 1",
-                sup_ratio=_sup_record(recs).ratio,
+                sup_ratio=_sup_record(records).ratio,
             )
         c_unip = max(c_unip, c_r)
 
@@ -202,12 +172,12 @@ def upper_bound_b0(
         return Inconclusive(
             kind="upper_b0",
             reason="every available prime family contains a ratio-1 record",
-            sup_ratio=_sup_record(recs).ratio,
+            sup_ratio=_sup_record(records).ratio,
         )
     value = max(c_unip, best[0])
     return BoundResult(
         kind="upper_b0",
         value=value,
         witness=f"strict prime family r={best[1]}; unipotent classes weakly below",
-        q_at_value=q_value(recs, value),
+        q_at_value=q_value(records, value),
     )

@@ -1,4 +1,4 @@
-"""Curated conjugacy-class dimension datasets and the involution table.
+"""Curated conjugacy-class dimension datasets.
 
 Datasets are line-oriented JSON: the first line is a header object, every
 following non-blank line is one class record.  The header carries the
@@ -38,7 +38,6 @@ class ClassFusionRecord:
     dim_intersection_with_H: int
     is_long_root: bool = False
     charp_condition: str | None = None
-    excludable_sembd: bool = False
 
     @property
     def ratio(self) -> Fraction:
@@ -152,7 +151,6 @@ def loads(text: str) -> Dataset:
             dim_intersection_with_H=_typed(obj, "dim_intersection_with_H", int, lineno),
             is_long_root=_typed(obj, "is_long_root", bool, lineno, False),
             charp_condition=obj.get("charp_condition"),
-            excludable_sembd=_typed(obj, "excludable_sembd", bool, lineno, False),
         )
         _validate_record(rec, max_class_dim, lineno)
         records.append(rec)
@@ -209,43 +207,3 @@ def shipped_datasets() -> list[str]:
 def load_shipped(name: str) -> Dataset:
     return load_dataset(dataset_path(name))
 
-
-# ---------------------------------------------------------------------------
-# Involutions inverting a maximal torus (p != 2)
-
-@dataclass(frozen=True)
-class InvolutionRecord:
-    """The involution class that inverts a maximal torus, per simple type."""
-
-    group: str
-    centralizer_type: str
-    involution_kind: str  # "inner" or "graph"
-    inverts_maximal_torus: bool
-
-
-def involution_record(family: str, rank: int) -> InvolutionRecord:
-    """Table row for the torus-inverting involution of the given simple
-    type, assuming characteristic != 2."""
-    rootsys.validate_type(family, rank)
-    name = f"{family}{rank}"
-    if family == "A":
-        return InvolutionRecord(
-            name, f"SO{rank + 1}", "inner" if rank == 1 else "graph", True
-        )
-    if family == "B":
-        return InvolutionRecord(name, f"SO{rank + 1}xSO{rank}", "inner", True)
-    if family == "C":
-        return InvolutionRecord(name, f"GL{rank}", "inner", True)
-    if family == "D":
-        return InvolutionRecord(
-            name, f"SO{rank}xSO{rank}", "inner" if rank % 2 == 0 else "graph", True
-        )
-    exceptional = {
-        "E8": ("D8", "inner"),
-        "E7": ("A7", "inner"),
-        "E6": ("C4", "graph"),
-        "F4": ("A1C3", "inner"),
-        "G2": ("A1~A1", "inner"),
-    }
-    cent, kind = exceptional[name]
-    return InvolutionRecord(name, cent, kind, True)

@@ -10,9 +10,9 @@ Machine output is JSON on stdout (CSV for tables); errors go to stderr,
 and ``verify`` records carry the size of their first solve under
 ``diagnostics``, outside ``outputs``.  Exit codes: 0 success, 2
 specification/validation error (including malformed spec JSON and
-malformed datasets, a ``--prime`` that is not a prime below 2^31, and
-``--trials`` or ``--bound`` below 1), a verifier sampling failure or a
-finite group that outgrows ``--bound``, 3 inconclusive bound.  Every run
+malformed datasets, a ``--prime`` or ``--q`` that is not a prime below
+2^31, and ``--trials`` or ``--bound`` below 1), a verifier sampling failure
+or a finite group that outgrows ``--bound``, 3 inconclusive bound.  Every run
 echoes its seeds and primes.  ``emit`` output is byte-stable: it contains
 no timing or environment data.
 """
@@ -167,16 +167,21 @@ def _is_prime(p: int) -> bool:
     return p >= 2 and all(p % q for q in range(2, math.isqrt(p) + 1))
 
 
+def _require_prime(flag: str, p: int) -> None:
+    # arithmetic mod a composite divides by zero divisors
+    from .linalg import MAX_PRIME
+
+    if not (p < MAX_PRIME and _is_prime(p)):
+        raise formulas.SpecValidationError(f"{flag} {p} is not a prime below 2^31")
+
+
 def _verify(args, genstab) -> int:
     import numpy as np
 
-    from .linalg import MAX_PRIME
-
     started = time.monotonic()
     spec_obj = _load_spec(args.spec)
-    if args.prime is not None and not (args.prime < MAX_PRIME and _is_prime(args.prime)):
-        # elimination over a composite modulus divides by zero divisors
-        raise formulas.SpecValidationError(f"--prime {args.prime} is not a prime below 2^31")
+    if args.prime is not None:
+        _require_prime("--prime", args.prime)
     primes = (args.prime,) if args.prime else genstab.PRIMES
     config = {
         "spec": spec_obj,
@@ -247,6 +252,7 @@ def _finite(args, finitecheck) -> int:
         args.bound = finitecheck.DEFAULT_ELEMENT_BOUND
     if args.bound < 1:
         raise formulas.SpecValidationError("need --bound >= 1")
+    _require_prime("--q", args.q)
     config = {
         "family": args.family, "n": args.n, "q": args.q,
         "action": args.action, "mode": args.mode, "seed": args.seed,
@@ -255,7 +261,7 @@ def _finite(args, finitecheck) -> int:
     if args.action == "two-symmetric-forms":
         if (args.family, args.n) != ("SL", 2):
             raise formulas.SpecValidationError("two-symmetric-forms runs on SL with n=2")
-        order, stab = finitecheck.sl2_two_form_stabilizer(args.q, seed=args.seed)
+        order, stab = finitecheck.sl2_two_form_stabilizer(args.q, seed=args.seed, bound=args.bound)
         out = {"stabilizer_order": order,
                "elements": [[list(r) for r in m] for m in stab]}
         print(json.dumps(_run_record("finite", config, out, started), sort_keys=True))
@@ -343,14 +349,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_SPEC_ERROR
     try:
         return args.func(args)
-    except (
-        formulas.SpecValidationError,
-        formulas.UnsupportedLabelError,
-        classdata.DatasetError,
-        bounds.BoundInputError,
-        FileNotFoundError,
-        ValueError,  # json.JSONDecodeError and genstab.ConfigError among them
-    ) as e:
+    # every validation error of the package, json.JSONDecodeError and
+    # genstab.ConfigError among them, is a ValueError
+    except (ValueError, FileNotFoundError) as e:
         return _fail(e)
 
 

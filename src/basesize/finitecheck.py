@@ -319,9 +319,12 @@ def exact_base_size(action: PermAction, seed: int = 0) -> int:
     raise RuntimeError("the action is not faithful")
 
 
+#: tuples sampled (inside the general-position locus) per modal order
+TUPLE_SAMPLES = 200
+
+
 def generic_tuple_stabilizer_order(
-    action: PermAction, length: int, seed: int = 0, samples: int = 200,
-    general_position=None,
+    action: PermAction, length: int, seed: int = 0, general_position=None,
 ) -> int:
     """Modal stabilizer order over seeded random tuples, optionally
     restricted to tuples passing an explicit general-position predicate.
@@ -335,7 +338,7 @@ def generic_tuple_stabilizer_order(
     counts: dict[int, int] = {}
     found = 0
     attempts = 0
-    while found < samples and attempts < 50 * samples:
+    while found < TUPLE_SAMPLES and attempts < 50 * TUPLE_SAMPLES:
         attempts += 1
         tup = tuple(rng.sample(range(m), length))
         if general_position is not None and not general_position(
@@ -382,12 +385,15 @@ def cross_check_relations(triple, finite_base_size: int, q: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Form stabilizers in SL_2(q) and subspace stabilizers by algebra counting
+# Form stabilizers in SL_2(q)
 
-def sl2_two_form_stabilizer(q: int, seed: int = 0) -> tuple[int, list[Matrix]]:
-    """Enumerate SL_2(q) and intersect the isometry groups of two seeded
-    random nondegenerate symmetric forms; returns (order, elements)."""
-    elements = close_matrix_group(sl2_generators(q), q)
+def sl2_two_form_stabilizer(
+    q: int, seed: int = 0, bound: int = DEFAULT_ELEMENT_BOUND
+) -> tuple[int, list[Matrix]]:
+    """Enumerate SL_2(q) (at most ``bound`` elements) and intersect the
+    isometry groups of two seeded random nondegenerate symmetric forms;
+    returns (order, elements)."""
+    elements = close_matrix_group(sl2_generators(q), q, bound)
     rng = random.Random(seed)
 
     def random_form() -> Matrix:
@@ -406,36 +412,3 @@ def sl2_two_form_stabilizer(q: int, seed: int = 0) -> tuple[int, list[Matrix]]:
     stab = [g for g in elements if preserves(g, f1) and preserves(g, f2)]
     return len(stab), stab
 
-
-def subspace_tuple_stabilizer_order(
-    n: int, q: int, bases: list[np.ndarray], det_one: bool = True
-) -> int:
-    """Order of the joint subspace stabilizer in GL_n(q) (or SL_n(q)),
-    counted by enumerating the linear algebra of matrices preserving every
-    subspace; avoids enumerating the ambient group."""
-    blocks = []
-    for b in bases:
-        arr = np.array(b, dtype=np.int64) % q
-        nloc, d = arr.shape
-        if nloc != n:
-            raise ValueError("basis shape mismatch")
-        s = linalg.nullspace_basis_mod(arr.T, q)
-        blocks.append(np.einsum("ai,jb->abij", s, arr).reshape((n - d) * d, n * n) % q)
-    system = np.concatenate(blocks, axis=0)
-    basis = linalg.nullspace_basis_mod(system, q)
-    m = basis.shape[0]
-    if q**m > DEFAULT_ELEMENT_BOUND:
-        raise EnumerationBoundExceeded(f"algebra too large to enumerate: {q}^{m}")
-    count = 0
-    for coeffs in product(range(q), repeat=m):
-        x = np.zeros(n * n, dtype=np.int64)
-        for ci, vec in zip(coeffs, basis):
-            x = (x + ci * vec) % q
-        mat = x.reshape(n, n)
-        det = linalg.det_mod(mat, q)
-        if det == 0:
-            continue
-        if det_one and det != 1:
-            continue
-        count += 1
-    return count

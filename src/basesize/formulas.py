@@ -17,7 +17,6 @@ from itertools import product
 from typing import Union
 
 from . import rootsys
-from .classdata import InvolutionRecord, involution_record
 
 
 class SpecValidationError(ValueError):
@@ -641,30 +640,7 @@ def parabolic_table_rows() -> list[tuple[str, int, str]]:
 
 
 # ---------------------------------------------------------------------------
-# Involution centralizers and torus normalizers
-
-@dataclass(frozen=True)
-class InvolutionActionReport:
-    record: InvolutionRecord
-    triple: BaseTriple | None
-    b0_lower_bound: int
-    generic_pair_stabilizer_order: int | None
-
-
-def involution_triple(family: str, rank: int, inverts_maximal_torus: bool = True) -> InvolutionActionReport:
-    """Action of G on the centralizer of an involution, p != 2.
-
-    For the torus-inverting class the triple is (2,2,3) and a generic pair
-    of points has stabilizer of order 2^rank (the 2-torsion of a maximal
-    torus).  Any other involution centralizer has connected base size at
-    least 3; only the lower bound is reported for those.
-    """
-    rec = involution_record(family, rank)
-    if not inverts_maximal_torus:
-        return InvolutionActionReport(InvolutionRecord(rec.group, "(other class)", "inner", False), None, 3, None)
-    triple = _triple(2, 2, 3, f"involution:{rec.group}.C({rec.centralizer_type})")
-    return InvolutionActionReport(rec, triple, 2, 2 ** rank)
-
+# Torus normalizers
 
 def torus_normalizer_triple(spec: ActionSpec) -> BaseTriple:
     """Action on cosets of a maximal-torus normalizer: generically base 2,

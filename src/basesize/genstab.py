@@ -282,9 +282,7 @@ def sample_configuration(
 def _unknowns(family: str, n: int) -> int:
     """Columns of the stabilizer system: the entries of X in gl, the
     upper-triangle entries of S in sp (symmetric) and so (antisymmetric)."""
-    if family == "SL":
-        return n * n
-    return n * (n + 1) // 2 if family == "Sp" else n * (n - 1) // 2
+    return rootsys.group_dim("GL" if family == "SL" else family, n)
 
 
 def _lie_coordinates(coef: np.ndarray, family: str) -> np.ndarray:
@@ -566,23 +564,6 @@ def estimate_b0(
         )
     return B0Estimate(
         value=value, c_max=c_max, projective_dims=tuple(proj_dims), lower_bound=lb, seed=seed
-    )
-
-
-# ---------------------------------------------------------------------------
-# Duality helper (linear actions): annihilator configurations
-
-def dual_configuration(config: Configuration) -> Configuration:
-    """Annihilator of each part: a (n-d)-subspace configuration whose
-    stabilizer dimensions match the original's."""
-    if config.family != "SL":
-        raise ConfigError("duality is implemented for the linear family")
-    parts = tuple(
-        linalg.nullspace_basis_mod(b.T, config.p).T % config.p for b in config.parts
-    )
-    return Configuration(
-        family="SL", p=config.p, n=config.n, d=config.n - config.d, flavor="linear",
-        form=None, parts=parts, seed=config.seed, resamples=config.resamples,
     )
 
 

@@ -1,5 +1,6 @@
 """Acceptance suite: one test per exit criterion, each printing a PASS line
 and holding its stated runtime budget.  Run with ``pytest -v -s``."""
+import dataclasses
 import hashlib
 import json
 import random
@@ -8,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from basesize import bounds, finitecheck as fc, formulas as fm, genstab
+from basesize import bounds, finitecheck as fc, formulas as fm, genstab, linalg
 from basesize.classdata import load_shipped
 from basesize.cli import emit_table
 from basesize.formulas import ActionSpec, NonSubspace, Parabolic, Subspace, TorusNormalizer
@@ -290,6 +291,12 @@ _CAP_SIX = {("E7", 7), ("E6", 1), ("E6", 6)}
 _BUR_FOUR = {("SL", 6, "Sp_n"), ("SO", 7, "G2"), ("Sp", 6, "G2")}
 
 
+def _dual_configuration(cfg):
+    """The annihilator of each part: an (n - d)-subspace configuration."""
+    parts = tuple(linalg.nullspace_basis_mod(b.T, cfg.p).T % cfg.p for b in cfg.parts)
+    return dataclasses.replace(cfg, d=cfg.n - cfg.d, parts=parts)
+
+
 def test_criterion_7_property_suite():
     started = time.monotonic()
     rng = random.Random(0xBA5E)
@@ -353,7 +360,7 @@ def test_criterion_7_property_suite():
         d = check_rng.randint(1, n - 1)
         c = check_rng.randint(1, 4)
         cfg = genstab.sample_configuration("SL", n, d, "linear", c, seed=check_rng.randrange(2**30))
-        dual = genstab.dual_configuration(cfg)
+        dual = _dual_configuration(cfg)
         assert genstab.stabilizer_algebra_dim_once(cfg) == genstab.stabilizer_algebra_dim_once(dual)
         runs += 1
     _report(7, "randomized property suite", started, 60.0)

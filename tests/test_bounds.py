@@ -8,7 +8,6 @@ from basesize.bounds import (
     BoundInputError,
     BoundResult,
     Inconclusive,
-    fixed_space_dim,
     lower_bound_b0,
     q_value,
     upper_bound_b0,
@@ -17,7 +16,7 @@ from basesize.bounds import (
 from basesize.classdata import ClassFusionRecord, load_shipped
 
 
-def rec(g, h, kind="unipotent", order=0, long=False, excl=False, label=None):
+def rec(g, h, kind="unipotent", order=0, long=False, label=None):
     return ClassFusionRecord(
         group="G2",
         subgroup_label="test",
@@ -27,7 +26,6 @@ def rec(g, h, kind="unipotent", order=0, long=False, excl=False, label=None):
         dim_class_in_G=g,
         dim_intersection_with_H=h,
         is_long_root=long,
-        excludable_sembd=excl,
     )
 
 
@@ -49,23 +47,6 @@ def test_lower_bound_rejects_nonpositive_quotient():
 def test_lower_bound_is_ceiling(dim_g, dim_o):
     c = lower_bound_b0(dim_g, dim_o)
     assert (c - 1) * dim_o < dim_g <= c * dim_o
-
-
-# -- fixed point space dimension ---------------------------------------------
-
-def test_fixed_space_dim_formula():
-    assert fixed_space_dim(16, 6, 4) == 14
-
-
-def test_fixed_space_dim_class_inside_H():
-    assert fixed_space_dim(9, 7, 7) == 9
-
-
-def test_fixed_space_dim_inconsistent_inputs():
-    with pytest.raises(BoundInputError):
-        fixed_space_dim(10, 12, 1)
-    with pytest.raises(BoundInputError):
-        fixed_space_dim(5, 3, 4)
 
 
 # -- the criterion quantity --------------------------------------------------
@@ -140,13 +121,6 @@ def test_b1_inconclusive_on_ratio_one():
     out = upper_bound_b1([rec(5, 5)], long_root_refinement=False)
     assert isinstance(out, Inconclusive)
     assert out.sup_ratio == 1
-
-
-def test_sembd_filter_flag():
-    recs = [rec(10, 3), rec(8, 8, kind="semisimple", order=7, excl=True)]
-    assert isinstance(upper_bound_b1(recs, False), Inconclusive)
-    out = upper_bound_b1(recs, False, use_sembd_filter=True)
-    assert isinstance(out, BoundResult) and out.value == 2
 
 
 # -- connected upper bound ---------------------------------------------------

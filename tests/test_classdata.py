@@ -3,7 +3,7 @@ import json
 import pytest
 
 from basesize import classdata
-from basesize.classdata import DatasetError, involution_record, load_shipped, loads
+from basesize.classdata import DatasetError, load_shipped, loads
 
 HEADER = {
     "schema": 1,
@@ -105,7 +105,6 @@ def test_rejects_lines_that_are_not_objects():
         ("element_order", True),
         ("is_long_root", "false"),
         ("is_long_root", 1),
-        ("excludable_sembd", "no"),
     ],
 )
 def test_rejects_fields_of_the_wrong_json_type(field, value):
@@ -144,21 +143,3 @@ def test_dataset_path_env_override(tmp_path, monkeypatch):
     ds = classdata.load_dataset(classdata.dataset_path("mini"))
     assert ds.group == "G2"
 
-
-@pytest.mark.parametrize(
-    "family,rank,cent,kind",
-    [
-        ("C", 4, "GL4", "inner"),
-        ("E", 6, "C4", "graph"),
-        ("A", 1, "SO2", "inner"),
-        ("A", 3, "SO4", "graph"),
-        ("D", 4, "SO4xSO4", "inner"),
-        ("D", 5, "SO5xSO5", "graph"),
-        ("G", 2, "A1~A1", "inner"),
-    ],
-)
-def test_involution_table(family, rank, cent, kind):
-    rec = involution_record(family, rank)
-    assert rec.centralizer_type == cent
-    assert rec.involution_kind == kind
-    assert rec.inverts_maximal_torus

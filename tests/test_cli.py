@@ -8,7 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from basesize import formulas as fm, genstab
+from basesize import classdata, formulas as fm, genstab
 from basesize.cli import emit_table, main
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -152,8 +152,6 @@ def test_bounds_outputs_are_pinned(capsys, case):
 
 
 def test_bounds_pins_cover_every_shipped_dataset():
-    from basesize import classdata
-
     assert {name for name, _ in _BOUNDS_PINS} == set(classdata.shipped_datasets())
     for name in classdata.shipped_datasets():
         char = classdata.load_shipped(name).characteristic
@@ -276,6 +274,8 @@ def test_verify_accepts_a_small_prime(capsys):
         ["--family", "PGL", "--n", "2", "--q", "7", "--action", "projective-line", "--bound", "0"],
         ["--family", "PGL", "--n", "2", "--q", "5", "--action", "torus-normalizer", "--mode", "order",
          "--bound", "-1"],
+        # SL_2(11) has 1320 elements
+        ["--family", "SL", "--n", "2", "--q", "11", "--action", "two-symmetric-forms", "--bound", "10"],
     ],
 )
 def test_finite_bound_overflow_and_bad_bound_exit_2(capsys, argv):
@@ -283,6 +283,26 @@ def test_finite_bound_overflow_and_bad_bound_exit_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # two-symmetric-forms used to answer over Z/4 and Z/9
+        ["--family", "SL", "--n", "2", "--q", "4", "--action", "two-symmetric-forms"],
+        ["--family", "SL", "--n", "2", "--q", "9", "--action", "two-symmetric-forms"],
+        ["--family", "PGL", "--n", "2", "--q", "9", "--action", "projective-line"],
+        ["--family", "PGL", "--n", "2", "--q", "1", "--action", "torus-normalizer", "--mode", "order"],
+        ["--family", "Sp", "--n", "4", "--q", "4", "--action", "decomposition-pairs"],
+        ["--family", "Sp", "--n", "4", "--q", "2147483659", "--action", "decomposition-pairs"],
+    ],
+    ids=lambda argv: f"{argv[argv.index('--action') + 1]}-q{argv[argv.index('--q') + 1]}",
+)
+def test_finite_rejects_a_q_that_is_not_prime(capsys, argv):
+    code, out, err = run_cli(capsys, "finite", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --q ") and err.count("\n") == 1
 
 
 def test_verify_diagnostics_sit_outside_the_stable_outputs(capsys):

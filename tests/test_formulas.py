@@ -12,7 +12,6 @@ from basesize.formulas import (
     base_triple,
     dimhalf_predicate,
     dimhalf_predicate_p2,
-    involution_triple,
     nonsubspace_triple,
     parabolic_triple,
     spec_from_json,
@@ -333,27 +332,7 @@ def test_parabolic_rejects_classical():
         parabolic_triple("G2", 3)
 
 
-# -- involutions and torus normalizers ---------------------------------------
-
-def test_involution_triple_e6():
-    rep = involution_triple("E", 6)
-    assert rep.record.centralizer_type == "C4"
-    assert rep.triple.as_tuple() == (2, 2, 3)
-    assert rep.generic_pair_stabilizer_order == 2**6
-
-
-def test_involution_triple_cn():
-    rep = involution_triple("C", 5)
-    assert rep.record.centralizer_type == "GL5"
-    assert rep.triple.as_tuple() == (2, 2, 3)
-    assert rep.generic_pair_stabilizer_order == 32
-
-
-def test_involution_non_inverting_lower_bound():
-    rep = involution_triple("E", 6, inverts_maximal_torus=False)
-    assert rep.triple is None
-    assert rep.b0_lower_bound == 3
-
+# -- torus normalizers -------------------------------------------------------
 
 def test_torus_normalizer():
     t = torus_normalizer_triple(ActionSpec("SL", TorusNormalizer(), n=2))
