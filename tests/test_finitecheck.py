@@ -1,3 +1,4 @@
+import hashlib
 from itertools import product
 
 import numpy as np
@@ -158,3 +159,52 @@ def test_exact_base_size_is_the_least_base_length():
             if any(fc.stabilizer_order(action, tup) == 1 for tup in combinations(range(m), c))
         )
         assert fc.exact_base_size(action) == least
+
+
+def _action_digest(action):
+    h = hashlib.sha256()
+    h.update(repr(action.points).encode())
+    h.update(action.perms.tobytes())
+    h.update(repr(action.perms.shape).encode())
+    return h.hexdigest()[:16]
+
+
+def _forms_digest(q, seed):
+    order, stab = fc.sl2_two_form_stabilizer(q, seed=seed)
+    elements = [[[int(x) for x in row] for row in m] for m in stab]
+    return hashlib.sha256(repr((order, elements)).encode()).hexdigest()[:16]
+
+
+# SHA-256 prefixes of (points, perms bytes, perms shape) for each action and
+# of (order, elements) for the two-form stabilizers: any change to how the
+# groups are listed must keep every point label and permutation row in place.
+_ACTION_DIGESTS = {
+    ("line", 3): "683b6ebbefae5bce",
+    ("pairs", 3): "70236359be844f89",
+    ("line", 5): "39dee69c75f41794",
+    ("pairs", 5): "3be55fcc9e8d0066",
+    ("line", 7): "b7e62c6cd373ed38",
+    ("pairs", 7): "144490d700c72c55",
+    ("line", 11): "2c9e255c37e96ad2",
+    ("pairs", 11): "d9f3cd92a7443f78",
+    ("line", 13): "1d957580445bb0b6",
+    ("pairs", 13): "5352c5e71017dec3",
+    ("sp4", 2): "87c7b2ba8f116a16",
+    ("sp4", 3): "ad9ee4ac4fba3fde",
+}
+_FORMS_DIGESTS = {
+    (2, 0): "aff7b523868e714e", (2, 1): "bfe16684c0eb0064", (2, 2): "bfe16684c0eb0064", (2, 7): "cf12519bcf1eb871",
+    (3, 0): "7ae40f7d9bd4eb31", (3, 1): "7ae40f7d9bd4eb31", (3, 2): "7ae40f7d9bd4eb31", (3, 7): "7ae40f7d9bd4eb31",
+    (5, 0): "dc3de7b940544607", (5, 1): "dc3de7b940544607", (5, 2): "dc3de7b940544607", (5, 7): "dc3de7b940544607",
+    (7, 0): "5c4f4e9a2627f49d", (7, 1): "5c4f4e9a2627f49d", (7, 2): "5c4f4e9a2627f49d", (7, 7): "5c4f4e9a2627f49d",
+    (11, 0): "4f5ba6e741c7969c", (11, 1): "4f5ba6e741c7969c", (11, 2): "4f5ba6e741c7969c", (11, 7): "4f5ba6e741c7969c",
+    (13, 0): "14d0b79fa1fdc11f", (13, 1): "14d0b79fa1fdc11f", (13, 2): "14d0b79fa1fdc11f", (13, 7): "14d0b79fa1fdc11f",
+}
+
+
+def test_finite_actions_are_pinned():
+    build = {"line": fc.pgl2_line_action, "pairs": fc.pgl2_pairs_action, "sp4": fc.sp4_decomposition_action}
+    got = {(kind, q): _action_digest(build[kind](q)) for kind, q in _ACTION_DIGESTS}
+    assert got == _ACTION_DIGESTS
+    got = {(q, seed): _forms_digest(q, seed) for q, seed in _FORMS_DIGESTS}
+    assert got == _FORMS_DIGESTS
