@@ -12,9 +12,10 @@ and ``verify`` records carry the size of their first solve under
 specification/validation error (including malformed spec JSON and
 malformed datasets, a ``--prime`` or ``--q`` that is not a prime below
 2^31, and ``--trials`` or ``--bound`` below 1), a verifier sampling failure
-or a finite group that outgrows ``--bound``, 3 inconclusive bound.  Every run
-echoes its seeds and primes.  ``emit`` output is byte-stable: it contains
-no timing or environment data.
+or a finite group that outgrows ``--bound``, 3 inconclusive bound, and 1
+when stdout closes before the output is written.  Every run echoes its
+seeds and primes.  ``emit`` output is byte-stable: it contains no timing
+or environment data.
 """
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import sys
 import time
 
@@ -33,6 +35,7 @@ import time
 from . import __version__, bounds, classdata, formulas
 
 EXIT_OK = 0
+EXIT_OUTPUT_CLOSED = 1
 EXIT_SPEC_ERROR = 2
 EXIT_INCONCLUSIVE = 3
 
@@ -262,8 +265,7 @@ def _finite(args, finitecheck) -> int:
         if (args.family, args.n) != ("SL", 2):
             raise formulas.SpecValidationError("two-symmetric-forms runs on SL with n=2")
         order, stab = finitecheck.sl2_two_form_stabilizer(args.q, seed=args.seed, bound=args.bound)
-        out = {"stabilizer_order": order,
-               "elements": [[list(r) for r in m] for m in stab]}
+        out = {"stabilizer_order": order, "elements": stab.tolist()}
         print(json.dumps(_run_record("finite", config, out, started), sort_keys=True))
         return EXIT_OK
     if args.action == "projective-line":
@@ -356,7 +358,16 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away: point stdout at devnull so the flush at
+        # interpreter exit cannot fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+        code = EXIT_OUTPUT_CLOSED
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -1,16 +1,18 @@
 """Exact base sizes and stabilizer orders for small finite matrix groups.
 
-Matrix generators over F_q are converted to permutations of an enumerated
-point set (centers acting trivially disappear, matching the convention
-that scalars are ignored).  The permutation group is closed by breadth
-first search under a hard element bound, and base sizes are found by an
-exhaustive pruned backtrack over stabilizer-orbit representatives.
+Each group is listed once.  Before anything is listed, its closed-form
+order is checked against a hard element bound.  Matrix generators over
+F_q (int64 arrays) become permutations of an enumerated point set, with
+scalars acting trivially, and ``close_perm_group`` closes them by breadth
+first search.  The point pairs of the projective line take their group
+from the line's, and SL_2(q) is listed in closed form.  Base sizes come
+from an exhaustive pruned backtrack over stabilizer-orbit representatives.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -27,52 +29,16 @@ class RelationViolation(AssertionError):
     """A certified inequality between base measures failed: a hard bug."""
 
 
+def _check_order(order: int, bound: int) -> None:
+    if order > bound:
+        raise EnumerationBoundExceeded(f"group order {order} exceeds the bound {bound}")
+
+
 # ---------------------------------------------------------------------------
-# Matrices over F_q
-
-Matrix = tuple[tuple[int, ...], ...]
-
-
-def mat_mul(a: Matrix, b: Matrix, q: int) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) % q for j in range(n))
-        for i in range(n)
-    )
-
-
-def mat_vec(a: Matrix, v: tuple[int, ...], q: int) -> tuple[int, ...]:
-    n = len(a)
-    return tuple(sum(a[i][k] * v[k] for k in range(n)) % q for i in range(n))
-
-
-def identity(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def close_matrix_group(generators: list[Matrix], q: int, bound: int = DEFAULT_ELEMENT_BOUND) -> list[Matrix]:
-    """Breadth-first closure of the generated matrix group."""
-    n = len(generators[0])
-    seen = {identity(n)}
-    frontier = [identity(n)]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in generators:
-                prod = mat_mul(m, g, q)
-                if prod not in seen:
-                    seen.add(prod)
-                    nxt.append(prod)
-                    if len(seen) > bound:
-                        raise EnumerationBoundExceeded(
-                            f"group order exceeds the bound {bound}"
-                        )
-        frontier = nxt
-    return sorted(seen)
-
+# Generators over F_q
 
 def primitive_root(q: int) -> int:
-    for g in range(2, q):
+    for g in range(1, q):  # 1 generates the units of F_2
         x, seen = 1, set()
         for _ in range(q - 1):
             x = x * g % q
@@ -82,17 +48,27 @@ def primitive_root(q: int) -> int:
     raise ValueError(f"{q} is not prime")
 
 
-def gl2_generators(q: int) -> list[Matrix]:
+def gl2_generators(q: int) -> np.ndarray:
     z = primitive_root(q)
-    return [
-        ((1, 1), (0, 1)),
-        ((0, q - 1), (1, 0)),
-        ((z, 0), (0, 1)),
-    ]
+    return np.array([[[1, 1], [0, 1]], [[0, q - 1], [1, 0]], [[z, 0], [0, 1]]], dtype=np.int64)
 
 
-def sl2_generators(q: int) -> list[Matrix]:
-    return [((1, 1), (0, 1)), ((0, q - 1), (1, 0))]
+def _symplectic_form4(q: int) -> np.ndarray:
+    j = np.zeros((4, 4), dtype=np.int64)
+    j[0, 2] = j[1, 3] = 1
+    j[2, 0] = j[3, 1] = q - 1
+    return j
+
+
+def symplectic_transvections4(q: int) -> np.ndarray:
+    """Generating transvections x -> x + (x.Jv)*v for Sp_4(q); the
+    transvections with other scalars are their powers."""
+    j = _symplectic_form4(q)
+    vs = np.array([
+        (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+        (1, 1, 0, 0), (1, 0, 1, 0), (0, 1, 0, 1), (1, 1, 1, 1),
+    ], dtype=np.int64)
+    return np.array([(np.eye(4, dtype=np.int64) + np.outer(v, j @ v % q)) % q for v in vs])
 
 
 # ---------------------------------------------------------------------------
@@ -102,15 +78,8 @@ def projective_line(q: int) -> list[tuple[int, ...]]:
     return [(1, x) for x in range(q)] + [(0, 1)]
 
 
-def _canon_projective(v: tuple[int, ...], q: int) -> tuple[int, ...]:
-    lead = next(x for x in v if x)
-    inv = pow(lead, q - 2, q)
-    return tuple(x * inv % q for x in v)
-
-
-def _canon_subspace(rows: list[tuple[int, ...]], q: int) -> bytes:
-    arr = np.array(rows, dtype=np.int64)
-    red, _ = linalg.rref_mod(arr, q)
+def _canon_subspace(rows: np.ndarray, q: int) -> bytes:
+    red, _ = linalg.rref_mod(rows, q)
     return red.astype(np.int8).tobytes()
 
 
@@ -118,18 +87,12 @@ def _canon_subspace(rows: list[tuple[int, ...]], q: int) -> bytes:
 class PermAction:
     """A faithful permutation group with its point labels."""
 
-    description: str
     points: list
     perms: np.ndarray  # (order, npoints) int arrays
-    q: int
 
     @property
     def order(self) -> int:
         return self.perms.shape[0]
-
-
-def _perm_of_matrix(m: Matrix, points: list, to_index: dict, apply_pt) -> tuple[int, ...]:
-    return tuple(to_index[apply_pt(m, pt)] for pt in points)
 
 
 def close_perm_group(gen_perms: list[tuple[int, ...]], bound: int = DEFAULT_ELEMENT_BOUND) -> np.ndarray:
@@ -153,115 +116,56 @@ def close_perm_group(gen_perms: list[tuple[int, ...]], bound: int = DEFAULT_ELEM
     return np.array(sorted(seen), dtype=np.int32)
 
 
-def _action_from_matrices(
-    description: str, gens: list[Matrix], points: list, apply_pt, q: int,
-    bound: int = DEFAULT_ELEMENT_BOUND,
-) -> PermAction:
+def _perm_action(gens: np.ndarray, points: list, apply_pt, bound: int) -> PermAction:
     to_index = {pt: i for i, pt in enumerate(points)}
-    gen_perms = [_perm_of_matrix(g, points, to_index, apply_pt) for g in gens]
-    perms = close_perm_group(gen_perms, bound)
-    return PermAction(description=description, points=points, perms=perms, q=q)
+    gen_perms = [tuple(to_index[apply_pt(g, pt)] for pt in points) for g in gens]
+    return PermAction(points=points, perms=close_perm_group(gen_perms, bound))
 
 
 def pgl2_line_action(q: int, bound: int = DEFAULT_ELEMENT_BOUND) -> PermAction:
     """The projective line under the full projective linear group."""
-    pts = projective_line(q)
+    _check_order(q**3 - q, bound)
 
     def apply_pt(m, pt):
-        return _canon_projective(mat_vec(m, pt, q), q)
+        x, y = (int(v) for v in m @ pt % q)
+        return (1, y * pow(x, q - 2, q) % q) if x else (0, 1)
 
-    return _action_from_matrices(f"projective line over F_{q}", gl2_generators(q), pts, apply_pt, q, bound)
+    return _perm_action(gl2_generators(q), projective_line(q), apply_pt, bound)
 
 
 def pgl2_pairs_action(q: int, bound: int = DEFAULT_ELEMENT_BOUND) -> PermAction:
     """Unordered pairs of distinct projective-line points: the coset space
-    of a maximal-torus normalizer."""
-    line = projective_line(q)
-    idx = {pt: i for i, pt in enumerate(line)}
-    pairs = [
-        (i, j) for i in range(len(line)) for j in range(i + 1, len(line))
-    ]
-
-    def apply_pt(m, pair):
-        a = idx[_canon_projective(mat_vec(m, line[pair[0]], q), q)]
-        b = idx[_canon_projective(mat_vec(m, line[pair[1]], q), q)]
-        return (a, b) if a < b else (b, a)
-
-    return _action_from_matrices(
-        f"torus-normalizer cosets (point pairs) over F_{q}", gl2_generators(q), pairs, apply_pt, q, bound
-    )
-
-
-def _symplectic_form4(q: int) -> Matrix:
-    j = [[0] * 4 for _ in range(4)]
-    j[0][2] = j[1][3] = 1
-    j[2][0] = j[3][1] = q - 1
-    return tuple(tuple(r) for r in j)
-
-
-def symplectic_transvections4(q: int) -> list[Matrix]:
-    """Generating transvections x -> x + lam*(x.Jv)*v for Sp_4(q)."""
-    j = np.array(_symplectic_form4(q), dtype=np.int64)
-    vs = [
-        (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
-        (1, 1, 0, 0), (1, 0, 1, 0), (0, 1, 0, 1), (1, 1, 1, 1),
-    ]
-    gens = []
-    for v in vs:
-        for lam in (1, q - 1):
-            vv = np.array(v, dtype=np.int64)
-            m = (np.eye(4, dtype=np.int64) + lam * np.outer(vv, (j @ vv) % q)) % q
-            gens.append(tuple(tuple(int(x) for x in row) for row in m))
-    return gens
-
-
-def _all_subspaces_2of4(q: int) -> list[bytes]:
-    vecs = [v for v in product(range(q), repeat=4) if any(v)]
-    seen = set()
-    for i, v in enumerate(vecs):
-        for w in vecs[i + 1 :]:
-            arr = np.array([v, w], dtype=np.int64)
-            if linalg.rank_mod(arr, q) < 2:
-                continue
-            seen.add(_canon_subspace([v, w], q))
-    return sorted(seen)
+    of a maximal-torus normalizer.  The group is the line's, acting on the
+    pairs through an index table."""
+    line = pgl2_line_action(q, bound)
+    i, j = np.triu_indices(q + 1, 1)
+    pair_index = np.zeros((q + 1, q + 1), dtype=np.int32)
+    pair_index[i, j] = pair_index[j, i] = np.arange(i.size)
+    # the action on pairs is faithful, so np.unique only sorts the rows
+    perms = np.unique(pair_index[line.perms[:, i], line.perms[:, j]], axis=0)
+    return PermAction(points=list(zip(i.tolist(), j.tolist())), perms=perms)
 
 
 def sp4_decomposition_action(q: int = 3, bound: int = DEFAULT_ELEMENT_BOUND) -> PermAction:
     """Unordered pairs {U, U-perp} of complementary nondegenerate 2-spaces
-    under Sp_4(q): the coset space of the wreath-type stabilizer."""
-    j = np.array(_symplectic_form4(q), dtype=np.int64)
-    key_to_rows: dict[bytes, np.ndarray] = {}
-    nondeg = []
-    for key in _all_subspaces_2of4(q):
-        rows = np.frombuffer(key, dtype=np.int8).reshape(2, 4).astype(np.int64)
-        gram = (rows @ j % q @ rows.T) % q
-        if linalg.det_mod(gram, q) != 0:
-            nondeg.append(key)
-            key_to_rows[key] = rows
-    perp_of = {}
-    for key in nondeg:
-        rows = key_to_rows[key]
-        perp = linalg.nullspace_basis_mod((rows @ j) % q, q)
-        perp_key = _canon_subspace([tuple(int(x) for x in r) for r in perp], q)
-        perp_of[key] = perp_key
-    points = sorted({tuple(sorted((k, perp_of[k]))) for k in nondeg})
+    under Sp_4(q): the coset space of the wreath-type stabilizer.  Sp_4(q)
+    is transitive on them, so they are the orbit of {<e1, e3>, <e2, e4>}."""
+    _check_order(q**4 * (q * q - 1) * (q**4 - 1) // math.gcd(2, q - 1), bound)
+    gens = symplectic_transvections4(q)
 
     def apply_pt(m, pair):
-        marr = np.array(m, dtype=np.int64)
+        images = (_canon_subspace(np.frombuffer(key, dtype=np.int8).reshape(2, 4) @ m.T % q, q)
+                  for key in pair)
+        return tuple(sorted(images))
 
-        def move(key: bytes) -> bytes:
-            rows = key_to_rows[key]
-            img = (rows @ marr.T) % q
-            return _canon_subspace([tuple(int(x) for x in r) for r in img], q)
-
-        a, b = move(pair[0]), move(pair[1])
-        return tuple(sorted((a, b)))
-
-    return _action_from_matrices(
-        f"complementary nondegenerate 2-space pairs for Sp4(F_{q})",
-        symplectic_transvections4(q), points, apply_pt, q, bound,
-    )
+    start = tuple(sorted(np.array(rows, dtype=np.int8).tobytes() for rows in (
+        [[0, 1, 0, 0], [0, 0, 0, 1]], [[1, 0, 0, 0], [0, 0, 1, 0]],
+    )))
+    orbit, frontier = {start}, {start}
+    while frontier:
+        frontier = {apply_pt(g, pt) for pt in frontier for g in gens} - orbit
+        orbit |= frontier
+    return _perm_action(gens, sorted(orbit), apply_pt, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -387,28 +291,40 @@ def cross_check_relations(triple, finite_base_size: int, q: int) -> dict:
 # ---------------------------------------------------------------------------
 # Form stabilizers in SL_2(q)
 
+def _sl2_elements(q: int) -> np.ndarray:
+    """SL_2(q) as an (order, 2, 2) array in lexicographic order of (a, b, c, d):
+    first a = 0 (then bc = -1 and d is free), then d = (1 + bc)/a."""
+    inv = np.array([0] + [pow(x, q - 2, q) for x in range(1, q)], dtype=np.int64)
+    b0, d0 = np.divmod(np.arange(q, q * q), q)
+    a1, bc = np.divmod(np.arange(q * q, q**3), q * q)
+    b1, c1 = np.divmod(bc, q)
+    rows = np.concatenate([
+        np.stack([np.zeros_like(b0), b0, -inv[b0] % q, d0], axis=1),
+        np.stack([a1, b1, c1, (1 + b1 * c1) * inv[a1] % q], axis=1),
+    ])
+    return rows.reshape(-1, 2, 2)
+
+
 def sl2_two_form_stabilizer(
     q: int, seed: int = 0, bound: int = DEFAULT_ELEMENT_BOUND
-) -> tuple[int, list[Matrix]]:
-    """Enumerate SL_2(q) (at most ``bound`` elements) and intersect the
-    isometry groups of two seeded random nondegenerate symmetric forms;
-    returns (order, elements)."""
-    elements = close_matrix_group(sl2_generators(q), q, bound)
+) -> tuple[int, np.ndarray]:
+    """List SL_2(q) (at most ``bound`` elements) and intersect the isometry
+    groups of two seeded random nondegenerate symmetric forms; returns
+    (order, elements) with the elements an (order, 2, 2) array in
+    lexicographic order."""
+    _check_order(q**3 - q, bound)
     rng = random.Random(seed)
 
-    def random_form() -> Matrix:
+    def random_form() -> list[list[int]]:
         while True:
             a, b, c = rng.randrange(q), rng.randrange(q), rng.randrange(q)
             det = (a * c - b * b) % q
             if det:
-                return ((a, b), (b, c))
+                return [[a, b], [b, c]]
 
-    f1, f2 = random_form(), random_form()
-
-    def preserves(g: Matrix, f: Matrix) -> bool:
-        gt = tuple(tuple(g[i][j] for i in range(2)) for j in range(2))
-        return mat_mul(mat_mul(gt, f, q), g, q) == f
-
-    stab = [g for g in elements if preserves(g, f1) and preserves(g, f2)]
+    forms = np.array([random_form(), random_form()], dtype=np.int64)
+    g = _sl2_elements(q)
+    # g^T f g for both forms and every element at once
+    images = np.einsum("nji,fjk,nkl->nfil", g, forms, g, optimize=True) % q
+    stab = g[(images == forms).all(axis=(1, 2, 3))]
     return len(stab), stab
-

@@ -214,6 +214,11 @@ def _part_stream(family: str, n: int, d: int, flavor: str, seed: int, p: int):
     resamples = 0
     parts: list[np.ndarray] = []
 
+    def gram(x: np.ndarray) -> np.ndarray:
+        return linalg.matmul_mod(linalg.matmul_mod(x.T, j, p), x, p)
+
+    # for nondegenerate parts a nonzero Gram determinant already implies
+    # full column rank, so no rank is taken
     def try_one() -> np.ndarray | None:
         if flavor == "totally_singular":
             m = n // 2
@@ -225,25 +230,21 @@ def _part_stream(family: str, n: int, d: int, flavor: str, seed: int, p: int):
             g = _random_isometry(rng, family, n, j, p)
             return linalg.matmul_mod(g, frame, p)
         b = rng.integers(0, p, size=(n, d), dtype=np.int64)
-        if linalg.rank_mod(b, p) < d:
-            return None
         if flavor == "nondeg":
-            gram = linalg.matmul_mod(linalg.matmul_mod(b.T, j, p), b, p)
-            if linalg.det_mod(gram, p) == 0:
-                return None
-        return b
+            return b if linalg.det_mod(gram(b), p) else None
+        return b if linalg.rank_mod(b, p) == d else None
 
     def compatible(b: np.ndarray) -> bool:
         # pairwise open conditions against the parts already chosen
+        if 2 * d > n:
+            return True
         for other in parts:
-            if 2 * d <= n:
-                joint = np.concatenate([other, b], axis=1)
-                if linalg.rank_mod(joint, p) < joint_rank:
+            joint = np.concatenate([other, b], axis=1)
+            if flavor == "nondeg":
+                if linalg.det_mod(gram(joint), p) == 0:
                     return False
-                if flavor == "nondeg":
-                    gram = linalg.matmul_mod(linalg.matmul_mod(joint.T, j, p), joint, p)
-                    if linalg.det_mod(gram, p) == 0:
-                        return False
+            elif linalg.rank_mod(joint, p) < joint_rank:
+                return False
         return True
 
     while True:
@@ -254,9 +255,7 @@ def _part_stream(family: str, n: int, d: int, flavor: str, seed: int, p: int):
             resamples += 1
         else:
             raise SamplingError(f"resampling budget exhausted after {resamples} rejects")
-        if flavor == "totally_singular" and np.any(
-            linalg.matmul_mod(linalg.matmul_mod(b.T, j, p), b, p)
-        ):
+        if flavor == "totally_singular" and np.any(gram(b)):
             raise SamplingError("totally singular part failed the exact form check")
         parts.append(b)
         yield b, rejects

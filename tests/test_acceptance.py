@@ -163,9 +163,9 @@ def test_criterion_5_module_corollaries():
     assert genstab.module_stabilizer_dim("sym2", 2, 2, seed=7).algebra_dim == 0
     order, stab = fc.sl2_two_form_stabilizer(11, seed=7)
     assert order == 2
-    eye = fc.identity(2)
-    neg = tuple(tuple((-x) % 11 for x in row) for row in eye)
-    assert set(stab) == {eye, neg}
+    eye = np.eye(2, dtype=np.int64)
+    neg = (-eye) % 11
+    assert {m.tobytes() for m in stab} == {eye.tobytes(), neg.tobytes()}
     _report(5, "module-action corollaries", started, 10.0)
 
 

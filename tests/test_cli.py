@@ -288,6 +288,36 @@ def test_finite_bound_overflow_and_bad_bound_exit_2(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
+        # Sp_4(5) acts with order 4,680,000 on decomposition pairs
+        ["--family", "Sp", "--n", "4", "--q", "5", "--action", "decomposition-pairs"],
+        ["--family", "Sp", "--n", "4", "--q", "3", "--action", "decomposition-pairs", "--bound", "25919"],
+        ["--family", "PGL", "--n", "2", "--q", "7", "--action", "torus-normalizer", "--bound", "335"],
+    ],
+)
+def test_finite_order_over_the_bound_exits_2_before_listing(capsys, monkeypatch, argv):
+    from basesize import finitecheck
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the group was listed although its order exceeds the bound")
+
+    monkeypatch.setattr(finitecheck, "close_perm_group", unreachable)
+    code, out, err = run_cli(capsys, "finite", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: group order ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("action", ["projective-line", "torus-normalizer"])
+def test_finite_pgl2_over_f2(capsys, action):
+    # PGL_2(2) is S_3 on three points, on the line and on the point pairs alike
+    code, out, _ = run_cli(capsys, "finite", "--family", "PGL", "--n", "2", "--q", "2", "--action", action)
+    assert code == 0
+    assert json.loads(out)["outputs"] == {"base_size": 2, "group_order": 6, "points": 3}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         # two-symmetric-forms used to answer over Z/4 and Z/9
         ["--family", "SL", "--n", "2", "--q", "4", "--action", "two-symmetric-forms"],
         ["--family", "SL", "--n", "2", "--q", "9", "--action", "two-symmetric-forms"],
@@ -447,6 +477,20 @@ def test_formula_bounds_and_emit_do_not_import_numpy():
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stderr == "False\n"
+
+
+def test_closed_stdout_exits_1_with_one_error_line():
+    # the read end is gone before the child starts, so its first write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    try:
+        done = subprocess.run([sys.executable, "-m", "basesize.cli", "emit", "table:c"],
+                              env=env, stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
 _FLAVORS = {"SL": ["linear"], "Sp": ["nondeg", "totally_singular"], "SO": ["nondeg", "totally_singular"]}

@@ -26,17 +26,17 @@ def test_pgl2_5_base_size_three():
 def test_base_size_invariant_under_conjugation():
     q = 5
     a = fc.pgl2_line_action(q)
-    g = ((2, 1), (1, 1))
-    ginv_num = ((1, q - 1), (q - 1, 2))  # adj(g) works projectively
-    gens = [fc.mat_mul(fc.mat_mul(g, m, q), ginv_num, q) for m in fc.gl2_generators(q)]
+    g = np.array([[2, 1], [1, 1]])
+    ginv_num = np.array([[1, q - 1], [q - 1, 2]])  # adj(g) works projectively
     pts = fc.projective_line(q)
-    to_index = {pt: i for i, pt in enumerate(pts)}
 
-    def apply_pt(m, pt):
-        return fc._canon_projective(fc.mat_vec(m, pt, q), q)
+    def index(v):
+        # position of the projective point v in projective_line(q)
+        x, y = (int(t) % q for t in v)
+        return y * pow(x, q - 2, q) % q if x else q
 
-    perms = [fc._perm_of_matrix(m, pts, to_index, apply_pt) for m in gens]
-    b = fc.PermAction("conjugated", pts, fc.close_perm_group(perms), q)
+    perms = [[index(g @ m @ ginv_num @ pt) for pt in pts] for m in fc.gl2_generators(q)]
+    b = fc.PermAction(pts, fc.close_perm_group(perms))
     assert b.order == a.order
     assert fc.exact_base_size(b, seed=1) == fc.exact_base_size(a, seed=1)
 
@@ -81,6 +81,23 @@ def test_enumeration_bound():
         fc.pgl2_line_action(11, bound=100)
 
 
+def test_bound_admits_a_group_of_exactly_that_order():
+    # PGL_2(7) and SL_2(7) have 7^3 - 7 = 336 elements
+    assert fc.pgl2_pairs_action(7, bound=336).order == 336
+    assert fc.sl2_two_form_stabilizer(7, bound=336)[0] == 2
+    with pytest.raises(fc.EnumerationBoundExceeded):
+        fc.pgl2_pairs_action(7, bound=335)
+    with pytest.raises(fc.EnumerationBoundExceeded):
+        fc.sl2_two_form_stabilizer(7, bound=335)
+
+
+def test_sl2_listing_is_the_whole_group_in_order():
+    for q in (2, 3, 5):
+        g = fc._sl2_elements(q)
+        want = [m for m in product(range(q), repeat=4) if (m[0] * m[3] - m[1] * m[2]) % q == 1]
+        assert [tuple(m.ravel().tolist()) for m in g] == want
+
+
 def test_sp4_decomposition_action_shape():
     a = fc.sp4_decomposition_action(3)
     assert len(a.points) == 45
@@ -113,9 +130,9 @@ def test_cross_check_skips_q2():
 def test_sl2_11_two_forms_stabilizer_is_center():
     order, stab = fc.sl2_two_form_stabilizer(11, seed=2)
     assert order == 2
-    eye = fc.identity(2)
-    neg = tuple(tuple((-x) % 11 for x in row) for row in eye)
-    assert set(stab) == {eye, neg}
+    eye = np.eye(2, dtype=np.int64)
+    neg = (-eye) % 11
+    assert {m.tobytes() for m in stab} == {eye.tobytes(), neg.tobytes()}
 
 
 def _subspace_tuple_stabilizer_order(n, q, bases):
