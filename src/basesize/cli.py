@@ -10,8 +10,10 @@ Machine output is JSON on stdout (CSV for tables); errors go to stderr,
 and ``verify`` records carry the size of their first solve under
 ``diagnostics``, outside ``outputs``.  Exit codes: 0 success, 2
 specification/validation error (including malformed spec JSON and
-malformed datasets, a ``--prime`` or ``--q`` that is not a prime below
-2^31, and ``--trials`` or ``--bound`` below 1), a verifier sampling failure
+malformed datasets, a ``--prime``, ``--q`` or nonzero ``--char`` that is
+not a prime below 2^31, ``--trials``, ``--bound`` or a module's ``--c``
+below 1, a module ``n`` below 2, and a ``--tuple-length`` that no tuple of
+points, or of disjoint point pairs, can have), a verifier sampling failure
 or a finite group that outgrows ``--bound``, 3 inconclusive bound, and 1
 when stdout closes before the output is written.  Every run echoes its
 seeds and primes.  ``emit`` output is byte-stable: it contains no timing
@@ -114,6 +116,8 @@ def cmd_bounds(args) -> int:
         result = bounds.upper_bound_b1(ds.records, long_root_refinement=args.refine_long_root)
     else:
         if args.char is not None:
+            if args.char != 0:
+                _require_prime("--char", args.char)
             p = args.char
         elif ds.characteristic not in ("any", ""):
             p = int(ds.characteristic)
@@ -171,10 +175,9 @@ def _is_prime(p: int) -> bool:
 
 
 def _require_prime(flag: str, p: int) -> None:
-    # arithmetic mod a composite divides by zero divisors
-    from .linalg import MAX_PRIME
-
-    if not (p < MAX_PRIME and _is_prime(p)):
+    # arithmetic mod a composite divides by zero divisors; the bound is
+    # linalg.MAX_PRIME, spelled out so that bounds does not import numpy
+    if not (p < 2**31 and _is_prime(p)):
         raise formulas.SpecValidationError(f"{flag} {p} is not a prime below 2^31")
 
 
@@ -286,6 +289,12 @@ def _finite(args, finitecheck) -> int:
         value = finitecheck.exact_base_size(action, seed=args.seed)
         out = {"base_size": value, "points": len(action.points), "group_order": action.order}
     else:
+        length, points = args.tuple_length, len(action.points)
+        if not 0 <= length <= points:
+            raise formulas.SpecValidationError(f"--tuple-length {length} is not in 0..{points}, the point count")
+        if args.action == "torus-normalizer" and 2 * length > args.q + 1:
+            raise formulas.SpecValidationError(
+                f"{length} disjoint point pairs need {2 * length} of the {args.q + 1} points of the line")
         predicate = finitecheck.disjoint_pairs if args.action == "torus-normalizer" else None
         order = finitecheck.generic_tuple_stabilizer_order(
             action, args.tuple_length, seed=args.seed, general_position=predicate

@@ -642,19 +642,31 @@ def parabolic_table_rows() -> list[tuple[str, int, str]]:
 # ---------------------------------------------------------------------------
 # Torus normalizers
 
+def _simple_rank(spec: ActionSpec) -> int:
+    """Rank of the group of ``spec``, rejecting the classical ones that are
+    not simple (SO_2, SO_4) or not defined (Sp with odd n)."""
+    if spec.family in EXCEPTIONAL_FAMILIES:
+        return rootsys.group_rank(spec.family)
+    if spec.family == "Sp" and spec.n % 2:
+        raise SpecValidationError("Sp needs even n")
+    if spec.family == "SO" and spec.n in (2, 4):
+        raise SpecValidationError(f"SO_{spec.n} is not simple")
+    return spec.n - 1 if spec.family == "SL" else spec.n // 2
+
+
 def torus_normalizer_triple(spec: ActionSpec) -> BaseTriple:
     """Action on cosets of a maximal-torus normalizer: generically base 2,
-    except the rank-one group where a generic pair has stabilizer of
-    order 2."""
+    except the rank-one groups (SL_2 = Sp_2 and SO_3) where a generic pair
+    has stabilizer of order 2."""
     if not isinstance(spec.subgroup, TorusNormalizer):
         raise SpecValidationError("torus_normalizer_triple needs a TorusNormalizer subgroup")
-    if spec.family == "SL" and spec.n == 2:
+    if _simple_rank(spec) == 1:
         return _triple(2, 2, 3, "torus-normalizer:rank1 (generic pair stabilizer order 2)")
     return _point_triple(2, f"torus-normalizer:{spec.family}")
 
 
 # ---------------------------------------------------------------------------
-# Top-level dispatch and the b > 2 predicate
+# Top-level dispatch
 
 def base_triple(spec: ActionSpec) -> BaseTriple:
     """Dispatch on the subgroup descriptor."""
@@ -671,71 +683,19 @@ def base_triple(spec: ActionSpec) -> BaseTriple:
     return nonsubspace_triple(spec)
 
 
-class ExcludedCaseError(ValueError):
-    """The p = 2 variant of the b > 2 test excludes this pair."""
-
-
-def dimhalf_predicate(spec: ActionSpec, dim_G: int, dim_H: int) -> bool:
-    """True exactly when the exact base size exceeds 2 (p != 2): the
-    stabilizer is large (dim H > dim G / 2) or the pair is one of the four
-    small-stabilizer exceptions."""
-    if _IS_TWO[spec.char] is not False:
-        raise SpecValidationError(
-            "this test is stated for p != 2; use dimhalf_predicate_p2 for p = 2"
-        )
-    return _dimhalf_clauses(spec, dim_G, dim_H, include_e6_a1a5=True)
-
-
-def dimhalf_predicate_p2(spec: ActionSpec, dim_G: int, dim_H: int) -> bool:
-    """The p = 2 variant: same clauses minus the E6 case, undefined on the
-    four excluded pairs (raises ExcludedCaseError there)."""
-    if isinstance(spec.subgroup, NonSubspace):
-        label = rootsys.normalize_label(spec.subgroup.label)
-        if spec.family == "SO" and spec.n % 4 == 0 and _wreath_of(spec, label) == ("O", 2):
-            raise ExcludedCaseError("SO_n with the half-dimension pair stabilizer, n/2 even")
-        if (spec.family, label) in (("E7", "A7"), ("E6", "A1A5"), ("G2", "A1~A1")):
-            raise ExcludedCaseError(f"({spec.family}, {label}) is excluded for p = 2")
-    return _dimhalf_clauses(spec, dim_G, dim_H, include_e6_a1a5=False)
-
-
-def _wreath_of(spec: ActionSpec, label: str) -> tuple[str, int] | None:
-    """(base, t) of a classical label, None for other labels."""
-    parsed = _classical_label(label, spec.n) if spec.family in CLASSICAL_FAMILIES else None
-    return parsed and (parsed[0], parsed[2])
-
-
-def _dimhalf_clauses(spec: ActionSpec, dim_G: int, dim_H: int, include_e6_a1a5: bool) -> bool:
-    if 2 * dim_H > dim_G:
-        return True
-    if spec.family == "SO" and isinstance(spec.subgroup, Subspace) and spec.subgroup.flavor == "nondeg":
-        d = spec.subgroup.d
-        ell = spec.n - 2 * d
-        if 2 <= ell <= d and ell * ell <= spec.n:
-            return True
-    if isinstance(spec.subgroup, NonSubspace):
-        label = rootsys.normalize_label(spec.subgroup.label)
-        if spec.family == "SL" and spec.n >= 4 and _wreath_of(spec, label) == ("GL", 2):
-            return True
-        if spec.family == "Sp" and spec.n == 6 and _wreath_of(spec, label) == ("Sp", 3):
-            return True
-        if include_e6_a1a5 and (spec.family, label) == ("E6", "A1A5"):
-            return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # Dimension helpers (for consistency cross-checks against the lower bound)
 
 def spec_dims(spec: ActionSpec) -> tuple[int, int] | None:
     """(dim G, dim Omega) where computable; None when the label is not
     modelled.  Used to cross-check the orbit-dimension lower bound."""
+    dim_g = rootsys.group_dim(spec.family, spec.n)
+    if isinstance(spec.subgroup, TorusNormalizer):
+        return dim_g, dim_g - _simple_rank(spec)
     if spec.family in EXCEPTIONAL_FAMILIES:
-        dim_g = rootsys.group_dim(spec.family)
         if isinstance(spec.subgroup, Parabolic):
             rs = rootsys.build_root_system(*rootsys._group_type(spec.family))
             return dim_g, rootsys.parabolic_quotient_dim(rootsys.ParabolicDescriptor(rs, spec.subgroup.node))
-        if isinstance(spec.subgroup, TorusNormalizer):
-            return dim_g, dim_g - rootsys.group_rank(spec.family)
         if isinstance(spec.subgroup, NonSubspace):
             try:
                 dim_h = rootsys.subgroup_dim(spec.subgroup.label)
@@ -744,11 +704,7 @@ def spec_dims(spec: ActionSpec) -> tuple[int, int] | None:
             return dim_g, dim_g - dim_h
         return None
     n = spec.n
-    dim_g = rootsys.group_dim(spec.family, n)
     sub = spec.subgroup
-    if isinstance(sub, TorusNormalizer):
-        rank = n - 1 if spec.family == "SL" else n // 2
-        return dim_g, dim_g - rank
     if isinstance(sub, Subspace):
         d = sub.d
         if spec.family == "SL":

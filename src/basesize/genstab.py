@@ -50,6 +50,14 @@ eliminates only the remainder.  An estimate draws b0 parts per stream and
 eliminates each block after the head once, and the dimensions are
 non-increasing in c by construction.
 
+Sampling.  A totally singular part is the graph [x; S x] of a random
+symmetric (Sp) or antisymmetric (SO) m x m matrix S, m = floor(n/2), on a
+random m x d matrix x of rank d, and [x; (S - c c^T / 2) x; c^T x] with a
+random m-vector c for odd n (so p != 2).  The graphs are generic: they are
+all the totally singular d-spaces that project injectively onto the first
+m coordinates.  For SO_2d with d = m they lie in one family, where two
+generic members meet in dimension d mod 2, so pairs need rank 2d - d mod 2.
+
 Characteristic caveat: the dimension computed here is the Lie-algebra
 stabilizer dimension, which matches the group stabilizer dimension at
 generic points when the stabilizer scheme is smooth; the default primes
@@ -165,28 +173,6 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
-def _random_lie_element(rng, family: str, n: int, j: np.ndarray, p: int) -> np.ndarray:
-    """Uniform element of sp/so: J^-1 S = J^T S (the standard forms are signed
-    permutations) with S symmetric (alternating J) or antisymmetric (symmetric J)."""
-    a = rng.integers(0, p, size=(n, n), dtype=np.int64)
-    s = (a + a.T) % p if family == "Sp" else (a - a.T) % p
-    return linalg.matmul_mod(j.T, s, p)
-
-
-def _random_isometry(rng, family: str, n: int, j: np.ndarray, p: int) -> np.ndarray:
-    """Cayley transform (I - X)(I + X)^-1 of a random Lie-algebra element;
-    preserves the form exactly in modular arithmetic."""
-    eye = np.eye(n, dtype=np.int64)
-    for _ in range(RESAMPLE_BUDGET):
-        x = _random_lie_element(rng, family, n, j, p)
-        try:
-            inv = linalg.inv_mod((eye + x) % p, p)
-        except linalg.SingularMatrixError:
-            continue
-        return linalg.matmul_mod((eye - x) % p, inv, p)
-    raise SamplingError("could not sample an isometry (I + X kept degenerating)")
-
-
 def _validate(family: str, n: int, d: int, flavor: str) -> None:
     if family == "SL" and flavor != "linear":
         raise ConfigError("SL parts carry no form")
@@ -207,8 +193,9 @@ def _part_stream(family: str, n: int, d: int, flavor: str, seed: int, p: int):
     against the standard form.  Yields (part, rejections before it).  The
     RNG key holds no part count, so c parts are a prefix of c + 1."""
     _validate(family, n, d, flavor)
+    if flavor == "totally_singular" and n % 2 and p == 2:
+        raise ConfigError("totally singular parts of odd n need 1/2, so p != 2")
     j = standard_form(family, n)
-    # two generic totally singular d-spaces of SO_2d in one family meet in dimension d mod 2
     joint_rank = 2 * d - (d % 2 if (family, flavor, n) == ("SO", "totally_singular", 2 * d) else 0)
     rng = _rng(seed, 0xC0FF)
     resamples = 0
@@ -220,15 +207,18 @@ def _part_stream(family: str, n: int, d: int, flavor: str, seed: int, p: int):
     # for nondegenerate parts a nonzero Gram determinant already implies
     # full column rank, so no rank is taken
     def try_one() -> np.ndarray | None:
-        if flavor == "totally_singular":
+        if flavor == "totally_singular":  # the graph of the module docstring
             m = n // 2
-            coeff = rng.integers(0, p, size=(m, d), dtype=np.int64)
-            if linalg.rank_mod(coeff, p) < d:
+            x = rng.integers(0, p, size=(m, d), dtype=np.int64)
+            if linalg.rank_mod(x, p) < d:
                 return None
-            frame = np.zeros((n, d), dtype=np.int64)
-            frame[:m] = coeff
-            g = _random_isometry(rng, family, n, j, p)
-            return linalg.matmul_mod(g, frame, p)
+            a = rng.integers(0, p, size=(m, m), dtype=np.int64)
+            s = np.triu(a) + np.triu(a, 1).T if family == "Sp" else (a - a.T) % p  # a + a^T: 0 diagonal at p = 2
+            if n % 2 == 0:
+                return np.concatenate([x, linalg.matmul_mod(s, x, p)])
+            c = rng.integers(0, p, size=(m, 1), dtype=np.int64)
+            s = (s - linalg.matmul_mod(c, c.T, p) * ((p + 1) // 2)) % p  # (p + 1) / 2 = 1/2 mod p
+            return np.concatenate([x, linalg.matmul_mod(s, x, p), linalg.matmul_mod(c.T, x, p)])
         b = rng.integers(0, p, size=(n, d), dtype=np.int64)
         if flavor == "nondeg":
             return b if linalg.det_mod(gram(b), p) else None
@@ -584,6 +574,8 @@ def module_stabilizer_dim(
     """
     if kind not in MODULE_KINDS:
         raise ConfigError(f"unsupported module kind {kind!r}")
+    if n < 2 or c < 1:
+        raise ConfigError(f"module actions need n >= 2 and c >= 1, got n={n}, c={c}")
     rng = _rng(seed, 0x30D, c)
     if kind == "sym2":
         blocks = [np.eye(n, dtype=np.int64).reshape(1, n * n)]  # trace X = 0

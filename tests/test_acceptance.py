@@ -9,10 +9,11 @@ import time
 import numpy as np
 import pytest
 
-from basesize import bounds, finitecheck as fc, formulas as fm, genstab, linalg
+from basesize import bounds, finitecheck as fc, formulas as fm, genstab, linalg, rootsys
 from basesize.classdata import load_shipped
 from basesize.cli import emit_table
 from basesize.formulas import ActionSpec, NonSubspace, Parabolic, Subspace, TorusNormalizer
+from dimhalf import ExcludedCaseError, dimhalf_predicate, dimhalf_predicate_p2
 
 EXPECTED_PARAB = """group,node,dim
 E8,1,78
@@ -427,13 +428,16 @@ def _outcome(call):
 
 
 #: SHA-256 over the grid below, computed before the rule tables replaced
-#: the dispatch functions of ``formulas``
-GRID_DIGEST = "41b86441387e2fe2e0ef00c5b82271f558bd71467a5bf756d351418e62668014"
+#: the dispatch functions of ``formulas``; re-pinned when the torus
+#: normalizers of Sp_2 and SO_3 became rank one (2, 2, 3) and those of Sp
+#: with odd n, SO_2 and SO_4 became rejections (66 entries)
+GRID_DIGEST = "f983f60c56e78a3fa005c9ac1b614286935a2e1dc939d959103e1383ee096810"
 
 
 def test_formula_grid_is_pinned():
     # each entry: the spec, its triple, spec_dims and both b > 2
-    # predicates, or the class of the error each of them raises
+    # predicates of tests/dimhalf.py, or the class of the error each of
+    # them raises
     digest = hashlib.sha256()
     count = 0
     for family, subgroup, n, char in _grid_specs():
@@ -444,9 +448,39 @@ def test_formula_grid_is_pinned():
         else:
             entry = [repr(spec), _outcome(lambda: fm.base_triple(spec)), _outcome(lambda: fm.spec_dims(spec))]
             for dim_g, dim_h in _GRID_DIM_PAIRS:
-                entry.append(_outcome(lambda: fm.dimhalf_predicate(spec, dim_g, dim_h)))
-                entry.append(_outcome(lambda: fm.dimhalf_predicate_p2(spec, dim_g, dim_h)))
+                entry.append(_outcome(lambda: dimhalf_predicate(spec, dim_g, dim_h)))
+                entry.append(_outcome(lambda: dimhalf_predicate_p2(spec, dim_g, dim_h)))
         digest.update(json.dumps(entry, sort_keys=True).encode())
         count += 1
     assert count == 24810
     assert digest.hexdigest() == GRID_DIGEST, digest.hexdigest()
+
+
+def test_b_above_two_matches_the_dimension_theorem():
+    # the triple's exact base size exceeds 2 exactly when the theorem's
+    # clauses hold, on every grid spec with a triple, known dimensions and a
+    # characteristic case that settles p = 2 or p != 2; the p = 2 clauses
+    # leave a few pairs out
+    checked, excluded, wrong = 0, 0, []
+    for family, subgroup, n, char in _grid_specs():
+        two = fm._IS_TWO[char]
+        if two is None:
+            continue
+        try:
+            spec = ActionSpec(family, subgroup, n=n, char=char)
+            dims, b = fm.spec_dims(spec), fm.base_triple(spec).b
+        except (fm.SpecValidationError, fm.UnsupportedLabelError, rootsys.InvalidTypeError):
+            continue
+        if dims is None:
+            continue
+        predicate = dimhalf_predicate_p2 if two else dimhalf_predicate
+        try:
+            clauses = predicate(spec, dims[0], dims[0] - dims[1])
+        except ExcludedCaseError:
+            excluded += 1
+            continue
+        checked += 1
+        if (b.lo > 2) != clauses:
+            wrong.append(repr(spec))
+    assert wrong == []
+    assert (checked, excluded) == (2344, 9)

@@ -335,6 +335,41 @@ def test_finite_rejects_a_q_that_is_not_prime(capsys, argv):
     assert err.startswith("error: --q ") and err.count("\n") == 1
 
 
+_PAIRS_ORDER = ["finite", "--family", "PGL", "--n", "2", "--action", "torus-normalizer", "--mode", "order"]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # q = 3: the 4 points of the line hold no 3 disjoint pairs
+        (_PAIRS_ORDER + ["--q", "3", "--tuple-length", "3"], "3 disjoint point pairs need 6"),
+        (_PAIRS_ORDER + ["--q", "7", "--tuple-length", "9"], "9 disjoint point pairs need 18"),
+        (_PAIRS_ORDER + ["--q", "7", "--tuple-length", "-1"], "--tuple-length -1 is not in 0..28"),
+        (["finite", "--family", "PGL", "--n", "2", "--q", "7", "--action", "projective-line", "--mode", "order",
+          "--tuple-length", "9"], "--tuple-length 9 is not in 0..8"),
+        (["bounds", "--dataset", "e6_f4", "--mode", "b0", "--char", "4"], "--char 4 is not a prime"),
+        (["bounds", "--dataset", "e6_f4", "--mode", "b0", "--char", "-3"], "--char -3 is not a prime"),
+        (["verify", "--spec", '{"module":"so_tensor","n":3}', "--c", "0"], "n >= 2 and c >= 1"),
+        (["verify", "--spec", '{"module":"sym2","n":3}', "--c", "-2"], "n >= 2 and c >= 1"),
+        (["verify", "--spec", '{"module":"sym2","n":0}', "--c", "1"], "n >= 2 and c >= 1"),
+        (["verify", "--spec", '{"module":"sym2","n":1}', "--c", "1"], "n >= 2 and c >= 1"),
+        # odd-dimensional totally singular parts are drawn with 1/2
+        (["verify", "--spec", '{"family":"SO","n":7,"subgroup":{"subspace":{"d":2,"flavor":"totally_singular"}}}',
+          "--c", "2", "--prime", "2"], "p != 2"),
+        (["formula", "--spec", '{"family":"Sp","n":3,"subgroup":"torus_normalizer"}'], "Sp needs even n"),
+        (["formula", "--spec", '{"family":"SO","n":2,"subgroup":"torus_normalizer"}'], "SO_2 is not simple"),
+    ],
+    ids=["pairs-q3-len3", "pairs-q7-len9", "pairs-q7-len-1", "line-q7-len9", "bounds-char4", "bounds-char-3",
+         "so-tensor-c0", "sym2-c-2", "sym2-n0", "sym2-n1", "so7-ts-p2", "sp3-torus", "so2-torus"],
+)
+def test_bad_input_exits_2_with_one_error_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_verify_diagnostics_sit_outside_the_stable_outputs(capsys):
     # outputs and config_hash as they were before the adapted basis
     spec = '{"family":"Sp","n":8,"char":"odd","subgroup":{"subspace":{"d":2,"flavor":"totally_singular"}}}'
@@ -466,6 +501,7 @@ def test_formula_bounds_and_emit_do_not_import_numpy():
     calls = [
         ["formula", "--spec", '{"family":"SL","n":4,"subgroup":{"subspace":{"d":2}}}'],
         ["bounds", "--dataset", "g2_na2"],
+        ["bounds", "--dataset", "e6_f4", "--mode", "b0", "--char", "3"],
         ["emit", "table:c"],
     ]
     script = (

@@ -10,8 +10,6 @@ from basesize.formulas import (
     TorusNormalizer,
     UnsupportedLabelError,
     base_triple,
-    dimhalf_predicate,
-    dimhalf_predicate_p2,
     nonsubspace_triple,
     parabolic_triple,
     spec_from_json,
@@ -335,9 +333,15 @@ def test_parabolic_rejects_classical():
 # -- torus normalizers -------------------------------------------------------
 
 def test_torus_normalizer():
-    t = torus_normalizer_triple(ActionSpec("SL", TorusNormalizer(), n=2))
-    assert t.as_tuple() == (2, 2, 3)
-    for fam, n in (("SL", 5), ("Sp", 6), ("E8", None)):
+    # the rank-one groups SL_2 = Sp_2 and SO_3 = PGL_2: a generic pair has
+    # a stabilizer of order 2
+    for fam, n in (("SL", 2), ("Sp", 2), ("SO", 3)):
+        spec = ActionSpec(fam, TorusNormalizer(), n=n)
+        t = torus_normalizer_triple(spec)
+        assert t.as_tuple() == (2, 2, 3)
+        assert t.case_tag == "torus-normalizer:rank1 (generic pair stabilizer order 2)"
+        assert fm.spec_dims(spec) == (3, 2)
+    for fam, n in (("SL", 5), ("Sp", 6), ("SO", 5), ("SO", 6), ("E8", None)):
         t = torus_normalizer_triple(ActionSpec(fam, TorusNormalizer(), n=n))
         assert t.as_tuple() == (2, 2, 2)
     # the torus normalizer label of an exceptional group routes the same way
@@ -345,37 +349,14 @@ def test_torus_normalizer():
     assert t.as_tuple() == (2, 2, 2)
 
 
-# -- the b > 2 test -----------------------------------------------------------
-
-def _dims(spec):
-    dg, do = fm.spec_dims(spec)
-    return dg, dg - do
-
-
-def test_dimhalf_clauses():
-    e6 = ActionSpec("E6", NonSubspace("A1A5"), char="odd")
-    assert dimhalf_predicate(e6, 78, 38) is True
-    sp6 = ActionSpec("Sp", NonSubspace("Sp_{n/3} wr S3"), n=6, char="odd")
-    assert dimhalf_predicate(sp6, 21, 9) is True
-    sl = ActionSpec("SL", NonSubspace("GL_{n/2} wr S2"), n=6, char="odd")
-    assert dimhalf_predicate(sl, 35, 17) is True
-    so = ActionSpec("SO", Subspace(3, "nondeg"), n=8, char="odd")
-    assert dimhalf_predicate(so, 28, 9) is True  # n = 2d + 2, l = 2, l^2 <= n
-    big = ActionSpec("E6", NonSubspace("F4"), char="odd")
-    assert dimhalf_predicate(big, 78, 52) is True  # dim H > dim G / 2
-    small = ActionSpec("E8", NonSubspace("G2F4"), char="odd")
-    assert dimhalf_predicate(small, 248, 66) is False
-
-
-def test_dimhalf_p2_routes_and_exclusions():
+@pytest.mark.parametrize("fam,n", [("Sp", 3), ("Sp", 7), ("SO", 2), ("SO", 4)])
+def test_torus_normalizer_of_a_group_that_is_not_simple_is_rejected(fam, n):
+    # Sp needs even n; SO_2 is a torus and SO_4 is not simple
+    spec = ActionSpec(fam, TorusNormalizer(), n=n)
     with pytest.raises(SpecValidationError):
-        dimhalf_predicate(ActionSpec("E6", NonSubspace("A1A5"), char="2"), 78, 38)
-    with pytest.raises(fm.ExcludedCaseError):
-        dimhalf_predicate_p2(ActionSpec("E6", NonSubspace("A1A5"), char="2"), 78, 38)
-    with pytest.raises(fm.ExcludedCaseError):
-        dimhalf_predicate_p2(ActionSpec("SO", NonSubspace("O_{n/2} wr S2"), n=12, char="2"), 66, 30)
-    ok = ActionSpec("Sp", NonSubspace("Sp_{n/3} wr S3"), n=6, char="2")
-    assert dimhalf_predicate_p2(ok, 21, 9) is True
+        torus_normalizer_triple(spec)
+    with pytest.raises(SpecValidationError):
+        fm.spec_dims(spec)
 
 
 # -- dispatch and JSON --------------------------------------------------------

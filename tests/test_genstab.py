@@ -50,6 +50,44 @@ def test_nondeg_gram_invertible():
         assert linalg.det_mod(gram, cfg.p) != 0
 
 
+def _totally_singular_cases():
+    cases = [("Sp", n, d) for n in range(4, 13, 2) for d in range(1, n // 2 + 1)]
+    return cases + [("SO", n, d) for n in range(7, 13) for d in range(1, n // 2 + 1)]
+
+
+@pytest.mark.parametrize("family,n,d", _totally_singular_cases())
+def test_totally_singular_parts_are_drawn_without_an_inverse(monkeypatch, family, n, d):
+    def no_inverse(*args):
+        raise AssertionError("a totally singular part was drawn through a matrix inverse")
+
+    monkeypatch.setattr(linalg, "inv_mod", no_inverse)
+    # two maximal totally singular spaces of one SO_2d family meet in d mod 2
+    joint_rank = 2 * d - (d % 2 if (family, n) == ("SO", 2 * d) else 0)
+    for p in PRIMES:
+        cfg = sample_configuration(family, n, d, "totally_singular", 3, seed=10 * n + d, p=p)
+        for i, b in enumerate(cfg.parts):
+            assert not linalg.matmul_mod(linalg.matmul_mod(b.T, cfg.form, p), b, p).any()
+            assert linalg.rank_mod(b, p) == d
+            if 2 * d <= n:
+                for other in cfg.parts[:i]:
+                    assert linalg.rank_mod(np.concatenate([other, b], axis=1), p) == joint_rank
+
+
+def test_totally_singular_parts_at_p2():
+    # odd n needs 1/2, which F_2 lacks; even n needs no division
+    with pytest.raises(ConfigError, match="p != 2"):
+        sample_configuration("SO", 7, 2, "totally_singular", 1, seed=0, p=2)
+    cfg = sample_configuration("Sp", 6, 2, "totally_singular", 3, seed=0, p=2)
+    assert len(cfg.parts) == 3
+    for b in cfg.parts:
+        assert not linalg.matmul_mod(linalg.matmul_mod(b.T, cfg.form, 2), b, 2).any()
+    # every vector of F_2^4 with (x1, x2) != 0 is the graph of a symmetric S;
+    # an alternating S would reach only 6 of these 12
+    lines = {tuple(sample_configuration("Sp", 4, 1, "totally_singular", 1, seed=s, p=2).parts[0].ravel())
+             for s in range(200)}
+    assert len(lines) == 12
+
+
 def test_sampler_validates_inputs():
     with pytest.raises(ConfigError):
         sample_configuration("Sp", 6, 3, "nondeg", 2, seed=0)  # odd d
@@ -416,6 +454,9 @@ def test_so_tensor_coordinates_match_the_gl_system_with_form_rows(n, c):
 def test_module_kind_validated():
     with pytest.raises(ConfigError):
         module_stabilizer_dim("nope", 3, 1, seed=0)
+    for kind, n, c in (("sym2", 1, 1), ("sym2", 0, 1), ("sym2", 3, 0), ("so_tensor", 3, -1)):
+        with pytest.raises(ConfigError, match="n >= 2 and c >= 1"):
+            module_stabilizer_dim(kind, n, c, seed=0)
 
 
 # -- rational field -----------------------------------------------------------
