@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -337,6 +339,26 @@ def _all_flavor_cases(n_max):
 
 
 _ADAPTED_CASES = _all_flavor_cases(12)
+
+#: SHA-256 of the ``stabilizer_report`` grid below, pinned while verify
+#: solved the stacked system of all c parts at once
+REPORT_DIGEST = "d8c2c03e5b7ce2431179e1f71a3aa92936ad5cc2d2a0f4f501ebaf3d910293c0"
+
+
+def test_stabilizer_reports_are_pinned():
+    # each record: the case, c, and the report's dimensions, resamples and
+    # stability; the size of the first solve is a diagnostic and stays out
+    digest = hashlib.sha256()
+    count = 0
+    for (family, flavor, n), ds in sorted(_all_flavor_cases(10).items()):
+        for d in ds:
+            for c in range(1, 5):
+                rep = stabilizer_report(family, n, d, flavor, c, seed=0, trials=2, primes=PRIMES)
+                record = [family, flavor, n, d, c, rep.dims_by_prime, rep.resamples, rep.stable, rep.projective_dim]
+                digest.update(json.dumps(record).encode())
+                count += 1
+    assert count == 548
+    assert digest.hexdigest() == REPORT_DIGEST, digest.hexdigest()
 
 
 @pytest.mark.parametrize("family,flavor,n", sorted(_ADAPTED_CASES))
