@@ -6,13 +6,14 @@
     finite   --family PGL|SL|Sp --n N --q Q --action <name> --mode base|order [--bound N]
     emit     table:parab|table:ep|table:c|table:e [--format csv|json]
 
-Machine output is JSON on stdout (CSV for tables); errors go to stderr,
-and ``verify`` records carry the size of their first solve under
-``diagnostics``, outside ``outputs``.  Exit codes: 0 success, 2
-specification/validation error (including malformed spec JSON and
-malformed datasets, a ``--prime``, ``--q`` or nonzero ``--char`` that is
-not a prime below 2^31, ``--trials``, ``--bound`` or a module's ``--c``
-below 1, a module ``n`` below 2, and a ``--tuple-length`` that no tuple of
+Machine output is JSON on stdout (CSV for tables); errors go to stderr;
+``verify`` records carry the size of their first solve (no rows when all
+parts head the basis) under ``diagnostics``, outside ``outputs``.  Exit
+codes: 0 success, 2 specification/validation error (including malformed
+spec JSON and datasets, a ``--prime``, ``--q`` or nonzero ``--char`` that
+is not a prime below 2^31, ``--trials``, ``--bound`` or a module's ``--c``
+below 1, a module ``n`` below 2, a ``--c`` above the transversal subspaces
+that fit over ``--prime``, and a ``--tuple-length`` that no tuple of
 points, or of disjoint point pairs, can have), a verifier sampling failure
 or a finite group that outgrows ``--bound``, 3 inconclusive bound, and 1
 when stdout closes before the output is written.  Every run echoes its

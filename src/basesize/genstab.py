@@ -40,15 +40,15 @@ generic or not.
 Part streams.  Each (prime, trial) pair draws its parts from one stream
 whose RNG key holds no part count, so the configuration of c parts is a
 prefix of the one of c + 1 (``sample_configuration`` returns that prefix).
-``stabilizer_report`` solves the stacked system of c parts at once, its
-head taken among the first c - 1 parts, so at least one part is always
-eliminated.  ``estimate_b0`` solves each stream's first part on its own;
-while every part drawn is a head part the dimension is the free column
-count, and from the first later part on it keeps the reduced echelon form
-of the adapted rows, reduces every new part's rows against it and
-eliminates only the remainder.  An estimate draws b0 parts per stream and
-eliminates each block after the head once, and the dimensions are
-non-increasing in c by construction.
+One solver, ``_dims``, gives the dimension after each part from a given
+c on.  While every part is a head part it is the free column count and
+nothing is eliminated (a lone totally singular part is solved alone).  At
+the first part past the head the stacked rows after the head are
+eliminated; from the next c on their reduced echelon form is kept, and
+each new part's rows are reduced against it.  ``stabilizer_report`` takes
+its first value on a configuration's c parts, ``estimate_b0`` runs it on
+each stream: an estimate draws b0 parts per stream, eliminates each part
+after the head once, and its dimensions cannot increase with c.
 
 Sampling.  A totally singular part is the graph [x; S x] of a random
 symmetric (Sp) or antisymmetric (SO) m x m matrix S, m = floor(n/2), on a
@@ -187,16 +187,19 @@ def _validate(family: str, n: int, d: int, flavor: str) -> None:
 
 
 def _part_stream(family: str, n: int, d: int, flavor: str, seed: int, p: int):
-    """Endless stream of parts of the requested flavor, each drawn with the
-    open conditions enforced against the parts before it: full column rank,
+    """Stream of parts of the requested flavor, each drawn with the open
+    conditions enforced against the parts before it: full column rank,
     pairwise transversality where dimensions allow, exact (non)degeneracy
-    against the standard form.  Yields (part, rejections before it).  The
-    RNG key holds no part count, so c parts are a prefix of c + 1."""
+    against the standard form.  Yields (part, rejections before it), and
+    raises ``ConfigError`` for a transversal part beyond the number that
+    fit.  The RNG key holds no part count, so c parts are a prefix of c + 1."""
     _validate(family, n, d, flavor)
     if flavor == "totally_singular" and n % 2 and p == 2:
         raise ConfigError("totally singular parts of odd n need 1/2, so p != 2")
     j = standard_form(family, n)
     joint_rank = 2 * d - (d % 2 if (family, flavor, n) == ("SO", "totally_singular", 2 * d) else 0)
+    # transversal d-spaces share no nonzero vector: (p^n - 1) / (p^d - 1) fit
+    most = (p**n - 1) // (p**d - 1) if 2 * d <= n and joint_rank == 2 * d else None
     rng = _rng(seed, 0xC0FF)
     resamples = 0
     parts: list[np.ndarray] = []
@@ -238,6 +241,8 @@ def _part_stream(family: str, n: int, d: int, flavor: str, seed: int, p: int):
         return True
 
     while True:
+        if len(parts) == most:
+            raise ConfigError(f"F_{p}^{n} holds at most (p^n - 1)/(p^d - 1) = {most} transversal {d}-spaces")
         for rejects in range(RESAMPLE_BUDGET):
             b = try_one()
             if b is not None and compatible(b):
@@ -370,7 +375,6 @@ class _Adapted:
 
     family: str
     p: int
-    head: int
     inv: np.ndarray | None  # B^-1; None for the empty head, B = I
     form: np.ndarray | None  # F, or J for the empty head; None for SL
     free: np.ndarray
@@ -388,7 +392,7 @@ def _adapted(parts, head: int, family: str, flavor: str, form, p: int) -> _Adapt
     n, d = parts[0].shape
     free = _free_columns(family, flavor, n, d, head)
     if not head:
-        return _Adapted(family, p, 0, None, form, free)
+        return _Adapted(family, p, None, form, free)
     h = np.concatenate(parts[:head], axis=1)
     if family == "SL":
         # the coordinate vectors off the pivots of h^T complete h to a basis
@@ -398,55 +402,49 @@ def _adapted(parts, head: int, family: str, flavor: str, form, p: int) -> _Adapt
     inv = linalg.inv_mod(np.concatenate([h, rest], axis=1), p)
     if form is not None:
         form = linalg.matmul_mod(linalg.matmul_mod(inv, form, p), inv.T, p)
-    return _Adapted(family, p, head, inv, form, free)
+    return _Adapted(family, p, inv, form, free)
 
 
-def _stacked_system(config: Configuration) -> tuple[_Adapted, np.ndarray]:
-    """The adapted system of a configuration, its head taken among all parts
-    but the last, and the stacked rows of the parts after the head."""
-    parts, family, flavor, form, p = config.parts, config.family, config.flavor, config.form, config.p
-    adapted = _adapted(parts, _head_size(parts[:-1], family, flavor, form, p), family, flavor, form, p)
-    return adapted, np.concatenate([adapted.rows(b) for b in parts[adapted.head :]], axis=0)
+def _dims(parts, family: str, flavor: str, form, p: int, start: int = 1):
+    """Stabilizer algebra dimension after each of ``parts`` (any iterable),
+    c = start, start + 1, ..., as the module docstring's "Part streams"
+    describes."""
+    parts = iter(parts)
+    drawn = [next(parts) for _ in range(start)]
+    while True:
+        head = _head_size(drawn, family, flavor, form, p)
+        if head == len(drawn):
+            yield len(_free_columns(family, flavor, *drawn[0].shape, head))
+        elif len(drawn) == 1 and flavor == "totally_singular":  # a head needs two of them
+            yield linalg.nullspace_dim_mod(_part_rows(drawn[0], family, form, p), p)
+        else:
+            break
+        drawn.append(next(parts))
+    adapted = _adapted(drawn, head, family, flavor, form, p)
+    block = np.concatenate([adapted.rows(b) for b in drawn[head:]], axis=0)
+    yield linalg.nullspace_dim_mod(block, p)
+    echelon = linalg.EchelonMod(len(adapted.free), p)
+    echelon.add(block)
+    for b in parts:
+        echelon.add(adapted.rows(b))
+        yield echelon.nullity
 
 
 def stabilizer_algebra_dim_once(config: Configuration) -> int:
     """Exact nullspace dimension of the stabilizer system for one sampled
     configuration, in gl for SL and in Lie coordinates for Sp/SO: the free
     columns of the adapted basis minus the rank of the later parts' rows."""
-    return linalg.nullspace_dim_mod(_stacked_system(config)[1], config.p)
+    return next(_dims(config.parts, config.family, config.flavor, config.form, config.p, start=len(config.parts)))
 
 
 def _system_shape(config: Configuration, dim: int) -> SystemShape:
     """The shape of ``stabilizer_algebra_dim_once(config)``, whose answer is
     ``dim``, counted without assembling it: every part after the head gives
     (n - d) d rows."""
-    head = _head_size(config.parts[:-1], config.family, config.flavor, config.form, config.p)
+    head = _head_size(config.parts, config.family, config.flavor, config.form, config.p)
     columns = len(_free_columns(config.family, config.flavor, config.n, config.d, head))
     rows = (len(config.parts) - head) * (config.n - config.d) * config.d
     return SystemShape(_unknowns(config.family, config.n), head, columns, rows, columns - dim)
-
-
-def _stream_dims(family: str, n: int, d: int, flavor: str, seed: int, p: int):
-    """Stabilizer algebra dimension after each part of one part stream,
-    c = 1, 2, ..., as the module docstring's "Part streams" describes."""
-    form = standard_form(family, n)
-    stream = (b for b, _ in _part_stream(family, n, d, flavor, seed, p))
-    parts = [next(stream)]
-    yield linalg.nullspace_dim_mod(_part_rows(parts[0], family, form, p), p)
-    while True:
-        parts.append(next(stream))
-        head = _head_size(parts, family, flavor, form, p)
-        if head < len(parts):
-            break
-        yield len(_free_columns(family, flavor, n, d, head))
-    adapted = _adapted(parts, head, family, flavor, form, p)
-    echelon = linalg.EchelonMod(len(adapted.free), p)
-    for b in parts[head:]:
-        echelon.add(adapted.rows(b))
-    yield echelon.nullity
-    for b in stream:
-        echelon.add(adapted.rows(b))
-        yield echelon.nullity
 
 
 def _scalar_correction(family: str) -> int:
@@ -454,18 +452,18 @@ def _scalar_correction(family: str) -> int:
     return 1 if family == "SL" else 0
 
 
-def _check_runs(trials: int, primes: tuple[int, ...]) -> None:
-    # the minimum over trials and primes needs at least one of each
+def _runs(seed: int, trials: int, primes: tuple[int, ...]) -> list[tuple[int, int]]:
+    """(prime, part stream seed) of every (prime, trial) pair, prime by
+    prime; the minimum over them needs at least one of each."""
     if trials < 1:
         raise ConfigError("need trials >= 1")
     if not primes:
         raise ConfigError("need at least one prime")
-
-
-def _trial_seed(seed: int, prime_index: int, trial: int) -> int:
-    """Seed of the part stream of one (prime, trial) pair."""
-    ss = np.random.SeedSequence(seed, spawn_key=(prime_index, trial))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+    return [
+        (p, int(np.random.SeedSequence(seed, spawn_key=(pi, t)).generate_state(1, dtype=np.uint64)[0]))
+        for pi, p in enumerate(primes)
+        for t in range(trials)
+    ]
 
 
 def stabilizer_report(
@@ -479,28 +477,22 @@ def stabilizer_report(
     primes: tuple[int, ...] = PRIMES,
 ) -> StabilizerReport:
     """Min-over-trials stabilizer dimension at each prime, cross-checked."""
-    _check_runs(trials, primes)
-    dims_by_prime = []
-    resamples = 0
-    for pi, p in enumerate(primes):
-        dims = []
-        for t in range(trials):
-            config = sample_configuration(family, n, d, flavor, c, seed=_trial_seed(seed, pi, t), p=p)
-            resamples += config.resamples
-            dims.append(stabilizer_algebra_dim_once(config))
-            if pi == t == 0:
-                first_system = _system_shape(config, dims[0])
-        dims_by_prime.append(tuple(dims))
-    all_dims = [x for row in dims_by_prime for x in row]
-    algebra_dim = min(all_dims)
+    dims, resamples = [], 0
+    for p, s in _runs(seed, trials, primes):
+        config = sample_configuration(family, n, d, flavor, c, seed=s, p=p)
+        resamples += config.resamples
+        dims.append(stabilizer_algebra_dim_once(config))
+        if len(dims) == 1:
+            first_system = _system_shape(config, dims[0])
+    algebra_dim = min(dims)
     return StabilizerReport(
         algebra="gl" if family == "SL" else ("sp" if family == "Sp" else "so"),
         algebra_dim=algebra_dim,
         projective_dim=algebra_dim - _scalar_correction(family),
         trials=trials,
-        stable=len(set(all_dims)) == 1,
+        stable=len(set(dims)) == 1,
         primes=tuple(primes),
-        dims_by_prime=tuple(dims_by_prime),
+        dims_by_prime=tuple(tuple(dims[i : i + trials]) for i in range(0, len(dims), trials)),
         resamples=resamples,
         seed=seed,
         first_system=first_system,
@@ -524,13 +516,12 @@ def estimate_b0(
     the rows of each part after the head once."""
     if c_max < 1:
         raise ConfigError("need c_max >= 1")
-    _check_runs(trials, primes)
-    corr = _scalar_correction(family)
+    form = standard_form(family, n)
     streams = [
-        _stream_dims(family, n, d, flavor, _trial_seed(seed, pi, t), p)
-        for pi, p in enumerate(primes)
-        for t in range(trials)
+        _dims((b for b, _ in _part_stream(family, n, d, flavor, s, p)), family, flavor, form, p)
+        for p, s in _runs(seed, trials, primes)
     ]
+    corr = _scalar_correction(family)
     proj_dims = []
     value = None
     for c in range(1, c_max + 1):

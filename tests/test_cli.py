@@ -356,11 +356,15 @@ _PAIRS_ORDER = ["finite", "--family", "PGL", "--n", "2", "--action", "torus-norm
         # odd-dimensional totally singular parts are drawn with 1/2
         (["verify", "--spec", '{"family":"SO","n":7,"subgroup":{"subspace":{"d":2,"flavor":"totally_singular"}}}',
           "--c", "2", "--prime", "2"], "p != 2"),
+        # the projective line over F_2 has 3 points
+        (["verify", "--spec", '{"family":"SL","n":2,"subgroup":{"subspace":{"d":1}}}', "--c", "4", "--prime", "2"],
+         "at most (p^n - 1)/(p^d - 1) = 3 transversal 1-spaces"),
         (["formula", "--spec", '{"family":"Sp","n":3,"subgroup":"torus_normalizer"}'], "Sp needs even n"),
         (["formula", "--spec", '{"family":"SO","n":2,"subgroup":"torus_normalizer"}'], "SO_2 is not simple"),
     ],
     ids=["pairs-q3-len3", "pairs-q7-len9", "pairs-q7-len-1", "line-q7-len9", "bounds-char4", "bounds-char-3",
-         "so-tensor-c0", "sym2-c-2", "sym2-n0", "sym2-n1", "so7-ts-p2", "sp3-torus", "so2-torus"],
+         "so-tensor-c0", "sym2-c-2", "sym2-n0", "sym2-n1", "so7-ts-p2", "sl2-four-points-p2", "sp3-torus",
+         "so2-torus"],
 )
 def test_bad_input_exits_2_with_one_error_line(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -385,6 +389,17 @@ def test_verify_diagnostics_sit_outside_the_stable_outputs(capsys):
     # sp_8 has 36 unknowns; two totally singular 2-spaces delete 11 columns
     # each, and the third part's 12 rows have rank 14 - 4
     assert rec["diagnostics"] == {"unknowns": 36, "head_parts": 2, "columns": 14, "rows": 12, "rank": 10}
+    # three transversal 2-spaces of F^6 all head the basis: nothing is eliminated
+    spec = '{"family":"SL","n":6,"subgroup":{"subspace":{"d":2}}}'
+    code, out, _ = run_cli(capsys, "verify", "--spec", spec, "--c", "3", "--trials", "1")
+    rec = json.loads(out)
+    assert rec["outputs"] == {
+        "algebra": "gl", "algebra_dim": 12, "dims_by_prime": [[12], [12]],
+        "primes": [2147483647, 2147483629], "projective_dim": 11, "resamples": 0, "seed": 0,
+        "stable": True, "trials": 1,
+    }
+    assert rec["config_hash"] == "edda63c9cfa1254a"
+    assert rec["diagnostics"] == {"unknowns": 36, "head_parts": 3, "columns": 12, "rows": 0, "rank": 0}
     code, out, _ = run_cli(capsys, "verify", "--spec", '{"module":"sym2","n":3}', "--c", "1", "--seed", "3")
     assert json.loads(out)["diagnostics"] == {"unknowns": 9, "head_parts": 0, "columns": 9, "rows": 10, "rank": 6}
 

@@ -187,6 +187,15 @@ def test_estimate_b0_not_found():
     assert est.render() == "not found <= 3"
 
 
+def test_more_transversal_parts_than_fit_are_a_config_error():
+    # the projective line over F_2 has 3 points, all of them needed
+    assert estimate_b0("SL", 2, 1, "linear", c_max=5, trials=1, primes=(2,)).value == 3
+    # 5 pairwise transversal 2-spaces of F_2^4 form a spread, whose lines
+    # are F_4-lines: F_4 scalars keep a stabilizer, and a sixth cannot exist
+    with pytest.raises(ConfigError, match=r"at most \(p\^n - 1\)/\(p\^d - 1\) = 5 transversal 2-spaces"):
+        estimate_b0("SL", 4, 2, "linear", c_max=7, trials=1, primes=(2,))
+
+
 def test_semicontinuity_in_c():
     est = estimate_b0("SL", 6, 2, "linear", c_max=6, trials=3, seed=8)
     dims = est.projective_dims
@@ -208,6 +217,12 @@ def test_duality_matches():
 
 
 # -- Lie-algebra coordinates and nested part streams ------------------------------
+
+def _stream_dims(family, n, d, flavor, seed, p):
+    """The solver over one part stream, from c = 1."""
+    parts = (b for b, _ in genstab._part_stream(family, n, d, flavor, seed, p))
+    return genstab._dims(parts, family, flavor, genstab.standard_form(family, n), p)
+
 
 def _gl_reference_dim(cfg):
     """Nullity of the system over all n^2 entries of X: the span rows of
@@ -249,7 +264,7 @@ def test_lie_coordinates_match_the_gl_system_with_form_rows(family, n, d, flavor
 )
 def test_configurations_nest_and_incremental_dims_match_the_stacked_solve(family, n, d, flavor):
     seed, p = 21, PRIMES[0]
-    dims = genstab._stream_dims(family, n, d, flavor, seed, p)
+    dims = _stream_dims(family, n, d, flavor, seed, p)
     prev = None
     for c in range(1, 6):
         cfg = sample_configuration(family, n, d, flavor, c, seed=seed, p=p)
@@ -271,9 +286,10 @@ _STREAM_COUNTS = {
 
 
 def test_estimate_b0_draws_value_parts_per_stream_and_eliminates_each_once(monkeypatch):
-    # every stream draws value parts and solves its first one alone (c = 1);
-    # its head parts become deleted columns and each later part is reduced
-    # by EchelonMod.add exactly once
+    # every stream draws value parts; its head parts become deleted columns,
+    # the first block past the head is eliminated on its own, and from the
+    # next c on every part after the head enters one EchelonMod once; at
+    # c = 1 only a lone totally singular part is eliminated
     part_stream, add, solve = genstab._part_stream, linalg.EchelonMod.add, linalg.nullspace_dim_mod
     drawn, added, solved = {}, {}, []
 
@@ -284,27 +300,30 @@ def test_estimate_b0_draws_value_parts_per_stream_and_eliminates_each_once(monke
 
     monkeypatch.setattr(genstab, "_part_stream", recording_stream)
     monkeypatch.setattr(
-        linalg.EchelonMod, "add", lambda self, rows: added.update({id(self): added.get(id(self), 0) + 1}) or add(self, rows)
+        linalg.EchelonMod, "add", lambda self, rows: added.update({id(self): added.get(id(self), 0) + len(rows)}) or add(self, rows)
     )
     monkeypatch.setattr(linalg, "nullspace_dim_mod", lambda rows, p: solved.append(rows) or solve(rows, p))
     for (family, n, d, flavor, trials, seed), (value, head) in _STREAM_COUNTS.items():
+        lone = int(flavor == "totally_singular")
+        solved.clear()
+        next(_stream_dims(family, n, d, flavor, seed, PRIMES[0]))
+        assert len(solved) == lone
         drawn.clear()
         added.clear()
         solved.clear()
         est = estimate_b0(family, n, d, flavor, c_max=n + 2, trials=trials, seed=seed)
         assert est.value == value
         streams = trials * len(PRIMES)
-        assert len(drawn) == streams and len(added) == streams and len(solved) == streams
-        assert sorted(added.values()) == [value - head] * streams
+        assert len(drawn) == streams and len(added) == streams and len(solved) == (1 + lone) * streams
+        # each part gives (n - d) d rows
+        assert sorted(added.values()) == [(value - head) * (n - d) * d] * streams
         # each stream's parts are the sampled configuration, with that head
         got = {s: list(parts) for s, parts in drawn.items()}
-        for pi, p in enumerate(PRIMES):
-            for t in range(trials):
-                s = genstab._trial_seed(seed, pi, t)
-                cfg = sample_configuration(family, n, d, flavor, value, seed=s, p=p)
-                assert len(got[s]) == value
-                assert all((a == b).all() for a, b in zip(got[s], cfg.parts))
-                assert genstab._head_size(cfg.parts, family, flavor, cfg.form, p) == head
+        for p, s in genstab._runs(seed, trials, PRIMES):
+            cfg = sample_configuration(family, n, d, flavor, value, seed=s, p=p)
+            assert len(got[s]) == value
+            assert all((a == b).all() for a, b in zip(got[s], cfg.parts))
+            assert genstab._head_size(cfg.parts, family, flavor, cfg.form, p) == head
 
 
 def test_trials_below_one_and_no_primes_are_rejected():
@@ -367,7 +386,7 @@ def test_adapted_nullity_matches_the_plain_stacked_system(family, flavor, n):
         for p in PRIMES:
             seed = 100 * n + d
             cfg = sample_configuration(family, n, d, flavor, 5, seed=seed, p=p)
-            dims = genstab._stream_dims(family, n, d, flavor, seed, p)
+            dims = _stream_dims(family, n, d, flavor, seed, p)
             for c in range(1, 6):
                 prefix = dataclasses.replace(cfg, parts=cfg.parts[:c])
                 want = _plain_dim(prefix)
@@ -389,7 +408,7 @@ def _in_span(parts, p):
     parts[2] = linalg.matmul_mod(np.concatenate(parts[:2], axis=1), mix, p)
 
 
-@pytest.mark.parametrize(
+_DEGENERATE_CASES = pytest.mark.parametrize(
     "family,n,d,flavor,build,head",
     [
         ("SL", 6, 2, "linear", lambda parts, p: None, 3),
@@ -406,16 +425,30 @@ def _in_span(parts, p):
     ids=["sl-generic", "sl-repeated", "sl-in-span", "sl9-in-span", "sp-ts-generic", "sp-ts-repeated",
          "so10-ts-pairs-meet", "so-nondeg", "sp-nondeg-singular-gram"],
 )
+
+
+@_DEGENERATE_CASES
 def test_degenerate_heads_fall_back_to_a_shorter_head(family, n, d, flavor, build, head):
     cfg = _degenerate(family, n, d, flavor, build)
-    adapted, rows = genstab._stacked_system(cfg)
-    assert adapted.head == head
+    assert genstab._head_size(cfg.parts, family, flavor, cfg.form, cfg.p) == head
+    adapted = genstab._adapted(cfg.parts, head, family, flavor, cfg.form, cfg.p)
+    rows = np.concatenate([adapted.rows(b) for b in cfg.parts[head:]])
     dim = stabilizer_algebra_dim_once(cfg)
     assert linalg.nullspace_dim_mod(rows, cfg.p) == dim == _plain_dim(cfg)
     assert rows.shape[1] == len(adapted.free)
     assert genstab._system_shape(cfg, dim) == genstab.SystemShape(
         genstab._unknowns(family, n), head, len(adapted.free), len(rows), len(adapted.free) - dim
     )
+
+
+@_DEGENERATE_CASES
+def test_degenerate_parts_on_the_incremental_path(family, n, d, flavor, build, head):
+    # the same parts one at a time: every prefix has the nullity of its
+    # plain system, whatever head it allows
+    cfg = _degenerate(family, n, d, flavor, build)
+    dims = genstab._dims(cfg.parts, family, flavor, cfg.form, cfg.p)
+    for c in range(1, 6):
+        assert next(dims) == _plain_dim(dataclasses.replace(cfg, parts=cfg.parts[:c])), c
 
 
 @pytest.mark.parametrize(
@@ -426,11 +459,12 @@ def test_degenerate_heads_fall_back_to_a_shorter_head(family, n, d, flavor, buil
 )
 def test_head_rows_are_the_deleted_coordinates(family, n, d, flavor):
     cfg = sample_configuration(family, n, d, flavor, 5, seed=9)
-    adapted = genstab._stacked_system(cfg)[0]
-    assert adapted.head > 0
+    head = genstab._head_size(cfg.parts, family, flavor, cfg.form, cfg.p)
+    assert head > 0
+    adapted = genstab._adapted(cfg.parts, head, family, flavor, cfg.form, cfg.p)
     rows = np.concatenate([
         genstab._part_rows(linalg.matmul_mod(adapted.inv, b, cfg.p), family, adapted.form, cfg.p)
-        for b in cfg.parts[: adapted.head]
+        for b in cfg.parts[:head]
     ]) % cfg.p
     deleted = genstab._unknowns(family, n) - len(adapted.free)
     assert not rows[:, adapted.free].any()
