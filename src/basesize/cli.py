@@ -9,16 +9,21 @@
 Machine output is JSON on stdout (CSV for tables); errors go to stderr;
 ``verify`` records carry the size of their first solve (no rows when all
 parts head the basis) under ``diagnostics``, outside ``outputs``.  Exit
-codes: 0 success, 2 specification/validation error (including malformed
-spec JSON and datasets, a ``--prime``, ``--q`` or nonzero ``--char`` that
-is not a prime below 2^31, ``--trials``, ``--bound`` or a module's ``--c``
-below 1, a module ``n`` below 2, a ``--c`` above the transversal subspaces
-that fit over ``--prime``, and a ``--tuple-length`` that no tuple of
-points, or of disjoint point pairs, can have), a verifier sampling failure
-or a finite group that outgrows ``--bound``, 3 inconclusive bound, and 1
-when stdout closes before the output is written.  Every run echoes its
-seeds and primes.  ``emit`` output is byte-stable: it contains no timing
-or environment data.
+codes: 0 success, 2 request error, 3 inconclusive bound, and 1 only when
+stdout closes before the output is written.  The type of an error decides
+its code: every request the package cannot answer raises a ``ValueError``
+(or ``FileNotFoundError``), which ``main`` alone turns into exit 2 and one
+``error:`` line; a traceback is a bug.  Exit 2 covers malformed spec JSON
+and datasets, a ``--prime``, ``--q`` or nonzero ``--char`` that is not a
+prime below 2^31, ``--trials``, ``--bound`` or a module's ``--c`` below 1,
+a module ``n`` below 2, a ``--c`` above the transversal subspaces that fit
+over ``--prime``, a nondegenerate part of odd dimension for SO of even n
+at ``--prime 2``, a ``--tuple-length`` that no tuple of points, or of
+disjoint point pairs, can have or that no seeded draw puts in general
+position, a verifier sampling failure (``sym2`` forms at ``--prime 2``
+among them) and a finite group that outgrows ``--bound``.  Every run
+echoes its seeds and primes.  ``emit`` output is byte-stable: it contains
+no timing or environment data.
 """
 from __future__ import annotations
 
@@ -32,10 +37,11 @@ import math
 import os
 import sys
 import time
+from fractions import Fraction
 
 # numpy, genstab and finitecheck load inside the subcommands that use them,
 # so formula, bounds and emit start without numpy
-from . import __version__, bounds, classdata, formulas
+from . import __version__, bounds, classdata, formulas, rootsys
 
 EXIT_OK = 0
 EXIT_OUTPUT_CLOSED = 1
@@ -51,19 +57,20 @@ def _emit_csv(header: list[str], rows: list[tuple]) -> str:
     return buf.getvalue()
 
 
-def emit_table(name: str, fmt: str = "csv") -> str:
-    from . import rootsys
+# the row functions are looked up at call time, so a wrapper set on their
+# module (as perfbench/tracer.py sets) sees the call
+_TABLES = {
+    "table:parab": (["group", "node", "dim"], lambda: rootsys.parabolic_dim_rows()),
+    "table:ep": (["group", "node", "value"], lambda: formulas.parabolic_table_rows()),
+    "table:c": (["group", "subgroup", "conditions", "b"], lambda: formulas.table_c_rows()),
+    "table:e": (["group", "subgroup", "conditions", "b"], lambda: formulas.table_e_rows()),
+}
 
-    if name == "table:parab":
-        header, rows = ["group", "node", "dim"], rootsys.parabolic_dim_rows()
-    elif name == "table:ep":
-        header, rows = ["group", "node", "value"], formulas.parabolic_table_rows()
-    elif name == "table:c":
-        header, rows = ["group", "subgroup", "conditions", "b"], formulas.table_c_rows()
-    elif name == "table:e":
-        header, rows = ["group", "subgroup", "conditions", "b"], formulas.table_e_rows()
-    else:
+
+def emit_table(name: str, fmt: str = "csv") -> str:
+    if name not in _TABLES:
         raise formulas.SpecValidationError(f"unknown table {name!r}")
+    header, rows = _TABLES[name][0], _TABLES[name][1]()
     if fmt == "csv":
         return _emit_csv(header, rows)
     if fmt == "json":
@@ -88,26 +95,10 @@ def _run_record(subcommand: str, config: dict, outputs: dict, started: float,
 
 
 def _bound_to_json(result) -> tuple[dict, int]:
-    if isinstance(result, bounds.Inconclusive):
-        return (
-            {
-                "kind": result.kind,
-                "inconclusive": True,
-                "reason": result.reason,
-                "sup_ratio": str(result.sup_ratio),
-            },
-            EXIT_INCONCLUSIVE,
-        )
-    return (
-        {
-            "kind": result.kind,
-            "inconclusive": False,
-            "value": result.value,
-            "witness": result.witness,
-            "q_at_value": str(result.q_at_value),
-        },
-        EXIT_OK,
-    )
+    inconclusive = isinstance(result, bounds.Inconclusive)
+    out = {k: str(v) if v is None or isinstance(v, Fraction) else v
+           for k, v in dataclasses.asdict(result).items()}
+    return {**out, "inconclusive": inconclusive}, EXIT_INCONCLUSIVE if inconclusive else EXIT_OK
 
 
 def cmd_bounds(args) -> int:
@@ -123,8 +114,7 @@ def cmd_bounds(args) -> int:
         elif ds.characteristic not in ("any", ""):
             p = int(ds.characteristic)
         else:
-            print("error: --mode b0 needs --char (dataset has no fixed characteristic)", file=sys.stderr)
-            return EXIT_SPEC_ERROR
+            raise formulas.SpecValidationError("--mode b0 needs --char (dataset has no fixed characteristic)")
         result = bounds.upper_bound_b0(ds.records, p=p)
     out, code = _bound_to_json(result)
     config = {
@@ -156,20 +146,6 @@ def cmd_formula(args) -> int:
     return EXIT_OK
 
 
-def _fail(e: Exception) -> int:
-    print(f"error: {e}", file=sys.stderr)
-    return EXIT_SPEC_ERROR
-
-
-def cmd_verify(args) -> int:
-    from . import genstab
-
-    try:
-        return _verify(args, genstab)
-    except genstab.SamplingError as e:
-        return _fail(e)
-
-
 def _is_prime(p: int) -> bool:
     """Trial division, enough below 2^31."""
     return p >= 2 and all(p % q for q in range(2, math.isqrt(p) + 1))
@@ -182,8 +158,10 @@ def _require_prime(flag: str, p: int) -> None:
         raise formulas.SpecValidationError(f"{flag} {p} is not a prime below 2^31")
 
 
-def _verify(args, genstab) -> int:
+def cmd_verify(args) -> int:
     import numpy as np
+
+    from . import genstab
 
     started = time.monotonic()
     spec_obj = _load_spec(args.spec)
@@ -225,35 +203,23 @@ def _verify(args, genstab) -> int:
             spec.family, spec.n, spec.subgroup.d, spec.subgroup.flavor,
             args.c, seed=args.seed, trials=args.trials, primes=primes,
         )
-    out = {
-        "algebra": rep.algebra,
-        "algebra_dim": rep.algebra_dim,
-        "projective_dim": rep.projective_dim,
-        "trials": rep.trials,
-        "stable": rep.stable,
-        "primes": list(rep.primes),
-        "dims_by_prime": [list(x) for x in rep.dims_by_prime],
-        "resamples": rep.resamples,
-        "seed": rep.seed,
-    }
-    diagnostics = dataclasses.asdict(rep.first_system)
+    out = dataclasses.asdict(rep)
+    diagnostics = out.pop("first_system")
     print(json.dumps(_run_record("verify", config, out, started, diagnostics=diagnostics), sort_keys=True))
     return EXIT_OK
 
 
-_FINITE_ACTIONS = ("projective-line", "torus-normalizer", "decomposition-pairs", "two-symmetric-forms")
+#: permutation actions of ``finite``: (families, n, finitecheck builder)
+_PERM_ACTIONS = {
+    "projective-line": (("PGL", "SL"), 2, "pgl2_line_action"),
+    "torus-normalizer": (("PGL", "SL"), 2, "pgl2_pairs_action"),
+    "decomposition-pairs": (("Sp",), 4, "sp4_decomposition_action"),
+}
 
 
 def cmd_finite(args) -> int:
     from . import finitecheck
 
-    try:
-        return _finite(args, finitecheck)
-    except finitecheck.EnumerationBoundExceeded as e:
-        return _fail(e)
-
-
-def _finite(args, finitecheck) -> int:
     started = time.monotonic()
     if args.bound is None:
         args.bound = finitecheck.DEFAULT_ELEMENT_BOUND
@@ -272,20 +238,10 @@ def _finite(args, finitecheck) -> int:
         out = {"stabilizer_order": order, "elements": stab.tolist()}
         print(json.dumps(_run_record("finite", config, out, started), sort_keys=True))
         return EXIT_OK
-    if args.action == "projective-line":
-        if args.family not in ("PGL", "SL") or args.n != 2:
-            raise formulas.SpecValidationError("projective-line runs on PGL with n=2")
-        action = finitecheck.pgl2_line_action(args.q, bound=args.bound)
-    elif args.action == "torus-normalizer":
-        if args.family not in ("PGL", "SL") or args.n != 2:
-            raise formulas.SpecValidationError("torus-normalizer runs on PGL with n=2")
-        action = finitecheck.pgl2_pairs_action(args.q, bound=args.bound)
-    elif args.action == "decomposition-pairs":
-        if args.family != "Sp" or args.n != 4:
-            raise formulas.SpecValidationError("decomposition-pairs runs on Sp with n=4")
-        action = finitecheck.sp4_decomposition_action(args.q, bound=args.bound)
-    else:
-        raise formulas.SpecValidationError(f"unknown action {args.action!r}")
+    families, n, builder = _PERM_ACTIONS[args.action]
+    if args.family not in families or args.n != n:
+        raise formulas.SpecValidationError(f"{args.action} runs on {families[0]} with n={n}")
+    action = getattr(finitecheck, builder)(args.q, bound=args.bound)
     if args.mode == "base":
         value = finitecheck.exact_base_size(action, seed=args.seed)
         out = {"base_size": value, "points": len(action.points), "group_order": action.order}
@@ -339,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     fin.add_argument("--family", required=True)
     fin.add_argument("--n", type=int, required=True)
     fin.add_argument("--q", type=int, required=True)
-    fin.add_argument("--action", choices=_FINITE_ACTIONS, required=True)
+    fin.add_argument("--action", choices=(*_PERM_ACTIONS, "two-symmetric-forms"), required=True)
     fin.add_argument("--mode", choices=("base", "order"), default="base")
     fin.add_argument("--seed", type=int, default=0)
     fin.add_argument("--tuple-length", type=int, default=2)
@@ -361,10 +317,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_SPEC_ERROR
     try:
         return args.func(args)
-    # every validation error of the package, json.JSONDecodeError and
-    # genstab.ConfigError among them, is a ValueError
+    # the one place that turns a request error into exit 2: every such
+    # error of the package is a ValueError, json.JSONDecodeError,
+    # genstab.SamplingError and finitecheck.EnumerationBoundExceeded among them
     except (ValueError, FileNotFoundError) as e:
-        return _fail(e)
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_SPEC_ERROR
 
 
 def run() -> None:

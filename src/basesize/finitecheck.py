@@ -21,8 +21,12 @@ from . import linalg
 DEFAULT_ELEMENT_BOUND = 10**6
 
 
-class EnumerationBoundExceeded(RuntimeError):
+class EnumerationBoundExceeded(ValueError):
     pass
+
+
+class NoGeneralPosition(ValueError):
+    """No sampled tuple passed the general-position predicate."""
 
 
 class RelationViolation(AssertionError):
@@ -253,7 +257,7 @@ def generic_tuple_stabilizer_order(
         order = stabilizer_order(action, tup)
         counts[order] = counts.get(order, 0) + 1
     if not counts:
-        raise RuntimeError("no tuple satisfied the general-position predicate")
+        raise NoGeneralPosition(f"none of {attempts} random {length}-tuples satisfied the general-position predicate")
     return max(counts.items(), key=lambda kv: (kv[1], -kv[0]))[0]
 
 

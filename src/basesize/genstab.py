@@ -77,7 +77,7 @@ PRIMES = (2147483647, 2147483629)
 RESAMPLE_BUDGET = 64
 
 
-class SamplingError(RuntimeError):
+class SamplingError(ValueError):
     """Resampling budget exhausted while enforcing an open condition."""
 
 
@@ -190,12 +190,16 @@ def _part_stream(family: str, n: int, d: int, flavor: str, seed: int, p: int):
     """Stream of parts of the requested flavor, each drawn with the open
     conditions enforced against the parts before it: full column rank,
     pairwise transversality where dimensions allow, exact (non)degeneracy
-    against the standard form.  Yields (part, rejections before it), and
-    raises ``ConfigError`` for a transversal part beyond the number that
-    fit.  The RNG key holds no part count, so c parts are a prefix of c + 1."""
+    against the standard form.  Yields (part, rejections before it).  A
+    condition that cannot hold raises ``ConfigError``, before any draw or at
+    the first transversal part beyond the number that fit; running out of
+    retries raises ``SamplingError``.  The RNG key holds no part count, so c
+    parts are a prefix of c + 1."""
     _validate(family, n, d, flavor)
     if flavor == "totally_singular" and n % 2 and p == 2:
         raise ConfigError("totally singular parts of odd n need 1/2, so p != 2")
+    if (family, flavor, n % 2, d % 2, p) == ("SO", "nondeg", 0, 1, 2):
+        raise ConfigError("mod 2 the form of SO_n with even n is alternating: no nondegenerate odd-dimensional parts")
     j = standard_form(family, n)
     joint_rank = 2 * d - (d % 2 if (family, flavor, n) == ("SO", "totally_singular", 2 * d) else 0)
     # transversal d-spaces share no nonzero vector: (p^n - 1) / (p^d - 1) fit
@@ -250,8 +254,8 @@ def _part_stream(family: str, n: int, d: int, flavor: str, seed: int, p: int):
             resamples += 1
         else:
             raise SamplingError(f"resampling budget exhausted after {resamples} rejects")
-        if flavor == "totally_singular" and np.any(gram(b)):
-            raise SamplingError("totally singular part failed the exact form check")
+        if flavor == "totally_singular" and np.any(gram(b)):  # a defect of the graph construction
+            raise RuntimeError("totally singular part failed the exact form check")
         parts.append(b)
         yield b, rejects
 
@@ -571,11 +575,13 @@ def module_stabilizer_dim(
     if kind == "sym2":
         blocks = [np.eye(n, dtype=np.int64).reshape(1, n * n)]  # trace X = 0
         for _ in range(c):
-            while True:
+            for _ in range(RESAMPLE_BUDGET):
                 a = rng.integers(0, p, size=(n, n), dtype=np.int64)
-                s = (a + a.T) % p
+                s = np.triu(a) + np.triu(a, 1).T  # a + a^T: 0 diagonal at p = 2
                 if linalg.det_mod(s, p) != 0:
                     break
+            else:
+                raise SamplingError(f"no nondegenerate symmetric form in {RESAMPLE_BUDGET} draws")
             blocks.append(_form_constraint(s))
         return _module_report("sl", np.concatenate(blocks, axis=0), p, seed)
     # so_tensor: so_n of the identity form, so X and Y are antisymmetric; the

@@ -335,6 +335,7 @@ def test_finite_rejects_a_q_that_is_not_prime(capsys, argv):
     assert err.startswith("error: --q ") and err.count("\n") == 1
 
 
+_FINITE_ACTIONS = ["projective-line", "torus-normalizer", "decomposition-pairs", "two-symmetric-forms"]
 _PAIRS_ORDER = ["finite", "--family", "PGL", "--n", "2", "--action", "torus-normalizer", "--mode", "order"]
 
 
@@ -359,12 +360,18 @@ _PAIRS_ORDER = ["finite", "--family", "PGL", "--n", "2", "--action", "torus-norm
         # the projective line over F_2 has 3 points
         (["verify", "--spec", '{"family":"SL","n":2,"subgroup":{"subspace":{"d":1}}}', "--c", "4", "--prime", "2"],
          "at most (p^n - 1)/(p^d - 1) = 3 transversal 1-spaces"),
+        # mod 2 the form of SO_8 is alternating: this used to run out of retries
+        (["verify", "--spec", '{"family":"SO","n":8,"subgroup":{"subspace":{"d":1,"flavor":"nondeg"}}}',
+          "--c", "1", "--prime", "2"], "alternating"),
+        # these used to end in a traceback: no random draw finds q + 1 points in disjoint pairs
+        (_PAIRS_ORDER + ["--q", "13", "--tuple-length", "7"], "none of 10000 random 7-tuples"),
+        (_PAIRS_ORDER + ["--q", "11", "--tuple-length", "6"], "none of 10000 random 6-tuples"),
         (["formula", "--spec", '{"family":"Sp","n":3,"subgroup":"torus_normalizer"}'], "Sp needs even n"),
         (["formula", "--spec", '{"family":"SO","n":2,"subgroup":"torus_normalizer"}'], "SO_2 is not simple"),
     ],
     ids=["pairs-q3-len3", "pairs-q7-len9", "pairs-q7-len-1", "line-q7-len9", "bounds-char4", "bounds-char-3",
-         "so-tensor-c0", "sym2-c-2", "sym2-n0", "sym2-n1", "so7-ts-p2", "sl2-four-points-p2", "sp3-torus",
-         "so2-torus"],
+         "so-tensor-c0", "sym2-c-2", "sym2-n0", "sym2-n1", "so7-ts-p2", "sl2-four-points-p2", "so8-nondeg-d1-p2",
+         "pairs-q13-len7", "pairs-q11-len6", "sp3-torus", "so2-torus"],
 )
 def test_bad_input_exits_2_with_one_error_line(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -565,15 +572,62 @@ def _verify_specs(draw):
     return json.dumps(spec)
 
 
-@settings(max_examples=150, deadline=None)
-@given(_verify_specs(), st.sampled_from([1, 2, 3, 4, 0, -1]))
-def test_verify_fuzz_never_raises(spec, c):
+def _run_fuzzed(argv):
+    """Run the CLI on ``argv``: exit 0 or 3 print a JSON record and nothing
+    else, exit 2 prints nothing and one ``error:`` line.  Returns the record
+    (None on exit 2) and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(["verify", "--spec", spec, "--c", str(c), "--trials", "1"])
-    assert code in (0, 2)
-    if code == 0:
-        rec = json.loads(out.getvalue())["outputs"]
+        code = main(argv)
+    assert code in (0, 2, 3)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        return None, err.getvalue()
+    assert err.getvalue() == ""
+    return json.loads(out.getvalue()), err.getvalue()
+
+
+_MODULE_SPECS = st.builds(lambda kind, n: json.dumps({"module": kind, "n": n}),
+                          st.sampled_from(genstab.MODULE_KINDS), st.integers(2, 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_verify_specs(), _MODULE_SPECS), st.sampled_from([1, 2, 3, 4, 0, -1]),
+       st.sampled_from([None, 2, 3, 5]))
+def test_verify_fuzz_never_raises(spec, c, prime):
+    argv = ["verify", "--spec", spec, "--c", str(c), "--trials", "1"]
+    record, err = _run_fuzzed(argv + ([] if prime is None else ["--prime", str(prime)]))
+    if record is not None:
+        rec = record["outputs"]
         assert 0 <= rec["projective_dim"] <= rec["algebra_dim"]
-    else:
-        assert err.getvalue().startswith("error: ") and out.getvalue() == ""
+    elif c == 1:
+        # one part meets no pairwise condition, so running out of retries
+        # there would hide a condition that cannot hold
+        assert "resampling budget exhausted" not in err
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(classdata.shipped_datasets()), st.sampled_from(["b0", "b1"]), st.booleans(),
+       st.one_of(st.none(), st.sampled_from([0, 2, 3, 5, 7]), st.integers(-3, 12),
+                 st.sampled_from([2**31 - 1, 2**31 + 11, 10**12])))
+def test_bounds_fuzz_never_raises(dataset, mode, refine, char):
+    argv = ["bounds", "--dataset", dataset, "--mode", mode]
+    record, _ = _run_fuzzed(argv + ["--refine-long-root"] * refine + ([] if char is None else ["--char", str(char)]))
+    if record is not None:
+        assert record["outputs"]["inconclusive"] == ("value" not in record["outputs"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_FINITE_ACTIONS), st.sampled_from([("PGL", 2), ("SL", 2), ("Sp", 4), ("SL", 3), ("PGL", 4)]),
+       st.one_of(st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(-1, 13)), st.sampled_from(["base", "order"]),
+       st.integers(-1, 8), st.one_of(st.just(2000), st.integers(-1, 2000)), st.integers(0, 3))
+def test_finite_fuzz_never_raises(action, group, q, mode, length, bound, seed):
+    # a bound of at most 2000 stops Sp_4(3), of order 25920, before it is listed
+    family, n = group
+    record, _ = _run_fuzzed(["finite", "--family", family, "--n", str(n), "--q", str(q), "--action", action,
+                             "--mode", mode, "--tuple-length", str(length), "--bound", str(bound),
+                             "--seed", str(seed)])
+    if record is not None:  # nothing larger than the bound was listed
+        out = record["outputs"]
+        assert 1 <= out.get("group_order", out.get("stabilizer_order")) <= bound

@@ -65,6 +65,16 @@ def test_torus_normalizer_generic_pair_order_two():
         assert order == 2
 
 
+@pytest.mark.parametrize("q,length", [(11, 6), (13, 7)])
+def test_no_tuple_in_general_position_is_a_request_error(q, length):
+    # length disjoint pairs cover all q + 1 points, which a random tuple of
+    # pairs almost never does
+    a = fc.pgl2_pairs_action(q)
+    with pytest.raises(fc.NoGeneralPosition, match=f"none of 10000 random {length}-tuples") as e:
+        fc.generic_tuple_stabilizer_order(a, length, seed=0, general_position=fc.disjoint_pairs)
+    assert isinstance(e.value, ValueError)
+
+
 def test_pair_with_stabilizer_exactly_two_exists():
     a = fc.pgl2_pairs_action(7)
     found = any(

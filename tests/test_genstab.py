@@ -196,6 +196,18 @@ def test_more_transversal_parts_than_fit_are_a_config_error():
         estimate_b0("SL", 4, 2, "linear", c_max=7, trials=1, primes=(2,))
 
 
+@pytest.mark.parametrize("n,d", [(6, 1), (6, 3), (8, 1), (8, 3)])
+def test_odd_nondegenerate_parts_of_even_so_at_p2_are_a_config_error(monkeypatch, n, d):
+    # mod 2 the form of SO_n with n even is alternating, so no part can be
+    # drawn: the request is refused before any draw, not after the retries
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a part was drawn although none can exist")
+
+    monkeypatch.setattr(genstab, "_rng", unreachable)
+    with pytest.raises(ConfigError, match="alternating"):
+        estimate_b0("SO", n, d, "nondeg", c_max=3, trials=1, primes=(2,))
+
+
 def test_semicontinuity_in_c():
     est = estimate_b0("SL", 6, 2, "linear", c_max=6, trials=3, seed=8)
     dims = est.projective_dims
@@ -505,6 +517,18 @@ def test_so_tensor_coordinates_match_the_gl_system_with_form_rows(n, c):
         blocks.append(np.concatenate([tx, ty], axis=1))
     want = linalg.nullspace_dim_mod(np.concatenate(blocks), p)
     assert module_stabilizer_dim("so_tensor", n, c, seed=seed, p=p).algebra_dim == want
+
+
+def test_sym2_forms_at_p2_are_symmetric_not_alternating(monkeypatch):
+    # over F_2 the nondegenerate forms of rank 2 that are not alternating have
+    # a 2-dimensional stabilizer in sl_2; the alternating one [[0,1],[1,0]]
+    # has sl_2 itself, and a + a^T would only ever draw that one
+    assert {module_stabilizer_dim("sym2", 2, 1, seed=s, p=2).algebra_dim for s in range(8)} == {2}
+    # in odd dimension every alternating form is singular: the draws end
+    assert module_stabilizer_dim("sym2", 3, 2, seed=0, p=2).trials == 1
+    monkeypatch.setattr(genstab, "RESAMPLE_BUDGET", 0)
+    with pytest.raises(genstab.SamplingError, match="no nondegenerate symmetric form in 0 draws"):
+        module_stabilizer_dim("sym2", 3, 1, seed=0, p=2)
 
 
 def test_module_kind_validated():
