@@ -135,10 +135,9 @@ def loads(text: str) -> Dataset:
             header = obj
             try:
                 expected_sup_ratio = _parse_fraction(header["expected_sup_ratio"])
-                fam, rank = rootsys._group_type(header["group"])
+                max_class_dim = rootsys.group_dim(header["group"]) - rootsys.group_rank(header["group"])
             except (TypeError, ValueError, ZeroDivisionError) as e:
                 raise DatasetError(f"line {lineno}: {e}") from e
-            max_class_dim = rootsys.dim_group(rootsys.build_root_system(fam, rank)) - rank
             continue
         _require(obj, _RECORD_FIELDS, lineno)
         rec = ClassFusionRecord(

@@ -6,6 +6,11 @@
     finite   --family PGL|SL|Sp --n N --q Q --action <name> --mode base|order [--bound N]
     emit     table:parab|table:ep|table:c|table:e [--format csv|json]
 
+``finite`` runs projective-line and torus-normalizer on PGL_2,
+decomposition-pairs on Sp_4 and two-symmetric-forms on SL_2.  ``bounds``
+checks ``--char`` in both modes, 0 or a prime equal to the characteristic
+a dataset header fixes; ``config`` records the one used as ``char``.
+
 Machine output is JSON on stdout (CSV for tables); errors go to stderr;
 ``verify`` records carry the size of their first solve (no rows when all
 parts head the basis) under ``diagnostics``, outside ``outputs``.  Exit
@@ -15,15 +20,16 @@ its code: every request the package cannot answer raises a ``ValueError``
 (or ``FileNotFoundError``), which ``main`` alone turns into exit 2 and one
 ``error:`` line; a traceback is a bug.  Exit 2 covers malformed spec JSON
 and datasets, a ``--prime``, ``--q`` or nonzero ``--char`` that is not a
-prime below 2^31, ``--trials``, ``--bound`` or a module's ``--c`` below 1,
-a module ``n`` below 2, a ``--c`` above the transversal subspaces that fit
-over ``--prime``, a nondegenerate part of odd dimension for SO of even n
-at ``--prime 2``, a ``--tuple-length`` that no tuple of points, or of
-disjoint point pairs, can have or that no seeded draw puts in general
-position, a verifier sampling failure (``sym2`` forms at ``--prime 2``
-among them) and a finite group that outgrows ``--bound``.  Every run
-echoes its seeds and primes.  ``emit`` output is byte-stable: it contains
-no timing or environment data.
+prime below 2^31, a ``--char`` that contradicts the dataset, a ``finite``
+family or ``--n`` other than the action's, ``--trials``, ``--bound`` or a
+module's ``--c`` below 1, a module ``n`` below 2, a ``--c`` above the
+transversal subspaces that fit over ``--prime``, a nondegenerate part of
+odd dimension for SO of even n at ``--prime 2``, a ``--tuple-length``
+that no tuple of points, or of disjoint point pairs, can have or that no
+seeded draw puts in general position, a verifier sampling failure
+(``sym2`` forms at ``--prime 2`` among them) and a finite group that
+outgrows ``--bound``.  Every run echoes its seeds and primes.  ``emit``
+output is byte-stable: it contains no timing or environment data.
 """
 from __future__ import annotations
 
@@ -104,17 +110,20 @@ def _bound_to_json(result) -> tuple[dict, int]:
 def cmd_bounds(args) -> int:
     started = time.monotonic()
     ds = classdata.load_dataset(classdata.dataset_path(args.dataset))
+    # the characteristic is settled before the mode; header and --char agree
+    p = None if ds.characteristic in ("any", "") else int(ds.characteristic)
+    if args.char is not None:
+        if args.char != 0:
+            _require_prime("--char", args.char)
+        if p is not None and args.char != p:
+            raise formulas.SpecValidationError(
+                f"--char {args.char} contradicts the characteristic {p} of dataset {args.dataset}")
+        p = args.char
     if args.mode == "b1":
         result = bounds.upper_bound_b1(ds.records, long_root_refinement=args.refine_long_root)
+    elif p is None:
+        raise formulas.SpecValidationError("--mode b0 needs --char (dataset has no fixed characteristic)")
     else:
-        if args.char is not None:
-            if args.char != 0:
-                _require_prime("--char", args.char)
-            p = args.char
-        elif ds.characteristic not in ("any", ""):
-            p = int(ds.characteristic)
-        else:
-            raise formulas.SpecValidationError("--mode b0 needs --char (dataset has no fixed characteristic)")
         result = bounds.upper_bound_b0(ds.records, p=p)
     out, code = _bound_to_json(result)
     config = {
@@ -122,6 +131,7 @@ def cmd_bounds(args) -> int:
         "group": ds.group,
         "subgroup": ds.subgroup_label,
         "mode": args.mode,
+        "char": p,
         "refine_long_root": bool(args.refine_long_root),
         "sup_ratio": str(ds.sup_ratio),
     }
@@ -177,7 +187,7 @@ def cmd_verify(args) -> int:
         "rational": bool(args.rational),
     }
     if isinstance(spec_obj, dict) and "module" in spec_obj:
-        n = formulas._json_field(spec_obj, "n", int, "module spec")
+        n = formulas.json_field(spec_obj, "n", int, "module spec")
         rep = genstab.module_stabilizer_dim(spec_obj["module"], n, args.c, seed=args.seed, p=primes[0])
     else:
         spec = formulas.spec_from_json(spec_obj)
@@ -209,11 +219,13 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-#: permutation actions of ``finite``: (families, n, finitecheck builder)
-_PERM_ACTIONS = {
-    "projective-line": (("PGL", "SL"), 2, "pgl2_line_action"),
-    "torus-normalizer": (("PGL", "SL"), 2, "pgl2_pairs_action"),
-    "decomposition-pairs": (("Sp",), 4, "sp4_decomposition_action"),
+#: actions of ``finite``: (family, n, finitecheck builder of the permutation
+#: action, or None for the matrix computation of two-symmetric-forms)
+_FINITE_ACTIONS = {
+    "projective-line": ("PGL", 2, "pgl2_line_action"),
+    "torus-normalizer": ("PGL", 2, "pgl2_pairs_action"),
+    "decomposition-pairs": ("Sp", 4, "sp4_decomposition_action"),
+    "two-symmetric-forms": ("SL", 2, None),
 }
 
 
@@ -231,16 +243,14 @@ def cmd_finite(args) -> int:
         "action": args.action, "mode": args.mode, "seed": args.seed,
         "tuple_length": args.tuple_length, "bound": args.bound,
     }
-    if args.action == "two-symmetric-forms":
-        if (args.family, args.n) != ("SL", 2):
-            raise formulas.SpecValidationError("two-symmetric-forms runs on SL with n=2")
+    family, n, builder = _FINITE_ACTIONS[args.action]
+    if (args.family, args.n) != (family, n):
+        raise formulas.SpecValidationError(f"{args.action} runs on {family} with n={n}")
+    if builder is None:
         order, stab = finitecheck.sl2_two_form_stabilizer(args.q, seed=args.seed, bound=args.bound)
         out = {"stabilizer_order": order, "elements": stab.tolist()}
         print(json.dumps(_run_record("finite", config, out, started), sort_keys=True))
         return EXIT_OK
-    families, n, builder = _PERM_ACTIONS[args.action]
-    if args.family not in families or args.n != n:
-        raise formulas.SpecValidationError(f"{args.action} runs on {families[0]} with n={n}")
     action = getattr(finitecheck, builder)(args.q, bound=args.bound)
     if args.mode == "base":
         value = finitecheck.exact_base_size(action, seed=args.seed)
@@ -295,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     fin.add_argument("--family", required=True)
     fin.add_argument("--n", type=int, required=True)
     fin.add_argument("--q", type=int, required=True)
-    fin.add_argument("--action", choices=(*_PERM_ACTIONS, "two-symmetric-forms"), required=True)
+    fin.add_argument("--action", choices=tuple(_FINITE_ACTIONS), required=True)
     fin.add_argument("--mode", choices=("base", "order"), default="base")
     fin.add_argument("--seed", type=int, default=0)
     fin.add_argument("--tuple-length", type=int, default=2)

@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Union
 
-from . import rootsys
+from . import bounds, rootsys
 
 
 class SpecValidationError(ValueError):
@@ -101,7 +101,7 @@ class ActionSpec:
             raise SpecValidationError(f"unknown flavor {self.subgroup.flavor!r}")
 
 
-def _json_field(obj, key: str, kind: type, where: str):
+def json_field(obj, key: str, kind: type, where: str):
     """obj[key], checked to be an int (not a bool) or a str."""
     value = obj.get(key) if isinstance(obj, dict) else None
     if type(value) is not kind:
@@ -119,15 +119,15 @@ def spec_from_json(obj) -> ActionSpec:
         subgroup: Subgroup = TorusNormalizer()
     elif isinstance(sub, dict) and "subspace" in sub:
         s = sub["subspace"]
-        subgroup = Subspace(d=_json_field(s, "d", int, "subspace"), flavor=s.get("flavor", "linear"))
+        subgroup = Subspace(d=json_field(s, "d", int, "subspace"), flavor=s.get("flavor", "linear"))
     elif isinstance(sub, dict) and "nonsubspace" in sub:
-        subgroup = NonSubspace(label=_json_field(sub["nonsubspace"], "label", str, "nonsubspace"))
+        subgroup = NonSubspace(label=json_field(sub["nonsubspace"], "label", str, "nonsubspace"))
     elif isinstance(sub, dict) and "parabolic" in sub:
-        subgroup = Parabolic(node=_json_field(sub["parabolic"], "i", int, "parabolic"))
+        subgroup = Parabolic(node=json_field(sub["parabolic"], "i", int, "parabolic"))
     else:
         raise SpecValidationError(f"unrecognized subgroup spec {sub!r}")
     if obj.get("n") is not None:
-        _json_field(obj, "n", int, "spec")
+        json_field(obj, "n", int, "spec")
     return ActionSpec(
         family=obj["family"],
         n=obj.get("n"),
@@ -151,9 +151,6 @@ class Interval:
     @property
     def is_point(self) -> bool:
         return self.lo == self.hi
-
-    def render(self) -> str:
-        return str(self.lo) if self.is_point else f"[{self.lo},{self.hi}]"
 
 
 @dataclass(frozen=True)
@@ -197,10 +194,6 @@ def _point_triple(v: int, tag: str, warnings: tuple[str, ...] = ()) -> BaseTripl
 def _triple(b0, b, b1, tag: str, warnings: tuple[str, ...] = ()) -> BaseTriple:
     mk = lambda x: Interval(x, x) if isinstance(x, int) else Interval(*x)
     return BaseTriple(mk(b0), mk(b), mk(b1), tag, warnings)
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +263,7 @@ def _one_short(c: _Case) -> tuple[int, int, int]:
 
 def _sl_interval(c: _Case) -> tuple:
     # the orbit-dimension bound can beat k+1; both ends stay certified
-    iv = (max(c.k + 1, _ceil_div(c.n * c.n - 1, c.d * (c.n - c.d))), c.k + 2 + (c.k == 3))
+    iv = (max(c.k + 1, bounds.lower_bound_b0(c.n * c.n - 1, c.d * (c.n - c.d))), c.k + 2 + (c.k == 3))
     return iv, iv, iv
 
 
@@ -694,8 +687,7 @@ def spec_dims(spec: ActionSpec) -> tuple[int, int] | None:
         return dim_g, dim_g - _simple_rank(spec)
     if spec.family in EXCEPTIONAL_FAMILIES:
         if isinstance(spec.subgroup, Parabolic):
-            rs = rootsys.build_root_system(*rootsys._group_type(spec.family))
-            return dim_g, rootsys.parabolic_quotient_dim(rootsys.ParabolicDescriptor(rs, spec.subgroup.node))
+            return dim_g, rootsys.parabolic_dim(spec.family, spec.subgroup.node)
         if isinstance(spec.subgroup, NonSubspace):
             try:
                 dim_h = rootsys.subgroup_dim(spec.subgroup.label)
@@ -728,7 +720,7 @@ def spec_dims(spec: ActionSpec) -> tuple[int, int] | None:
         dim_h = t * rootsys.group_dim(base, size) - (1 if spec.family == "SL" and base == "GL" else 0)
         return dim_g, dim_g - dim_h
     if label == "G2":
-        return dim_g, dim_g - 14
+        return dim_g, dim_g - rootsys.group_dim("G2")
     return None
 
 

@@ -69,7 +69,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, rootsys
+from . import bounds, linalg, rootsys
 
 #: default prime (largest below 2^31) and the cross-check prime
 PRIMES = (2147483647, 2147483629)
@@ -140,9 +140,6 @@ class B0Estimate:
     projective_dims: tuple[int, ...]  # indexed by c = 1..c_max (until found)
     lower_bound: int
     seed: int
-
-    def render(self) -> str:
-        return str(self.value) if self.value is not None else f"not found <= {self.c_max}"
 
 
 def standard_form(family: str, n: int) -> np.ndarray | None:
@@ -539,8 +536,7 @@ def estimate_b0(
             value = c
             break
     dim_g = rootsys.group_dim(family, n)
-    dim_omega = dim_g - dim_h
-    lb = -(-dim_g // dim_omega)
+    lb = bounds.lower_bound_b0(dim_g, dim_g - dim_h)
     if value is not None and value < lb:
         raise RuntimeError(
             f"estimate {value} fell below the dimension lower bound {lb}; "
@@ -574,16 +570,18 @@ def module_stabilizer_dim(
     rng = _rng(seed, 0x30D, c)
     if kind == "sym2":
         blocks = [np.eye(n, dtype=np.int64).reshape(1, n * n)]  # trace X = 0
+        resamples = 0
         for _ in range(c):
             for _ in range(RESAMPLE_BUDGET):
                 a = rng.integers(0, p, size=(n, n), dtype=np.int64)
                 s = np.triu(a) + np.triu(a, 1).T  # a + a^T: 0 diagonal at p = 2
                 if linalg.det_mod(s, p) != 0:
                     break
+                resamples += 1
             else:
                 raise SamplingError(f"no nondegenerate symmetric form in {RESAMPLE_BUDGET} draws")
             blocks.append(_form_constraint(s))
-        return _module_report("sl", np.concatenate(blocks, axis=0), p, seed)
+        return _module_report("sl", np.concatenate(blocks, axis=0), p, seed, resamples)
     # so_tensor: so_n of the identity form, so X and Y are antisymmetric; the
     # unknowns are their strict upper triangles, [X | Y]
     eye = np.eye(n, dtype=np.int64)
@@ -596,12 +594,12 @@ def module_stabilizer_dim(
     return _module_report("so+so", np.concatenate(blocks, axis=0), p, seed)
 
 
-def _module_report(algebra: str, system: np.ndarray, p: int, seed: int) -> StabilizerReport:
+def _module_report(algebra: str, system: np.ndarray, p: int, seed: int, resamples: int = 0) -> StabilizerReport:
     dim = linalg.nullspace_dim_mod(system, p)
     rows, columns = system.shape
     return StabilizerReport(
         algebra=algebra, algebra_dim=dim, projective_dim=dim, trials=1, stable=True,
-        primes=(p,), dims_by_prime=((dim,),), resamples=0, seed=seed,
+        primes=(p,), dims_by_prime=((dim,),), resamples=resamples, seed=seed,
         first_system=SystemShape(columns, 0, columns, rows, columns - dim),
     )
 

@@ -2,6 +2,10 @@
 
 Roots are stored as integer coefficient vectors over the simple basis, so
 everything here is exact integer counting; no real coordinates appear.
+This module owns the dimensions the other modules read: ``group_dim``
+(a simple group by name, or a classical family on its natural module),
+``group_rank``, ``parabolic_dim`` (dim G/P for a maximal parabolic) and
+``subgroup_dim`` (a subsystem subgroup named by its label).
 Node numbering follows the standard Bourbaki convention, as in these
 diagrams:
 
@@ -149,35 +153,9 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     return RootSystem(family=family, rank=rank, positive_roots=ordered, cartan=cartan)
 
 
-def dim_group(rs: RootSystem) -> int:
-    """Dimension of the adjoint group: 2 * #positive roots + rank."""
-    return 2 * len(rs.positive_roots) + rs.rank
-
-
-@dataclass(frozen=True)
-class ParabolicDescriptor:
-    """Maximal parabolic of ``ambient`` obtained by deleting one node."""
-
-    ambient: RootSystem
-    deleted_node: int  # 1-based Bourbaki index
-
-    def __post_init__(self):
-        if not 1 <= self.deleted_node <= self.ambient.rank:
-            raise InvalidTypeError(
-                f"node {self.deleted_node} out of range for {self.ambient.name}"
-            )
-
-
-def levi_positive_roots(p: ParabolicDescriptor) -> tuple[tuple[int, ...], ...]:
-    """Positive roots of the Levi subsystem: those not supported on the
-    deleted node."""
-    i = p.deleted_node - 1
-    return tuple(r for r in p.ambient.positive_roots if r[i] == 0)
-
-
-def parabolic_quotient_dim(p: ParabolicDescriptor) -> int:
-    """dim of the flag variety G/P = #Phi^+(G) - #Phi^+(Levi)."""
-    return len(p.ambient.positive_roots) - len(levi_positive_roots(p))
+def _dim(family: str, rank: int) -> int:
+    """Dimension of the simple group: 2 * #positive roots + rank."""
+    return 2 * len(build_root_system(family, rank).positive_roots) + rank
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +214,7 @@ def subgroup_dim(label: str) -> int:
     factors, torus = parse_subsystem_label(label)
     d = torus
     for fam, rank in factors:
-        d += dim_group(build_root_system(fam, rank))
+        d += _dim(fam, rank)
     return d
 
 
@@ -272,21 +250,26 @@ def group_dim(name: str, n: int | None = None) -> int:
         if name not in _CLASSICAL_DIMS:
             raise InvalidTypeError(f"not a classical family: {name!r}")
         return _CLASSICAL_DIMS[name](n)
-    fam, rank = _group_type(name)
-    return dim_group(build_root_system(fam, rank))
+    return _dim(*_group_type(name))
 
 
 def group_rank(name: str) -> int:
     return _group_type(name)[1]
 
 
+@lru_cache(maxsize=None)
+def parabolic_dim(group: str, node: int) -> int:
+    """dim G/P for the maximal parabolic of ``group`` that deletes ``node``
+    (1-based): the positive roots with a nonzero coefficient on the node,
+    which are the roots outside the Levi subsystem."""
+    fam, rank = _group_type(group)
+    if not 1 <= node <= rank:
+        raise InvalidTypeError(f"node {node} out of range for {group}")
+    return sum(1 for r in build_root_system(fam, rank).positive_roots if r[node - 1])
+
+
 def parabolic_dim_rows() -> list[tuple[str, int, int]]:
     """(group, node, dim G/P_node) for every maximal parabolic of every
     exceptional group, computed from the root systems."""
-    rows = []
-    for g in EXCEPTIONAL_GROUPS:
-        fam, rank = _group_type(g)
-        rs = build_root_system(fam, rank)
-        for node in range(1, rank + 1):
-            rows.append((g, node, parabolic_quotient_dim(ParabolicDescriptor(rs, node))))
-    return rows
+    return [(g, node, parabolic_dim(g, node)) for g in EXCEPTIONAL_GROUPS
+            for node in range(1, group_rank(g) + 1)]

@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -158,6 +159,18 @@ def test_bounds_pins_cover_every_shipped_dataset():
         chars = ("0", "2", "3", "5") if char == "any" else (char,)
         assert {mode for ds, mode in _BOUNDS_PINS if ds == name} == {
             "b1", "b1 --refine-long-root", "b0", *(f"b0 --char {c}" for c in chars)}
+
+
+def test_bounds_config_records_the_characteristic(capsys):
+    records = {}
+    for argv in (["e6_f4", "--mode", "b0", "--char", "2"], ["e6_f4", "--mode", "b0", "--char", "3"],
+                 ["e7_a7_p2", "--mode", "b0"], ["g2_na2"]):
+        code, out, _ = run_cli(capsys, "bounds", "--dataset", *argv)
+        assert code == 0
+        records[" ".join(argv)] = json.loads(out)
+    assert [r["config"]["char"] for r in records.values()] == [2, 3, 2, None]
+    # the outputs differ (r = 3 against r = 2), so the config hashes must too
+    assert len({r["config_hash"] for r in records.values()}) == 4
 
 
 def test_verify_subcommand_echoes_seeds_and_primes(capsys):
@@ -368,10 +381,21 @@ _PAIRS_ORDER = ["finite", "--family", "PGL", "--n", "2", "--action", "torus-norm
         (_PAIRS_ORDER + ["--q", "11", "--tuple-length", "6"], "none of 10000 random 6-tuples"),
         (["formula", "--spec", '{"family":"Sp","n":3,"subgroup":"torus_normalizer"}'], "Sp needs even n"),
         (["formula", "--spec", '{"family":"SO","n":2,"subgroup":"torus_normalizer"}'], "SO_2 is not simple"),
+        # SL_2(3) acts on the line as PSL_2(3), of order 12, not as PGL_2(3)
+        (["finite", "--family", "SL", "--n", "2", "--q", "3", "--action", "projective-line"],
+         "projective-line runs on PGL with n=2"),
+        (["finite", "--family", "SL", "--n", "2", "--q", "3", "--action", "torus-normalizer"],
+         "torus-normalizer runs on PGL with n=2"),
+        # --char is checked in b1 mode too, and against a header that fixes it
+        (["bounds", "--dataset", "g2_na2", "--mode", "b1", "--char", "4"], "--char 4 is not a prime"),
+        (["bounds", "--dataset", "e7_a7_p2", "--mode", "b0", "--char", "3"],
+         "--char 3 contradicts the characteristic 2 of dataset e7_a7_p2"),
+        (["bounds", "--dataset", "e7_a7_p2", "--mode", "b1", "--char", "0"], "--char 0 contradicts"),
     ],
     ids=["pairs-q3-len3", "pairs-q7-len9", "pairs-q7-len-1", "line-q7-len9", "bounds-char4", "bounds-char-3",
          "so-tensor-c0", "sym2-c-2", "sym2-n0", "sym2-n1", "so7-ts-p2", "sl2-four-points-p2", "so8-nondeg-d1-p2",
-         "pairs-q13-len7", "pairs-q11-len6", "sp3-torus", "so2-torus"],
+         "pairs-q13-len7", "pairs-q11-len6", "sp3-torus", "so2-torus", "sl-line", "sl-pairs", "b1-char4",
+         "char3-on-p2-dataset", "b1-char0-on-p2-dataset"],
 )
 def test_bad_input_exits_2_with_one_error_line(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -535,6 +559,44 @@ def test_formula_bounds_and_emit_do_not_import_numpy():
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stderr == "False\n"
+
+
+def _private_reads(source: str, modules: set[str]) -> list[str]:
+    """The underscore names of the package's ``modules`` that ``source``
+    reads: ``mod._name`` through a module imported from the package, and
+    ``from .mod import _name``.  Dunder names such as ``__version__`` are
+    public."""
+    private = lambda s: s.startswith("_") and not s.endswith("__")
+    tree = ast.parse(source)
+    siblings, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level, node.module) in ((1, None), (0, "basesize")):
+            siblings |= {a.asname or a.name for a in node.names if a.name in modules}
+        elif isinstance(node, ast.ImportFrom) and (node.level == 1 or (node.module or "").startswith("basesize.")):
+            found += [f"line {node.lineno}: from {node.module} import {a.name}" for a in node.names if private(a.name)]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in siblings and private(node.attr):
+            found.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_module_reads_a_private_name_of_another():
+    # each dimension fact and helper has one owner; the others call its
+    # public name, so a private helper cannot grow a second caller unseen
+    pkg = os.path.join(SRC, "basesize")
+    modules = {f[:-3] for f in os.listdir(pkg) if f.endswith(".py")}
+    assert {"rootsys", "formulas", "bounds", "cli"} <= modules
+    planted = "from . import __version__, rootsys as rs\nfrom .bounds import _min_c_weak\nrs._group_type('E6')\n"
+    assert _private_reads(planted, modules) == [
+        "line 2: from bounds import _min_c_weak", "line 3: rs._group_type"]
+    offenders = {}
+    for name in sorted(modules):
+        with open(os.path.join(pkg, f"{name}.py"), encoding="utf-8") as fh:
+            found = _private_reads(fh.read(), modules)
+        if found:
+            offenders[name] = found
+    assert offenders == {}
 
 
 def test_closed_stdout_exits_1_with_one_error_line():

@@ -85,7 +85,7 @@ def test_sp_totally_singular():
 
 @pytest.mark.parametrize("char", ["odd", "2"])
 def test_sp_totally_singular_k3_meets_orbit_bound(char):
-    cases = [(n, d) for n in range(6, 17, 2) for d in range(2, n // 2) if fm._ceil_div(n, d) == 3]
+    cases = [(n, d) for n in range(6, 17, 2) for d in range(2, n // 2) if -(-n // d) == 3]
     assert (10, 4) in cases and (12, 5) in cases and (16, 7) in cases
     for n, d in cases:
         spec = ActionSpec("Sp", Subspace(d, "totally_singular"), n=n, char=char)

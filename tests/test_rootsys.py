@@ -4,12 +4,11 @@ from basesize import rootsys
 from basesize.rootsys import (
     InvalidTypeError,
     LabelError,
-    ParabolicDescriptor,
     build_root_system,
-    dim_group,
-    levi_positive_roots,
+    group_dim,
+    group_rank,
     normalize_label,
-    parabolic_quotient_dim,
+    parabolic_dim,
     subgroup_dim,
 )
 
@@ -34,7 +33,8 @@ def test_positive_root_counts(family, rank, count):
     [("E", 6, 78), ("F", 4, 52), ("A", 1, 3), ("E", 8, 248), ("E", 7, 133)],
 )
 def test_dim_group(family, rank, dim):
-    assert dim_group(build_root_system(family, rank)) == dim
+    assert group_dim(f"{family}{rank}") == dim
+    assert group_rank(f"{family}{rank}") == rank
 
 
 @pytest.mark.parametrize("bad", [("A", 0), ("D", 3), ("E", 9), ("F", 3), ("G", 3), ("H", 2)])
@@ -77,9 +77,7 @@ def test_simple_reflections_permute_roots(family, rank):
     [("E6", 1, 16), ("E7", 7, 27), ("G2", 1, 5), ("E8", 8, 57), ("F4", 2, 20)],
 )
 def test_parabolic_quotient_dims(group, node, dim):
-    fam, rank = group[0], int(group[1])
-    rs = build_root_system(fam, rank)
-    assert parabolic_quotient_dim(ParabolicDescriptor(rs, node)) == dim
+    assert parabolic_dim(group, node) == dim
 
 
 def test_parabolic_table_full():
@@ -98,25 +96,24 @@ def test_parabolic_table_full():
     assert len(rows) == 27
 
 
-def test_levi_restriction_idempotent():
-    rs = build_root_system("E", 6)
-    p = ParabolicDescriptor(rs, 3)
-    once = levi_positive_roots(p)
-    again = tuple(r for r in once if r[2] == 0)
-    assert once == again
-
-
 def test_levi_counts_match_levi_type():
-    # deleting node 1 of E6 leaves D5
-    rs = build_root_system("E", 6)
-    levi = levi_positive_roots(ParabolicDescriptor(rs, 1))
-    assert len(levi) == len(build_root_system("D", 5).positive_roots)
+    # deleting node 1 of E6 leaves D5, and node 2 leaves A5: dim G/P counts
+    # the positive roots outside the Levi
+    e6 = len(build_root_system("E", 6).positive_roots)
+    assert parabolic_dim("E6", 1) == e6 - len(build_root_system("D", 5).positive_roots)
+    assert parabolic_dim("E6", 2) == e6 - len(build_root_system("A", 5).positive_roots)
 
 
 def test_parabolic_node_range():
-    rs = build_root_system("G", 2)
+    for group in rootsys.EXCEPTIONAL_GROUPS:
+        for node in range(10):
+            if 1 <= node <= group_rank(group):
+                assert 1 <= parabolic_dim(group, node) < group_dim(group)
+            else:
+                with pytest.raises(InvalidTypeError, match=f"node {node} out of range for {group}"):
+                    parabolic_dim(group, node)
     with pytest.raises(InvalidTypeError):
-        ParabolicDescriptor(rs, 3)
+        parabolic_dim("H4", 1)
 
 
 @pytest.mark.parametrize(
