@@ -176,3 +176,84 @@ def test_sandwich_f4():
     lb = lower_bound_b0(52, 52 - 36)
     ub = upper_bound_b1(recs, True).value
     assert lb == 4 and ub == 4
+
+
+# -- both criteria against a scan of c = 2, 3, ... ---------------------------
+
+@st.composite
+def _records(draw):
+    recs = []
+    for i in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(("unipotent", "semisimple", "mixed-coset")))
+        g = draw(st.integers(1, 60))
+        recs.append(rec(g, draw(st.integers(0, g)), kind=kind,
+                        order=draw(st.sampled_from((0, 2, 3, 5, 7))),
+                        long=kind == "unipotent" and draw(st.booleans()), label=f"x{i}"))
+    return recs
+
+
+def _blocked(family):
+    """The first record whose ratio is 1: no c meets it, strictly or weakly."""
+    return next((r for r in family if r.dim_intersection_with_H >= r.dim_class_in_G), None)
+
+
+def _scan(family, weak):
+    """Least c >= 2 met by every record of a family with no ratio-1 record,
+    and the first record that fails at c - 1 (None when c = 2)."""
+    def ok(r, c):
+        lhs, rhs = c * r.dim_intersection_with_H, (c - 1) * r.dim_class_in_G
+        return lhs <= rhs if weak(r) else lhs < rhs
+
+    c = 2
+    while not all(ok(r, c) for r in family):
+        c += 1
+    return c, next((r for r in family if c > 2 and not ok(r, c - 1)), None)
+
+
+@given(_records(), st.booleans())
+def test_b1_matches_a_scan_of_c(recs, refine):
+    sup = max(recs, key=lambda r: r.ratio)
+    out = upper_bound_b1(recs, long_root_refinement=refine)
+    blocked = _blocked(recs)
+    if blocked is not None:
+        assert out == Inconclusive(
+            "upper_b1",
+            f"record {blocked.class_label!r} has intersection ratio >= 1; no c satisfies the criterion",
+            sup.ratio,
+        )
+        return
+    c, binding = _scan(recs, lambda r: refine and r.is_long_root)
+    assert out == BoundResult(
+        "upper_b1", c, f"binding record: {(binding or sup).class_label}", Fraction(c, c - 1) * sup.ratio
+    )
+
+
+@given(_records(), st.sampled_from((0, 2, 3, 5)))
+def test_b0_matches_a_scan_of_c(recs, p):
+    sup = max(r.ratio for r in recs)
+    out = upper_bound_b0(recs, p=p)
+
+    def is_unip(r):
+        return r.element_kind == "unipotent" or (p > 0 and r.element_order == p)
+
+    unipotent = [r for r in recs if is_unip(r)]
+    families = {q: [r for r in recs if not is_unip(r) and r.element_order == q] for q in (2, 3, 5, 7)}
+    families = {q: fam for q, fam in families.items() if fam and q != p}
+    if not families:
+        assert out == Inconclusive("upper_b0", f"no semisimple records of prime order != {p} available", sup)
+        return
+    blocked = _blocked(unipotent)
+    if blocked is not None:
+        assert out == Inconclusive("upper_b0", f"unipotent record {blocked.class_label!r} has ratio >= 1", sup)
+        return
+    c_unip, _ = _scan(unipotent, lambda r: True)
+    open_families = sorted((_scan(fam, lambda r: False)[0], q) for q, fam in families.items() if not _blocked(fam))
+    if not open_families:
+        assert out == Inconclusive("upper_b0", "every available prime family contains a ratio-1 record", sup)
+        return
+    c_prime, prime = open_families[0]  # least c, then least prime
+    value = max(c_unip, c_prime)
+    assert out == BoundResult(
+        "upper_b0", value, f"strict prime family r={prime}; unipotent classes weakly below",
+        Fraction(value, value - 1) * sup,
+    )
