@@ -1,5 +1,13 @@
 """Bound machinery for the three base measures.
 
+Both upper bounds read one fixed-point criterion, evaluated in
+``_least_c``.  For a class x of prime order let g = dim x^G and
+h = dim(x^G meet H); c points suffice once every relevant class meets the
+strict form c*h < (c-1)*g.  The weak form c*h <= (c-1)*g is allowed for
+long-root records in b1 under the long-root refinement, and for unipotent
+records (those of order p included) in b0, whose semisimple records meet the
+strict form in one prime family r != p.
+
 Everything here is exact: ratios are ``Fraction`` values and all threshold
 comparisons are decided by integer cross-multiplication.  The supremum in
 the criterion quantity Q(c) = c/(c-1) * sup ratio is taken over the
@@ -62,122 +70,73 @@ def q_value(records: Sequence[ClassFusionRecord], c: int) -> Fraction:
     return Fraction(c, c - 1) * _sup_record(records).ratio
 
 
-def _min_c_strict(g: int, h: int) -> int | None:
-    """Smallest c >= 2 with c*h < (c-1)*g, or None if none exists."""
-    if h >= g:
-        return None
-    return max(2, g // (g - h) + 1)
+def _least_c(records: Sequence[ClassFusionRecord], weak) -> tuple[int | None, ClassFusionRecord | None]:
+    """Smallest c >= 2 at which every record meets the criterion, with the
+    first record that needs that c (None when c = 2); (None, r) for the
+    first record r of ratio 1, which no c meets."""
+    c, needs = 2, None
+    for r in records:
+        g, h = r.dim_class_in_G, r.dim_intersection_with_H
+        if h >= g:
+            return None, r
+        # c*h < (c-1)*g iff c*(g-h) > g; the weak form allows equality
+        c_r = -(-g // (g - h)) if weak(r) else g // (g - h) + 1
+        if c_r > c:
+            c, needs = c_r, r
+    return c, needs
 
 
-def _min_c_weak(g: int, h: int) -> int | None:
-    """Smallest c >= 2 with c*h <= (c-1)*g, or None if none exists."""
-    if h >= g:
-        return None
-    return max(2, -(-g // (g - h)))
+def _inconclusive(kind: str, reason: str, records: Sequence[ClassFusionRecord]) -> Inconclusive:
+    return Inconclusive(kind=kind, reason=reason, sup_ratio=_sup_record(records).ratio)
 
 
 def upper_bound_b1(
     records: Sequence[ClassFusionRecord],
     long_root_refinement: bool = False,
 ) -> BoundResult | Inconclusive:
-    """Smallest c certified for the generic base size.
-
-    Without the refinement: smallest c >= 2 with Q(c) < 1 for every record.
-    With it, long-root records may attain equality
-    dim(x^G meet H) = (1 - 1/c) dim x^G without blocking c; every other
-    record must still satisfy the strict inequality.
-    """
+    """Smallest c certified for the generic base size: every record meets
+    the strict form, or the weak one with the refinement and a long root."""
     if not records:
         raise BoundInputError("no records: supremum over an empty set")
-    needed = 2
-    blocker = None
-    for r in records:
-        weak_ok = long_root_refinement and r.is_long_root
-        c_r = (
-            _min_c_weak(r.dim_class_in_G, r.dim_intersection_with_H)
-            if weak_ok
-            else _min_c_strict(r.dim_class_in_G, r.dim_intersection_with_H)
-        )
-        if c_r is None:
-            return Inconclusive(
-                kind="upper_b1",
-                reason=(
-                    f"record {r.class_label!r} has intersection ratio >= 1; "
-                    "no c satisfies the criterion"
-                ),
-                sup_ratio=_sup_record(records).ratio,
-            )
-        if c_r > needed:
-            needed, blocker = c_r, r
-    witness_rec = blocker if blocker is not None else _sup_record(records)
+    c, r = _least_c(records, lambda r: long_root_refinement and r.is_long_root)
+    if c is None:
+        return _inconclusive("upper_b1", f"record {r.class_label!r} has intersection ratio >= 1; "
+                             "no c satisfies the criterion", records)
     return BoundResult(
         kind="upper_b1",
-        value=needed,
-        witness=f"binding record: {witness_rec.class_label}",
-        q_at_value=q_value(records, needed),
+        value=c,
+        witness=f"binding record: {(r or _sup_record(records)).class_label}",
+        q_at_value=q_value(records, c),
     )
 
 
 def upper_bound_b0(records: Sequence[ClassFusionRecord], p: int) -> BoundResult | Inconclusive:
-    """Smallest c certified for the connected base size.
-
-    Requires, at c: (i) some prime r != p whose order-r records all satisfy
-    the strict inequality, and (ii) every unipotent record satisfies the
-    non-strict one.  Records of order p count as unipotent.
-    """
+    """Smallest c certified for the connected base size; records of order p
+    count as unipotent."""
     if not records:
         raise BoundInputError("no records: supremum over an empty set")
 
     def is_unip(r: ClassFusionRecord) -> bool:
         return r.element_kind == "unipotent" or (p > 0 and r.element_order == p)
 
-    unipotent = [r for r in records if is_unip(r)]
-    semis: dict[int, list[ClassFusionRecord]] = {}
+    families: dict[int, list[ClassFusionRecord]] = {}
     for r in records:
-        if is_unip(r):
-            continue
-        if r.element_order > 1 and r.element_order != p:
-            semis.setdefault(r.element_order, []).append(r)
-    if not semis:
-        return Inconclusive(
-            kind="upper_b0",
-            reason=f"no semisimple records of prime order != {p} available",
-            sup_ratio=_sup_record(records).ratio,
-        )
-
-    c_unip = 2
-    for r in unipotent:
-        c_r = _min_c_weak(r.dim_class_in_G, r.dim_intersection_with_H)
-        if c_r is None:
-            return Inconclusive(
-                kind="upper_b0",
-                reason=f"unipotent record {r.class_label!r} has ratio >= 1",
-                sup_ratio=_sup_record(records).ratio,
-            )
-        c_unip = max(c_unip, c_r)
-
-    best: tuple[int, int] | None = None  # (c needed, prime)
-    for prime, prs in sorted(semis.items()):
-        c_p = 2
-        ok = True
-        for r in prs:
-            c_r = _min_c_strict(r.dim_class_in_G, r.dim_intersection_with_H)
-            if c_r is None:
-                ok = False
-                break
-            c_p = max(c_p, c_r)
-        if ok and (best is None or c_p < best[0]):
-            best = (c_p, prime)
-    if best is None:
-        return Inconclusive(
-            kind="upper_b0",
-            reason="every available prime family contains a ratio-1 record",
-            sup_ratio=_sup_record(records).ratio,
-        )
-    value = max(c_unip, best[0])
+        if not is_unip(r) and r.element_order > 1:
+            families.setdefault(r.element_order, []).append(r)
+    if not families:
+        return _inconclusive("upper_b0", f"no semisimple records of prime order != {p} available", records)
+    c_unip, r = _least_c([r for r in records if is_unip(r)], lambda r: True)
+    if c_unip is None:
+        return _inconclusive("upper_b0", f"unipotent record {r.class_label!r} has ratio >= 1", records)
+    # the least c over the unblocked prime families, then the least prime
+    open_families = [(c, q) for q, fam in families.items() if (c := _least_c(fam, lambda r: False)[0])]
+    if not open_families:
+        return _inconclusive("upper_b0", "every available prime family contains a ratio-1 record", records)
+    c_prime, prime = min(open_families)
+    value = max(c_unip, c_prime)
     return BoundResult(
         kind="upper_b0",
         value=value,
-        witness=f"strict prime family r={best[1]}; unipotent classes weakly below",
+        witness=f"strict prime family r={prime}; unipotent classes weakly below",
         q_at_value=q_value(records, value),
     )

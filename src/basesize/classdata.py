@@ -9,6 +9,7 @@ samples, not complete class lists; each header says so via ``complete``.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,6 +24,12 @@ ELEMENT_KINDS = ("unipotent", "semisimple", "mixed-coset")
 
 class DatasetError(ValueError):
     """Parse or invariant failure, annotated with a line number."""
+
+
+def is_prime(p: int) -> bool:
+    """Whether p is a prime below 2^31, by trial division.  The bound is
+    linalg.MAX_PRIME, spelled out so that datasets load without numpy."""
+    return 2 <= p < 2**31 and all(p % q for q in range(2, math.isqrt(p) + 1))
 
 
 @dataclass(frozen=True)
@@ -48,7 +55,7 @@ class ClassFusionRecord:
 class Dataset:
     group: str
     subgroup_label: str
-    characteristic: str  # "any" or a prime rendered as a string
+    characteristic: str  # "any", "", "0" or a prime rendered as a string
     expected_sup_ratio: Fraction
     claim: str
     complete: bool
@@ -90,7 +97,7 @@ def _validate_record(rec: ClassFusionRecord, max_class_dim: int, lineno: int) ->
 
     if rec.element_kind not in ELEMENT_KINDS:
         fail(f"unknown element_kind {rec.element_kind!r}")
-    if rec.element_order < 0:
+    if rec.element_order != 0 and not is_prime(rec.element_order):
         fail("element_order must be a prime or 0")
     if rec.dim_class_in_G < 1:
         fail("dim_class_in_G must be positive for a nontrivial class")
@@ -136,6 +143,10 @@ def loads(text: str) -> Dataset:
             try:
                 expected_sup_ratio = _parse_fraction(header["expected_sup_ratio"])
                 max_class_dim = rootsys.group_dim(header["group"]) - rootsys.group_rank(header["group"])
+                characteristic = str(header.get("characteristic", "any"))
+                if characteristic not in ("any", "", "0") and not (
+                        characteristic.isdecimal() and is_prime(int(characteristic))):
+                    raise ValueError(f"characteristic {characteristic!r} is not 'any', 0 or a prime below 2^31")
             except (TypeError, ValueError, ZeroDivisionError) as e:
                 raise DatasetError(f"line {lineno}: {e}") from e
             continue
@@ -160,7 +171,7 @@ def loads(text: str) -> Dataset:
     ds = Dataset(
         group=header["group"],
         subgroup_label=header["subgroup_label"],
-        characteristic=str(header.get("characteristic", "any")),
+        characteristic=characteristic,
         expected_sup_ratio=expected_sup_ratio,
         claim=header.get("claim", ""),
         complete=bool(header.get("complete", False)),

@@ -17,19 +17,21 @@ parts head the basis) under ``diagnostics``, outside ``outputs``.  Exit
 codes: 0 success, 2 request error, 3 inconclusive bound, and 1 only when
 stdout closes before the output is written.  The type of an error decides
 its code: every request the package cannot answer raises a ``ValueError``
-(or ``FileNotFoundError``), which ``main`` alone turns into exit 2 and one
-``error:`` line; a traceback is a bug.  Exit 2 covers malformed spec JSON
-and datasets, a ``--prime``, ``--q`` or nonzero ``--char`` that is not a
-prime below 2^31, a ``--char`` that contradicts the dataset, a ``finite``
-family or ``--n`` other than the action's, ``--trials``, ``--bound`` or a
-module's ``--c`` below 1, a module ``n`` below 2, a ``--c`` above the
-transversal subspaces that fit over ``--prime``, a nondegenerate part of
-odd dimension for SO of even n at ``--prime 2``, a ``--tuple-length``
-that no tuple of points, or of disjoint point pairs, can have or that no
-seeded draw puts in general position, a verifier sampling failure
-(``sym2`` forms at ``--prime 2`` among them) and a finite group that
-outgrows ``--bound``.  Every run echoes its seeds and primes.  ``emit``
-output is byte-stable: it contains no timing or environment data.
+(or ``FileNotFoundError``), which ``main`` alone turns into exit 2 and
+one ``error:`` line; a traceback is a bug.  Exit 2 covers malformed spec
+JSON and datasets, a dataset characteristic other than "any", 0 or a
+prime, a record ``element_order`` other than 0 or a prime, a ``--prime``,
+``--q`` or nonzero ``--char`` that is not a prime below 2^31, a
+``--char`` that contradicts the dataset, a ``finite`` family or ``--n``
+other than the action's, ``--trials``, ``--bound`` or a module's ``--c``
+below 1, a module ``n`` below 2, a ``--c`` above the transversal
+subspaces that fit over ``--prime``, a nondegenerate part of odd
+dimension for SO of even n at ``--prime 2``, a ``--tuple-length`` that no
+tuple of points, or of disjoint point pairs, can have or that no seeded
+draw puts in general position, a verifier sampling failure (``sym2``
+forms at ``--prime 2`` among them) and a finite group that outgrows
+``--bound``.  Every run echoes its seeds and primes.  ``emit`` output is
+byte-stable: it contains no timing or environment data.
 """
 from __future__ import annotations
 
@@ -39,7 +41,6 @@ import dataclasses
 import hashlib
 import io
 import json
-import math
 import os
 import sys
 import time
@@ -156,15 +157,9 @@ def cmd_formula(args) -> int:
     return EXIT_OK
 
 
-def _is_prime(p: int) -> bool:
-    """Trial division, enough below 2^31."""
-    return p >= 2 and all(p % q for q in range(2, math.isqrt(p) + 1))
-
-
 def _require_prime(flag: str, p: int) -> None:
-    # arithmetic mod a composite divides by zero divisors; the bound is
-    # linalg.MAX_PRIME, spelled out so that bounds does not import numpy
-    if not (p < 2**31 and _is_prime(p)):
+    # arithmetic mod a composite divides by zero divisors
+    if not classdata.is_prime(p):
         raise formulas.SpecValidationError(f"{flag} {p} is not a prime below 2^31")
 
 

@@ -113,6 +113,30 @@ def test_rejects_fields_of_the_wrong_json_type(field, value):
         loads(_text(HEADER, [_rec(**{field: value})]))
 
 
+@pytest.mark.parametrize("order", [1, 4, 9, -3, 2**31 + 11])
+def test_rejects_record_orders_that_are_not_prime(order):
+    # b0 would read an order-4 record as a prime family r = 4 and skip an order-1 one
+    bad = _rec(class_label="x", element_kind="semisimple", element_order=order, is_long_root=False)
+    with pytest.raises(DatasetError, match="line 3: element_order must be a prime or 0"):
+        loads(_text(HEADER, [_rec(), bad]))
+
+
+@pytest.mark.parametrize("char", ["4", "odd", "1", "-2", "2.0", " 2", 4, None, True])
+def test_rejects_header_characteristics_that_are_not_prime(char):
+    with pytest.raises(DatasetError, match=r"^line 1: characteristic .* is not 'any', 0 or a prime below 2\^31$"):
+        loads(_text(dict(HEADER, characteristic=char), [_rec()]))
+
+
+@pytest.mark.parametrize("char,want", [("any", "any"), ("", ""), ("0", "0"), ("2", "2"), (3, "3"), ("7", "7")])
+def test_accepts_any_zero_or_a_prime_characteristic(char, want):
+    assert loads(_text(dict(HEADER, characteristic=char), [_rec()])).characteristic == want
+
+
+def test_is_prime_below_two_to_the_31():
+    assert [p for p in range(-3, 30) if classdata.is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert classdata.is_prime(2**31 - 1) and not classdata.is_prime(2**31 + 11)
+
+
 def test_rejects_deeply_nested_line():
     with pytest.raises(DatasetError, match="line 2: JSON nested too deeply"):
         loads(json.dumps(HEADER) + "\n" + "[" * 100000 + "]" * 100000)

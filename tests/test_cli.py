@@ -405,6 +405,29 @@ def test_bad_input_exits_2_with_one_error_line(capsys, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "name,edit,message",
+    [
+        # b0 would run at a header's p = 4, which --char 4 is refused for
+        ("e7_a7_p2", ('"characteristic": "2"', '"characteristic": "4"'), "characteristic '4' is not"),
+        ("e7_a7_p2", ('"characteristic": "2"', '"characteristic": "odd"'), "characteristic 'odd' is not"),
+        ("g2_na2", ('"element_order": 3', '"element_order": 4'), "element_order must be a prime or 0"),
+        ("g2_na2", ('"element_order": 3', '"element_order": 1'), "element_order must be a prime or 0"),
+    ],
+    ids=["char4", "char-odd", "order4", "order1"],
+)
+@pytest.mark.parametrize("mode", ["b0 --char 3", "b1"])
+def test_bad_dataset_copy_exits_2_with_one_error_line(capsys, tmp_path, monkeypatch, name, edit, message, mode):
+    text = classdata.dataset_path(name).read_text()
+    assert edit[0] in text
+    (tmp_path / f"{name}.jsonl").write_text(text.replace(edit[0], edit[1], 1))
+    monkeypatch.setenv(classdata.DATA_DIR_ENV, str(tmp_path))
+    code, out, err = run_cli(capsys, "bounds", "--dataset", name, "--mode", *mode.split())
+    lineno = 1 + text.split(edit[0])[0].count("\n")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: line {lineno}: ") and err.count("\n") == 1 and message in err
+
+
 def test_verify_diagnostics_sit_outside_the_stable_outputs(capsys):
     # outputs and config_hash as they were before the adapted basis
     spec = '{"family":"Sp","n":8,"char":"odd","subgroup":{"subspace":{"d":2,"flavor":"totally_singular"}}}'
