@@ -99,6 +99,8 @@ def _validate_record(rec: ClassFusionRecord, max_class_dim: int, lineno: int) ->
         fail(f"unknown element_kind {rec.element_kind!r}")
     if rec.element_order != 0 and not is_prime(rec.element_order):
         fail("element_order must be a prime or 0")
+    if rec.element_order == 0 and rec.element_kind != "unipotent":
+        fail(f"element_order 0 is for unipotent classes, not {rec.element_kind}")
     if rec.dim_class_in_G < 1:
         fail("dim_class_in_G must be positive for a nontrivial class")
     if not 0 <= rec.dim_intersection_with_H <= rec.dim_class_in_G:

@@ -20,18 +20,17 @@ its code: every request the package cannot answer raises a ``ValueError``
 (or ``FileNotFoundError``), which ``main`` alone turns into exit 2 and
 one ``error:`` line; a traceback is a bug.  Exit 2 covers malformed spec
 JSON and datasets, a dataset characteristic other than "any", 0 or a
-prime, a record ``element_order`` other than 0 or a prime, a ``--prime``,
-``--q`` or nonzero ``--char`` that is not a prime below 2^31, a
-``--char`` that contradicts the dataset, a ``finite`` family or ``--n``
-other than the action's, ``--trials``, ``--bound`` or a module's ``--c``
-below 1, a module ``n`` below 2, a ``--c`` above the transversal
-subspaces that fit over ``--prime``, a nondegenerate part of odd
-dimension for SO of even n at ``--prime 2``, a ``--tuple-length`` that no
-tuple of points, or of disjoint point pairs, can have or that no seeded
-draw puts in general position, a verifier sampling failure (``sym2``
-forms at ``--prime 2`` among them) and a finite group that outgrows
-``--bound``.  Every run echoes its seeds and primes.  ``emit`` output is
-byte-stable: it contains no timing or environment data.
+prime, a record ``element_order`` other than a prime (or 0, for unipotent
+records only), a ``--prime``, ``--q`` or nonzero ``--char`` that is not a
+prime below 2^31, a ``--char`` that contradicts the dataset, a ``finite``
+family or ``--n`` other than the action's, ``--trials``, ``--bound`` or a
+module's ``--c`` below 1, a module ``n`` below 2, a ``--c`` above the
+transversal subspaces that fit over ``--prime``, a nondegenerate part of
+odd dimension for SO of even n at ``--prime 2``, a ``--tuple-length`` that
+no tuple of points, or of disjoint point pairs, can have, a verifier
+sampling failure (``sym2`` forms at ``--prime 2`` among them) and a finite
+group that outgrows ``--bound``.  Every run echoes its seeds and primes.
+``emit`` output is byte-stable: it contains no timing or environment data.
 """
 from __future__ import annotations
 
@@ -257,9 +256,9 @@ def cmd_finite(args) -> int:
         if args.action == "torus-normalizer" and 2 * length > args.q + 1:
             raise formulas.SpecValidationError(
                 f"{length} disjoint point pairs need {2 * length} of the {args.q + 1} points of the line")
-        predicate = finitecheck.disjoint_pairs if args.action == "torus-normalizer" else None
+        draw = finitecheck.disjoint_pairs if args.action == "torus-normalizer" else None
         order = finitecheck.generic_tuple_stabilizer_order(
-            action, args.tuple_length, seed=args.seed, general_position=predicate
+            action, args.tuple_length, seed=args.seed, general_position=draw
         )
         out = {"generic_tuple_stabilizer_order": order, "tuple_length": args.tuple_length,
                "points": len(action.points), "group_order": action.order}

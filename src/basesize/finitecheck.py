@@ -1,12 +1,14 @@
 """Exact base sizes and stabilizer orders for small finite matrix groups.
 
 Each group is listed once.  Before anything is listed, its closed-form
-order is checked against a hard element bound.  Matrix generators over
-F_q (int64 arrays) become permutations of an enumerated point set, with
-scalars acting trivially, and ``close_perm_group`` closes them by breadth
-first search.  The point pairs of the projective line take their group
-from the line's, and SL_2(q) is listed in closed form.  Base sizes come
-from an exhaustive pruned backtrack over stabilizer-orbit representatives.
+order is checked against a hard element bound.  SL_2(q) is listed in
+closed form, and PGL_2(q) is the image on the projective line of SL_2(q)
+and its coset by diag(1, z), z a non-square.  The point pairs of the line
+take their group from the line's.  Sp_4(q) is generated by transvections
+over F_q (int64 arrays) that become permutations of an enumerated point
+set, with scalars acting trivially, and ``close_perm_group`` closes them by
+breadth-first search.  Base sizes come from an exhaustive pruned backtrack
+over stabilizer-orbit representatives.
 """
 from __future__ import annotations
 
@@ -25,10 +27,6 @@ class EnumerationBoundExceeded(ValueError):
     pass
 
 
-class NoGeneralPosition(ValueError):
-    """No sampled tuple passed the general-position predicate."""
-
-
 class RelationViolation(AssertionError):
     """A certified inequality between base measures failed: a hard bug."""
 
@@ -39,22 +37,25 @@ def _check_order(order: int, bound: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Generators over F_q
+# Groups over F_q
 
-def primitive_root(q: int) -> int:
-    for g in range(1, q):  # 1 generates the units of F_2
-        x, seen = 1, set()
-        for _ in range(q - 1):
-            x = x * g % q
-            seen.add(x)
-        if len(seen) == q - 1:
-            return g
-    raise ValueError(f"{q} is not prime")
+def _inverses(q: int) -> np.ndarray:
+    """Inverses in F_q by residue, with 0 sent to 0."""
+    return np.array([0] + [pow(x, q - 2, q) for x in range(1, q)], dtype=np.int64)
 
 
-def gl2_generators(q: int) -> np.ndarray:
-    z = primitive_root(q)
-    return np.array([[[1, 1], [0, 1]], [[0, q - 1], [1, 0]], [[z, 0], [0, 1]]], dtype=np.int64)
+def _sl2_elements(q: int) -> np.ndarray:
+    """SL_2(q) as an (order, 2, 2) array in lexicographic order of (a, b, c, d):
+    first a = 0 (then bc = -1 and d is free), then d = (1 + bc)/a."""
+    inv = _inverses(q)
+    b0, d0 = np.divmod(np.arange(q, q * q), q)
+    a1, bc = np.divmod(np.arange(q * q, q**3), q * q)
+    b1, c1 = np.divmod(bc, q)
+    rows = np.concatenate([
+        np.stack([np.zeros_like(b0), b0, -inv[b0] % q, d0], axis=1),
+        np.stack([a1, b1, c1, (1 + b1 * c1) * inv[a1] % q], axis=1),
+    ])
+    return rows.reshape(-1, 2, 2)
 
 
 def _symplectic_form4(q: int) -> np.ndarray:
@@ -120,21 +121,24 @@ def close_perm_group(gen_perms: list[tuple[int, ...]], bound: int = DEFAULT_ELEM
     return np.array(sorted(seen), dtype=np.int32)
 
 
-def _perm_action(gens: np.ndarray, points: list, apply_pt, bound: int) -> PermAction:
-    to_index = {pt: i for i, pt in enumerate(points)}
-    gen_perms = [tuple(to_index[apply_pt(g, pt)] for pt in points) for g in gens]
-    return PermAction(points=points, perms=close_perm_group(gen_perms, bound))
-
-
 def pgl2_line_action(q: int, bound: int = DEFAULT_ELEMENT_BOUND) -> PermAction:
-    """The projective line under the full projective linear group."""
+    """The projective line under the full projective linear group: the
+    images of SL_2(q) and SL_2(q)*diag(1, z), z a non-square (z = 1 over F_2,
+    where every unit is a square), listed one point at a time."""
     _check_order(q**3 - q, bound)
-
-    def apply_pt(m, pt):
-        x, y = (int(v) for v in m @ pt % q)
-        return (1, y * pow(x, q - 2, q) % q) if x else (0, 1)
-
-    return _perm_action(gl2_generators(q), projective_line(q), apply_pt, bound)
+    z = next((z for z in range(2, q) if pow(z, (q - 1) // 2, q) == q - 1), 1)
+    g = _sl2_elements(q)
+    # the matrix columns: the images of (1, 0) and of (0, 1)
+    e1 = np.concatenate([g[:, :, 0], g[:, :, 0]])
+    e2 = np.concatenate([g[:, :, 1], z * g[:, :, 1] % q])
+    inv = _inverses(q)
+    points = projective_line(q)
+    perms = np.empty((e1.shape[0], q + 1), dtype=np.int32)
+    for col, (u, v) in enumerate(points):
+        x, y = ((u * e1 + v * e2) % q).T
+        perms[:, col] = np.where(x, y * inv[x] % q, q)
+    # each element of PSL_2(q) appears as g and -g; np.unique drops one and sorts
+    return PermAction(points=points, perms=np.unique(perms, axis=0))
 
 
 def pgl2_pairs_action(q: int, bound: int = DEFAULT_ELEMENT_BOUND) -> PermAction:
@@ -165,11 +169,17 @@ def sp4_decomposition_action(q: int = 3, bound: int = DEFAULT_ELEMENT_BOUND) -> 
     start = tuple(sorted(np.array(rows, dtype=np.int8).tobytes() for rows in (
         [[0, 1, 0, 0], [0, 0, 0, 1]], [[1, 0, 0, 0], [0, 0, 1, 0]],
     )))
-    orbit, frontier = {start}, {start}
+    # each orbit point with its images under the generators
+    images, frontier = {}, [start]
     while frontier:
-        frontier = {apply_pt(g, pt) for pt in frontier for g in gens} - orbit
-        orbit |= frontier
-    return _perm_action(gens, sorted(orbit), apply_pt, bound)
+        pt = frontier.pop()
+        if pt not in images:
+            images[pt] = [apply_pt(g, pt) for g in gens]
+            frontier += images[pt]
+    points = sorted(images)
+    to_index = {pt: i for i, pt in enumerate(points)}
+    gen_perms = list(zip(*([to_index[im] for im in images[pt]] for pt in points)))
+    return PermAction(points=points, perms=close_perm_group(gen_perms, bound))
 
 
 # ---------------------------------------------------------------------------
@@ -227,50 +237,41 @@ def exact_base_size(action: PermAction, seed: int = 0) -> int:
     raise RuntimeError("the action is not faithful")
 
 
-#: tuples sampled (inside the general-position locus) per modal order
+#: tuples drawn per modal order
 TUPLE_SAMPLES = 200
 
 
 def generic_tuple_stabilizer_order(
     action: PermAction, length: int, seed: int = 0, general_position=None,
 ) -> int:
-    """Modal stabilizer order over seeded random tuples, optionally
-    restricted to tuples passing an explicit general-position predicate.
-
-    At finite field sizes the dense locus need not dominate a raw sample
-    count, so callers encode the open conditions they mean (as the
-    sampler does for configurations) and the mode is taken inside them.
+    """Modal stabilizer order over ``TUPLE_SAMPLES`` seeded tuples of
+    ``length`` distinct points, or drawn by ``general_position(points,
+    length, rng)`` as point indices.  At finite field sizes the dense locus
+    need not dominate a raw sample count, so callers draw inside the open
+    conditions they mean, as the sampler does for configurations.
     """
     rng = random.Random(seed)
     m = len(action.points)
     counts: dict[int, int] = {}
-    found = 0
-    attempts = 0
-    while found < TUPLE_SAMPLES and attempts < 50 * TUPLE_SAMPLES:
-        attempts += 1
-        tup = tuple(rng.sample(range(m), length))
-        if general_position is not None and not general_position(
-            [action.points[t] for t in tup]
-        ):
-            continue
-        found += 1
+    for _ in range(TUPLE_SAMPLES):
+        if general_position is None:
+            tup = tuple(rng.sample(range(m), length))
+        else:
+            tup = general_position(action.points, length, rng)
         order = stabilizer_order(action, tup)
         counts[order] = counts.get(order, 0) + 1
-    if not counts:
-        raise NoGeneralPosition(f"none of {attempts} random {length}-tuples satisfied the general-position predicate")
     return max(counts.items(), key=lambda kv: (kv[1], -kv[0]))[0]
 
 
-def disjoint_pairs(points: list) -> bool:
-    """General position for tuples of point pairs: no shared entries."""
-    seen = set()
-    for pair in points:
-        for x in pair:
-            if x in seen:
-                return False
-            seen.add(x)
-    return True
-
+def disjoint_pairs(points: list, length: int, rng: random.Random) -> tuple[int, ...]:
+    """General position for tuples of point pairs: ``length`` disjoint
+    pairs of 2*length distinct line points.  ``points`` lists the pairs
+    (i, j), i < j, of n line points in lexicographic order, as
+    ``pgl2_pairs_action`` does, so (i, j) sits at i*n - i(i+1)/2 + j - i - 1."""
+    n = points[-1][1] + 1
+    ends = rng.sample(range(n), 2 * length)
+    pairs = map(sorted, zip(ends[::2], ends[1::2]))
+    return tuple(i * n - i * (i + 1) // 2 + j - i - 1 for i, j in pairs)
 
 def cross_check_relations(triple, finite_base_size: int, q: int) -> dict:
     """Certified relation between the algebraic and finite actions: for
@@ -294,20 +295,6 @@ def cross_check_relations(triple, finite_base_size: int, q: int) -> dict:
 
 # ---------------------------------------------------------------------------
 # Form stabilizers in SL_2(q)
-
-def _sl2_elements(q: int) -> np.ndarray:
-    """SL_2(q) as an (order, 2, 2) array in lexicographic order of (a, b, c, d):
-    first a = 0 (then bc = -1 and d is free), then d = (1 + bc)/a."""
-    inv = np.array([0] + [pow(x, q - 2, q) for x in range(1, q)], dtype=np.int64)
-    b0, d0 = np.divmod(np.arange(q, q * q), q)
-    a1, bc = np.divmod(np.arange(q * q, q**3), q * q)
-    b1, c1 = np.divmod(bc, q)
-    rows = np.concatenate([
-        np.stack([np.zeros_like(b0), b0, -inv[b0] % q, d0], axis=1),
-        np.stack([a1, b1, c1, (1 + b1 * c1) * inv[a1] % q], axis=1),
-    ])
-    return rows.reshape(-1, 2, 2)
-
 
 def sl2_two_form_stabilizer(
     q: int, seed: int = 0, bound: int = DEFAULT_ELEMENT_BOUND

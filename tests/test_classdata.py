@@ -121,6 +121,14 @@ def test_rejects_record_orders_that_are_not_prime(order):
         loads(_text(HEADER, [_rec(), bad]))
 
 
+@pytest.mark.parametrize("kind", ["semisimple", "mixed-coset"])
+def test_rejects_order_zero_off_unipotent_records(kind):
+    # order 0 means a unipotent class in characteristic 0
+    bad = _rec(class_label="x", element_kind=kind, element_order=0, is_long_root=False)
+    with pytest.raises(DatasetError, match=f"line 3: element_order 0 is for unipotent classes, not {kind}"):
+        loads(_text(HEADER, [_rec(), bad]))
+
+
 @pytest.mark.parametrize("char", ["4", "odd", "1", "-2", "2.0", " 2", 4, None, True])
 def test_rejects_header_characteristics_that_are_not_prime(char):
     with pytest.raises(DatasetError, match=r"^line 1: characteristic .* is not 'any', 0 or a prime below 2\^31$"):

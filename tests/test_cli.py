@@ -313,7 +313,9 @@ def test_finite_order_over_the_bound_exits_2_before_listing(capsys, monkeypatch,
     def unreachable(*args, **kwargs):
         raise AssertionError("the group was listed although its order exceeds the bound")
 
+    # Sp_4 is closed from generators; PGL_2 and SL_2 are listed from _sl2_elements
     monkeypatch.setattr(finitecheck, "close_perm_group", unreachable)
+    monkeypatch.setattr(finitecheck, "_sl2_elements", unreachable)
     code, out, err = run_cli(capsys, "finite", *argv)
     assert code == 2
     assert out == ""
@@ -376,9 +378,6 @@ _PAIRS_ORDER = ["finite", "--family", "PGL", "--n", "2", "--action", "torus-norm
         # mod 2 the form of SO_8 is alternating: this used to run out of retries
         (["verify", "--spec", '{"family":"SO","n":8,"subgroup":{"subspace":{"d":1,"flavor":"nondeg"}}}',
           "--c", "1", "--prime", "2"], "alternating"),
-        # these used to end in a traceback: no random draw finds q + 1 points in disjoint pairs
-        (_PAIRS_ORDER + ["--q", "13", "--tuple-length", "7"], "none of 10000 random 7-tuples"),
-        (_PAIRS_ORDER + ["--q", "11", "--tuple-length", "6"], "none of 10000 random 6-tuples"),
         (["formula", "--spec", '{"family":"Sp","n":3,"subgroup":"torus_normalizer"}'], "Sp needs even n"),
         (["formula", "--spec", '{"family":"SO","n":2,"subgroup":"torus_normalizer"}'], "SO_2 is not simple"),
         # SL_2(3) acts on the line as PSL_2(3), of order 12, not as PGL_2(3)
@@ -394,7 +393,7 @@ _PAIRS_ORDER = ["finite", "--family", "PGL", "--n", "2", "--action", "torus-norm
     ],
     ids=["pairs-q3-len3", "pairs-q7-len9", "pairs-q7-len-1", "line-q7-len9", "bounds-char4", "bounds-char-3",
          "so-tensor-c0", "sym2-c-2", "sym2-n0", "sym2-n1", "so7-ts-p2", "sl2-four-points-p2", "so8-nondeg-d1-p2",
-         "pairs-q13-len7", "pairs-q11-len6", "sp3-torus", "so2-torus", "sl-line", "sl-pairs", "b1-char4",
+         "sp3-torus", "so2-torus", "sl-line", "sl-pairs", "b1-char4",
          "char3-on-p2-dataset", "b1-char0-on-p2-dataset"],
 )
 def test_bad_input_exits_2_with_one_error_line(capsys, argv, message):
@@ -405,6 +404,15 @@ def test_bad_input_exits_2_with_one_error_line(capsys, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize("q,length", [(11, 6), (13, 7)], ids=["pairs-q11-len6", "pairs-q13-len7"])
+def test_finite_disjoint_pairs_that_cover_the_line_exit_0(capsys, q, length):
+    # length disjoint pairs cover all q + 1 points: random tuples of pairs
+    # almost never do, so filtering them for disjointness found none
+    code, out, _ = run_cli(capsys, *_PAIRS_ORDER, "--q", str(q), "--tuple-length", str(length))
+    assert code == 0
+    assert json.loads(out)["outputs"]["generic_tuple_stabilizer_order"] == 1
+
+
 @pytest.mark.parametrize(
     "name,edit,message",
     [
@@ -413,8 +421,10 @@ def test_bad_input_exits_2_with_one_error_line(capsys, argv, message):
         ("e7_a7_p2", ('"characteristic": "2"', '"characteristic": "odd"'), "characteristic 'odd' is not"),
         ("g2_na2", ('"element_order": 3', '"element_order": 4'), "element_order must be a prime or 0"),
         ("g2_na2", ('"element_order": 3', '"element_order": 1'), "element_order must be a prime or 0"),
+        # b0 skipped a semisimple record of order 0 and b1 counted it
+        ("g2_na2", ('"element_order": 2', '"element_order": 0'), "element_order 0 is for unipotent classes"),
     ],
-    ids=["char4", "char-odd", "order4", "order1"],
+    ids=["char4", "char-odd", "order4", "order1", "semisimple-order0"],
 )
 @pytest.mark.parametrize("mode", ["b0 --char 3", "b1"])
 def test_bad_dataset_copy_exits_2_with_one_error_line(capsys, tmp_path, monkeypatch, name, edit, message, mode):

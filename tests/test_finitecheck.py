@@ -23,20 +23,35 @@ def test_pgl2_5_base_size_three():
     assert fc.stabilizer_order(a, (0, 1)) == 4
 
 
+def _line_index(v, q):
+    # position of the projective point v in projective_line(q)
+    x, y = (int(t) % q for t in v)
+    return y * pow(x, q - 2, q) % q if x else q
+
+
+def _closed_pgl2(q, g=np.eye(2, dtype=np.int64), g_adj=np.eye(2, dtype=np.int64)):
+    """Reference PGL_2(q) on the line: a transvection, a Weyl element and
+    diag(z, 1), z a primitive root, conjugated by g (whose adjugate inverts
+    it projectively) and closed by breadth-first search."""
+    z = next(z for z in range(1, q) if len({pow(z, k, q) for k in range(q - 1)}) == q - 1)
+    gens = [np.array(m) for m in ([[1, 1], [0, 1]], [[0, q - 1], [1, 0]], [[z, 0], [0, 1]])]
+    pts = fc.projective_line(q)
+    perms = [[_line_index(g @ m @ g_adj @ pt, q) for pt in pts] for m in gens]
+    return fc.PermAction(pts, fc.close_perm_group(perms))
+
+
+@pytest.mark.parametrize("q", [2, 17])
+def test_pgl2_listing_is_the_closure_of_generators(q):
+    a, ref = fc.pgl2_line_action(q), _closed_pgl2(q)
+    assert a.points == ref.points
+    assert (a.perms.dtype, a.perms.shape) == (ref.perms.dtype, ref.perms.shape)
+    assert a.perms.tobytes() == ref.perms.tobytes()
+
+
 def test_base_size_invariant_under_conjugation():
     q = 5
     a = fc.pgl2_line_action(q)
-    g = np.array([[2, 1], [1, 1]])
-    ginv_num = np.array([[1, q - 1], [q - 1, 2]])  # adj(g) works projectively
-    pts = fc.projective_line(q)
-
-    def index(v):
-        # position of the projective point v in projective_line(q)
-        x, y = (int(t) % q for t in v)
-        return y * pow(x, q - 2, q) % q if x else q
-
-    perms = [[index(g @ m @ ginv_num @ pt) for pt in pts] for m in fc.gl2_generators(q)]
-    b = fc.PermAction(pts, fc.close_perm_group(perms))
+    b = _closed_pgl2(q, np.array([[2, 1], [1, 1]]), np.array([[1, q - 1], [q - 1, 2]]))
     assert b.order == a.order
     assert fc.exact_base_size(b, seed=1) == fc.exact_base_size(a, seed=1)
 
@@ -65,14 +80,22 @@ def test_torus_normalizer_generic_pair_order_two():
         assert order == 2
 
 
-@pytest.mark.parametrize("q,length", [(11, 6), (13, 7)])
-def test_no_tuple_in_general_position_is_a_request_error(q, length):
-    # length disjoint pairs cover all q + 1 points, which a random tuple of
-    # pairs almost never does
+@pytest.mark.parametrize("q,length", [(7, 2), (11, 6), (13, 7)])
+def test_tuple_stabilizer_draws_tuple_samples_disjoint_pairs(q, length):
+    # at q + 1 = 2 * length the pairs cover the line, which rejecting random
+    # tuples of pairs almost never reached
     a = fc.pgl2_pairs_action(q)
-    with pytest.raises(fc.NoGeneralPosition, match=f"none of 10000 random {length}-tuples") as e:
-        fc.generic_tuple_stabilizer_order(a, length, seed=0, general_position=fc.disjoint_pairs)
-    assert isinstance(e.value, ValueError)
+    drawn = []
+
+    def draw(points, length, rng):
+        drawn.append(fc.disjoint_pairs(points, length, rng))
+        return drawn[-1]
+
+    fc.generic_tuple_stabilizer_order(a, length, seed=0, general_position=draw)
+    assert len(drawn) == fc.TUPLE_SAMPLES
+    for tup in drawn:
+        ends = [x for t in tup for x in a.points[t]]
+        assert len(ends) == len(set(ends)) == 2 * length
 
 
 def test_pair_with_stabilizer_exactly_two_exists():
