@@ -1,14 +1,23 @@
 """Exact base sizes and stabilizer orders for small finite matrix groups.
 
-Each group is listed once.  Before anything is listed, its closed-form
-order is checked against a hard element bound.  SL_2(q) is listed in
-closed form, and PGL_2(q) is the image on the projective line of SL_2(q)
-and its coset by diag(1, z), z a non-square.  The point pairs of the line
-take their group from the line's.  Sp_4(q) is generated by transvections
-over F_q (int64 arrays) that become permutations of an enumerated point
-set, with scalars acting trivially, and ``close_perm_group`` closes them by
-breadth-first search.  Base sizes come from an exhaustive pruned backtrack
-over stabilizer-orbit representatives.
+Each group is listed once, over a prime field F_q only: the builders
+raise ValueError for any other q.  Before anything is listed, its
+closed-form order is checked against a hard element bound.  SL_2(q) is
+listed in closed form, and PGL_2(q) is the image on the projective line of
+SL_2(q) and its coset by diag(1, z), z a non-square.  The point pairs of
+the line take their group from the line's.  Sp_4(q) is generated by
+transvections over F_q (int64 arrays) that become permutations of an
+enumerated point set, with scalars acting trivially, and
+``close_perm_group`` closes them by breadth-first search.  Base sizes come
+from an exhaustive pruned backtrack over stabilizer-orbit representatives.
+
+Every action's ``perms`` rows are distinct and in lexicographic order.
+The PGL_2(q) actions are sorted by a few key columns rather than whole
+rows: PGL_2(q) is sharply 3-transitive on the line, so the images of
+points 0, 1 and 2 determine an element, and the images of the pairs
+{0, 1} and {0, 2} meet only in g(0), so they determine g(0), g(1) and g(2)
+too.  Rows that agree on the key columns are equal, and sorting by the
+key columns sorts the rows.
 """
 from __future__ import annotations
 
@@ -18,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import classdata, linalg
 
 DEFAULT_ELEMENT_BOUND = 10**6
 
@@ -90,7 +99,8 @@ def _canon_subspace(rows: np.ndarray, q: int) -> bytes:
 
 @dataclass
 class PermAction:
-    """A faithful permutation group with its point labels."""
+    """A faithful permutation group with its point labels: ``perms`` lists
+    each element once, as distinct rows in lexicographic order."""
 
     points: list
     perms: np.ndarray  # (order, npoints) int arrays
@@ -101,44 +111,72 @@ class PermAction:
 
 
 def close_perm_group(gen_perms: list[tuple[int, ...]], bound: int = DEFAULT_ELEMENT_BOUND) -> np.ndarray:
-    npoints = len(gen_perms[0])
-    ident = tuple(range(npoints))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gen_perms:
-                comp = tuple(p[g[i]] for i in range(npoints))
-                if comp not in seen:
-                    seen.add(comp)
-                    nxt.append(comp)
-                    if len(seen) > bound:
-                        raise EnumerationBoundExceeded(
-                            f"permutation group order exceeds the bound {bound}"
-                        )
-        frontier = nxt
-    return np.array(sorted(seen), dtype=np.int32)
+    """The group generated by ``gen_perms`` as an int32 array of distinct
+    rows in lexicographic order, closed by breadth-first search that
+    composes the whole frontier with every generator at once."""
+    gens = np.array(gen_perms, dtype=np.int32)
+    frontier = np.arange(gens.shape[1], dtype=np.int32)[None]
+    seen = {frontier.tobytes()}
+    found = [frontier]
+    while frontier.size:
+        images = frontier[:, gens].reshape(-1, gens.shape[1])
+        raw, width = images.tobytes(), images.itemsize * gens.shape[1]
+        new = []
+        for k in range(images.shape[0]):
+            row = raw[k * width:(k + 1) * width]
+            if row not in seen:
+                seen.add(row)
+                new.append(k)
+                if len(seen) > bound:
+                    raise EnumerationBoundExceeded(
+                        f"permutation group order exceeds the bound {bound}"
+                    )
+        frontier = images[new]
+        found.append(frontier)
+    perms = np.concatenate(found)
+    return perms[np.lexsort(perms.T[::-1])]
+
+
+def _require_prime(q: int) -> None:
+    if not classdata.is_prime(q):
+        raise ValueError(f"q = {q} is not a prime")
+
+
+def _line_images(e1: np.ndarray, e2: np.ndarray, points: list, q: int) -> np.ndarray:
+    """Images of the given projective points under the matrices with
+    columns e1 and e2, one int32 column per point."""
+    inv = _inverses(q)
+    out = np.empty((e1.shape[0], len(points)), dtype=np.int32)
+    for col, (u, v) in enumerate(points):
+        x, y = ((u * e1 + v * e2) % q).T
+        out[:, col] = np.where(x, y * inv[x] % q, q)
+    return out
 
 
 def pgl2_line_action(q: int, bound: int = DEFAULT_ELEMENT_BOUND) -> PermAction:
     """The projective line under the full projective linear group: the
     images of SL_2(q) and SL_2(q)*diag(1, z), z a non-square (z = 1 over F_2,
-    where every unit is a square), listed one point at a time."""
+    where every unit is a square), listed one point at a time: the three
+    key points for every matrix, the rest once the rows are sorted."""
+    _require_prime(q)
     _check_order(q**3 - q, bound)
     z = next((z for z in range(2, q) if pow(z, (q - 1) // 2, q) == q - 1), 1)
     g = _sl2_elements(q)
     # the matrix columns: the images of (1, 0) and of (0, 1)
     e1 = np.concatenate([g[:, :, 0], g[:, :, 0]])
     e2 = np.concatenate([g[:, :, 1], z * g[:, :, 1] % q])
-    inv = _inverses(q)
     points = projective_line(q)
-    perms = np.empty((e1.shape[0], q + 1), dtype=np.int32)
-    for col, (u, v) in enumerate(points):
-        x, y = ((u * e1 + v * e2) % q).T
-        perms[:, col] = np.where(x, y * inv[x] % q, q)
-    # each element of PSL_2(q) appears as g and -g; np.unique drops one and sorts
-    return PermAction(points=points, perms=np.unique(perms, axis=0))
+    # the images of points 0, 1 and 2 fix the row (see the module docstring),
+    # so sorting by them sorts the rows; equal keys are g and -g, and the
+    # first of the two is kept
+    key = _line_images(e1, e2, points[:3], q)
+    order = np.lexsort(key.T[::-1])
+    key = key[order]
+    first = np.ones(key.shape[0], dtype=bool)
+    first[1:] = (key[1:] != key[:-1]).any(axis=1)
+    keep = order[first]
+    rest = _line_images(e1[keep], e2[keep], points[3:], q)
+    return PermAction(points=points, perms=np.concatenate([key[first], rest], axis=1))
 
 
 def pgl2_pairs_action(q: int, bound: int = DEFAULT_ELEMENT_BOUND) -> PermAction:
@@ -146,18 +184,28 @@ def pgl2_pairs_action(q: int, bound: int = DEFAULT_ELEMENT_BOUND) -> PermAction:
     of a maximal-torus normalizer.  The group is the line's, acting on the
     pairs through an index table."""
     line = pgl2_line_action(q, bound)
-    i, j = np.triu_indices(q + 1, 1)
-    pair_index = np.zeros((q + 1, q + 1), dtype=np.int32)
-    pair_index[i, j] = pair_index[j, i] = np.arange(i.size)
-    # the action on pairs is faithful, so np.unique only sorts the rows
-    perms = np.unique(pair_index[line.perms[:, i], line.perms[:, j]], axis=0)
-    return PermAction(points=list(zip(i.tolist(), j.tolist())), perms=perms)
+    n = q + 1
+    i, j = np.triu_indices(n, 1)
+    # pair_index[a * n + b] is the index of the pair {a, b}
+    pair_index = np.zeros(n * n, dtype=np.int32)
+    pair_index[i * n + j] = pair_index[j * n + i] = np.arange(i.size)
+    # the images of the pairs {0, 1} and {0, 2} fix the row (see the module
+    # docstring), so sorting by them sorts the rows
+    key = pair_index[line.perms[:, :1] * n + line.perms[:, 1:3]]
+    perms = line.perms[np.lexsort(key.T[::-1])]
+    # np.take keeps the rows C-contiguous for the base search
+    images = np.take(perms, i, axis=1)
+    images *= n
+    images += np.take(perms, j, axis=1)
+    points = list(zip(i.tolist(), j.tolist()))
+    return PermAction(points=points, perms=pair_index[images])
 
 
 def sp4_decomposition_action(q: int = 3, bound: int = DEFAULT_ELEMENT_BOUND) -> PermAction:
     """Unordered pairs {U, U-perp} of complementary nondegenerate 2-spaces
     under Sp_4(q): the coset space of the wreath-type stabilizer.  Sp_4(q)
     is transitive on them, so they are the orbit of {<e1, e3>, <e2, e4>}."""
+    _require_prime(q)
     _check_order(q**4 * (q * q - 1) * (q**4 - 1) // math.gcd(2, q - 1), bound)
     gens = symplectic_transvections4(q)
 
@@ -303,6 +351,7 @@ def sl2_two_form_stabilizer(
     groups of two seeded random nondegenerate symmetric forms; returns
     (order, elements) with the elements an (order, 2, 2) array in
     lexicographic order."""
+    _require_prime(q)
     _check_order(q**3 - q, bound)
     rng = random.Random(seed)
 

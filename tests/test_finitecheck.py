@@ -29,15 +29,18 @@ def _line_index(v, q):
     return y * pow(x, q - 2, q) % q if x else q
 
 
-def _closed_pgl2(q, g=np.eye(2, dtype=np.int64), g_adj=np.eye(2, dtype=np.int64)):
-    """Reference PGL_2(q) on the line: a transvection, a Weyl element and
+def _pgl2_generators(q, g=np.eye(2, dtype=np.int64), g_adj=np.eye(2, dtype=np.int64)):
+    """Generators of PGL_2(q) on the line: a transvection, a Weyl element and
     diag(z, 1), z a primitive root, conjugated by g (whose adjugate inverts
-    it projectively) and closed by breadth-first search."""
+    it projectively)."""
     z = next(z for z in range(1, q) if len({pow(z, k, q) for k in range(q - 1)}) == q - 1)
     gens = [np.array(m) for m in ([[1, 1], [0, 1]], [[0, q - 1], [1, 0]], [[z, 0], [0, 1]])]
-    pts = fc.projective_line(q)
-    perms = [[_line_index(g @ m @ g_adj @ pt, q) for pt in pts] for m in gens]
-    return fc.PermAction(pts, fc.close_perm_group(perms))
+    return [[_line_index(g @ m @ g_adj @ pt, q) for pt in fc.projective_line(q)] for m in gens]
+
+
+def _closed_pgl2(q, g=np.eye(2, dtype=np.int64), g_adj=np.eye(2, dtype=np.int64)):
+    """Reference PGL_2(q) on the line: its generators closed by breadth-first search."""
+    return fc.PermAction(fc.projective_line(q), fc.close_perm_group(_pgl2_generators(q, g, g_adj)))
 
 
 @pytest.mark.parametrize("q", [2, 17])
@@ -46,6 +49,67 @@ def test_pgl2_listing_is_the_closure_of_generators(q):
     assert a.points == ref.points
     assert (a.perms.dtype, a.perms.shape) == (ref.perms.dtype, ref.perms.shape)
     assert a.perms.tobytes() == ref.perms.tobytes()
+
+
+def test_close_perm_group_bound_admits_exactly_the_group_order():
+    gens = _pgl2_generators(5)
+    assert fc.close_perm_group(gens, bound=120).shape == (120, 6)
+    with pytest.raises(fc.EnumerationBoundExceeded):
+        fc.close_perm_group(gens, bound=119)
+
+
+def _unique_line_perms(q):
+    """Reference PGL_2(q) on the line: every point's image under SL_2(q) and
+    SL_2(q)*diag(1, z), z a non-square, with whole rows sorted and
+    deduplicated by np.unique."""
+    z = next(z for z in range(2, q) if pow(z, (q - 1) // 2, q) == q - 1)
+    g = fc._sl2_elements(q)
+    e1 = np.concatenate([g[:, :, 0], g[:, :, 0]])
+    e2 = np.concatenate([g[:, :, 1], z * g[:, :, 1] % q])
+    inv = np.array([0] + [pow(t, q - 2, q) for t in range(1, q)])
+    u, v = np.array(fc.projective_line(q)).T
+    x = (e1[:, None, 0] * u + e2[:, None, 0] * v) % q
+    y = (e1[:, None, 1] * u + e2[:, None, 1] * v) % q
+    return np.unique(np.where(x, y * inv[x] % q, q).astype(np.int32), axis=0)
+
+
+@pytest.mark.parametrize("q", [17, 19, 23])
+def test_line_listing_matches_sorting_whole_rows(q):
+    want = _unique_line_perms(q)
+    got = fc.pgl2_line_action(q).perms
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+    assert got.flags.c_contiguous  # the base search gathers whole rows
+
+
+@pytest.mark.parametrize("q", [17, 19])
+def test_pairs_listing_matches_sorting_whole_rows(q):
+    line = _unique_line_perms(q)
+    i, j = np.triu_indices(q + 1, 1)
+    pair_index = np.zeros((q + 1, q + 1), dtype=np.int32)
+    pair_index[i, j] = pair_index[j, i] = np.arange(i.size)
+    want = np.unique(pair_index[line[:, i], line[:, j]], axis=0)
+    action = fc.pgl2_pairs_action(q)
+    assert action.points == list(zip(i.tolist(), j.tolist()))
+    assert (action.perms.dtype, action.perms.shape) == (want.dtype, want.shape)
+    assert action.perms.tobytes() == want.tobytes()
+    assert action.perms.flags.c_contiguous
+
+
+@pytest.mark.parametrize("q", [0, 1, 4, 9])
+@pytest.mark.parametrize(
+    "build",
+    [fc.pgl2_line_action, fc.pgl2_pairs_action, fc.sp4_decomposition_action, fc.sl2_two_form_stabilizer],
+)
+def test_builders_refuse_q_that_is_not_prime(monkeypatch, build, q):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a group was listed over a q that is not prime")
+
+    monkeypatch.setattr(fc, "close_perm_group", unreachable)
+    monkeypatch.setattr(fc, "_sl2_elements", unreachable)
+    with pytest.raises(ValueError, match="not a prime") as info:
+        build(q)
+    assert not isinstance(info.value, fc.EnumerationBoundExceeded)
 
 
 def test_base_size_invariant_under_conjugation():
