@@ -22,14 +22,16 @@ one ``error:`` line; a traceback is a bug.  Exit 2 covers malformed spec
 JSON and datasets, a dataset characteristic other than "any", 0 or a
 prime, a record ``element_order`` other than a prime (or 0, for unipotent
 records only), a ``--prime``, ``--q`` or nonzero ``--char`` that is not a
-prime below 2^31, a ``--char`` that contradicts the dataset, a ``finite``
-family or ``--n`` other than the action's, ``--trials``, ``--bound`` or a
-module's ``--c`` below 1, a module ``n`` below 2, a ``--c`` above the
-transversal subspaces that fit over ``--prime``, a nondegenerate part of
-odd dimension for SO of even n at ``--prime 2``, a ``--tuple-length`` that
-no tuple of points, or of disjoint point pairs, can have, a verifier
-sampling failure (``sym2`` forms at ``--prime 2`` among them) and a finite
-group that outgrows ``--bound``.  Every run echoes its seeds and primes.
+prime below 2^31, a ``--prime`` with ``--rational`` (whose parts are drawn
+at p = 97 in one trial, as ``config`` records), a ``--char`` that
+contradicts the dataset, a ``finite`` family or ``--n`` other than the
+action's, ``--trials``, ``--bound`` or a module's ``--c`` below 1, a
+module ``n`` below 2, a ``--c`` above the transversal subspaces that fit
+over ``--prime``, a nondegenerate part of odd dimension for SO of even n
+at ``--prime 2``, a ``--tuple-length`` that no tuple of points, or of
+disjoint point pairs, can have, a verifier sampling failure (``sym2``
+forms at ``--prime 2`` among them) and a finite group that outgrows
+``--bound``.  Every run echoes its seeds and primes.
 ``emit`` output is byte-stable: it contains no timing or environment data.
 """
 from __future__ import annotations
@@ -162,6 +164,10 @@ def _require_prime(flag: str, p: int) -> None:
         raise formulas.SpecValidationError(f"{flag} {p} is not a prime below 2^31")
 
 
+#: the prime at which ``verify --rational`` draws its parts, in one trial
+RATIONAL_SAMPLE_PRIME = 97
+
+
 def cmd_verify(args) -> int:
     import numpy as np
 
@@ -170,6 +176,9 @@ def cmd_verify(args) -> int:
     started = time.monotonic()
     spec_obj = _load_spec(args.spec)
     if args.prime is not None:
+        if args.rational:
+            raise formulas.SpecValidationError(
+                f"--rational draws its parts at p = {RATIONAL_SAMPLE_PRIME} and takes no --prime")
         _require_prime("--prime", args.prime)
     primes = (args.prime,) if args.prime else genstab.PRIMES
     config = {
@@ -192,9 +201,10 @@ def cmd_verify(args) -> int:
                 # parts are sampled mod p, and a part totally singular mod p
                 # is not totally singular over Q
                 raise genstab.ConfigError("--rational does not handle totally singular parts")
+            config.update(primes=[RATIONAL_SAMPLE_PRIME], trials=1)
             cfg = genstab.sample_configuration(
                 spec.family, spec.n, spec.subgroup.d, spec.subgroup.flavor,
-                args.c, seed=args.seed, p=97,
+                args.c, seed=args.seed, p=RATIONAL_SAMPLE_PRIME,
             )
             dim = genstab.stabilizer_algebra_dim_rational(
                 [np.asarray(b) for b in cfg.parts], spec.family, spec.n, form=cfg.form

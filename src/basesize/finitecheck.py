@@ -3,21 +3,17 @@
 Each group is listed once, over a prime field F_q only: the builders
 raise ValueError for any other q.  Before anything is listed, its
 closed-form order is checked against a hard element bound.  SL_2(q) is
-listed in closed form, and PGL_2(q) is the image on the projective line of
-SL_2(q) and its coset by diag(1, z), z a non-square.  The point pairs of
-the line take their group from the line's.  Sp_4(q) is generated by
-transvections over F_q (int64 arrays) that become permutations of an
-enumerated point set, with scalars acting trivially, and
-``close_perm_group`` closes them by breadth-first search.  Base sizes come
-from an exhaustive pruned backtrack over stabilizer-orbit representatives.
+listed in closed form, and PGL_2(q) by a normal form: each class of
+scalar multiples of an invertible 2x2 matrix holds exactly one matrix
+whose first column is (1, c) or (0, 1).  The point pairs of the line take
+their group from the line's.  Sp_4(q) is generated by transvections over
+F_q (int64 arrays) that become permutations of an enumerated point set,
+with scalars acting trivially, and ``close_perm_group`` closes them by
+breadth-first search.  Base sizes come from an exhaustive pruned
+backtrack over stabilizer-orbit representatives.
 
-Every action's ``perms`` rows are distinct and in lexicographic order.
-The PGL_2(q) actions are sorted by a few key columns rather than whole
-rows: PGL_2(q) is sharply 3-transitive on the line, so the images of
-points 0, 1 and 2 determine an element, and the images of the pairs
-{0, 1} and {0, 2} meet only in g(0), so they determine g(0), g(1) and g(2)
-too.  Rows that agree on the key columns are equal, and sorting by the
-key columns sorts the rows.
+Every action's ``perms`` lists each element once, in no particular order:
+the base search and the stabilizer counts read only the set of rows.
 """
 from __future__ import annotations
 
@@ -100,7 +96,7 @@ def _canon_subspace(rows: np.ndarray, q: int) -> bytes:
 @dataclass
 class PermAction:
     """A faithful permutation group with its point labels: ``perms`` lists
-    each element once, as distinct rows in lexicographic order."""
+    each element once, in no particular order."""
 
     points: list
     perms: np.ndarray  # (order, npoints) int arrays
@@ -112,8 +108,8 @@ class PermAction:
 
 def close_perm_group(gen_perms: list[tuple[int, ...]], bound: int = DEFAULT_ELEMENT_BOUND) -> np.ndarray:
     """The group generated by ``gen_perms`` as an int32 array of distinct
-    rows in lexicographic order, closed by breadth-first search that
-    composes the whole frontier with every generator at once."""
+    rows in the order found, closed by breadth-first search that composes
+    the whole frontier with every generator at once."""
     gens = np.array(gen_perms, dtype=np.int32)
     frontier = np.arange(gens.shape[1], dtype=np.int32)[None]
     seen = {frontier.tobytes()}
@@ -133,8 +129,7 @@ def close_perm_group(gen_perms: list[tuple[int, ...]], bound: int = DEFAULT_ELEM
                     )
         frontier = images[new]
         found.append(frontier)
-    perms = np.concatenate(found)
-    return perms[np.lexsort(perms.T[::-1])]
+    return np.concatenate(found)
 
 
 def _require_prime(q: int) -> None:
@@ -154,29 +149,18 @@ def _line_images(e1: np.ndarray, e2: np.ndarray, points: list, q: int) -> np.nda
 
 
 def pgl2_line_action(q: int, bound: int = DEFAULT_ELEMENT_BOUND) -> PermAction:
-    """The projective line under the full projective linear group: the
-    images of SL_2(q) and SL_2(q)*diag(1, z), z a non-square (z = 1 over F_2,
-    where every unit is a square), listed one point at a time: the three
-    key points for every matrix, the rest once the rows are sorted."""
+    """The projective line under the full projective linear group, one
+    matrix per element: [[1, b], [c, d]] with d - bc != 0 and
+    [[0, b], [1, d]] with b != 0."""
     _require_prime(q)
     _check_order(q**3 - q, bound)
-    z = next((z for z in range(2, q) if pow(z, (q - 1) // 2, q) == q - 1), 1)
-    g = _sl2_elements(q)
-    # the matrix columns: the images of (1, 0) and of (0, 1)
-    e1 = np.concatenate([g[:, :, 0], g[:, :, 0]])
-    e2 = np.concatenate([g[:, :, 1], z * g[:, :, 1] % q])
     points = projective_line(q)
-    # the images of points 0, 1 and 2 fix the row (see the module docstring),
-    # so sorting by them sorts the rows; equal keys are g and -g, and the
-    # first of the two is kept
-    key = _line_images(e1, e2, points[:3], q)
-    order = np.lexsort(key.T[::-1])
-    key = key[order]
-    first = np.ones(key.shape[0], dtype=bool)
-    first[1:] = (key[1:] != key[:-1]).any(axis=1)
-    keep = order[first]
-    rest = _line_images(e1[keep], e2[keep], points[3:], q)
-    return PermAction(points=points, perms=np.concatenate([key[first], rest], axis=1))
+    # the first column, the image of (1, 0), runs over the listed points
+    # (1, c) and (0, 1); the second, the image of (0, 1), over all (b, d)
+    k, b, d = np.indices((q + 1, q, q)).reshape(3, -1)
+    e1, e2 = np.array(points)[k], np.stack([b, d], axis=1)
+    keep = (e1[:, 0] * d - b * e1[:, 1]) % q != 0
+    return PermAction(points=points, perms=_line_images(e1[keep], e2[keep], points, q))
 
 
 def pgl2_pairs_action(q: int, bound: int = DEFAULT_ELEMENT_BOUND) -> PermAction:
@@ -189,14 +173,10 @@ def pgl2_pairs_action(q: int, bound: int = DEFAULT_ELEMENT_BOUND) -> PermAction:
     # pair_index[a * n + b] is the index of the pair {a, b}
     pair_index = np.zeros(n * n, dtype=np.int32)
     pair_index[i * n + j] = pair_index[j * n + i] = np.arange(i.size)
-    # the images of the pairs {0, 1} and {0, 2} fix the row (see the module
-    # docstring), so sorting by them sorts the rows
-    key = pair_index[line.perms[:, :1] * n + line.perms[:, 1:3]]
-    perms = line.perms[np.lexsort(key.T[::-1])]
     # np.take keeps the rows C-contiguous for the base search
-    images = np.take(perms, i, axis=1)
+    images = np.take(line.perms, i, axis=1)
     images *= n
-    images += np.take(perms, j, axis=1)
+    images += np.take(line.perms, j, axis=1)
     points = list(zip(i.tolist(), j.tolist()))
     return PermAction(points=points, perms=pair_index[images])
 

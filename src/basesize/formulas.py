@@ -661,6 +661,9 @@ def torus_normalizer_triple(spec: ActionSpec) -> BaseTriple:
 # ---------------------------------------------------------------------------
 # Top-level dispatch
 
+_CLASSICAL_PARABOLIC = "classical parabolic actions are subspace actions; use a Subspace subgroup"
+
+
 def base_triple(spec: ActionSpec) -> BaseTriple:
     """Dispatch on the subgroup descriptor."""
     if isinstance(spec.subgroup, Subspace):
@@ -668,9 +671,7 @@ def base_triple(spec: ActionSpec) -> BaseTriple:
     if isinstance(spec.subgroup, Parabolic):
         if spec.family in EXCEPTIONAL_FAMILIES:
             return parabolic_triple(spec.family, spec.subgroup.node)
-        raise SpecValidationError(
-            "classical parabolic actions are subspace actions; use a Subspace subgroup"
-        )
+        raise SpecValidationError(_CLASSICAL_PARABOLIC)
     if isinstance(spec.subgroup, TorusNormalizer):
         return torus_normalizer_triple(spec)
     return nonsubspace_triple(spec)
@@ -697,6 +698,8 @@ def spec_dims(spec: ActionSpec) -> tuple[int, int] | None:
         return None
     n = spec.n
     sub = spec.subgroup
+    if isinstance(sub, Parabolic):
+        raise SpecValidationError(_CLASSICAL_PARABOLIC)
     if isinstance(sub, Subspace):
         d = sub.d
         if spec.family == "SL":

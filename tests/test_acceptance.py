@@ -430,8 +430,10 @@ def _outcome(call):
 #: SHA-256 over the grid below, computed before the rule tables replaced
 #: the dispatch functions of ``formulas``; re-pinned when the torus
 #: normalizers of Sp_2 and SO_3 became rank one (2, 2, 3) and those of Sp
-#: with odd n, SO_2 and SO_4 became rejections (66 entries)
-GRID_DIGEST = "f983f60c56e78a3fa005c9ac1b614286935a2e1dc939d959103e1383ee096810"
+#: with odd n, SO_2 and SO_4 became rejections (66 entries), and again when
+#: spec_dims of a classical Parabolic raised SpecValidationError instead of
+#: AttributeError (450 entries)
+GRID_DIGEST = "d31f9f14a7beb6f3396e506217c9dbcc847a54e3ff74d2c9fd8b92e62549503b"
 
 
 def test_formula_grid_is_pinned():

@@ -265,6 +265,8 @@ _SL42 = '{"family":"SL","n":4,"subgroup":{"subspace":{"d":2}}}'
         # over these rings used to answer algebra_dim 8
         ["--prime", "1000001"], ["--prime", "2147483641"], ["--prime", "4"],
         ["--prime", "1"], ["--prime", "2147483659"], ["--trials", "0"], ["--trials", "-2"],
+        # --rational draws its parts at p = 97 and takes no --prime
+        ["--rational", "--prime", "97"], ["--rational", "--prime", "5"],
     ],
 )
 def test_verify_rejects_composite_primes_and_no_trials(capsys, argv):
@@ -278,6 +280,17 @@ def test_verify_accepts_a_small_prime(capsys):
     code, out, _ = run_cli(capsys, "verify", "--spec", _SL42, "--c", "3", "--prime", "101")
     assert code == 0
     assert json.loads(out)["outputs"]["primes"] == [101]
+
+
+def test_verify_rational_records_the_one_prime_and_trial_it_runs(capsys):
+    records = []
+    for argv in (["--trials", "3"], ["--trials", "1"], []):
+        code, out, _ = run_cli(capsys, "verify", "--spec", _SL42, "--c", "3", "--rational", *argv)
+        assert code == 0
+        records.append(json.loads(out))
+    assert [(r["config"]["primes"], r["config"]["trials"]) for r in records] == [([97], 1)] * 3
+    # the same work gives the same record
+    assert len({(r["config_hash"], json.dumps(r["outputs"])) for r in records}) == 1
 
 
 @pytest.mark.parametrize(
@@ -313,9 +326,11 @@ def test_finite_order_over_the_bound_exits_2_before_listing(capsys, monkeypatch,
     def unreachable(*args, **kwargs):
         raise AssertionError("the group was listed although its order exceeds the bound")
 
-    # Sp_4 is closed from generators; PGL_2 and SL_2 are listed from _sl2_elements
+    # Sp_4 is closed from generators, PGL_2 is listed by _line_images and
+    # SL_2 by _sl2_elements
     monkeypatch.setattr(finitecheck, "close_perm_group", unreachable)
     monkeypatch.setattr(finitecheck, "_sl2_elements", unreachable)
+    monkeypatch.setattr(finitecheck, "_line_images", unreachable)
     code, out, err = run_cli(capsys, "finite", *argv)
     assert code == 2
     assert out == ""

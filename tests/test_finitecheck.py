@@ -43,12 +43,20 @@ def _closed_pgl2(q, g=np.eye(2, dtype=np.int64), g_adj=np.eye(2, dtype=np.int64)
     return fc.PermAction(fc.projective_line(q), fc.close_perm_group(_pgl2_generators(q, g, g_adj)))
 
 
+def _sorted_rows(perms):
+    """The rows of ``perms`` in lexicographic order, checked to be distinct:
+    the builders list each element once, in no particular order."""
+    rows = perms[np.lexsort(perms.T[::-1])]
+    assert (rows[1:] != rows[:-1]).any(axis=1).all(), "an element is listed twice"
+    return rows
+
+
 @pytest.mark.parametrize("q", [2, 17])
 def test_pgl2_listing_is_the_closure_of_generators(q):
     a, ref = fc.pgl2_line_action(q), _closed_pgl2(q)
     assert a.points == ref.points
     assert (a.perms.dtype, a.perms.shape) == (ref.perms.dtype, ref.perms.shape)
-    assert a.perms.tobytes() == ref.perms.tobytes()
+    assert _sorted_rows(a.perms).tobytes() == _sorted_rows(ref.perms).tobytes()
 
 
 def test_close_perm_group_bound_admits_exactly_the_group_order():
@@ -78,7 +86,7 @@ def test_line_listing_matches_sorting_whole_rows(q):
     want = _unique_line_perms(q)
     got = fc.pgl2_line_action(q).perms
     assert (got.dtype, got.shape) == (want.dtype, want.shape)
-    assert got.tobytes() == want.tobytes()
+    assert _sorted_rows(got).tobytes() == want.tobytes()
     assert got.flags.c_contiguous  # the base search gathers whole rows
 
 
@@ -92,7 +100,7 @@ def test_pairs_listing_matches_sorting_whole_rows(q):
     action = fc.pgl2_pairs_action(q)
     assert action.points == list(zip(i.tolist(), j.tolist()))
     assert (action.perms.dtype, action.perms.shape) == (want.dtype, want.shape)
-    assert action.perms.tobytes() == want.tobytes()
+    assert _sorted_rows(action.perms).tobytes() == want.tobytes()
     assert action.perms.flags.c_contiguous
 
 
@@ -107,6 +115,7 @@ def test_builders_refuse_q_that_is_not_prime(monkeypatch, build, q):
 
     monkeypatch.setattr(fc, "close_perm_group", unreachable)
     monkeypatch.setattr(fc, "_sl2_elements", unreachable)
+    monkeypatch.setattr(fc, "_line_images", unreachable)
     with pytest.raises(ValueError, match="not a prime") as info:
         build(q)
     assert not isinstance(info.value, fc.EnumerationBoundExceeded)
@@ -118,6 +127,28 @@ def test_base_size_invariant_under_conjugation():
     b = _closed_pgl2(q, np.array([[2, 1], [1, 1]]), np.array([[1, q - 1], [q - 1, 2]]))
     assert b.order == a.order
     assert fc.exact_base_size(b, seed=1) == fc.exact_base_size(a, seed=1)
+
+
+@pytest.mark.parametrize(
+    "build,q,draw",
+    [(fc.pgl2_line_action, 7, None), (fc.pgl2_pairs_action, 7, fc.disjoint_pairs),
+     (fc.sp4_decomposition_action, 2, None)],
+)
+def test_results_do_not_depend_on_the_row_order(build, q, draw):
+    # perms promises no row order, so nothing computed from it may read one
+    import random
+
+    action = build(q)
+    shuffled = fc.PermAction(action.points, np.random.default_rng(q).permutation(action.perms))
+    assert shuffled.perms.tobytes() != action.perms.tobytes()
+    assert fc.exact_base_size(shuffled) == fc.exact_base_size(action)
+    rng = random.Random(0)
+    for length in (0, 1, 2, 2, 3, 3):
+        tup = tuple(rng.sample(range(len(action.points)), length))
+        assert fc.stabilizer_order(shuffled, tup) == fc.stabilizer_order(action, tup)
+    for seed in (0, 1):
+        assert (fc.generic_tuple_stabilizer_order(shuffled, 2, seed=seed, general_position=draw)
+                == fc.generic_tuple_stabilizer_order(action, 2, seed=seed, general_position=draw))
 
 
 def test_stabilizer_order_divides_group_order():
@@ -278,7 +309,7 @@ def test_exact_base_size_is_the_least_base_length():
 def _action_digest(action):
     h = hashlib.sha256()
     h.update(repr(action.points).encode())
-    h.update(action.perms.tobytes())
+    h.update(_sorted_rows(action.perms).tobytes())
     h.update(repr(action.perms.shape).encode())
     return h.hexdigest()[:16]
 
@@ -289,9 +320,10 @@ def _forms_digest(q, seed):
     return hashlib.sha256(repr((order, elements)).encode()).hexdigest()[:16]
 
 
-# SHA-256 prefixes of (points, perms bytes, perms shape) for each action and
-# of (order, elements) for the two-form stabilizers: any change to how the
-# groups are listed must keep every point label and permutation row in place.
+# SHA-256 prefixes of (points, perms rows in lexicographic order, perms
+# shape) for each action and of (order, elements) for the two-form
+# stabilizers: any change to how the groups are listed must keep every point
+# label in place and the same set of permutation rows.
 _ACTION_DIGESTS = {
     ("line", 3): "683b6ebbefae5bce",
     ("pairs", 3): "70236359be844f89",

@@ -369,6 +369,16 @@ def test_base_triple_dispatch():
         base_triple(ActionSpec("SL", Parabolic(1), n=4))
 
 
+@pytest.mark.parametrize("fam,n", [("SL", 4), ("Sp", 6), ("SO", 7)])
+def test_spec_dims_rejects_a_classical_parabolic_as_base_triple_does(fam, n):
+    spec = ActionSpec(fam, Parabolic(1), n=n)
+    with pytest.raises(SpecValidationError) as triple_error:
+        base_triple(spec)
+    with pytest.raises(SpecValidationError) as dims_error:
+        fm.spec_dims(spec)
+    assert str(dims_error.value) == str(triple_error.value)
+
+
 def test_spec_from_json_round_trips():
     spec = spec_from_json(
         {"family": "SL", "n": 4, "subgroup": {"subspace": {"d": 2}}}
