@@ -7,9 +7,10 @@
     emit     table:parab|table:ep|table:c|table:e [--format csv|json]
 
 ``finite`` runs projective-line and torus-normalizer on PGL_2,
-decomposition-pairs on Sp_4 and two-symmetric-forms on SL_2.  ``bounds``
-checks ``--char`` in both modes, 0 or a prime equal to the characteristic
-a dataset header fixes; ``config`` records the one used as ``char``.
+decomposition-pairs on Sp_4 and two-symmetric-forms on SL_2; its
+``config`` holds only the inputs the run reads.  ``bounds`` checks
+``--char`` in both modes, 0 or a prime equal to the characteristic a
+dataset header fixes; ``config`` records the one used as ``char``.
 
 Machine output is JSON on stdout (CSV for tables); errors go to stderr;
 ``verify`` records carry the size of their first solve (no rows when all
@@ -23,15 +24,16 @@ JSON and datasets, a dataset characteristic other than "any", 0 or a
 prime, a record ``element_order`` other than a prime (or 0, for unipotent
 records only), a ``--prime``, ``--q`` or nonzero ``--char`` that is not a
 prime below 2^31, a ``--prime`` with ``--rational`` (whose parts are drawn
-at p = 97 in one trial, as ``config`` records), a ``--char`` that
-contradicts the dataset, a ``finite`` family or ``--n`` other than the
-action's, ``--trials``, ``--bound`` or a module's ``--c`` below 1, a
-module ``n`` below 2, a ``--c`` above the transversal subspaces that fit
-over ``--prime``, a nondegenerate part of odd dimension for SO of even n
-at ``--prime 2``, a ``--tuple-length`` that no tuple of points, or of
-disjoint point pairs, can have, a verifier sampling failure (``sym2``
-forms at ``--prime 2`` among them) and a finite group that outgrows
-``--bound``.  Every run echoes its seeds and primes.
+at p = 97 in one trial, as ``config`` records), ``--rational`` with a
+module spec, a ``--char`` that contradicts the dataset, a ``finite``
+family or ``--n`` other than the action's, a ``--trials`` below 1 on every
+route, a ``--bound`` or a module's ``--c`` below 1, a module ``n`` below
+2, a ``--c`` above the transversal subspaces that fit over ``--prime``, a
+nondegenerate part of odd dimension for SO of even n at ``--prime 2``, a
+``--tuple-length`` that no tuple of points, or of disjoint point pairs,
+can have, a verifier sampling failure (``sym2`` forms at ``--prime 2``
+among them) and a finite group that outgrows ``--bound``.  Every run
+echoes the seeds and primes it used.
 ``emit`` output is byte-stable: it contains no timing or environment data.
 """
 from __future__ import annotations
@@ -47,8 +49,8 @@ import sys
 import time
 from fractions import Fraction
 
-# numpy, genstab and finitecheck load inside the subcommands that use them,
-# so formula, bounds and emit start without numpy
+# genstab and finitecheck, and numpy with them, load inside the subcommands
+# that use them, so formula, bounds and emit start without numpy
 from . import __version__, bounds, classdata, formulas, rootsys
 
 EXIT_OK = 0
@@ -164,59 +166,36 @@ def _require_prime(flag: str, p: int) -> None:
         raise formulas.SpecValidationError(f"{flag} {p} is not a prime below 2^31")
 
 
-#: the prime at which ``verify --rational`` draws its parts, in one trial
-RATIONAL_SAMPLE_PRIME = 97
-
-
 def cmd_verify(args) -> int:
-    import numpy as np
-
     from . import genstab
 
     started = time.monotonic()
     spec_obj = _load_spec(args.spec)
+    if args.trials < 1:
+        raise formulas.SpecValidationError("need --trials >= 1")
     if args.prime is not None:
         if args.rational:
             raise formulas.SpecValidationError(
-                f"--rational draws its parts at p = {RATIONAL_SAMPLE_PRIME} and takes no --prime")
+                f"--rational draws its parts at p = {genstab.RATIONAL_SAMPLE_PRIME} and takes no --prime")
         _require_prime("--prime", args.prime)
     primes = (args.prime,) if args.prime else genstab.PRIMES
-    config = {
-        "spec": spec_obj,
-        "c": args.c,
-        "trials": args.trials,
-        "seed": args.seed,
-        "primes": list(primes),
-        "rational": bool(args.rational),
-    }
     if isinstance(spec_obj, dict) and "module" in spec_obj:
+        if args.rational:
+            raise formulas.SpecValidationError("--rational handles subspace specs, not module specs")
         n = formulas.json_field(spec_obj, "n", int, "module spec")
         rep = genstab.module_stabilizer_dim(spec_obj["module"], n, args.c, seed=args.seed, p=primes[0])
     else:
         spec = formulas.spec_from_json(spec_obj)
         if not isinstance(spec.subgroup, formulas.Subspace):
             raise formulas.SpecValidationError("verify handles classical subspace actions")
+        route = (spec.family, spec.n, spec.subgroup.d, spec.subgroup.flavor, args.c)
         if args.rational:
-            if spec.subgroup.flavor == "totally_singular":
-                # parts are sampled mod p, and a part totally singular mod p
-                # is not totally singular over Q
-                raise genstab.ConfigError("--rational does not handle totally singular parts")
-            config.update(primes=[RATIONAL_SAMPLE_PRIME], trials=1)
-            cfg = genstab.sample_configuration(
-                spec.family, spec.n, spec.subgroup.d, spec.subgroup.flavor,
-                args.c, seed=args.seed, p=RATIONAL_SAMPLE_PRIME,
-            )
-            dim = genstab.stabilizer_algebra_dim_rational(
-                [np.asarray(b) for b in cfg.parts], spec.family, spec.n, form=cfg.form
-            )
-            out = {"algebra": "gl" if spec.family == "SL" else "form", "algebra_dim": dim,
-                   "field": "rational", "note": "entries sampled as small integers"}
-            print(json.dumps(_run_record("verify", config, out, started), sort_keys=True))
-            return EXIT_OK
-        rep = genstab.stabilizer_report(
-            spec.family, spec.n, spec.subgroup.d, spec.subgroup.flavor,
-            args.c, seed=args.seed, trials=args.trials, primes=primes,
-        )
+            rep = genstab.rational_report(*route, seed=args.seed)
+        else:
+            rep = genstab.stabilizer_report(*route, seed=args.seed, trials=args.trials, primes=primes)
+    # config echoes the primes and trials that ran, which the route chose
+    config = {"spec": spec_obj, "c": args.c, "trials": rep.trials, "seed": args.seed,
+              "primes": list(rep.primes), "rational": bool(args.rational)}
     out = dataclasses.asdict(rep)
     diagnostics = out.pop("first_system")
     print(json.dumps(_run_record("verify", config, out, started, diagnostics=diagnostics), sort_keys=True))
@@ -242,24 +221,23 @@ def cmd_finite(args) -> int:
     if args.bound < 1:
         raise formulas.SpecValidationError("need --bound >= 1")
     _require_prime("--q", args.q)
-    config = {
-        "family": args.family, "n": args.n, "q": args.q,
-        "action": args.action, "mode": args.mode, "seed": args.seed,
-        "tuple_length": args.tuple_length, "bound": args.bound,
-    }
+    # config holds only the inputs the run reads, so equal work gets one config_hash
+    config = {"family": args.family, "n": args.n, "q": args.q, "action": args.action, "bound": args.bound}
     family, n, builder = _FINITE_ACTIONS[args.action]
     if (args.family, args.n) != (family, n):
         raise formulas.SpecValidationError(f"{args.action} runs on {family} with n={n}")
-    if builder is None:
+    if builder is None:  # one computation, whatever the mode
+        config["seed"] = args.seed
         order, stab = finitecheck.sl2_two_form_stabilizer(args.q, seed=args.seed, bound=args.bound)
         out = {"stabilizer_order": order, "elements": stab.tolist()}
-        print(json.dumps(_run_record("finite", config, out, started), sort_keys=True))
-        return EXIT_OK
-    action = getattr(finitecheck, builder)(args.q, bound=args.bound)
-    if args.mode == "base":
-        value = finitecheck.exact_base_size(action, seed=args.seed)
-        out = {"base_size": value, "points": len(action.points), "group_order": action.order}
+    elif args.mode == "base":
+        config["mode"] = "base"
+        action = getattr(finitecheck, builder)(args.q, bound=args.bound)
+        out = {"base_size": finitecheck.exact_base_size(action), "points": len(action.points),
+               "group_order": action.order}
     else:
+        config.update(mode="order", seed=args.seed, tuple_length=args.tuple_length)
+        action = getattr(finitecheck, builder)(args.q, bound=args.bound)
         length, points = args.tuple_length, len(action.points)
         if not 0 <= length <= points:
             raise formulas.SpecValidationError(f"--tuple-length {length} is not in 0..{points}, the point count")
@@ -267,11 +245,9 @@ def cmd_finite(args) -> int:
             raise formulas.SpecValidationError(
                 f"{length} disjoint point pairs need {2 * length} of the {args.q + 1} points of the line")
         draw = finitecheck.disjoint_pairs if args.action == "torus-normalizer" else None
-        order = finitecheck.generic_tuple_stabilizer_order(
-            action, args.tuple_length, seed=args.seed, general_position=draw
-        )
-        out = {"generic_tuple_stabilizer_order": order, "tuple_length": args.tuple_length,
-               "points": len(action.points), "group_order": action.order}
+        order = finitecheck.generic_tuple_stabilizer_order(action, length, seed=args.seed, general_position=draw)
+        out = {"generic_tuple_stabilizer_order": order, "tuple_length": length,
+               "points": points, "group_order": action.order}
     print(json.dumps(_run_record("finite", config, out, started), sort_keys=True))
     return EXIT_OK
 

@@ -181,7 +181,7 @@ def pgl2_pairs_action(q: int, bound: int = DEFAULT_ELEMENT_BOUND) -> PermAction:
     return PermAction(points=points, perms=pair_index[images])
 
 
-def sp4_decomposition_action(q: int = 3, bound: int = DEFAULT_ELEMENT_BOUND) -> PermAction:
+def sp4_decomposition_action(q: int, bound: int = DEFAULT_ELEMENT_BOUND) -> PermAction:
     """Unordered pairs {U, U-perp} of complementary nondegenerate 2-spaces
     under Sp_4(q): the coset space of the wreath-type stabilizer.  Sp_4(q)
     is transitive on them, so they are the orbit of {<e1, e3>, <e2, e4>}."""
@@ -213,17 +213,13 @@ def sp4_decomposition_action(q: int = 3, bound: int = DEFAULT_ELEMENT_BOUND) -> 
 # ---------------------------------------------------------------------------
 # Base size and stabilizers
 
-def stabilizer_indices(perms: np.ndarray, tup: tuple[int, ...]) -> np.ndarray:
-    mask = np.ones(perms.shape[0], dtype=bool)
-    for t in tup:
-        mask &= perms[:, t] == t
-    return np.nonzero(mask)[0]
-
-
 def stabilizer_order(action: PermAction, tup: tuple[int, ...]) -> int:
     """Exact order of the pointwise stabilizer of the tuple (the whole
     group for the empty tuple)."""
-    return int(stabilizer_indices(action.perms, tup).size)
+    mask = np.ones(action.order, dtype=bool)
+    for t in tup:
+        mask &= action.perms[:, t] == t
+    return int(np.count_nonzero(mask))
 
 
 def _exists_base(perms: np.ndarray, idx: np.ndarray, depth: int) -> bool:

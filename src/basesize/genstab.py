@@ -10,7 +10,8 @@ size ~2^31 a random configuration sits in the generic locus except with
 negligible probability; reports keep the minimum over independent trials
 (the generic fiber dimension is the minimal one) and cross-check a second
 prime.  Scalars are subtracted for linear-group actions, where the center
-acts trivially on subspace varieties.
+acts trivially on subspace varieties.  ``rational_report`` solves one
+configuration, drawn at p = 97, over Q instead.
 
 Coordinates.  For SL the unknowns are the n^2 entries of X in gl.  For Sp
 and SO they are Lie-algebra coordinates: X = J^T S with S symmetric
@@ -448,9 +449,11 @@ def _system_shape(config: Configuration, dim: int) -> SystemShape:
     return SystemShape(_unknowns(config.family, config.n), head, columns, rows, columns - dim)
 
 
-def _scalar_correction(family: str) -> int:
-    # scalars lie in every gl-stabilizer of subspaces but meet sp/so trivially
-    return 1 if family == "SL" else 0
+def _subspace_algebra(family: str) -> tuple[str, int]:
+    """The algebra a subspace action is solved in, with the dimension of the
+    scalars in it: they lie in every gl-stabilizer of subspaces but meet
+    sp/so trivially."""
+    return ("gl", 1) if family == "SL" else (family.lower(), 0)
 
 
 def _runs(seed: int, trials: int, primes: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -465,6 +468,25 @@ def _runs(seed: int, trials: int, primes: tuple[int, ...]) -> list[tuple[int, in
         for pi, p in enumerate(primes)
         for t in range(trials)
     ]
+
+
+def _report(algebra: str, correction: int, dims: list[int], trials: int, primes: tuple[int, ...],
+            resamples: int, seed: int, first_system: SystemShape) -> StabilizerReport:
+    """The report of every route: ``dims`` lists the trials prime by prime,
+    and ``correction`` is the dimension of the scalars in ``algebra``."""
+    algebra_dim = min(dims)
+    return StabilizerReport(
+        algebra=algebra,
+        algebra_dim=algebra_dim,
+        projective_dim=algebra_dim - correction,
+        trials=trials,
+        stable=len(set(dims)) == 1,
+        primes=tuple(primes),
+        dims_by_prime=tuple(tuple(dims[i : i + trials]) for i in range(0, len(dims), trials)),
+        resamples=resamples,
+        seed=seed,
+        first_system=first_system,
+    )
 
 
 def stabilizer_report(
@@ -485,19 +507,7 @@ def stabilizer_report(
         dims.append(stabilizer_algebra_dim_once(config))
         if len(dims) == 1:
             first_system = _system_shape(config, dims[0])
-    algebra_dim = min(dims)
-    return StabilizerReport(
-        algebra="gl" if family == "SL" else ("sp" if family == "Sp" else "so"),
-        algebra_dim=algebra_dim,
-        projective_dim=algebra_dim - _scalar_correction(family),
-        trials=trials,
-        stable=len(set(dims)) == 1,
-        primes=tuple(primes),
-        dims_by_prime=tuple(tuple(dims[i : i + trials]) for i in range(0, len(dims), trials)),
-        resamples=resamples,
-        seed=seed,
-        first_system=first_system,
-    )
+    return _report(*_subspace_algebra(family), dims, trials, primes, resamples, seed, first_system)
 
 
 def estimate_b0(
@@ -522,7 +532,7 @@ def estimate_b0(
         _dims((b for b, _ in _part_stream(family, n, d, flavor, s, p)), family, flavor, form, p)
         for p, s in _runs(seed, trials, primes)
     ]
-    corr = _scalar_correction(family)
+    corr = _subspace_algebra(family)[1]
     proj_dims = []
     value = None
     for c in range(1, c_max + 1):
@@ -568,9 +578,9 @@ def module_stabilizer_dim(
     if n < 2 or c < 1:
         raise ConfigError(f"module actions need n >= 2 and c >= 1, got n={n}, c={c}")
     rng = _rng(seed, 0x30D, c)
+    resamples = 0
     if kind == "sym2":
-        blocks = [np.eye(n, dtype=np.int64).reshape(1, n * n)]  # trace X = 0
-        resamples = 0
+        algebra, blocks = "sl", [np.eye(n, dtype=np.int64).reshape(1, n * n)]  # trace X = 0
         for _ in range(c):
             for _ in range(RESAMPLE_BUDGET):
                 a = rng.integers(0, p, size=(n, n), dtype=np.int64)
@@ -581,27 +591,20 @@ def module_stabilizer_dim(
             else:
                 raise SamplingError(f"no nondegenerate symmetric form in {RESAMPLE_BUDGET} draws")
             blocks.append(_form_constraint(s))
-        return _module_report("sl", np.concatenate(blocks, axis=0), p, seed, resamples)
-    # so_tensor: so_n of the identity form, so X and Y are antisymmetric; the
-    # unknowns are their strict upper triangles, [X | Y]
-    eye = np.eye(n, dtype=np.int64)
-    blocks = []
-    for _ in range(c):
-        w = rng.integers(0, p, size=(n, n), dtype=np.int64)
-        tx = np.einsum("ir,js->rsij", eye, w).reshape(n * n, n, n)
-        ty = np.einsum("is,rj->rsij", eye, w).reshape(n * n, n, n)
-        blocks.append(np.concatenate([_lie_coordinates(tx, "SO"), _lie_coordinates(ty, "SO")], axis=1))
-    return _module_report("so+so", np.concatenate(blocks, axis=0), p, seed)
-
-
-def _module_report(algebra: str, system: np.ndarray, p: int, seed: int, resamples: int = 0) -> StabilizerReport:
+    else:
+        # so_tensor: so_n of the identity form, so X and Y are antisymmetric;
+        # the unknowns are their strict upper triangles, [X | Y]
+        algebra, blocks, eye = "so+so", [], np.eye(n, dtype=np.int64)
+        for _ in range(c):
+            w = rng.integers(0, p, size=(n, n), dtype=np.int64)
+            tx = np.einsum("ir,js->rsij", eye, w).reshape(n * n, n, n)
+            ty = np.einsum("is,rj->rsij", eye, w).reshape(n * n, n, n)
+            blocks.append(np.concatenate([_lie_coordinates(tx, "SO"), _lie_coordinates(ty, "SO")], axis=1))
+    system = np.concatenate(blocks, axis=0)
     dim = linalg.nullspace_dim_mod(system, p)
     rows, columns = system.shape
-    return StabilizerReport(
-        algebra=algebra, algebra_dim=dim, projective_dim=dim, trials=1, stable=True,
-        primes=(p,), dims_by_prime=((dim,),), resamples=resamples, seed=seed,
-        first_system=SystemShape(columns, 0, columns, rows, columns - dim),
-    )
+    return _report(algebra, 0, [dim], 1, (p,), resamples, seed,
+                   SystemShape(columns, 0, columns, rows, columns - dim))
 
 
 # ---------------------------------------------------------------------------
@@ -625,3 +628,21 @@ def stabilizer_algebra_dim_rational(parts: list, family: str, n: int, form=None)
         [_span_constraint(b, ann, family, form) for b, ann in zip(parts, anns)], axis=0
     )
     return _unknowns(family, n) - linalg.rank_rational(system.tolist())
+
+
+#: the prime at which ``rational_report`` draws its parts, in one trial
+RATIONAL_SAMPLE_PRIME = 97
+
+
+def rational_report(family: str, n: int, d: int, flavor: str, c: int, seed: int) -> StabilizerReport:
+    """The stabilizer of one configuration drawn at ``RATIONAL_SAMPLE_PRIME``,
+    its small integer entries solved over Q in the plain basis: no head,
+    every unknown a column, (n - d) d rows per part."""
+    if flavor == "totally_singular":
+        # a part totally singular mod p is not totally singular over Q
+        raise ConfigError("the rational route does not handle totally singular parts")
+    config = sample_configuration(family, n, d, flavor, c, seed=seed, p=RATIONAL_SAMPLE_PRIME)
+    dim = stabilizer_algebra_dim_rational(config.parts, family, n, form=config.form)
+    unknowns = _unknowns(family, n)
+    return _report(*_subspace_algebra(family), [dim], 1, (RATIONAL_SAMPLE_PRIME,), config.resamples, seed,
+                   SystemShape(unknowns, 0, unknowns, c * (n - d) * d, unknowns - dim))

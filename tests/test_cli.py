@@ -204,6 +204,27 @@ def test_finite_subcommand(capsys):
     assert json.loads(out)["outputs"]["base_size"] == 3
 
 
+def test_finite_config_records_only_the_inputs_the_run_reads(capsys):
+    line = ["finite", "--family", "PGL", "--n", "2", "--q", "7", "--action", "projective-line"]
+    records = {}
+    for mode in ("base", "order"):
+        for extra in (["--seed", "1", "--tuple-length", "4"], ["--seed", "2", "--tuple-length", "5"]):
+            code, out, _ = run_cli(capsys, *line, "--mode", mode, *extra)
+            assert code == 0
+            records[mode, extra[1]] = json.loads(out)
+    # the base search reads neither the seed nor the tuple length
+    base = [records["base", seed] for seed in "12"]
+    assert base[0]["config_hash"] == base[1]["config_hash"] and base[0]["outputs"] == base[1]["outputs"]
+    assert not {"seed", "tuple_length"} & set(base[0]["config"])
+    order = [records["order", seed]["config"] for seed in "12"]
+    assert [(c["seed"], c["tuple_length"]) for c in order] == [(1, 4), (2, 5)]
+    # two-symmetric-forms reads the seed in either mode, and nothing else
+    forms = ["finite", "--family", "SL", "--n", "2", "--q", "7", "--action", "two-symmetric-forms", "--seed", "3"]
+    configs = [json.loads(run_cli(capsys, *forms, "--mode", mode, "--tuple-length", length)[1])["config"]
+               for mode, length in (("base", "2"), ("order", "5"))]
+    assert configs[0] == configs[1] and configs[0]["seed"] == 3 and "mode" not in configs[0]
+
+
 def test_emit_byte_stability():
     one = emit_table("table:parab")
     two = emit_table("table:parab")
@@ -267,6 +288,8 @@ _SL42 = '{"family":"SL","n":4,"subgroup":{"subspace":{"d":2}}}'
         ["--prime", "1"], ["--prime", "2147483659"], ["--trials", "0"], ["--trials", "-2"],
         # --rational draws its parts at p = 97 and takes no --prime
         ["--rational", "--prime", "97"], ["--rational", "--prime", "5"],
+        # --rational runs one trial, yet --trials is checked on every route
+        ["--rational", "--trials", "0"],
     ],
 )
 def test_verify_rejects_composite_primes_and_no_trials(capsys, argv):
@@ -291,6 +314,30 @@ def test_verify_rational_records_the_one_prime_and_trial_it_runs(capsys):
     assert [(r["config"]["primes"], r["config"]["trials"]) for r in records] == [([97], 1)] * 3
     # the same work gives the same record
     assert len({(r["config_hash"], json.dumps(r["outputs"])) for r in records}) == 1
+    assert records[0]["outputs"] == {
+        "algebra": "gl", "algebra_dim": 4, "dims_by_prime": [[4]], "primes": [97], "projective_dim": 3,
+        "resamples": 0, "seed": 0, "stable": True, "trials": 1,
+    }
+    # the Q solve has no head: every unknown is a column, (n - d) d rows per part
+    assert records[0]["diagnostics"] == {"unknowns": 16, "head_parts": 0, "columns": 16, "rows": 12, "rank": 12}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [_SL42, "--trials", "3"],
+        [_SL42, "--prime", "101", "--trials", "2"],
+        [_SL42, "--rational", "--trials", "3"],
+        ['{"module":"sym2","n":2}', "--trials", "3"],
+        ['{"module":"so_tensor","n":3}', "--prime", "101"],
+    ],
+    ids=["mod-p", "mod-p-one-prime", "rational", "module", "module-one-prime"],
+)
+def test_verify_config_records_the_primes_and_trials_that_ran(capsys, argv):
+    code, out, _ = run_cli(capsys, "verify", "--spec", *argv, "--c", "3")
+    assert code == 0
+    rec = json.loads(out)
+    assert (rec["config"]["primes"], rec["config"]["trials"]) == (rec["outputs"]["primes"], rec["outputs"]["trials"])
 
 
 @pytest.mark.parametrize(
@@ -384,6 +431,8 @@ _PAIRS_ORDER = ["finite", "--family", "PGL", "--n", "2", "--action", "torus-norm
         (["verify", "--spec", '{"module":"sym2","n":3}', "--c", "-2"], "n >= 2 and c >= 1"),
         (["verify", "--spec", '{"module":"sym2","n":0}', "--c", "1"], "n >= 2 and c >= 1"),
         (["verify", "--spec", '{"module":"sym2","n":1}', "--c", "1"], "n >= 2 and c >= 1"),
+        (["verify", "--spec", '{"module":"sym2","n":2}', "--c", "2", "--trials", "0"], "need --trials >= 1"),
+        (["verify", "--spec", '{"module":"sym2","n":2}', "--c", "2", "--rational"], "--rational handles subspace"),
         # odd-dimensional totally singular parts are drawn with 1/2
         (["verify", "--spec", '{"family":"SO","n":7,"subgroup":{"subspace":{"d":2,"flavor":"totally_singular"}}}',
           "--c", "2", "--prime", "2"], "p != 2"),
@@ -407,7 +456,7 @@ _PAIRS_ORDER = ["finite", "--family", "PGL", "--n", "2", "--action", "torus-norm
         (["bounds", "--dataset", "e7_a7_p2", "--mode", "b1", "--char", "0"], "--char 0 contradicts"),
     ],
     ids=["pairs-q3-len3", "pairs-q7-len9", "pairs-q7-len-1", "line-q7-len9", "bounds-char4", "bounds-char-3",
-         "so-tensor-c0", "sym2-c-2", "sym2-n0", "sym2-n1", "so7-ts-p2", "sl2-four-points-p2", "so8-nondeg-d1-p2",
+         "so-tensor-c0", "sym2-c-2", "sym2-n0", "sym2-n1", "sym2-trials0", "sym2-rational", "so7-ts-p2", "sl2-four-points-p2", "so8-nondeg-d1-p2",
          "sp3-torus", "so2-torus", "sl-line", "sl-pairs", "b1-char4",
          "char3-on-p2-dataset", "b1-char0-on-p2-dataset"],
 )

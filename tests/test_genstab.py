@@ -11,6 +11,7 @@ from basesize.genstab import (
     ConfigError,
     estimate_b0,
     module_stabilizer_dim,
+    rational_report,
     sample_configuration,
     stabilizer_algebra_dim_once,
     stabilizer_algebra_dim_rational,
@@ -555,6 +556,16 @@ def test_rational_agrees_with_modular_on_small_config():
             [np.asarray(b) for b in cfg.parts], family, n, form=cfg.form
         )
         assert dim_p == dim_q, (family, n, d, flavor)
+
+
+@pytest.mark.parametrize("family,n,d,flavor", [("SL", 4, 2, "linear"), ("Sp", 6, 2, "nondeg"), ("SO", 7, 2, "nondeg")])
+def test_rational_report_solves_the_configuration_drawn_at_97(family, n, d, flavor):
+    rep = rational_report(family, n, d, flavor, 3, seed=2)
+    dim_p = stabilizer_algebra_dim_once(sample_configuration(family, n, d, flavor, 3, seed=2, p=97))
+    assert (rep.algebra_dim, rep.primes, rep.trials, rep.dims_by_prime) == (dim_p, (97,), 1, ((dim_p,),))
+    assert rep.projective_dim == dim_p - (family == "SL")
+    unknowns = rep.first_system.unknowns
+    assert rep.first_system == genstab.SystemShape(unknowns, 0, unknowns, 3 * (n - d) * d, unknowns - dim_p)
 
 
 # -- the formula's dimensions against the solver ---------------------------------
