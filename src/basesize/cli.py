@@ -25,7 +25,9 @@ prime, a record ``element_order`` other than a prime (or 0, for unipotent
 records only), a ``--prime``, ``--q`` or nonzero ``--char`` that is not a
 prime below 2^31, a ``--prime`` with ``--rational`` (whose parts are drawn
 at p = 97 in one trial, as ``config`` records), ``--rational`` with a
-module spec, a ``--char`` that contradicts the dataset, a ``finite``
+module spec, a ``verify`` spec outside the classical subspace actions
+(an exceptional family among them), a ``--char`` that contradicts the
+dataset, a ``finite``
 family or ``--n`` other than the action's, a ``--trials`` below 1 on every
 route, a ``--bound`` or a module's ``--c`` below 1, a module ``n`` below
 2, a ``--c`` above the transversal subspaces that fit over ``--prime``, a
@@ -186,7 +188,7 @@ def cmd_verify(args) -> int:
         rep = genstab.module_stabilizer_dim(spec_obj["module"], n, args.c, seed=args.seed, p=primes[0])
     else:
         spec = formulas.spec_from_json(spec_obj)
-        if not isinstance(spec.subgroup, formulas.Subspace):
+        if spec.family not in formulas.CLASSICAL_FAMILIES or not isinstance(spec.subgroup, formulas.Subspace):
             raise formulas.SpecValidationError("verify handles classical subspace actions")
         route = (spec.family, spec.n, spec.subgroup.d, spec.subgroup.flavor, args.c)
         if args.rational:

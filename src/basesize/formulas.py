@@ -3,10 +3,12 @@
 The dispatcher returns a :class:`BaseTriple` of integer intervals for
 (connected, exact, generic) base size.  Cases the theory leaves open are
 returned as honest intervals with a clause tag; they are never collapsed
-to a guess.  The classification is stored as ordered rule tables read by
-one interpreter, :func:`_apply`.  Actions that are equivalent to a
-subspace action name that action in their rule, so both descriptions
-return identical triples.
+to a guess.  The subspace rules and the classical-label rules are ordered
+tables read by one interpreter, :func:`_apply`; the exceptional labels and
+parabolics are value tables.  :func:`_settle` builds every triple, and
+:func:`classical_label` is the one parser of classical labels.  Actions
+that are equivalent to a subspace action name that action in their rule,
+so both descriptions return identical triples.
 """
 from __future__ import annotations
 
@@ -186,16 +188,6 @@ class BaseTriple:
         return out
 
 
-def _point_triple(v: int, tag: str, warnings: tuple[str, ...] = ()) -> BaseTriple:
-    iv = Interval(v, v)  # frozen, so one interval serves all three
-    return BaseTriple(iv, iv, iv, tag, warnings)
-
-
-def _triple(b0, b, b1, tag: str, warnings: tuple[str, ...] = ()) -> BaseTriple:
-    mk = lambda x: Interval(x, x) if isinstance(x, int) else Interval(*x)
-    return BaseTriple(mk(b0), mk(b), mk(b1), tag, warnings)
-
-
 # ---------------------------------------------------------------------------
 # The rule interpreter
 #
@@ -208,12 +200,13 @@ def _triple(b0, b, b1, tag: str, warnings: tuple[str, ...] = ()) -> BaseTriple:
 
 class _Case:
     """What the rules read: the spec, n, the subspace dimension or the size
-    of a label's factor (d), ceil(n/d), the factor count t, whether p = 2
-    (None when open) and the normalized label."""
+    of a label's factor (d, None for a named subgroup), ceil(n/d), the
+    factor count t, whether p = 2 (None when open) and the normalized
+    label."""
 
     __slots__ = ("spec", "n", "d", "k", "t", "two", "label")
 
-    def __init__(self, spec: ActionSpec, d: int, t: int = 1, label: str = ""):
+    def __init__(self, spec: ActionSpec, d: int | None, t: int = 1, label: str = ""):
         self.spec, self.n, self.d, self.t, self.label = spec, spec.n, d, t, label
         self.k = -(-spec.n // d) if d else 0
         self.two = _IS_TWO[spec.char]
@@ -231,11 +224,17 @@ def _apply(rules: list[tuple], case: _Case) -> BaseTriple:
     raise AssertionError("every rule table ends with an unconditional row")
 
 
+@lru_cache(maxsize=None)  # intervals are frozen, so equal ones are shared
+def _interval(x) -> Interval:
+    return Interval(x, x) if type(x) is int else Interval(*x)
+
+
 def _settle(then, clause: str, warnings: tuple[str, ...] = ()) -> BaseTriple:
+    """The one triple constructor: ``then`` as :func:`_apply` reads it."""
     if type(then) is int:
-        return _point_triple(then, clause, warnings)
+        then = then, then, then
     if type(then) is tuple:
-        return _triple(*then, clause, warnings)
+        return BaseTriple(*map(_interval, then), clause, warnings)
     if type(then) is str:
         raise SpecValidationError(then)
     return _retag(subspace_triple(then), clause)
@@ -263,7 +262,7 @@ def _one_short(c: _Case) -> tuple[int, int, int]:
 
 def _sl_interval(c: _Case) -> tuple:
     # the orbit-dimension bound can beat k+1; both ends stay certified
-    iv = (max(c.k + 1, bounds.lower_bound_b0(c.n * c.n - 1, c.d * (c.n - c.d))), c.k + 2 + (c.k == 3))
+    iv = (max(c.k + 1, bounds.lower_bound_b0(*spec_dims(c.spec))), c.k + 2 + (c.k == 3))
     return iv, iv, iv
 
 
@@ -379,22 +378,23 @@ def subspace_triple(spec: ActionSpec) -> BaseTriple:
 # ---------------------------------------------------------------------------
 # Non-subspace actions
 
-_WREATH_RE = re.compile(r"^(GL|Sp|SO|O)_?\{?(?:n(?:/(\d+))?|(\d+))\}?wrS_?(\d+)$")
-_PLAIN_RE = re.compile(r"^(GL|Sp|SO|O)_?\{?(?:n(?:/(\d+))?|(\d+))\}?$")
-_TENSOR_RE = re.compile(r"^Sp_?4[x⊗]Sp_?2$")
+_LABEL_RE = re.compile(r"^(?:(GL|Sp|SO|O)_?\{?(?:n(?:/(\d+))?|(\d+))\}?(?:wrS_?(\d+))?|(G2)|Sp_?4[x⊗]Sp_?2)$")
 
 
 @lru_cache(maxsize=1024)
-def _classical_label(label: str, n: int) -> tuple[str, int, int] | None:
+def classical_label(label: str, n: int) -> tuple[str, int | None, int] | None:
     """(base, size, t) for a normalized classical label inside a group on
-    an n-dimensional module: ``GL_{n/2}wrS2`` gives ("GL", n/2, 2) and a
-    plain ``Sp_n`` gives ("Sp", n, 1).  None when the label has neither
-    shape."""
-    m = _WREATH_RE.match(label) or _PLAIN_RE.match(label)
+    an n-dimensional module: ``GL_{n/2}wrS2`` gives ("GL", n/2, 2), a plain
+    ``Sp_n`` gives ("Sp", n, 1), and the named subgroups ``G2`` and
+    ``Sp4xSp2`` (the Sp4 (x) Sp2 tensor stabilizer) give size None.  None
+    when the label has none of these shapes."""
+    m = _LABEL_RE.match(label)
     if not m:
         return None
-    base, divisor, absolute = m.group(1), m.group(2), m.group(3)
-    t = int(m.group(4)) if m.re is _WREATH_RE else 1
+    base, divisor, absolute, t, g2 = m.groups()
+    if base is None:
+        return ("G2" if g2 else "Sp4xSp2"), None, 1
+    t = 1 if t is None else int(t)
     if absolute is not None:
         return base, int(absolute), t
     if divisor is None:
@@ -517,10 +517,7 @@ def nonsubspace_triple(spec: ActionSpec) -> BaseTriple:
     if spec.family in EXCEPTIONAL_FAMILIES:
         return _exceptional_nonparabolic(spec)
     label = rootsys.normalize_label(spec.subgroup.label)
-    if _TENSOR_RE.match(label):
-        parsed = ("Sp4xSp2", 0, 1)
-    else:
-        parsed = ("G2", 0, 1) if label == "G2" else _classical_label(label, spec.n)
+    parsed = classical_label(label, spec.n)
     if parsed is None:
         raise SpecValidationError(f"unknown classical subgroup label {label!r}")
     base, size, t = parsed
@@ -534,16 +531,16 @@ _EXC_LABELS: dict[str, dict[str, str | None]] = {
     "E8": {
         "A1": None, "B2": None, "A1A2": None, "A1G2^2": "p != 2", "G2F4": None,
         "D8": None, "A1E7": None, "A8": None, "A2E6": None, "A4^2": None,
-        "D4^2": None, "A2^4": None, "A1^8": None, "T8": None,
+        "D4^2": None, "A2^4": None, "A1^8": None,
     },
     "E7": {
         "A1": None, "A2": None, "A1^2": None, "A1G2": None, "A1F4": None,
         "G2C3": None, "T1E6": None, "A1D6": None, "A7": None, "A2A5": None,
-        "A1^3D4": None, "A1^7": None, "T7": None,
+        "A1^3D4": None, "A1^7": None,
     },
     "E6": {
         "A2": None, "G2": None, "C4": "p != 2", "F4": None, "A2G2": None,
-        "T1D5": None, "T2D4": None, "A1A5": None, "A2^3": None, "T6": None,
+        "T1D5": None, "T2D4": None, "A1A5": None, "A2^3": None,
     },
     "F4": {
         # p = 7 is finer than the characteristic cases modelled: accepted
@@ -619,9 +616,8 @@ def parabolic_triple(group: str, node: int) -> BaseTriple:
     c, star = table[node - 1]
     tag = f"parabolic:{group}.P{node}"
     if star:
-        iv = (c - 1, c)
-        return _triple(iv, iv, iv, tag + " (open)")
-    return _point_triple(c, tag)
+        return _settle(((c - 1, c),) * 3, tag + " (open)")
+    return _settle(c, tag)
 
 
 def parabolic_table_rows() -> list[tuple[str, int, str]]:
@@ -654,8 +650,8 @@ def torus_normalizer_triple(spec: ActionSpec) -> BaseTriple:
     if not isinstance(spec.subgroup, TorusNormalizer):
         raise SpecValidationError("torus_normalizer_triple needs a TorusNormalizer subgroup")
     if _simple_rank(spec) == 1:
-        return _triple(2, 2, 3, "torus-normalizer:rank1 (generic pair stabilizer order 2)")
-    return _point_triple(2, f"torus-normalizer:{spec.family}")
+        return _settle((2, 2, 3), "torus-normalizer:rank1 (generic pair stabilizer order 2)")
+    return _settle(2, f"torus-normalizer:{spec.family}")
 
 
 # ---------------------------------------------------------------------------
@@ -715,16 +711,15 @@ def spec_dims(spec: ActionSpec) -> tuple[int, int] | None:
         if sub.flavor == "nonsingular_1space":
             return dim_g, n - 1
         return None
-    label = rootsys.normalize_label(sub.label)
-    parsed = _classical_label(label, n)
-    if parsed:
-        base, size, t = parsed
-        # the scalars of GL factors are not in SL
-        dim_h = t * rootsys.group_dim(base, size) - (1 if spec.family == "SL" and base == "GL" else 0)
-        return dim_g, dim_g - dim_h
-    if label == "G2":
-        return dim_g, dim_g - rootsys.group_dim("G2")
-    return None
+    parsed = classical_label(rootsys.normalize_label(sub.label), n)
+    if parsed is None:
+        return None
+    base, size, t = parsed
+    if size is None and base not in EXCEPTIONAL_FAMILIES:
+        return None  # the Sp4xSp2 tensor stabilizer is not modelled
+    # the scalars of GL factors are not in SL
+    dim_h = t * rootsys.group_dim(base, size) - (1 if spec.family == "SL" and base == "GL" else 0)
+    return dim_g, dim_g - dim_h
 
 
 # ---------------------------------------------------------------------------

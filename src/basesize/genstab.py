@@ -331,8 +331,6 @@ def _form_constraint(j: np.ndarray) -> np.ndarray:
 def _head_size(parts, family: str, flavor: str, form, p: int) -> int:
     """How many leading ``parts`` the adapted basis is built on, by the head
     rules of the module docstring."""
-    if not parts:
-        return 0
     n, d = parts[0].shape
     if family == "SL":
         k = min(len(parts), n // d)

@@ -108,10 +108,6 @@ class RootSystem:
     positive_roots: tuple[tuple[int, ...], ...]
     cartan: tuple[tuple[int, ...], ...]
 
-    @property
-    def name(self) -> str:
-        return f"{self.family}{self.rank}"
-
 
 @lru_cache(maxsize=None)
 def build_root_system(family: str, rank: int) -> RootSystem:

@@ -32,7 +32,7 @@ def dimhalf_predicate_p2(spec, dim_G, dim_H):
 
 def _wreath_of(spec, label):
     """(base, t) of a classical label, None for other labels."""
-    parsed = fm._classical_label(label, spec.n) if spec.family in fm.CLASSICAL_FAMILIES else None
+    parsed = fm.classical_label(label, spec.n) if spec.family in fm.CLASSICAL_FAMILIES else None
     return parsed and (parsed[0], parsed[2])
 
 

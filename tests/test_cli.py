@@ -433,6 +433,11 @@ _PAIRS_ORDER = ["finite", "--family", "PGL", "--n", "2", "--action", "torus-norm
         (["verify", "--spec", '{"module":"sym2","n":1}', "--c", "1"], "n >= 2 and c >= 1"),
         (["verify", "--spec", '{"module":"sym2","n":2}', "--c", "2", "--trials", "0"], "need --trials >= 1"),
         (["verify", "--spec", '{"module":"sym2","n":2}', "--c", "2", "--rational"], "--rational handles subspace"),
+        # an exceptional family has no n: this used to reach genstab with n = None
+        (["verify", "--spec", '{"family":"E6","subgroup":{"subspace":{"d":2}}}', "--c", "3"],
+         "verify handles classical subspace actions"),
+        (["verify", "--spec", '{"family":"SL","n":4,"subgroup":"torus_normalizer"}', "--c", "3"],
+         "verify handles classical subspace actions"),
         # odd-dimensional totally singular parts are drawn with 1/2
         (["verify", "--spec", '{"family":"SO","n":7,"subgroup":{"subspace":{"d":2,"flavor":"totally_singular"}}}',
           "--c", "2", "--prime", "2"], "p != 2"),
@@ -456,7 +461,8 @@ _PAIRS_ORDER = ["finite", "--family", "PGL", "--n", "2", "--action", "torus-norm
         (["bounds", "--dataset", "e7_a7_p2", "--mode", "b1", "--char", "0"], "--char 0 contradicts"),
     ],
     ids=["pairs-q3-len3", "pairs-q7-len9", "pairs-q7-len-1", "line-q7-len9", "bounds-char4", "bounds-char-3",
-         "so-tensor-c0", "sym2-c-2", "sym2-n0", "sym2-n1", "sym2-trials0", "sym2-rational", "so7-ts-p2", "sl2-four-points-p2", "so8-nondeg-d1-p2",
+         "so-tensor-c0", "sym2-c-2", "sym2-n0", "sym2-n1", "sym2-trials0", "sym2-rational",
+         "e6-subspace", "sl4-torus", "so7-ts-p2", "sl2-four-points-p2", "so8-nondeg-d1-p2",
          "sp3-torus", "so2-torus", "sl-line", "sl-pairs", "b1-char4",
          "char3-on-p2-dataset", "b1-char0-on-p2-dataset"],
 )
@@ -500,6 +506,32 @@ def test_bad_dataset_copy_exits_2_with_one_error_line(capsys, tmp_path, monkeypa
     lineno = 1 + text.split(edit[0])[0].count("\n")
     assert (code, out) == (2, "")
     assert err.startswith(f"error: line {lineno}: ") and err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize(
+    "keep,message",
+    [(0, "error: line 1: missing header\n"), (1, "error: dataset carries no records\n")],
+    ids=["empty", "header-only"],
+)
+@pytest.mark.parametrize("mode", ["b0 --char 3", "b1"])
+def test_dataset_without_records_exits_2_with_one_error_line(capsys, tmp_path, monkeypatch, keep, message, mode):
+    lines = classdata.dataset_path("g2_na2").read_text().splitlines(keepends=True)
+    (tmp_path / "g2_na2.jsonl").write_text("".join(lines[:keep]))
+    monkeypatch.setenv(classdata.DATA_DIR_ENV, str(tmp_path))
+    assert run_cli(capsys, "bounds", "--dataset", "g2_na2", "--mode", *mode.split()) == (2, "", message)
+
+
+@pytest.mark.parametrize("mode", ["b0 --char 3", "b1"])
+def test_blank_lines_between_records_are_skipped(capsys, tmp_path, monkeypatch, mode):
+    argv = ["bounds", "--dataset", "g2_na2", "--mode", *mode.split()]
+    code, shipped, _ = run_cli(capsys, *argv)
+    text = classdata.dataset_path("g2_na2").read_text()
+    (tmp_path / "g2_na2.jsonl").write_text(text.replace("\n", "\n\n  \n"))
+    monkeypatch.setenv(classdata.DATA_DIR_ENV, str(tmp_path))
+    code_copy, copy, _ = run_cli(capsys, *argv)
+    assert (code, code_copy) == (0, 0)
+    strip = lambda out: {k: v for k, v in json.loads(out).items() if k != "wall_time_s"}
+    assert strip(copy) == strip(shipped)
 
 
 def test_verify_diagnostics_sit_outside_the_stable_outputs(capsys):
@@ -715,16 +747,22 @@ _FLAVORS = {"SL": ["linear"], "Sp": ["nondeg", "totally_singular"], "SO": ["nond
 
 @st.composite
 def _verify_specs(draw):
-    """A subspace spec with n <= 8, mostly well formed; half of the time one
-    field (or a field nobody reads) is replaced by junk."""
-    family = draw(st.sampled_from(sorted(_FLAVORS)))
+    """A spec with n <= 8: a classical family (with n) 12 times in 17, else
+    an exceptional one (with no n); a subspace subgroup 2 times in 3, else
+    a torus normalizer, a parabolic or a label.  Half of the time one field
+    (or a field nobody reads) is replaced by junk."""
+    family = draw(st.sampled_from(sorted(_FLAVORS) * 4 + list(fm.EXCEPTIONAL_FAMILIES)))
     n = draw(st.integers(2, 8))
     subspace = {"d": draw(st.one_of(st.integers(1, n // 2), st.integers(0, 8)))}
-    flavor = draw(st.sampled_from(_FLAVORS[family] * 3 + [None, *fm.SUBSPACE_FLAVORS]))
+    flavor = draw(st.sampled_from(_FLAVORS.get(family, ["linear"]) * 3 + [None, *fm.SUBSPACE_FLAVORS]))
     if flavor is not None:
         subspace["flavor"] = flavor
+    subgroup = draw(st.sampled_from([{"subspace": subspace}] * 6 + [
+        "torus_normalizer", {"parabolic": {"i": 1}}, {"nonsubspace": {"label": draw(st.sampled_from(_LABELS))}}]))
     char = draw(st.sampled_from(fm.CHAR_CASES))
-    spec = {"family": family, "n": n, "subgroup": {"subspace": subspace}, "char": char}
+    spec = {"family": family, "subgroup": subgroup, "char": char}
+    if family in _FLAVORS:
+        spec["n"] = n
     if draw(st.booleans()):
         key = draw(st.sampled_from(["family", "n", "subgroup", "char", "d", "flavor", "extra"]))
         (subspace if key in ("d", "flavor") else spec)[key] = draw(_JUNK)
@@ -753,10 +791,9 @@ _MODULE_SPECS = st.builds(lambda kind, n: json.dumps({"module": kind, "n": n}),
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(_verify_specs(), _MODULE_SPECS), st.sampled_from([1, 2, 3, 4, 0, -1]),
-       st.sampled_from([None, 2, 3, 5]))
-def test_verify_fuzz_never_raises(spec, c, prime):
-    argv = ["verify", "--spec", spec, "--c", str(c), "--trials", "1"]
-    record, err = _run_fuzzed(argv + ([] if prime is None else ["--prime", str(prime)]))
+       st.sampled_from([[], ["--prime", "2"], ["--prime", "3"], ["--prime", "5"], ["--rational"]]))
+def test_verify_fuzz_never_raises(spec, c, flags):
+    record, err = _run_fuzzed(["verify", "--spec", spec, "--c", str(c), "--trials", "1", *flags])
     if record is not None:
         rec = record["outputs"]
         assert 0 <= rec["projective_dim"] <= rec["algebra_dim"]
