@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .classdata import ClassFusionRecord
+from .classdata import ClassFusionRecord, is_prime
 
 
 class BoundInputError(ValueError):
@@ -58,16 +58,19 @@ def lower_bound_b0(dim_G: int, dim_Omega: int) -> int:
 
 
 def _sup_record(records: Sequence[ClassFusionRecord]) -> ClassFusionRecord:
+    """The record of largest intersection ratio; every entry point takes it
+    first, so each refuses an empty list with one message."""
+    if not records:
+        raise BoundInputError("no records: supremum over an empty set")
     return max(records, key=lambda r: r.ratio)
 
 
 def q_value(records: Sequence[ClassFusionRecord], c: int) -> Fraction:
     """Exact value of c/(c-1) * sup over records of the intersection ratio."""
-    if not records:
-        raise BoundInputError("no records: supremum over an empty set")
+    sup = _sup_record(records)
     if c < 2:
         raise BoundInputError("q_value requires c >= 2")
-    return Fraction(c, c - 1) * _sup_record(records).ratio
+    return Fraction(c, c - 1) * sup.ratio
 
 
 def _least_c(records: Sequence[ClassFusionRecord], weak) -> tuple[int | None, ClassFusionRecord | None]:
@@ -86,35 +89,31 @@ def _least_c(records: Sequence[ClassFusionRecord], weak) -> tuple[int | None, Cl
     return c, needs
 
 
-def _inconclusive(kind: str, reason: str, records: Sequence[ClassFusionRecord]) -> Inconclusive:
-    return Inconclusive(kind=kind, reason=reason, sup_ratio=_sup_record(records).ratio)
-
-
 def upper_bound_b1(
     records: Sequence[ClassFusionRecord],
     long_root_refinement: bool = False,
 ) -> BoundResult | Inconclusive:
     """Smallest c certified for the generic base size: every record meets
     the strict form, or the weak one with the refinement and a long root."""
-    if not records:
-        raise BoundInputError("no records: supremum over an empty set")
+    sup = _sup_record(records)
     c, r = _least_c(records, lambda r: long_root_refinement and r.is_long_root)
     if c is None:
-        return _inconclusive("upper_b1", f"record {r.class_label!r} has intersection ratio >= 1; "
-                             "no c satisfies the criterion", records)
+        return Inconclusive("upper_b1", f"record {r.class_label!r} has intersection ratio >= 1; "
+                            "no c satisfies the criterion", sup.ratio)
     return BoundResult(
         kind="upper_b1",
         value=c,
-        witness=f"binding record: {(r or _sup_record(records)).class_label}",
-        q_at_value=q_value(records, c),
+        witness=f"binding record: {(r or sup).class_label}",
+        q_at_value=Fraction(c, c - 1) * sup.ratio,
     )
 
 
 def upper_bound_b0(records: Sequence[ClassFusionRecord], p: int) -> BoundResult | Inconclusive:
-    """Smallest c certified for the connected base size; records of order p
-    count as unipotent."""
-    if not records:
-        raise BoundInputError("no records: supremum over an empty set")
+    """Smallest c certified for the connected base size in characteristic
+    p, 0 or a prime; records of order p count as unipotent."""
+    sup = _sup_record(records)
+    if p != 0 and not is_prime(p):
+        raise BoundInputError(f"p = {p} is neither 0 nor a prime below 2^31")
 
     def is_unip(r: ClassFusionRecord) -> bool:
         return r.element_kind == "unipotent" or (p > 0 and r.element_order == p)
@@ -124,19 +123,19 @@ def upper_bound_b0(records: Sequence[ClassFusionRecord], p: int) -> BoundResult 
         if not is_unip(r) and r.element_order > 1:
             families.setdefault(r.element_order, []).append(r)
     if not families:
-        return _inconclusive("upper_b0", f"no semisimple records of prime order != {p} available", records)
+        return Inconclusive("upper_b0", f"no semisimple records of prime order != {p} available", sup.ratio)
     c_unip, r = _least_c([r for r in records if is_unip(r)], lambda r: True)
     if c_unip is None:
-        return _inconclusive("upper_b0", f"unipotent record {r.class_label!r} has ratio >= 1", records)
+        return Inconclusive("upper_b0", f"unipotent record {r.class_label!r} has ratio >= 1", sup.ratio)
     # the least c over the unblocked prime families, then the least prime
     open_families = [(c, q) for q, fam in families.items() if (c := _least_c(fam, lambda r: False)[0])]
     if not open_families:
-        return _inconclusive("upper_b0", "every available prime family contains a ratio-1 record", records)
+        return Inconclusive("upper_b0", "every available prime family contains a ratio-1 record", sup.ratio)
     c_prime, prime = min(open_families)
     value = max(c_unip, c_prime)
     return BoundResult(
         kind="upper_b0",
         value=value,
         witness=f"strict prime family r={prime}; unipotent classes weakly below",
-        q_at_value=q_value(records, value),
+        q_at_value=Fraction(value, value - 1) * sup.ratio,
     )

@@ -32,6 +32,13 @@ def is_prime(p: int) -> bool:
     return 2 <= p < 2**31 and all(p % q for q in range(2, math.isqrt(p) + 1))
 
 
+def require_prime(name: str, p: int) -> None:
+    """Refuse a p that ``is_prime`` rejects, as "<name> <p> is not a prime
+    below 2^31": arithmetic mod a composite divides by zero divisors."""
+    if not is_prime(p):
+        raise ValueError(f"{name} {p} is not a prime below 2^31")
+
+
 @dataclass(frozen=True)
 class ClassFusionRecord:
     """One conjugacy class x with dim x^G and dim(x^G meet H)."""

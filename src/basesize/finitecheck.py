@@ -132,11 +132,6 @@ def close_perm_group(gen_perms: list[tuple[int, ...]], bound: int = DEFAULT_ELEM
     return np.concatenate(found)
 
 
-def _require_prime(q: int) -> None:
-    if not classdata.is_prime(q):
-        raise ValueError(f"q = {q} is not a prime")
-
-
 def _line_images(e1: np.ndarray, e2: np.ndarray, points: list, q: int) -> np.ndarray:
     """Images of the given projective points under the matrices with
     columns e1 and e2, one int32 column per point."""
@@ -152,7 +147,7 @@ def pgl2_line_action(q: int, bound: int = DEFAULT_ELEMENT_BOUND) -> PermAction:
     """The projective line under the full projective linear group, one
     matrix per element: [[1, b], [c, d]] with d - bc != 0 and
     [[0, b], [1, d]] with b != 0."""
-    _require_prime(q)
+    classdata.require_prime("q =", q)
     _check_order(q**3 - q, bound)
     points = projective_line(q)
     # the first column, the image of (1, 0), runs over the listed points
@@ -185,7 +180,7 @@ def sp4_decomposition_action(q: int, bound: int = DEFAULT_ELEMENT_BOUND) -> Perm
     """Unordered pairs {U, U-perp} of complementary nondegenerate 2-spaces
     under Sp_4(q): the coset space of the wreath-type stabilizer.  Sp_4(q)
     is transitive on them, so they are the orbit of {<e1, e3>, <e2, e4>}."""
-    _require_prime(q)
+    classdata.require_prime("q =", q)
     _check_order(q**4 * (q * q - 1) * (q**4 - 1) // math.gcd(2, q - 1), bound)
     gens = symplectic_transvections4(q)
 
@@ -291,8 +286,11 @@ def disjoint_pairs(points: list, length: int, rng: random.Random) -> tuple[int, 
     """General position for tuples of point pairs: ``length`` disjoint
     pairs of 2*length distinct line points.  ``points`` lists the pairs
     (i, j), i < j, of n line points in lexicographic order, as
-    ``pgl2_pairs_action`` does, so (i, j) sits at i*n - i(i+1)/2 + j - i - 1."""
+    ``pgl2_pairs_action`` does, so (i, j) sits at i*n - i(i+1)/2 + j - i - 1.
+    More pairs than fit, 2*length > n, raise ValueError."""
     n = points[-1][1] + 1
+    if 2 * length > n:
+        raise ValueError(f"{length} disjoint point pairs need {2 * length} of the {n} points of the line")
     ends = rng.sample(range(n), 2 * length)
     pairs = map(sorted, zip(ends[::2], ends[1::2]))
     return tuple(i * n - i * (i + 1) // 2 + j - i - 1 for i, j in pairs)
@@ -327,7 +325,7 @@ def sl2_two_form_stabilizer(
     groups of two seeded random nondegenerate symmetric forms; returns
     (order, elements) with the elements an (order, 2, 2) array in
     lexicographic order."""
-    _require_prime(q)
+    classdata.require_prime("q =", q)
     _check_order(q**3 - q, bound)
     rng = random.Random(seed)
 

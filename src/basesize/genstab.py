@@ -41,15 +41,14 @@ generic or not.
 Part streams.  Each (prime, trial) pair draws its parts from one stream
 whose RNG key holds no part count, so the configuration of c parts is a
 prefix of the one of c + 1 (``sample_configuration`` returns that prefix).
-One solver, ``_dims``, gives the dimension after each part from a given
-c on.  While every part is a head part it is the free column count and
-nothing is eliminated (a lone totally singular part is solved alone).  At
-the first part past the head the stacked rows after the head are
-eliminated; from the next c on their reduced echelon form is kept, and
-each new part's rows are reduced against it.  ``stabilizer_report`` takes
-its first value on a configuration's c parts, ``estimate_b0`` runs it on
-each stream: an estimate draws b0 parts per stream, eliminates each part
-after the head once, and its dimensions cannot increase with c.
+``stabilizer_algebra_dim_once`` solves one configuration: the free column
+count when every part is a head part, else one elimination of the stacked
+rows after the head.  ``estimate_b0`` runs ``_dims`` on each stream
+instead.  While every part is a head part it yields the free column count
+(a lone totally singular part is solved alone); from the first part past
+the head on, the rows of every part after the head enter one reduced
+echelon form exactly once, and it yields the nullity.  An estimate draws
+b0 parts per stream, and its dimensions cannot increase with c.
 
 Sampling.  A totally singular part is the graph [x; S x] of a random
 symmetric (Sp) or antisymmetric (SO) m x m matrix S, m = floor(n/2), on a
@@ -405,12 +404,11 @@ def _adapted(parts, head: int, family: str, flavor: str, form, p: int) -> _Adapt
     return _Adapted(family, p, inv, form, free)
 
 
-def _dims(parts, family: str, flavor: str, form, p: int, start: int = 1):
+def _dims(parts, family: str, flavor: str, form, p: int):
     """Stabilizer algebra dimension after each of ``parts`` (any iterable),
-    c = start, start + 1, ..., as the module docstring's "Part streams"
-    describes."""
+    c = 1, 2, ..., as the module docstring's "Part streams" describes."""
     parts = iter(parts)
-    drawn = [next(parts) for _ in range(start)]
+    drawn = [next(parts)]
     while True:
         head = _head_size(drawn, family, flavor, form, p)
         if head == len(drawn):
@@ -421,10 +419,9 @@ def _dims(parts, family: str, flavor: str, form, p: int, start: int = 1):
             break
         drawn.append(next(parts))
     adapted = _adapted(drawn, head, family, flavor, form, p)
-    block = np.concatenate([adapted.rows(b) for b in drawn[head:]], axis=0)
-    yield linalg.nullspace_dim_mod(block, p)
     echelon = linalg.EchelonMod(len(adapted.free), p)
-    echelon.add(block)
+    echelon.add(np.concatenate([adapted.rows(b) for b in drawn[head:]]))
+    yield echelon.nullity
     for b in parts:
         echelon.add(adapted.rows(b))
         yield echelon.nullity
@@ -434,7 +431,11 @@ def stabilizer_algebra_dim_once(config: Configuration) -> int:
     """Exact nullspace dimension of the stabilizer system for one sampled
     configuration, in gl for SL and in Lie coordinates for Sp/SO: the free
     columns of the adapted basis minus the rank of the later parts' rows."""
-    return next(_dims(config.parts, config.family, config.flavor, config.form, config.p, start=len(config.parts)))
+    head = _head_size(config.parts, config.family, config.flavor, config.form, config.p)
+    if head == len(config.parts):
+        return len(_free_columns(config.family, config.flavor, config.n, config.d, head))
+    adapted = _adapted(config.parts, head, config.family, config.flavor, config.form, config.p)
+    return linalg.nullspace_dim_mod(np.concatenate([adapted.rows(b) for b in config.parts[head:]]), config.p)
 
 
 def _system_shape(config: Configuration, dim: int) -> SystemShape:

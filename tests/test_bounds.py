@@ -65,8 +65,27 @@ def test_q_value_large_c_approaches_sup():
 
 
 def test_q_value_empty_is_an_error():
-    with pytest.raises(BoundInputError):
-        q_value([], 3)
+    # the empty list is refused first, whatever c is
+    for c in (-1, 0, 1, 2, 3):
+        with pytest.raises(BoundInputError, match="^no records: supremum over an empty set$"):
+            q_value([], c)
+
+
+@pytest.mark.parametrize(
+    "bound", [lambda: upper_bound_b1([]), lambda: upper_bound_b1([], long_root_refinement=True),
+              lambda: upper_bound_b0([], p=0), lambda: upper_bound_b0([], p=2), lambda: upper_bound_b0([], p=4)],
+    ids=["b1", "b1-refined", "b0-char0", "b0-char2", "b0-char4"],
+)
+def test_upper_bounds_refuse_no_records(bound):
+    with pytest.raises(BoundInputError, match="^no records: supremum over an empty set$"):
+        bound()
+
+
+@pytest.mark.parametrize("p", [1, 4, 9, -3, 2**31 + 1])
+def test_b0_refuses_a_characteristic_that_is_neither_0_nor_prime(p):
+    recs = [rec(10, 4), rec(12, 5, kind="semisimple", order=3)]
+    with pytest.raises(BoundInputError, match=f"^p = {p} is neither 0 nor a prime below 2"):
+        upper_bound_b0(recs, p=p)
 
 
 @given(

@@ -116,7 +116,7 @@ def test_builders_refuse_q_that_is_not_prime(monkeypatch, build, q):
     monkeypatch.setattr(fc, "close_perm_group", unreachable)
     monkeypatch.setattr(fc, "_sl2_elements", unreachable)
     monkeypatch.setattr(fc, "_line_images", unreachable)
-    with pytest.raises(ValueError, match="not a prime") as info:
+    with pytest.raises(ValueError, match=f"^q = {q} is not a prime below 2\\^31$") as info:
         build(q)
     assert not isinstance(info.value, fc.EnumerationBoundExceeded)
 
@@ -191,6 +191,18 @@ def test_tuple_stabilizer_draws_tuple_samples_disjoint_pairs(q, length):
     for tup in drawn:
         ends = [x for t in tup for x in a.points[t]]
         assert len(ends) == len(set(ends)) == 2 * length
+
+
+@pytest.mark.parametrize("q,length", [(3, 3), (7, 5), (7, 9)])
+def test_disjoint_pairs_refuses_more_pairs_than_the_line_holds(q, length):
+    import random
+
+    a = fc.pgl2_pairs_action(q)
+    message = f"^{length} disjoint point pairs need {2 * length} of the {q + 1} points of the line$"
+    with pytest.raises(ValueError, match=message):
+        fc.disjoint_pairs(a.points, length, random.Random(0))
+    with pytest.raises(ValueError, match=message):
+        fc.generic_tuple_stabilizer_order(a, length, general_position=fc.disjoint_pairs)
 
 
 def test_pair_with_stabilizer_exactly_two_exists():

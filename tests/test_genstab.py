@@ -300,9 +300,9 @@ _STREAM_COUNTS = {
 
 def test_estimate_b0_draws_value_parts_per_stream_and_eliminates_each_once(monkeypatch):
     # every stream draws value parts; its head parts become deleted columns,
-    # the first block past the head is eliminated on its own, and from the
-    # next c on every part after the head enters one EchelonMod once; at
-    # c = 1 only a lone totally singular part is eliminated
+    # and every part after the head, the first block included, enters one
+    # EchelonMod once; only a lone totally singular part at c = 1 is
+    # eliminated on its own
     part_stream, add, solve = genstab._part_stream, linalg.EchelonMod.add, linalg.nullspace_dim_mod
     drawn, added, solved = {}, {}, []
 
@@ -327,7 +327,7 @@ def test_estimate_b0_draws_value_parts_per_stream_and_eliminates_each_once(monke
         est = estimate_b0(family, n, d, flavor, c_max=n + 2, trials=trials, seed=seed)
         assert est.value == value
         streams = trials * len(PRIMES)
-        assert len(drawn) == streams and len(added) == streams and len(solved) == (1 + lone) * streams
+        assert len(drawn) == streams and len(added) == streams and len(solved) == lone * streams
         # each part gives (n - d) d rows
         assert sorted(added.values()) == [(value - head) * (n - d) * d] * streams
         # each stream's parts are the sampled configuration, with that head
