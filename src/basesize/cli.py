@@ -27,10 +27,10 @@ prime below 2^31, a ``--prime`` with ``--rational`` (whose parts are drawn
 at p = 97 in one trial, as ``config`` records), ``--rational`` with a
 module spec, a ``verify`` spec outside the classical subspace actions
 (an exceptional family among them), a ``--char`` that contradicts the
-dataset, a ``finite``
-family or ``--n`` other than the action's, a ``--trials`` below 1 on every
-route, a ``--bound`` or a module's ``--c`` below 1, a module ``n`` below
-2, a ``--c`` above the transversal subspaces that fit over ``--prime``, a
+dataset, a ``finite`` family or ``--n`` other than the action's, a
+``--trials`` below 1 or a negative ``--seed`` on every ``verify`` route, a
+``--bound`` or a module's ``--c`` below 1, a module ``n`` below 2, a
+``--c`` above the transversal subspaces that fit over ``--prime``, a
 nondegenerate part of odd dimension for SO of even n at ``--prime 2``, a
 ``--tuple-length`` that no tuple of points, or of disjoint point pairs,
 can have, a verifier sampling failure (``sym2`` forms at ``--prime 2``

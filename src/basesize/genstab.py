@@ -1,7 +1,7 @@
 """Numeric verification of generic stabilizer dimensions.
 
-Configurations of subspaces (or module vectors) are sampled uniformly over
-a large prime field and the stabilizer subalgebra
+Configurations of subspaces (or module vectors) are sampled over a large
+prime field and the stabilizer subalgebra
 
     { X in g : X * part  is contained in  part,  for every part }
 
@@ -20,43 +20,59 @@ n(n+1)/2 or n(n-1)/2 upper-triangle entries of S and no form rows are
 needed.  A part b with annihilator rows w gives the rows u^T S b = 0 with
 u = J w, folded onto the upper triangle.
 
-Adapted basis.  The system is solved in a basis B = [b_1 | ... | b_k | C]
-adapted to a head of leading parts, with unknowns X' = B^-1 X B (SL) or
-S' = B^T S B (Sp/SO).  There the head's rows are exactly coordinate
-functionals: they delete columns, and only the later parts, mapped by B^-1
-and paired by F = B^-1 J B^-T, are eliminated on the columns left.  The
-head, each condition checked exactly mod p:
+Fixed head.  Over the algebraic closure GL_n is transitive on tuples of
+floor(n/d) independent d-spaces, and (Witt) Sp_n and SO_n are transitive on
+nondegenerate d-spaces and on transversal pairs of totally singular ones.
+So a generic configuration is conjugate to one that starts with a fixed
+head of exact integer coordinate blocks, and only the parts after it are
+drawn.  In the standard basis e_1..e_m, f_1..f_m (m = floor(n/2)), then g
+for odd n, and with k = floor(d/2), the head is:
 
-* SL: the longest prefix of at most floor(n/d) parts of rank k d, C the
-  coordinate vectors off the pivots; part i deletes X'(outside W_i, W_i).
-* totally singular: the first two parts when W_1 + W_2 is nondegenerate,
-  C = (W_1 + W_2)^perp; part i deletes S'(W_i + C, W_i).
-* nondegenerate: the first part, C = W_1^perp; it deletes S'(C, W_1).
-* otherwise none, B = I (two totally singular parts of SO_2d meet for
-  odd d).
+* SL: the blocks e_{id+1}..e_{id+d}, i < floor(n/d);
+* totally singular: span(e_1..e_d), then span(f_1..f_d), except for SO_2d
+  with odd d, whose f-block lies in the other family;
+* nondegenerate: span(e_1..e_k, f_1..f_k), with g for odd d and n, or
+  e_{k+1} + f_{k+1} for odd d and even n (SO only).
 
-The nullity is the free columns minus the rank, for every configuration,
-generic or not.
+In characteristic 2 Witt needs an alternating form, which that of SO_n for
+odd n is not: B(v, v) = B(g, v)^2, so its isometries fix the line of g,
+which the head contains (odd d) or is perpendicular to (even d) and a
+generic part is not.  So SO with odd n has no head at p = 2.
 
-Part streams.  Each (prime, trial) pair draws its parts from one stream
-whose RNG key holds no part count, so the configuration of c parts is a
-prefix of the one of c + 1 (``sample_configuration`` returns that prefix).
+Head basis.  Each head part is a coordinate block W in a basis B where the
+form F = B^-1 J B^-T is monomial: B = I, except that for the last head
+above e_{k+1} + f_{k+1}, e_{k+1} - f_{k+1} replace e_{k+1}, f_{k+1}.  The
+unknowns are X' = B^-1 X B (SL) or S' = B^T S B (Sp/SO), and a head part's
+rows are exactly coordinate functionals: W fixes X'(outside W, W), or
+S'(x, W) for x in the support of F e_j for some j outside W.  They delete
+columns, and only the later parts, mapped by B^-1 and paired by F, are
+eliminated on the columns left.  The head of a configuration is the
+longest prefix of its parts equal to the standard head, by exact
+comparison, so the nullity is the free columns minus the rank for every
+configuration, generic or not.
+
+Part streams.  Each (prime, trial) pair takes its parts from one stream:
+the head, then parts drawn from an RNG whose key holds no part count, so
+the configuration of c parts is a prefix of the one of c + 1
+(``sample_configuration`` returns that prefix).
 ``stabilizer_algebra_dim_once`` solves one configuration: the free column
 count when every part is a head part, else one elimination of the stacked
 rows after the head.  ``estimate_b0`` runs ``_dims`` on each stream
-instead.  While every part is a head part it yields the free column count
-(a lone totally singular part is solved alone); from the first part past
-the head on, the rows of every part after the head enter one reduced
-echelon form exactly once, and it yields the nullity.  An estimate draws
-b0 parts per stream, and its dimensions cannot increase with c.
+instead.  While every part is a head part it yields the free column count;
+from the first part past the head on, the rows of every part after the
+head enter one reduced echelon form exactly once, and it yields the
+nullity.  An estimate takes b0 parts per stream, and its dimensions
+cannot increase with c.
 
-Sampling.  A totally singular part is the graph [x; S x] of a random
-symmetric (Sp) or antisymmetric (SO) m x m matrix S, m = floor(n/2), on a
-random m x d matrix x of rank d, and [x; (S - c c^T / 2) x; c^T x] with a
+Sampling.  A drawn part meets the open conditions against every part
+before it, the head included.  A totally singular part is the graph
+[x; S x] of a random symmetric (Sp) or antisymmetric (SO) m x m matrix S on
+a random m x d matrix x of rank d, and [x; (S - c c^T / 2) x; c^T x] with a
 random m-vector c for odd n (so p != 2).  The graphs are generic: they are
 all the totally singular d-spaces that project injectively onto the first
-m coordinates.  For SO_2d with d = m they lie in one family, where two
-generic members meet in dimension d mod 2, so pairs need rank 2d - d mod 2.
+m coordinates.  For SO_2d with d = m they lie in the family of
+span(e_1..e_d) (S = 0), where two generic members meet in dimension
+d mod 2, so pairs need rank 2d - d mod 2.
 
 Characteristic caveat: the dimension computed here is the Lie-algebra
 stabilizer dimension, which matches the group stabilizer dimension at
@@ -166,8 +182,15 @@ def standard_form(family: str, n: int) -> np.ndarray | None:
     raise ConfigError(f"unknown family {family!r}")
 
 
+def _seed_sequence(seed: int, *key: int) -> np.random.SeedSequence:
+    """The one place a seed enters numpy, so every route refuses a negative one."""
+    if seed < 0:
+        raise ConfigError(f"need seed >= 0, got {seed}")
+    return np.random.SeedSequence(seed, spawn_key=key)
+
+
 def _rng(seed: int, *key: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+    return np.random.Generator(np.random.PCG64(_seed_sequence(seed, *key)))
 
 
 def _validate(family: str, n: int, d: int, flavor: str) -> None:
@@ -184,10 +207,11 @@ def _validate(family: str, n: int, d: int, flavor: str) -> None:
 
 
 def _part_stream(family: str, n: int, d: int, flavor: str, seed: int, p: int):
-    """Stream of parts of the requested flavor, each drawn with the open
-    conditions enforced against the parts before it: full column rank,
-    pairwise transversality where dimensions allow, exact (non)degeneracy
-    against the standard form.  Yields (part, rejections before it).  A
+    """Stream of parts of the requested flavor: the standard head, then
+    parts drawn with the open conditions enforced against every part before
+    them: full column rank, pairwise transversality where dimensions allow,
+    exact (non)degeneracy against the standard form.  Yields (part,
+    rejections before it), 0 for a head part.  A
     condition that cannot hold raises ``ConfigError``, before any draw or at
     the first transversal part beyond the number that fit; running out of
     retries raises ``SamplingError``.  The RNG key holds no part count, so c
@@ -203,7 +227,8 @@ def _part_stream(family: str, n: int, d: int, flavor: str, seed: int, p: int):
     most = (p**n - 1) // (p**d - 1) if 2 * d <= n and joint_rank == 2 * d else None
     rng = _rng(seed, 0xC0FF)
     resamples = 0
-    parts: list[np.ndarray] = []
+    parts = _head(family, n, d, flavor, p)
+    yield from ((b, 0) for b in parts)
 
     def gram(x: np.ndarray) -> np.ndarray:
         return linalg.matmul_mod(linalg.matmul_mod(x.T, j, p), x, p)
@@ -280,12 +305,19 @@ def _unknowns(family: str, n: int) -> int:
     return rootsys.group_dim("GL" if family == "SL" else family, n)
 
 
+def _upper(n: int, family: str) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the upper-triangle entries that parametrise S, row
+    by row: with the diagonal for Sp (symmetric), without it for SO
+    (antisymmetric)."""
+    r = np.arange(n)
+    return (r[:, None] <= r if family == "Sp" else r[:, None] < r).nonzero()
+
+
 def _lie_coordinates(coef: np.ndarray, family: str) -> np.ndarray:
     """Fold rows over the n x n entries of S (shape (rows, n, n)) onto the
     upper-triangle entries that parametrise S: symmetric for Sp,
     antisymmetric for SO."""
-    n = coef.shape[-1]
-    i, j = np.triu_indices(n, 0 if family == "Sp" else 1)
+    i, j = _upper(coef.shape[-1], family)
     if family == "Sp":
         return coef[:, i, j] + coef[:, j, i] * (i != j)
     return coef[:, i, j] - coef[:, j, i]
@@ -325,127 +357,107 @@ def _form_constraint(j: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Adapted basis: the head parts' rows become deleted columns
+# The fixed head: its rows are deleted columns
 
-def _head_size(parts, family: str, flavor: str, form, p: int) -> int:
-    """How many leading ``parts`` the adapted basis is built on, by the head
-    rules of the module docstring."""
-    n, d = parts[0].shape
+def _head(family: str, n: int, d: int, flavor: str, p: int) -> list[np.ndarray]:
+    """The standard head parts of the module docstring over F_p, exact n x d
+    integer blocks in the standard basis."""
+    eye, m, k = np.eye(n, dtype=np.int64), n // 2, d // 2
+    if (family, n % 2, p) == ("SO", 1, 2):  # Witt fails: the form is not alternating
+        return []
     if family == "SL":
-        k = min(len(parts), n // d)
-        pivots = linalg.rref_mod(np.concatenate(parts[:k], axis=1), p)[1]
-        # the first i parts have rank i d exactly when columns 0..id-1 are all pivots
-        lead = next((i for i, c in enumerate(pivots) if c != i), len(pivots))
-        return min(k, lead // d)
-    size = 2 if flavor == "totally_singular" else 1
-    if len(parts) < size:
-        return 0
-    h = np.concatenate(parts[:size], axis=1)
-    gram = linalg.matmul_mod(linalg.matmul_mod(h.T, form, p), h, p)
-    if flavor == "totally_singular" and (gram[:d, :d].any() or gram[d:, d:].any()):
-        return 0
-    return size if linalg.det_mod(gram, p) else 0
+        return [eye[:, i * d : (i + 1) * d] for i in range(n // d)]
+    if flavor == "totally_singular":  # for SO_2d with odd d the f-block lies in the other family
+        return [eye[:, :d]] if (family, n, d % 2) == ("SO", 2 * d, 1) else [eye[:, :d], eye[:, m : m + d]]
+    cols = [*range(k), *range(m, m + k)]
+    if d % 2 == 0:
+        return [eye[:, cols]]
+    if n % 2:
+        return [eye[:, cols + [n - 1]]]  # g
+    b = eye[:, cols + [k]]
+    b[m + k, -1] = 1  # e_{k+1} + f_{k+1}, of norm 2
+    return [b]
 
 
-def _free_columns(family: str, flavor: str, n: int, d: int, head: int) -> np.ndarray:
-    """Columns left after deleting the coordinates that the head's rows fix,
-    in the adapted basis with blocks W_1, ..., W_head of d columns, then C."""
-    block_of = np.arange(n) // d  # head blocks 0..head-1, then C
+def _head_basis(family: str, n: int, d: int, flavor: str, p: int):
+    """(F = B^-1 J B^-T, b -> B^-1 b) for the head basis B of the module
+    docstring.  On e_{k+1} + f_{k+1}, e_{k+1} - f_{k+1} the form is
+    diag(2, -2), so F is diag(1/2, -1/2) there (p != 2)."""
+    form = standard_form(family, n)
+    if (family, flavor, n % 2, d % 2) != ("SO", "nondeg", 0, 1):
+        return form, lambda b: b
+    a, c, half = d // 2, n // 2 + d // 2, (p + 1) // 2
+    form = form.copy()
+    form[[a, c], [c, a]] = 0
+    form[a, a], form[c, c] = half, p - half
+
+    def to_basis(b: np.ndarray) -> np.ndarray:
+        b = b.copy()
+        b[[a, c]] = np.stack([b[a] + b[c], b[a] - b[c]]) * half % p
+        return b
+
+    return form, to_basis
+
+
+def _free_columns(family: str, n: int, form, blocks) -> np.ndarray:
+    """The columns left when the rows of ``blocks``, head parts as coordinate
+    blocks in the head basis, are deleted (module docstring, "Head basis")."""
     mask = np.zeros((n, n), dtype=bool)
-    for i in range(head):
-        if family == "SL":
-            rows = block_of != i
-        elif flavor == "totally_singular":
-            rows = (block_of == i) | (block_of >= head)
-        else:
-            rows = block_of >= head
-        mask[rows, i * d : (i + 1) * d] = True
+    for b in blocks:
+        w = b.any(axis=1)
+        mask |= np.outer(~w if form is None else form[:, ~w].any(axis=1), w)
     if family == "SL":
         return (~mask).ravel().nonzero()[0]
-    i, j = np.triu_indices(n, 0 if family == "Sp" else 1)
-    return (~(mask | mask.T)[i, j]).nonzero()[0]
+    return (~(mask | mask.T)[_upper(n, family)]).nonzero()[0]
 
 
-@dataclass(frozen=True)
-class _Adapted:
-    """The stabilizer system in the basis B adapted to the head parts: a
-    later part b gives the rows of B^-1 b, paired by F = B^-1 J B^-T, on
-    the free columns."""
-
-    family: str
-    p: int
-    inv: np.ndarray | None  # B^-1; None for the empty head, B = I
-    form: np.ndarray | None  # F, or J for the empty head; None for SL
-    free: np.ndarray
-
-    def rows(self, b: np.ndarray) -> np.ndarray:
-        if self.inv is None:
-            return _part_rows(b, self.family, self.form, self.p)
-        b = linalg.matmul_mod(self.inv, b, self.p)
-        return _part_rows(b, self.family, self.form, self.p)[:, self.free]
-
-
-def _adapted(parts, head: int, family: str, flavor: str, form, p: int) -> _Adapted:
-    """The adapted system whose head is the first ``head`` parts, a size
-    that ``_head_size`` accepted."""
-    n, d = parts[0].shape
-    free = _free_columns(family, flavor, n, d, head)
-    if not head:
-        return _Adapted(family, p, None, form, free)
-    h = np.concatenate(parts[:head], axis=1)
-    if family == "SL":
-        # the coordinate vectors off the pivots of h^T complete h to a basis
-        rest = np.delete(np.eye(n, dtype=np.int64), linalg.rref_mod(h.T, p)[1], axis=1)
-    else:  # C = (col h)^perp, a complement since col h is nondegenerate
-        rest = linalg.nullspace_basis_mod(linalg.matmul_mod(h.T, form, p), p).T
-    inv = linalg.inv_mod(np.concatenate([h, rest], axis=1), p)
-    if form is not None:
-        form = linalg.matmul_mod(linalg.matmul_mod(inv, form, p), inv.T, p)
-    return _Adapted(family, p, inv, form, free)
-
-
-def _dims(parts, family: str, flavor: str, form, p: int):
+def _dims(parts, family: str, n: int, d: int, flavor: str, p: int):
     """Stabilizer algebra dimension after each of ``parts`` (any iterable),
     c = 1, 2, ..., as the module docstring's "Part streams" describes."""
-    parts = iter(parts)
-    drawn = [next(parts)]
-    while True:
-        head = _head_size(drawn, family, flavor, form, p)
-        if head == len(drawn):
-            yield len(_free_columns(family, flavor, *drawn[0].shape, head))
-        elif len(drawn) == 1 and flavor == "totally_singular":  # a head needs two of them
-            yield linalg.nullspace_dim_mod(_part_rows(drawn[0], family, form, p), p)
-        else:
-            break
-        drawn.append(next(parts))
-    adapted = _adapted(drawn, head, family, flavor, form, p)
-    echelon = linalg.EchelonMod(len(adapted.free), p)
-    echelon.add(np.concatenate([adapted.rows(b) for b in drawn[head:]]))
-    yield echelon.nullity
+    head = _head(family, n, d, flavor, p)
+    form, to_basis = _head_basis(family, n, d, flavor, p)
+    h, free, echelon = 0, _free_columns(family, n, form, []), None
     for b in parts:
-        echelon.add(adapted.rows(b))
+        if echelon is None and h < len(head) and np.array_equal(b, head[h]):
+            h += 1
+            free = _free_columns(family, n, form, map(to_basis, head[:h]))
+            yield len(free)
+            continue
+        if echelon is None:
+            echelon = linalg.EchelonMod(len(free), p)
+        echelon.add(_part_rows(to_basis(b), family, form, p)[:, free])
         yield echelon.nullity
+
+
+def _head_system(config: Configuration):
+    """(head parts, free columns, F, b -> B^-1 b) of one configuration.  Its
+    head is the longest prefix of its parts equal to the standard head, by
+    exact comparison, so any configuration gets its exact nullity."""
+    head = _head(config.family, config.n, config.d, config.flavor, config.p)
+    h = next((i for i, (b, s) in enumerate(zip(config.parts, head)) if not np.array_equal(b, s)),
+             min(len(config.parts), len(head)))
+    form, to_basis = _head_basis(config.family, config.n, config.d, config.flavor, config.p)
+    return h, _free_columns(config.family, config.n, form, map(to_basis, head[:h])), form, to_basis
 
 
 def stabilizer_algebra_dim_once(config: Configuration) -> int:
     """Exact nullspace dimension of the stabilizer system for one sampled
     configuration, in gl for SL and in Lie coordinates for Sp/SO: the free
-    columns of the adapted basis minus the rank of the later parts' rows."""
-    head = _head_size(config.parts, config.family, config.flavor, config.form, config.p)
-    if head == len(config.parts):
-        return len(_free_columns(config.family, config.flavor, config.n, config.d, head))
-    adapted = _adapted(config.parts, head, config.family, config.flavor, config.form, config.p)
-    return linalg.nullspace_dim_mod(np.concatenate([adapted.rows(b) for b in config.parts[head:]]), config.p)
+    columns of the head basis minus the rank of the later parts' rows."""
+    h, free, form, to_basis = _head_system(config)
+    if h == len(config.parts):
+        return len(free)
+    rows = [_part_rows(to_basis(b), config.family, form, config.p)[:, free] for b in config.parts[h:]]
+    return linalg.nullspace_dim_mod(np.concatenate(rows), config.p)
 
 
 def _system_shape(config: Configuration, dim: int) -> SystemShape:
     """The shape of ``stabilizer_algebra_dim_once(config)``, whose answer is
     ``dim``, counted without assembling it: every part after the head gives
     (n - d) d rows."""
-    head = _head_size(config.parts, config.family, config.flavor, config.form, config.p)
-    columns = len(_free_columns(config.family, config.flavor, config.n, config.d, head))
-    rows = (len(config.parts) - head) * (config.n - config.d) * config.d
-    return SystemShape(_unknowns(config.family, config.n), head, columns, rows, columns - dim)
+    h, free, _, _ = _head_system(config)
+    rows = (len(config.parts) - h) * (config.n - config.d) * config.d
+    return SystemShape(_unknowns(config.family, config.n), h, len(free), rows, len(free) - dim)
 
 
 def _subspace_algebra(family: str) -> tuple[str, int]:
@@ -463,7 +475,7 @@ def _runs(seed: int, trials: int, primes: tuple[int, ...]) -> list[tuple[int, in
     if not primes:
         raise ConfigError("need at least one prime")
     return [
-        (p, int(np.random.SeedSequence(seed, spawn_key=(pi, t)).generate_state(1, dtype=np.uint64)[0]))
+        (p, int(_seed_sequence(seed, pi, t).generate_state(1, dtype=np.uint64)[0]))
         for pi, p in enumerate(primes)
         for t in range(trials)
     ]
@@ -526,9 +538,8 @@ def estimate_b0(
     the rows of each part after the head once."""
     if c_max < 1:
         raise ConfigError("need c_max >= 1")
-    form = standard_form(family, n)
     streams = [
-        _dims((b for b, _ in _part_stream(family, n, d, flavor, s, p)), family, flavor, form, p)
+        _dims((b for b, _ in _part_stream(family, n, d, flavor, s, p)), family, n, d, flavor, p)
         for p, s in _runs(seed, trials, primes)
     ]
     corr = _subspace_algebra(family)[1]

@@ -14,10 +14,6 @@ import numpy as np
 MAX_PRIME = 2**31
 
 
-class SingularMatrixError(ValueError):
-    pass
-
-
 def _as_modmat(a, p: int) -> np.ndarray:
     if not (2 <= p < MAX_PRIME):
         raise ValueError(f"prime {p} out of supported range")
@@ -127,17 +123,6 @@ def nullspace_basis_mod(a, p: int) -> np.ndarray:
     basis[np.arange(free.size), free] = 1
     basis[:, pivots] = -m[: len(pivots), free].T % p
     return basis
-
-
-def inv_mod(a, p: int) -> np.ndarray:
-    m = _as_modmat(a, p)
-    n = m.shape[0]
-    if m.shape[1] != n:
-        raise ValueError("matrix must be square")
-    red, pivots = rref_mod(np.hstack([m, np.eye(n, dtype=np.int64)]), p)
-    if pivots[:n] != list(range(n)):
-        raise SingularMatrixError("matrix is singular mod p")
-    return red[:, n:]
 
 
 def det_mod(a, p: int) -> int:

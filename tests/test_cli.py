@@ -264,12 +264,13 @@ def test_verify_rational_refuses_totally_singular_parts(capsys):
 
 
 def test_verify_sampling_failure_exit_2(capsys, monkeypatch):
-    # with no resampling budget the first rejected part ends the run
+    # with no resampling budget the first drawn part ends the run; the two
+    # head parts of SL_4 on 2-spaces are fixed, so the third is the first drawn
     monkeypatch.setattr(genstab, "RESAMPLE_BUDGET", 0)
     code, out, err = run_cli(
         capsys, "verify", "--spec",
         '{"family":"SL","n":4,"subgroup":{"subspace":{"d":2}}}',
-        "--c", "2", "--trials", "1",
+        "--c", "3", "--trials", "1",
     )
     assert code == 2
     assert out == ""
@@ -472,6 +473,21 @@ def test_bad_input_exits_2_with_one_error_line(capsys, argv, message):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "spec,extra",
+    [
+        ('{"family":"SL","n":4,"subgroup":{"subspace":{"d":2}}}', []),
+        ('{"family":"Sp","n":6,"subgroup":{"subspace":{"d":2,"flavor":"nondeg"}}}', ["--rational"]),
+        ('{"module":"sym2","n":3}', []),
+    ],
+    ids=["subspace", "rational", "module"],
+)
+def test_verify_negative_seed_exits_2_on_every_route(capsys, spec, extra):
+    # numpy's own refusal named no input: "expected non-negative integer"
+    code, out, err = run_cli(capsys, "verify", "--spec", spec, "--c", "3", "--seed", "-5", *extra)
+    assert (code, out, err) == (2, "", "error: need seed >= 0, got -5\n")
 
 
 @pytest.mark.parametrize("q,length", [(11, 6), (13, 7)], ids=["pairs-q11-len6", "pairs-q13-len7"])

@@ -59,12 +59,10 @@ def _totally_singular_cases():
 
 
 @pytest.mark.parametrize("family,n,d", _totally_singular_cases())
-def test_totally_singular_parts_are_drawn_without_an_inverse(monkeypatch, family, n, d):
-    def no_inverse(*args):
-        raise AssertionError("a totally singular part was drawn through a matrix inverse")
-
-    monkeypatch.setattr(linalg, "inv_mod", no_inverse)
-    # two maximal totally singular spaces of one SO_2d family meet in d mod 2
+def test_totally_singular_parts_are_drawn_without_an_inverse(family, n, d):
+    # the parts are the standard head and graphs [x; S x], so no matrix is
+    # inverted (linalg has no inverse); two maximal totally singular spaces
+    # of one SO_2d family meet in d mod 2
     joint_rank = 2 * d - (d % 2 if (family, n) == ("SO", 2 * d) else 0)
     for p in PRIMES:
         cfg = sample_configuration(family, n, d, "totally_singular", 3, seed=10 * n + d, p=p)
@@ -85,10 +83,11 @@ def test_totally_singular_parts_at_p2():
     for b in cfg.parts:
         assert not linalg.matmul_mod(linalg.matmul_mod(b.T, cfg.form, 2), b, 2).any()
     # every vector of F_2^4 with (x1, x2) != 0 is the graph of a symmetric S;
-    # an alternating S would reach only 6 of these 12
-    lines = {tuple(sample_configuration("Sp", 4, 1, "totally_singular", 1, seed=s, p=2).parts[0].ravel())
+    # the first drawn part, after the head <e_1>, <f_1>, is any of these 12
+    # but <e_1> (<f_1> is no graph), and an alternating S would reach only 5
+    lines = {tuple(sample_configuration("Sp", 4, 1, "totally_singular", 3, seed=s, p=2).parts[2].ravel())
              for s in range(200)}
-    assert len(lines) == 12
+    assert len(lines) == 11
 
 
 def test_sampler_validates_inputs():
@@ -234,7 +233,7 @@ def test_duality_matches():
 def _stream_dims(family, n, d, flavor, seed, p):
     """The solver over one part stream, from c = 1."""
     parts = (b for b, _ in genstab._part_stream(family, n, d, flavor, seed, p))
-    return genstab._dims(parts, family, flavor, genstab.standard_form(family, n), p)
+    return genstab._dims(parts, family, n, d, flavor, p)
 
 
 def _gl_reference_dim(cfg):
@@ -294,15 +293,14 @@ _STREAM_COUNTS = {
     ("Sp", 6, 2, "nondeg", 2, 5): (4, 1),
     ("SL", 6, 2, "linear", 1, 5): (5, 3),
     ("Sp", 8, 4, "totally_singular", 1, 5): (4, 2),
-    ("SO", 10, 5, "totally_singular", 1, 5): (5, 0),  # pairs meet: no head
+    ("SO", 10, 5, "totally_singular", 1, 5): (5, 1),  # pairs meet: a one-part head
 }
 
 
 def test_estimate_b0_draws_value_parts_per_stream_and_eliminates_each_once(monkeypatch):
-    # every stream draws value parts; its head parts become deleted columns,
-    # and every part after the head, the first block included, enters one
-    # EchelonMod once; only a lone totally singular part at c = 1 is
-    # eliminated on its own
+    # every stream yields value parts, its head parts fixed blocks that
+    # become deleted columns, and every part after the head, the first block
+    # included, enters one EchelonMod once; nothing is eliminated alone
     part_stream, add, solve = genstab._part_stream, linalg.EchelonMod.add, linalg.nullspace_dim_mod
     drawn, added, solved = {}, {}, []
 
@@ -317,17 +315,16 @@ def test_estimate_b0_draws_value_parts_per_stream_and_eliminates_each_once(monke
     )
     monkeypatch.setattr(linalg, "nullspace_dim_mod", lambda rows, p: solved.append(rows) or solve(rows, p))
     for (family, n, d, flavor, trials, seed), (value, head) in _STREAM_COUNTS.items():
-        lone = int(flavor == "totally_singular")
         solved.clear()
         next(_stream_dims(family, n, d, flavor, seed, PRIMES[0]))
-        assert len(solved) == lone
+        assert not solved
         drawn.clear()
         added.clear()
         solved.clear()
         est = estimate_b0(family, n, d, flavor, c_max=n + 2, trials=trials, seed=seed)
         assert est.value == value
         streams = trials * len(PRIMES)
-        assert len(drawn) == streams and len(added) == streams and len(solved) == lone * streams
+        assert len(drawn) == streams and len(added) == streams and not solved
         # each part gives (n - d) d rows
         assert sorted(added.values()) == [(value - head) * (n - d) * d] * streams
         # each stream's parts are the sampled configuration, with that head
@@ -336,7 +333,7 @@ def test_estimate_b0_draws_value_parts_per_stream_and_eliminates_each_once(monke
             cfg = sample_configuration(family, n, d, flavor, value, seed=s, p=p)
             assert len(got[s]) == value
             assert all((a == b).all() for a, b in zip(got[s], cfg.parts))
-            assert genstab._head_size(cfg.parts, family, flavor, cfg.form, p) == head
+            assert genstab._head_system(cfg)[0] == head
 
 
 def test_trials_below_one_and_no_primes_are_rejected():
@@ -350,7 +347,7 @@ def test_trials_below_one_and_no_primes_are_rejected():
         estimate_b0("SL", 4, 2, "linear", c_max=3, trials=1, primes=())
 
 
-# -- adapted basis -----------------------------------------------------------------
+# -- the fixed head ----------------------------------------------------------------
 
 def _plain_dim(cfg):
     """Nullity of the stacked rows of every part in the standard basis."""
@@ -429,28 +426,31 @@ _DEGENERATE_CASES = pytest.mark.parametrize(
         ("SL", 6, 2, "linear", _in_span, 2),
         ("SL", 9, 2, "linear", _in_span, 2),
         ("Sp", 8, 2, "totally_singular", lambda parts, p: None, 2),
-        ("Sp", 8, 2, "totally_singular", lambda parts, p: parts.__setitem__(1, parts[0]), 0),
-        ("SO", 10, 5, "totally_singular", lambda parts, p: None, 0),  # the pair meets in a line
+        ("Sp", 8, 2, "totally_singular", lambda parts, p: parts.__setitem__(1, parts[0]), 1),
+        ("SO", 10, 5, "totally_singular", lambda parts, p: None, 1),  # later pairs meet in a line
         ("SO", 9, 3, "nondeg", lambda parts, p: None, 1),
         # an isotropic first part: its Gram matrix is zero
         ("Sp", 8, 2, "nondeg", lambda parts, p: parts.__setitem__(0, np.eye(8, 2, dtype=np.int64)), 0),
+        # the head blocks out of order, and a repeated head in the mixed basis
+        ("SL", 6, 2, "linear", lambda parts, p: parts.__setitem__(slice(0, 2), parts[1::-1]), 0),
+        ("SO", 8, 3, "nondeg", lambda parts, p: parts.__setitem__(1, parts[0]), 1),
     ],
     ids=["sl-generic", "sl-repeated", "sl-in-span", "sl9-in-span", "sp-ts-generic", "sp-ts-repeated",
-         "so10-ts-pairs-meet", "so-nondeg", "sp-nondeg-singular-gram"],
+         "so10-ts-pairs-meet", "so-nondeg", "sp-nondeg-singular-gram", "sl-swapped-head", "so8-nondeg-repeated"],
 )
 
 
 @_DEGENERATE_CASES
 def test_degenerate_heads_fall_back_to_a_shorter_head(family, n, d, flavor, build, head):
+    # the head is the longest prefix equal to the standard head, so a
+    # hand-built configuration is solved on the columns that prefix leaves
     cfg = _degenerate(family, n, d, flavor, build)
-    assert genstab._head_size(cfg.parts, family, flavor, cfg.form, cfg.p) == head
-    adapted = genstab._adapted(cfg.parts, head, family, flavor, cfg.form, cfg.p)
-    rows = np.concatenate([adapted.rows(b) for b in cfg.parts[head:]])
+    h, free, _, _ = genstab._head_system(cfg)
     dim = stabilizer_algebra_dim_once(cfg)
-    assert linalg.nullspace_dim_mod(rows, cfg.p) == dim == _plain_dim(cfg)
-    assert rows.shape[1] == len(adapted.free)
+    assert h == head
+    assert dim == _plain_dim(cfg)
     assert genstab._system_shape(cfg, dim) == genstab.SystemShape(
-        genstab._unknowns(family, n), head, len(adapted.free), len(rows), len(adapted.free) - dim
+        genstab._unknowns(family, n), head, len(free), (5 - head) * (n - d) * d, len(free) - dim
     )
 
 
@@ -459,7 +459,7 @@ def test_degenerate_parts_on_the_incremental_path(family, n, d, flavor, build, h
     # the same parts one at a time: every prefix has the nullity of its
     # plain system, whatever head it allows
     cfg = _degenerate(family, n, d, flavor, build)
-    dims = genstab._dims(cfg.parts, family, flavor, cfg.form, cfg.p)
+    dims = genstab._dims(cfg.parts, family, n, d, flavor, cfg.p)
     for c in range(1, 6):
         assert next(dims) == _plain_dim(dataclasses.replace(cfg, parts=cfg.parts[:c])), c
 
@@ -468,20 +468,69 @@ def test_degenerate_parts_on_the_incremental_path(family, n, d, flavor, build, h
     "family,n,d,flavor",
     [("SL", 7, 2, "linear"), ("SL", 8, 4, "linear"), ("SL", 5, 3, "linear"), ("Sp", 10, 3, "totally_singular"),
      ("Sp", 8, 4, "totally_singular"), ("SO", 9, 2, "totally_singular"), ("Sp", 8, 2, "nondeg"),
-     ("SO", 8, 3, "nondeg")],
+     ("SO", 8, 3, "nondeg"), ("SO", 10, 5, "totally_singular"), ("SO", 9, 3, "nondeg"), ("SO", 12, 4, "nondeg")],
 )
 def test_head_rows_are_the_deleted_coordinates(family, n, d, flavor):
+    # in the head basis every head prefix has rows only on the columns it
+    # deletes, and all of them: the nullity is the free columns minus the
+    # rank of the later rows
     cfg = sample_configuration(family, n, d, flavor, 5, seed=9)
-    head = genstab._head_size(cfg.parts, family, flavor, cfg.form, cfg.p)
-    assert head > 0
-    adapted = genstab._adapted(cfg.parts, head, family, flavor, cfg.form, cfg.p)
-    rows = np.concatenate([
-        genstab._part_rows(linalg.matmul_mod(adapted.inv, b, cfg.p), family, adapted.form, cfg.p)
-        for b in cfg.parts[:head]
-    ]) % cfg.p
-    deleted = genstab._unknowns(family, n) - len(adapted.free)
-    assert not rows[:, adapted.free].any()
-    assert linalg.rank_mod(rows, cfg.p) == deleted
+    for c in range(1, 6):
+        h, free, form, to_basis = genstab._head_system(dataclasses.replace(cfg, parts=cfg.parts[:c]))
+        if not h:
+            continue
+        rows = np.concatenate([genstab._part_rows(to_basis(b), family, form, cfg.p) for b in cfg.parts[:h]])
+        assert not rows[:, free].any()
+        assert linalg.rank_mod(rows, cfg.p) == genstab._unknowns(family, n) - len(free), c
+    assert genstab._head_system(cfg)[0] == len(genstab._head(family, n, d, flavor, cfg.p)) > 0
+
+
+@pytest.mark.parametrize("p", PRIMES + (3, 5))
+def test_standard_heads_are_exact_mod_p(p):
+    # the sampler yields these blocks unchecked, so check every one here
+    def gram(x, j):
+        return linalg.matmul_mod(linalg.matmul_mod(x.T, j, p), x, p)
+
+    for (family, flavor, n), ds in sorted(_all_flavor_cases(12).items()):
+        j = genstab.standard_form(family, n)
+        for d in ds:
+            head = genstab._head(family, n, d, flavor, p)
+            joint = np.concatenate(head, axis=1)
+            assert all(b.shape == (n, d) for b in head) and head, (family, flavor, n, d)
+            if family == "SL":
+                assert len(head) == n // d
+                assert linalg.rank_mod(joint, p) == len(head) * d
+            elif flavor == "totally_singular":
+                assert all(not gram(b, j).any() for b in head)
+                # two spaces of one SO_2d family meet in d mod 2: a pair heads no odd d
+                if (family, n, d % 2) == ("SO", 2 * d, 1):
+                    assert len(head) == 1
+                else:
+                    assert len(head) == 2 and linalg.det_mod(gram(joint, j), p)
+            else:
+                assert len(head) == 1 and linalg.det_mod(gram(joint, j), p), (family, n, d)
+
+
+def test_so_of_odd_n_draws_every_part_at_p2():
+    # mod 2 the form of SO_3 is B(v, v) = v_3^2: its isometries fix <e_3>, the
+    # nondegenerate line the head would take, and no nondegenerate line
+    # spans a nondegenerate plane with it; generic lines do
+    assert all(genstab._head("SO", n, d, "nondeg", 2) == [] for n in (3, 5, 7) for d in range(1, n))
+    for seed in range(4):
+        assert estimate_b0("SO", 3, 1, "nondeg", c_max=4, trials=1, seed=seed, primes=(2,)).value == 2
+
+
+def test_negative_seeds_are_a_config_error_on_every_route():
+    routes = [
+        lambda: stabilizer_report("SL", 4, 2, "linear", 2, seed=-5, trials=1),
+        lambda: estimate_b0("SL", 4, 2, "linear", c_max=3, trials=1, seed=-5),
+        lambda: sample_configuration("SL", 4, 2, "linear", 1, seed=-5),
+        lambda: rational_report("Sp", 6, 2, "nondeg", 3, seed=-5),
+        lambda: module_stabilizer_dim("sym2", 3, 1, seed=-5),
+    ]
+    for route in routes:
+        with pytest.raises(ConfigError, match=r"^need seed >= 0, got -5$"):
+            route()
 
 
 # -- module actions --------------------------------------------------------------
@@ -583,9 +632,10 @@ def _subspace_cases(n_max):
 
 
 # estimate_b0 at seed 0, one trial, the first prime, c_max = n + 2:
-# (value, projective_dims, lower_bound), pinned before the stabilizer
-# engine became incremental in c; the generic dimensions do not depend on
-# how the parts are drawn
+# (value, projective_dims, lower_bound) for the whole b0 sweep; the n <= 8
+# entries were pinned before the stabilizer engine became incremental in c,
+# the rest while the head parts were still drawn.  The generic dimensions do
+# not depend on how the parts are drawn
 B0_PINS = {
     ('SL', 3, 1, 'linear'): (4, (6, 4, 2, 0), 4),
     ('SL', 4, 1, 'linear'): (5, (12, 9, 6, 3, 0), 5),
@@ -602,6 +652,26 @@ B0_PINS = {
     ('SL', 8, 2, 'linear'): (6, (51, 39, 27, 15, 3, 0), 6),
     ('SL', 8, 3, 'linear'): (5, (48, 33, 18, 3, 0), 5),
     ('SL', 8, 4, 'linear'): (5, (47, 31, 15, 3, 0), 4),
+    ('SL', 9, 1, 'linear'): (10, (72, 64, 56, 48, 40, 32, 24, 16, 8, 0), 10),
+    ('SL', 9, 2, 'linear'): (6, (66, 52, 38, 24, 10, 0), 6),
+    ('SL', 9, 3, 'linear'): (5, (62, 44, 26, 8, 0), 5),
+    ('SL', 9, 4, 'linear'): (4, (60, 40, 20, 0), 4),
+    ('SL', 10, 1, 'linear'): (11, (90, 81, 72, 63, 54, 45, 36, 27, 18, 9, 0), 11),
+    ('SL', 10, 2, 'linear'): (7, (83, 67, 51, 35, 19, 3, 0), 7),
+    ('SL', 10, 3, 'linear'): (5, (78, 57, 36, 15, 0), 5),
+    ('SL', 10, 4, 'linear'): (5, (75, 51, 27, 3, 0), 5),
+    ('SL', 10, 5, 'linear'): (5, (74, 49, 24, 4, 0), 4),
+    ('SL', 11, 1, 'linear'): (12, (110, 100, 90, 80, 70, 60, 50, 40, 30, 20, 10, 0), 12),
+    ('SL', 11, 2, 'linear'): (7, (102, 84, 66, 48, 30, 12, 0), 7),
+    ('SL', 11, 3, 'linear'): (5, (96, 72, 48, 24, 0), 5),
+    ('SL', 11, 4, 'linear'): (5, (92, 64, 36, 8, 0), 5),
+    ('SL', 11, 5, 'linear'): (4, (90, 60, 30, 0), 4),
+    ('SL', 12, 1, 'linear'): (13, (132, 121, 110, 99, 88, 77, 66, 55, 44, 33, 22, 11, 0), 13),
+    ('SL', 12, 2, 'linear'): (8, (123, 103, 83, 63, 43, 23, 3, 0), 8),
+    ('SL', 12, 3, 'linear'): (6, (116, 89, 62, 35, 8, 0), 6),
+    ('SL', 12, 4, 'linear'): (5, (111, 79, 47, 15, 0), 5),
+    ('SL', 12, 5, 'linear'): (5, (108, 73, 38, 3, 0), 5),
+    ('SL', 12, 6, 'linear'): (5, (107, 71, 35, 5, 0), 4),
     ('Sp', 4, 1, 'totally_singular'): (4, (7, 4, 1, 0), 4),
     ('Sp', 4, 2, 'totally_singular'): (4, (7, 4, 1, 0), 4),
     ('Sp', 4, 2, 'nondeg'): (4, (6, 3, 1, 0), 3),
@@ -615,6 +685,22 @@ B0_PINS = {
     ('Sp', 8, 4, 'totally_singular'): (4, (26, 16, 6, 0), 4),
     ('Sp', 8, 2, 'nondeg'): (4, (24, 13, 4, 0), 3),
     ('Sp', 8, 4, 'nondeg'): (3, (20, 6, 0), 3),
+    ('Sp', 10, 1, 'totally_singular'): (10, (46, 37, 28, 21, 15, 10, 6, 3, 1, 0), 7),
+    ('Sp', 10, 2, 'totally_singular'): (5, (40, 25, 11, 3, 0), 4),
+    ('Sp', 10, 3, 'totally_singular'): (4, (37, 19, 2, 0), 4),
+    ('Sp', 10, 4, 'totally_singular'): (4, (37, 19, 2, 0), 4),
+    ('Sp', 10, 5, 'totally_singular'): (4, (40, 25, 10, 0), 4),
+    ('Sp', 10, 2, 'nondeg'): (5, (39, 24, 11, 3, 0), 4),
+    ('Sp', 10, 4, 'nondeg'): (3, (31, 9, 0), 3),
+    ('Sp', 12, 1, 'totally_singular'): (12, (67, 56, 45, 36, 28, 21, 15, 10, 6, 3, 1, 0), 8),
+    ('Sp', 12, 2, 'totally_singular'): (6, (59, 40, 22, 10, 3, 0), 5),
+    ('Sp', 12, 3, 'totally_singular'): (4, (54, 30, 7, 0), 4),
+    ('Sp', 12, 4, 'totally_singular'): (4, (52, 26, 2, 0), 3),
+    ('Sp', 12, 5, 'totally_singular'): (4, (53, 28, 4, 0), 4),
+    ('Sp', 12, 6, 'totally_singular'): (4, (57, 36, 15, 0), 4),
+    ('Sp', 12, 2, 'nondeg'): (6, (58, 39, 22, 10, 3, 0), 4),
+    ('Sp', 12, 4, 'nondeg'): (3, (46, 16, 0), 3),
+    ('Sp', 12, 6, 'nondeg'): (3, (42, 9, 0), 3),
     ('SO', 7, 1, 'totally_singular'): (6, (16, 11, 6, 3, 1, 0), 5),
     ('SO', 7, 2, 'totally_singular'): (4, (14, 7, 1, 0), 3),
     ('SO', 7, 3, 'totally_singular'): (4, (15, 9, 3, 0), 4),
@@ -629,11 +715,51 @@ B0_PINS = {
     ('SO', 8, 2, 'nondeg'): (4, (16, 6, 1, 0), 3),
     ('SO', 8, 3, 'nondeg'): (3, (13, 1, 0), 2),
     ('SO', 8, 4, 'nondeg'): (2, (12, 0), 2),
+    ('SO', 9, 1, 'totally_singular'): (8, (29, 22, 15, 10, 6, 3, 1, 0), 6),
+    ('SO', 9, 2, 'totally_singular'): (4, (25, 14, 4, 0), 4),
+    ('SO', 9, 3, 'totally_singular'): (4, (24, 12, 1, 0), 3),
+    ('SO', 9, 4, 'totally_singular'): (4, (26, 16, 6, 0), 4),
+    ('SO', 9, 1, 'nondeg'): (8, (28, 21, 15, 10, 6, 3, 1, 0), 5),
+    ('SO', 9, 2, 'nondeg'): (4, (22, 10, 3, 0), 3),
+    ('SO', 9, 3, 'nondeg'): (3, (18, 3, 0), 2),
+    ('SO', 9, 4, 'nondeg'): (2, (16, 0), 2),
+    ('SO', 10, 1, 'totally_singular'): (9, (37, 29, 21, 15, 10, 6, 3, 1, 0), 6),
+    ('SO', 10, 2, 'totally_singular'): (5, (32, 19, 7, 1, 0), 4),
+    ('SO', 10, 3, 'totally_singular'): (4, (30, 15, 1, 0), 3),
+    ('SO', 10, 4, 'totally_singular'): (4, (31, 17, 4, 0), 4),
+    ('SO', 10, 5, 'totally_singular'): (5, (35, 25, 15, 6, 0), 5),
+    ('SO', 10, 1, 'nondeg'): (9, (36, 28, 21, 15, 10, 6, 3, 1, 0), 5),
+    ('SO', 10, 2, 'nondeg'): (5, (29, 15, 6, 1, 0), 3),
+    ('SO', 10, 3, 'nondeg'): (3, (24, 6, 0), 3),
+    ('SO', 10, 4, 'nondeg'): (3, (21, 1, 0), 2),
+    ('SO', 10, 5, 'nondeg'): (2, (20, 0), 2),
+    ('SO', 11, 1, 'totally_singular'): (10, (46, 37, 28, 21, 15, 10, 6, 3, 1, 0), 7),
+    ('SO', 11, 2, 'totally_singular'): (5, (40, 25, 11, 3, 0), 4),
+    ('SO', 11, 3, 'totally_singular'): (4, (37, 19, 2, 0), 4),
+    ('SO', 11, 4, 'totally_singular'): (4, (37, 19, 2, 0), 4),
+    ('SO', 11, 5, 'totally_singular'): (4, (40, 25, 10, 0), 4),
+    ('SO', 11, 1, 'nondeg'): (10, (45, 36, 28, 21, 15, 10, 6, 3, 1, 0), 6),
+    ('SO', 11, 2, 'nondeg'): (5, (37, 21, 10, 3, 0), 4),
+    ('SO', 11, 3, 'nondeg'): (4, (31, 10, 1, 0), 3),
+    ('SO', 11, 4, 'nondeg'): (3, (27, 3, 0), 2),
+    ('SO', 11, 5, 'nondeg'): (2, (25, 0), 2),
+    ('SO', 12, 1, 'totally_singular'): (11, (56, 46, 36, 28, 21, 15, 10, 6, 3, 1, 0), 7),
+    ('SO', 12, 2, 'totally_singular'): (6, (49, 32, 16, 6, 1, 0), 4),
+    ('SO', 12, 3, 'totally_singular'): (4, (45, 24, 4, 0), 4),
+    ('SO', 12, 4, 'totally_singular'): (4, (44, 22, 2, 0), 3),
+    ('SO', 12, 5, 'totally_singular'): (4, (46, 26, 6, 0), 4),
+    ('SO', 12, 6, 'totally_singular'): (6, (51, 36, 21, 9, 1, 0), 5),
+    ('SO', 12, 1, 'nondeg'): (11, (55, 45, 36, 28, 21, 15, 10, 6, 3, 1, 0), 6),
+    ('SO', 12, 2, 'nondeg'): (6, (46, 28, 15, 6, 1, 0), 4),
+    ('SO', 12, 3, 'nondeg'): (4, (39, 15, 3, 0), 3),
+    ('SO', 12, 4, 'nondeg'): (3, (34, 6, 0), 3),
+    ('SO', 12, 5, 'nondeg'): (3, (31, 1, 0), 2),
+    ('SO', 12, 6, 'nondeg'): (2, (30, 0), 2),
 }
 
 
 def test_b0_pins_cover_the_small_sweep():
-    assert sorted(B0_PINS) == sorted(_subspace_cases(8))
+    assert sorted(B0_PINS) == sorted(_subspace_cases(12))
 
 
 @pytest.mark.parametrize("case", sorted(B0_PINS))
