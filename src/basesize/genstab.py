@@ -26,30 +26,31 @@ nondegenerate d-spaces and on transversal pairs of totally singular ones.
 So a generic configuration is conjugate to one that starts with a fixed
 head of exact integer coordinate blocks, and only the parts after it are
 drawn.  In the standard basis e_1..e_m, f_1..f_m (m = floor(n/2)), then g
-for odd n, and with k = floor(d/2), the head is:
+of norm 1 for odd n, and with k = floor(d/2), the head is:
 
 * SL: the blocks e_{id+1}..e_{id+d}, i < floor(n/d);
 * totally singular: span(e_1..e_d), then span(f_1..f_d), except for SO_2d
   with odd d, whose f-block lies in the other family;
-* nondegenerate: span(e_1..e_k, f_1..f_k), with g for odd d and n, or
-  e_{k+1} + f_{k+1} for odd d and even n (SO only).
+* nondegenerate: span(e_1..e_k, f_1..f_k), with g for odd d.
+
+For SO with even n and nondegenerate parts of odd d, the standard form has
+g and g', of norms 1 and -1, where e_m and f_m were: x^2 - y^2 is a
+hyperbolic plane for p != 2 and over Q, so it is the same form.
 
 In characteristic 2 Witt needs an alternating form, which that of SO_n for
 odd n is not: B(v, v) = B(g, v)^2, so its isometries fix the line of g,
 which the head contains (odd d) or is perpendicular to (even d) and a
 generic part is not.  So SO with odd n has no head at p = 2.
 
-Head basis.  Each head part is a coordinate block W in a basis B where the
-form F = B^-1 J B^-T is monomial: B = I, except that for the last head
-above e_{k+1} + f_{k+1}, e_{k+1} - f_{k+1} replace e_{k+1}, f_{k+1}.  The
-unknowns are X' = B^-1 X B (SL) or S' = B^T S B (Sp/SO), and a head part's
-rows are exactly coordinate functionals: W fixes X'(outside W, W), or
-S'(x, W) for x in the support of F e_j for some j outside W.  They delete
-columns, and only the later parts, mapped by B^-1 and paired by F, are
-eliminated on the columns left.  The head of a configuration is the
-longest prefix of its parts equal to the standard head, by exact
-comparison, so the nullity is the free columns minus the rank for every
-configuration, generic or not.
+Every head part is a coordinate block W, and every standard form J is
+monomial, so the rows of a head part are exactly coordinate functionals:
+W fixes X(outside W, W), or S(x, W) for x in the support of J e_j for some
+j outside W.  They delete columns, and only the later parts are eliminated
+on the columns left.  Sampling, the mod-p solve and the Q route share that
+one form and one basis.  The head of a configuration is the longest prefix
+of its parts equal to the standard head, by exact comparison, so the
+nullity is the free columns minus the rank for every configuration,
+generic or not.
 
 Part streams.  Each (prime, trial) pair takes its parts from one stream:
 the head, then parts drawn from an RNG whose key holds no part count, so
@@ -158,11 +159,13 @@ class B0Estimate:
     seed: int
 
 
-def standard_form(family: str, n: int) -> np.ndarray | None:
-    """A fixed invertible integer Gram matrix: alternating for Sp, symmetric
-    for SO, none for SL.  The first floor(n/2) basis vectors span a maximal
-    isotropic subspace.  Entries are signed, so the same matrix is the form
-    over Q and, reduced mod p, over F_p."""
+def standard_form(family: str, n: int, d: int, flavor: str) -> np.ndarray | None:
+    """The fixed monomial Gram matrix J, with J J^T = I, in which the parts
+    of ``_head(family, n, d, flavor, p)`` are coordinate blocks: alternating
+    for Sp, symmetric for SO, none for SL.  B(e_i, f_i) = 1, and g has norm
+    1; for SO with even n and nondegenerate parts of odd d, g and g' of norm
+    -1 take the places of e_m and f_m.  Entries are signed, so the same
+    matrix is the form over Q and, reduced mod p, over F_p."""
     if family == "SL":
         return None
     m = n // 2
@@ -178,6 +181,9 @@ def standard_form(family: str, n: int) -> np.ndarray | None:
         j[m : 2 * m, :m] = np.eye(m, dtype=np.int64)
         if n % 2:
             j[-1, -1] = 1
+        elif flavor == "nondeg" and d % 2:
+            j[[m - 1, n - 1], [n - 1, m - 1]] = 0
+            j[m - 1, m - 1], j[n - 1, n - 1] = 1, -1
         return j
     raise ConfigError(f"unknown family {family!r}")
 
@@ -221,7 +227,7 @@ def _part_stream(family: str, n: int, d: int, flavor: str, seed: int, p: int):
         raise ConfigError("totally singular parts of odd n need 1/2, so p != 2")
     if (family, flavor, n % 2, d % 2, p) == ("SO", "nondeg", 0, 1, 2):
         raise ConfigError("mod 2 the form of SO_n with even n is alternating: no nondegenerate odd-dimensional parts")
-    j = standard_form(family, n)
+    j = standard_form(family, n, d, flavor)
     joint_rank = 2 * d - (d % 2 if (family, flavor, n) == ("SO", "totally_singular", 2 * d) else 0)
     # transversal d-spaces share no nonzero vector: (p^n - 1) / (p^d - 1) fit
     most = (p**n - 1) // (p**d - 1) if 2 * d <= n and joint_rank == 2 * d else None
@@ -291,7 +297,7 @@ def sample_configuration(
     stream = _part_stream(family, n, d, flavor, seed, p)
     drawn = [next(stream) for _ in range(c)]
     return Configuration(
-        family=family, p=p, n=n, d=d, flavor=flavor, form=standard_form(family, n),
+        family=family, p=p, n=n, d=d, flavor=flavor, form=standard_form(family, n, d, flavor),
         parts=tuple(b for b, _ in drawn), seed=seed, resamples=sum(r for _, r in drawn),
     )
 
@@ -328,10 +334,9 @@ def _span_constraint(b: np.ndarray, ann: np.ndarray, family: str, form, p: int |
     w^T X b = 0 for every row w of ``ann``, which annihilates col(b), and
     every column b.  In gl the unknowns are the entries of X.  In sp/so,
     X = J^T S, so w^T X b = u^T S b with u = J w, and the unknowns are the
-    upper-triangle entries of S.  ``form`` may be any Gram matrix J' with
-    J'^T G = I for the form G that the part lives in (J for the standard
-    form, B^-1 J B^-T in the basis B).  With ``p`` the products are reduced
-    mod p before the fold adds them."""
+    upper-triangle entries of S.  That needs J J^T = I, as every
+    ``standard_form`` has.  With ``p`` the products are reduced mod p
+    before the fold adds them."""
     n, d = b.shape
     if family == "SL":
         return np.einsum("ai,jb->abij", ann, b).reshape(len(ann) * d, n * n)
@@ -360,8 +365,8 @@ def _form_constraint(j: np.ndarray) -> np.ndarray:
 # The fixed head: its rows are deleted columns
 
 def _head(family: str, n: int, d: int, flavor: str, p: int) -> list[np.ndarray]:
-    """The standard head parts of the module docstring over F_p, exact n x d
-    integer blocks in the standard basis."""
+    """The standard head parts of the module docstring over F_p, n x d
+    blocks of identity columns."""
     eye, m, k = np.eye(n, dtype=np.int64), n // 2, d // 2
     if (family, n % 2, p) == ("SO", 1, 2):  # Witt fails: the form is not alternating
         return []
@@ -370,38 +375,14 @@ def _head(family: str, n: int, d: int, flavor: str, p: int) -> list[np.ndarray]:
     if flavor == "totally_singular":  # for SO_2d with odd d the f-block lies in the other family
         return [eye[:, :d]] if (family, n, d % 2) == ("SO", 2 * d, 1) else [eye[:, :d], eye[:, m : m + d]]
     cols = [*range(k), *range(m, m + k)]
-    if d % 2 == 0:
-        return [eye[:, cols]]
-    if n % 2:
-        return [eye[:, cols + [n - 1]]]  # g
-    b = eye[:, cols + [k]]
-    b[m + k, -1] = 1  # e_{k+1} + f_{k+1}, of norm 2
-    return [b]
-
-
-def _head_basis(family: str, n: int, d: int, flavor: str, p: int):
-    """(F = B^-1 J B^-T, b -> B^-1 b) for the head basis B of the module
-    docstring.  On e_{k+1} + f_{k+1}, e_{k+1} - f_{k+1} the form is
-    diag(2, -2), so F is diag(1/2, -1/2) there (p != 2)."""
-    form = standard_form(family, n)
-    if (family, flavor, n % 2, d % 2) != ("SO", "nondeg", 0, 1):
-        return form, lambda b: b
-    a, c, half = d // 2, n // 2 + d // 2, (p + 1) // 2
-    form = form.copy()
-    form[[a, c], [c, a]] = 0
-    form[a, a], form[c, c] = half, p - half
-
-    def to_basis(b: np.ndarray) -> np.ndarray:
-        b = b.copy()
-        b[[a, c]] = np.stack([b[a] + b[c], b[a] - b[c]]) * half % p
-        return b
-
-    return form, to_basis
+    if d % 2:
+        cols.append(n - 1 if n % 2 else m - 1)  # g
+    return [eye[:, cols]]
 
 
 def _free_columns(family: str, n: int, form, blocks) -> np.ndarray:
-    """The columns left when the rows of ``blocks``, head parts as coordinate
-    blocks in the head basis, are deleted (module docstring, "Head basis")."""
+    """The columns left when the rows of ``blocks``, head parts, which are
+    coordinate blocks, are deleted (module docstring, "Fixed head")."""
     mask = np.zeros((n, n), dtype=bool)
     for b in blocks:
         w = b.any(axis=1)
@@ -414,40 +395,39 @@ def _free_columns(family: str, n: int, form, blocks) -> np.ndarray:
 def _dims(parts, family: str, n: int, d: int, flavor: str, p: int):
     """Stabilizer algebra dimension after each of ``parts`` (any iterable),
     c = 1, 2, ..., as the module docstring's "Part streams" describes."""
-    head = _head(family, n, d, flavor, p)
-    form, to_basis = _head_basis(family, n, d, flavor, p)
+    head, form = _head(family, n, d, flavor, p), standard_form(family, n, d, flavor)
     h, free, echelon = 0, _free_columns(family, n, form, []), None
     for b in parts:
         if echelon is None and h < len(head) and np.array_equal(b, head[h]):
             h += 1
-            free = _free_columns(family, n, form, map(to_basis, head[:h]))
+            free = _free_columns(family, n, form, head[:h])
             yield len(free)
             continue
         if echelon is None:
             echelon = linalg.EchelonMod(len(free), p)
-        echelon.add(_part_rows(to_basis(b), family, form, p)[:, free])
+        echelon.add(_part_rows(b, family, form, p)[:, free])
         yield echelon.nullity
 
 
 def _head_system(config: Configuration):
-    """(head parts, free columns, F, b -> B^-1 b) of one configuration.  Its
-    head is the longest prefix of its parts equal to the standard head, by
-    exact comparison, so any configuration gets its exact nullity."""
+    """(head parts, free columns) of one configuration.  Its head is the
+    longest prefix of its parts equal to the standard head, by exact
+    comparison, so any configuration gets its exact nullity."""
     head = _head(config.family, config.n, config.d, config.flavor, config.p)
     h = next((i for i, (b, s) in enumerate(zip(config.parts, head)) if not np.array_equal(b, s)),
              min(len(config.parts), len(head)))
-    form, to_basis = _head_basis(config.family, config.n, config.d, config.flavor, config.p)
-    return h, _free_columns(config.family, config.n, form, map(to_basis, head[:h])), form, to_basis
+    return h, _free_columns(config.family, config.n, config.form, head[:h])
 
 
 def stabilizer_algebra_dim_once(config: Configuration) -> int:
     """Exact nullspace dimension of the stabilizer system for one sampled
-    configuration, in gl for SL and in Lie coordinates for Sp/SO: the free
-    columns of the head basis minus the rank of the later parts' rows."""
-    h, free, form, to_basis = _head_system(config)
+    configuration, in gl for SL and in Lie coordinates for Sp/SO: the
+    columns its head leaves minus the rank of the stacked rows of the parts
+    after the head."""
+    h, free = _head_system(config)
     if h == len(config.parts):
         return len(free)
-    rows = [_part_rows(to_basis(b), config.family, form, config.p)[:, free] for b in config.parts[h:]]
+    rows = [_part_rows(b, config.family, config.form, config.p)[:, free] for b in config.parts[h:]]
     return linalg.nullspace_dim_mod(np.concatenate(rows), config.p)
 
 
@@ -455,7 +435,7 @@ def _system_shape(config: Configuration, dim: int) -> SystemShape:
     """The shape of ``stabilizer_algebra_dim_once(config)``, whose answer is
     ``dim``, counted without assembling it: every part after the head gives
     (n - d) d rows."""
-    h, free, _, _ = _head_system(config)
+    h, free = _head_system(config)
     rows = (len(config.parts) - h) * (config.n - config.d) * config.d
     return SystemShape(_unknowns(config.family, config.n), h, len(free), rows, len(free) - dim)
 
@@ -646,7 +626,7 @@ RATIONAL_SAMPLE_PRIME = 97
 
 def rational_report(family: str, n: int, d: int, flavor: str, c: int, seed: int) -> StabilizerReport:
     """The stabilizer of one configuration drawn at ``RATIONAL_SAMPLE_PRIME``,
-    its small integer entries solved over Q in the plain basis: no head,
+    its small integer entries solved over Q in the standard basis: no head,
     every unknown a column, (n - d) d rows per part."""
     if flavor == "totally_singular":
         # a part totally singular mod p is not totally singular over Q

@@ -106,8 +106,10 @@ def test_form_algebra_dimensions_at_c0_via_identity_part():
     # gl down to sp/so of the right dimension
     from basesize.genstab import _form_constraint, standard_form
 
-    for family, n, want in (("Sp", 6, 21), ("SO", 7, 21), ("SO", 8, 28)):
-        j = standard_form(family, n)
+    for family, n, d, flavor, want in (
+        ("Sp", 6, 2, "nondeg", 21), ("SO", 7, 2, "nondeg", 21), ("SO", 8, 2, "nondeg", 28), ("SO", 8, 3, "nondeg", 28),
+    ):
+        j = standard_form(family, n, d, flavor)
         dim = linalg.nullspace_dim_mod(_form_constraint(j), PRIMES[0])
         assert dim == want
 
@@ -431,7 +433,7 @@ _DEGENERATE_CASES = pytest.mark.parametrize(
         ("SO", 9, 3, "nondeg", lambda parts, p: None, 1),
         # an isotropic first part: its Gram matrix is zero
         ("Sp", 8, 2, "nondeg", lambda parts, p: parts.__setitem__(0, np.eye(8, 2, dtype=np.int64)), 0),
-        # the head blocks out of order, and a repeated head in the mixed basis
+        # the head blocks out of order, and a repeated head that holds g
         ("SL", 6, 2, "linear", lambda parts, p: parts.__setitem__(slice(0, 2), parts[1::-1]), 0),
         ("SO", 8, 3, "nondeg", lambda parts, p: parts.__setitem__(1, parts[0]), 1),
     ],
@@ -445,7 +447,7 @@ def test_degenerate_heads_fall_back_to_a_shorter_head(family, n, d, flavor, buil
     # the head is the longest prefix equal to the standard head, so a
     # hand-built configuration is solved on the columns that prefix leaves
     cfg = _degenerate(family, n, d, flavor, build)
-    h, free, _, _ = genstab._head_system(cfg)
+    h, free = genstab._head_system(cfg)
     dim = stabilizer_algebra_dim_once(cfg)
     assert h == head
     assert dim == _plain_dim(cfg)
@@ -471,15 +473,15 @@ def test_degenerate_parts_on_the_incremental_path(family, n, d, flavor, build, h
      ("SO", 8, 3, "nondeg"), ("SO", 10, 5, "totally_singular"), ("SO", 9, 3, "nondeg"), ("SO", 12, 4, "nondeg")],
 )
 def test_head_rows_are_the_deleted_coordinates(family, n, d, flavor):
-    # in the head basis every head prefix has rows only on the columns it
-    # deletes, and all of them: the nullity is the free columns minus the
-    # rank of the later rows
+    # every head prefix, a set of coordinate blocks of the standard form,
+    # has rows only on the columns it deletes, and all of them: the nullity
+    # is the free columns minus the rank of the later rows
     cfg = sample_configuration(family, n, d, flavor, 5, seed=9)
     for c in range(1, 6):
-        h, free, form, to_basis = genstab._head_system(dataclasses.replace(cfg, parts=cfg.parts[:c]))
+        h, free = genstab._head_system(dataclasses.replace(cfg, parts=cfg.parts[:c]))
         if not h:
             continue
-        rows = np.concatenate([genstab._part_rows(to_basis(b), family, form, cfg.p) for b in cfg.parts[:h]])
+        rows = np.concatenate([genstab._part_rows(b, family, cfg.form, cfg.p) for b in cfg.parts[:h]])
         assert not rows[:, free].any()
         assert linalg.rank_mod(rows, cfg.p) == genstab._unknowns(family, n) - len(free), c
     assert genstab._head_system(cfg)[0] == len(genstab._head(family, n, d, flavor, cfg.p)) > 0
@@ -487,16 +489,23 @@ def test_head_rows_are_the_deleted_coordinates(family, n, d, flavor):
 
 @pytest.mark.parametrize("p", PRIMES + (3, 5))
 def test_standard_heads_are_exact_mod_p(p):
-    # the sampler yields these blocks unchecked, so check every one here
+    # the sampler yields these blocks unchecked, so check every one here:
+    # each is a block of distinct identity columns, and each form J has
+    # J J^T = I, which X = J^T S needs
     def gram(x, j):
         return linalg.matmul_mod(linalg.matmul_mod(x.T, j, p), x, p)
 
     for (family, flavor, n), ds in sorted(_all_flavor_cases(12).items()):
-        j = genstab.standard_form(family, n)
+        eye = np.eye(n, dtype=np.int64)
         for d in ds:
+            j = genstab.standard_form(family, n, d, flavor)
+            assert j is None if family == "SL" else (j @ j.T == eye).all(), (family, flavor, n, d)
             head = genstab._head(family, n, d, flavor, p)
             joint = np.concatenate(head, axis=1)
             assert all(b.shape == (n, d) for b in head) and head, (family, flavor, n, d)
+            for b in head:
+                cols = b.argmax(axis=0)
+                assert len(set(cols)) == d and (b == eye[:, cols]).all(), (family, flavor, n, d)
             if family == "SL":
                 assert len(head) == n // d
                 assert linalg.rank_mod(joint, p) == len(head) * d
@@ -595,9 +604,10 @@ def test_module_kind_validated():
 
 def test_rational_agrees_with_modular_on_small_config():
     # the Sp case needs the standard form to be the symplectic form over Q
+    # SO with even n and odd d solves in the form with g and g'
     for family, n, d, flavor in (
         ("SL", 3, 1, "linear"), ("SO", 7, 2, "nondeg"), ("SO", 8, 2, "nondeg"),
-        ("Sp", 6, 2, "nondeg"), ("Sp", 8, 2, "nondeg"),
+        ("Sp", 6, 2, "nondeg"), ("Sp", 8, 2, "nondeg"), ("SO", 6, 1, "nondeg"), ("SO", 8, 3, "nondeg"),
     ):
         cfg = sample_configuration(family, n, d, flavor, 2, seed=5, p=101)
         dim_p = stabilizer_algebra_dim_once(cfg)
