@@ -1,11 +1,14 @@
 """Command-line interface: one binary, five subcommands.
 
-    bounds   --dataset <file> [--refine-long-root] [--mode b0|b1] [--char p]
+    bounds   --dataset <name> [--refine-long-root] [--mode b0|b1] [--char p]
     formula  --spec '<json>'
     verify   --spec '<json>' --c N [--trials N] [--seed N] [--prime P] [--rational]
     finite   --family PGL|SL|Sp --n N --q Q --action <name> --mode base|order [--bound N]
     emit     table:parab|table:ep|table:c|table:e [--format csv|json]
 
+``--dataset`` takes a shipped dataset name, a name under
+``$BASESIZE_DATA_DIR`` or an absolute path; a relative path is looked up
+in those two places, not in the working directory.
 ``finite`` runs projective-line and torus-normalizer on PGL_2,
 decomposition-pairs on Sp_4 and two-symmetric-forms on SL_2; its
 ``config`` holds only the inputs the run reads.  ``bounds`` checks
@@ -31,11 +34,13 @@ dataset, a ``finite`` family or ``--n`` other than the action's, a
 ``--trials`` below 1 or a negative ``--seed`` on every ``verify`` route, a
 ``--bound`` or a module's ``--c`` below 1, a module ``n`` below 2, a
 ``--c`` above the transversal subspaces that fit over ``--prime``, a
-nondegenerate part of odd dimension for SO of even n at ``--prime 2``, a
-``--tuple-length`` that no tuple of points, or of disjoint point pairs,
-can have, a verifier sampling failure (``sym2`` forms at ``--prime 2``
-among them) and a finite group that outgrows ``--bound``.  Every run
-echoes the seeds and primes it used.
+nondegenerate part of odd dimension for SO of even n at ``--prime 2``, SO
+of odd n at ``--prime 2``, a ``verify`` prime (``--prime``, a default
+prime or 97 for ``--rational``) on the side of p = 2 that the spec's
+``char`` rules out, a ``--tuple-length`` that no tuple of points, or of
+disjoint point pairs, can have, a verifier sampling failure (``sym2``
+forms at ``--prime 2`` among them) and a finite group that outgrows
+``--bound``.  Every run echoes the seeds and primes it used.
 ``emit`` output is byte-stable: it contains no timing or environment data.
 """
 from __future__ import annotations
@@ -184,6 +189,8 @@ def cmd_verify(args) -> int:
         spec = formulas.spec_from_json(spec_obj)
         if spec.family not in formulas.CLASSICAL_FAMILIES or not isinstance(spec.subgroup, formulas.Subspace):
             raise formulas.SpecValidationError("verify handles classical subspace actions")
+        for p in (genstab.RATIONAL_SAMPLE_PRIME,) if args.rational else primes:
+            formulas.require_char_prime(spec, p)
         route = (spec.family, spec.n, spec.subgroup.d, spec.subgroup.flavor, args.c)
         if args.rational:
             rep = genstab.rational_report(*route, seed=args.seed)

@@ -138,6 +138,14 @@ def spec_from_json(obj) -> ActionSpec:
     )
 
 
+def require_char_prime(spec: ActionSpec, p: int) -> None:
+    """Refuse a prime on the side of p = 2 that the characteristic case of
+    ``spec`` rules out; p = 3 is not checked."""
+    two = _IS_TWO[spec.char]
+    if two is not None and two != (p == 2):
+        raise SpecValidationError(f"characteristic case {spec.char!r} rules out p = {p}")
+
+
 # ---------------------------------------------------------------------------
 # Triples
 

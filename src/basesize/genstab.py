@@ -11,7 +11,8 @@ negligible probability; reports keep the minimum over independent trials
 (the generic fiber dimension is the minimal one) and cross-check a second
 prime.  Scalars are subtracted for linear-group actions, where the center
 acts trivially on subspace varieties.  ``rational_report`` solves one
-configuration, drawn at p = 97, over Q instead.
+configuration, drawn at p = 97, over Q instead: the same head and free
+columns, with the rows of the later parts taken over Q.
 
 Coordinates.  For SL the unknowns are the n^2 entries of X in gl.  For Sp
 and SO they are Lie-algebra coordinates: X = J^T S with S symmetric
@@ -37,10 +38,8 @@ For SO with even n and nondegenerate parts of odd d, the standard form has
 g and g', of norms 1 and -1, where e_m and f_m were: x^2 - y^2 is a
 hyperbolic plane for p != 2 and over Q, so it is the same form.
 
-In characteristic 2 Witt needs an alternating form, which that of SO_n for
-odd n is not: B(v, v) = B(g, v)^2, so its isometries fix the line of g,
-which the head contains (odd d) or is perpendicular to (even d) and a
-generic part is not.  So SO with odd n has no head at p = 2.
+SO with odd n is refused at p = 2, as ``formulas`` refuses it: mod 2 its
+form is not alternating, so its isometry group is not SO_n.
 
 Every head part is a coordinate block W, and every standard form J is
 monomial, so the rows of a head part are exactly coordinate functionals:
@@ -50,7 +49,7 @@ on the columns left.  Sampling, the mod-p solve and the Q route share that
 one form and one basis.  The head of a configuration is the longest prefix
 of its parts equal to the standard head, by exact comparison, so the
 nullity is the free columns minus the rank for every configuration,
-generic or not.
+generic or not.  The head does not depend on the prime.
 
 Part streams.  Each (prime, trial) pair takes its parts from one stream:
 the head, then parts drawn from an RNG whose key holds no part count, so
@@ -161,7 +160,7 @@ class B0Estimate:
 
 def standard_form(family: str, n: int, d: int, flavor: str) -> np.ndarray | None:
     """The fixed monomial Gram matrix J, with J J^T = I, in which the parts
-    of ``_head(family, n, d, flavor, p)`` are coordinate blocks: alternating
+    of ``_head(family, n, d, flavor)`` are coordinate blocks: alternating
     for Sp, symmetric for SO, none for SL.  B(e_i, f_i) = 1, and g has norm
     1; for SO with even n and nondegenerate parts of odd d, g and g' of norm
     -1 take the places of e_m and f_m.  Entries are signed, so the same
@@ -223,8 +222,8 @@ def _part_stream(family: str, n: int, d: int, flavor: str, seed: int, p: int):
     retries raises ``SamplingError``.  The RNG key holds no part count, so c
     parts are a prefix of c + 1."""
     _validate(family, n, d, flavor)
-    if flavor == "totally_singular" and n % 2 and p == 2:
-        raise ConfigError("totally singular parts of odd n need 1/2, so p != 2")
+    if (family, n % 2, p) == ("SO", 1, 2):
+        raise ConfigError("SO with odd n requires p != 2")
     if (family, flavor, n % 2, d % 2, p) == ("SO", "nondeg", 0, 1, 2):
         raise ConfigError("mod 2 the form of SO_n with even n is alternating: no nondegenerate odd-dimensional parts")
     j = standard_form(family, n, d, flavor)
@@ -233,7 +232,7 @@ def _part_stream(family: str, n: int, d: int, flavor: str, seed: int, p: int):
     most = (p**n - 1) // (p**d - 1) if 2 * d <= n and joint_rank == 2 * d else None
     rng = _rng(seed, 0xC0FF)
     resamples = 0
-    parts = _head(family, n, d, flavor, p)
+    parts = _head(family, n, d, flavor)
     yield from ((b, 0) for b in parts)
 
     def gram(x: np.ndarray) -> np.ndarray:
@@ -347,8 +346,10 @@ def _span_constraint(b: np.ndarray, ann: np.ndarray, family: str, form, p: int |
     return _lie_coordinates(coef, family)
 
 
-def _part_rows(b: np.ndarray, family: str, form, p: int) -> np.ndarray:
-    """The stabilizer rows of one part mod p."""
+def _part_rows(b: np.ndarray, family: str, form, p: int | None) -> np.ndarray:
+    """The stabilizer rows of one part mod p, or over Q when ``p`` is None."""
+    if p is None:
+        return _span_constraint(b, np.array(linalg.nullspace_basis_rational(b.T.tolist()), dtype=object), family, form)
     return _span_constraint(b, linalg.nullspace_basis_mod(b.T, p), family, form, p)
 
 
@@ -364,12 +365,10 @@ def _form_constraint(j: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # The fixed head: its rows are deleted columns
 
-def _head(family: str, n: int, d: int, flavor: str, p: int) -> list[np.ndarray]:
-    """The standard head parts of the module docstring over F_p, n x d
-    blocks of identity columns."""
+def _head(family: str, n: int, d: int, flavor: str) -> list[np.ndarray]:
+    """The standard head parts of the module docstring, n x d blocks of
+    identity columns."""
     eye, m, k = np.eye(n, dtype=np.int64), n // 2, d // 2
-    if (family, n % 2, p) == ("SO", 1, 2):  # Witt fails: the form is not alternating
-        return []
     if family == "SL":
         return [eye[:, i * d : (i + 1) * d] for i in range(n // d)]
     if flavor == "totally_singular":  # for SO_2d with odd d the f-block lies in the other family
@@ -395,7 +394,7 @@ def _free_columns(family: str, n: int, form, blocks) -> np.ndarray:
 def _dims(parts, family: str, n: int, d: int, flavor: str, p: int):
     """Stabilizer algebra dimension after each of ``parts`` (any iterable),
     c = 1, 2, ..., as the module docstring's "Part streams" describes."""
-    head, form = _head(family, n, d, flavor, p), standard_form(family, n, d, flavor)
+    head, form = _head(family, n, d, flavor), standard_form(family, n, d, flavor)
     h, free, echelon = 0, _free_columns(family, n, form, []), None
     for b in parts:
         if echelon is None and h < len(head) and np.array_equal(b, head[h]):
@@ -413,7 +412,7 @@ def _head_system(config: Configuration):
     """(head parts, free columns) of one configuration.  Its head is the
     longest prefix of its parts equal to the standard head, by exact
     comparison, so any configuration gets its exact nullity."""
-    head = _head(config.family, config.n, config.d, config.flavor, config.p)
+    head = _head(config.family, config.n, config.d, config.flavor)
     h = next((i for i, (b, s) in enumerate(zip(config.parts, head)) if not np.array_equal(b, s)),
              min(len(config.parts), len(head)))
     return h, _free_columns(config.family, config.n, config.form, head[:h])
@@ -600,39 +599,22 @@ def module_stabilizer_dim(
 # ---------------------------------------------------------------------------
 # Rational-field variant (small n)
 
-def stabilizer_algebra_dim_rational(parts: list, family: str, n: int, form=None) -> int:
-    """Exact stabilizer dimension over Q for an integer configuration.
-
-    The same system as the mod-p route, with the annihilators and the rank
-    taken over Q.  ``form`` must be the form over Q (as ``standard_form``
-    gives it); parts that are totally singular only mod p do not belong here.
-    """
-    parts = [np.asarray(b) for b in parts]
-    anns = []
-    for b in parts:
-        ann = linalg.nullspace_basis_rational(b.T.tolist())
-        if len(ann) != n - b.shape[1]:
-            raise ConfigError("part does not have full column rank")
-        anns.append(np.array(ann, dtype=object).reshape(len(ann), n))
-    system = np.concatenate(
-        [_span_constraint(b, ann, family, form) for b, ann in zip(parts, anns)], axis=0
-    )
-    return _unknowns(family, n) - linalg.rank_rational(system.tolist())
-
-
 #: the prime at which ``rational_report`` draws its parts, in one trial
 RATIONAL_SAMPLE_PRIME = 97
 
 
 def rational_report(family: str, n: int, d: int, flavor: str, c: int, seed: int) -> StabilizerReport:
     """The stabilizer of one configuration drawn at ``RATIONAL_SAMPLE_PRIME``,
-    its small integer entries solved over Q in the standard basis: no head,
-    every unknown a column, (n - d) d rows per part."""
+    its small integer entries solved over Q: the system of
+    ``stabilizer_algebra_dim_once``, with the rows of the parts after the
+    head taken and ranked over Q.  A part of full rank mod p has full rank
+    over Q, so every part keeps its (n - d) d rows."""
     if flavor == "totally_singular":
         # a part totally singular mod p is not totally singular over Q
         raise ConfigError("the rational route does not handle totally singular parts")
     config = sample_configuration(family, n, d, flavor, c, seed=seed, p=RATIONAL_SAMPLE_PRIME)
-    dim = stabilizer_algebra_dim_rational(config.parts, family, n, form=config.form)
-    unknowns = _unknowns(family, n)
+    h, free = _head_system(config)
+    rows = [r for b in config.parts[h:] for r in _part_rows(b, family, config.form, None)[:, free].tolist()]
+    dim = len(free) - linalg.rank_rational(rows)
     return _report(*_subspace_algebra(family), [dim], 1, (RATIONAL_SAMPLE_PRIME,), config.resamples, seed,
-                   SystemShape(unknowns, 0, unknowns, c * (n - d) * d, unknowns - dim))
+                   _system_shape(config, dim))

@@ -50,12 +50,16 @@ def test_rejects_class_dim_above_group_bound():
     bad = _rec(dim_class_in_G=13, dim_intersection_with_H=4, is_long_root=False)
     with pytest.raises(DatasetError, match="bound"):
         loads(_text(dict(HEADER, expected_sup_ratio="4/13"), [bad]))
+    with pytest.raises(DatasetError, match="line 2: dim_class_in_G must be positive"):
+        loads(_text(HEADER, [_rec(dim_class_in_G=0, dim_intersection_with_H=0)]))
 
 
 def test_rejects_long_root_semisimple():
     bad = _rec(element_kind="semisimple", element_order=2)
     with pytest.raises(DatasetError, match="is_long_root"):
         loads(_text(HEADER, [bad]))
+    with pytest.raises(DatasetError, match="line 2: unknown element_kind 'nilpotent'"):
+        loads(_text(HEADER, [_rec(element_kind="nilpotent")]))
 
 
 def test_rejects_sup_ratio_mismatch():

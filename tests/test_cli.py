@@ -319,8 +319,9 @@ def test_verify_rational_records_the_one_prime_and_trial_it_runs(capsys):
         "algebra": "gl", "algebra_dim": 4, "dims_by_prime": [[4]], "primes": [97], "projective_dim": 3,
         "resamples": 0, "seed": 0, "stable": True, "trials": 1,
     }
-    # the Q solve has no head: every unknown is a column, (n - d) d rows per part
-    assert records[0]["diagnostics"] == {"unknowns": 16, "head_parts": 0, "columns": 16, "rows": 12, "rank": 12}
+    # the Q solve shares the mod-p head: two head parts leave 8 columns, and
+    # the one part after them gives (n - d) d = 4 rows
+    assert records[0]["diagnostics"] == {"unknowns": 16, "head_parts": 2, "columns": 8, "rows": 4, "rank": 4}
 
 
 @pytest.mark.parametrize(
@@ -439,9 +440,18 @@ _PAIRS_ORDER = ["finite", "--family", "PGL", "--n", "2", "--action", "torus-norm
          "verify handles classical subspace actions"),
         (["verify", "--spec", '{"family":"SL","n":4,"subgroup":"torus_normalizer"}', "--c", "3"],
          "verify handles classical subspace actions"),
-        # odd-dimensional totally singular parts are drawn with 1/2
+        # mod 2 the form of SO with odd n is not alternating: the group is not SO_n
         (["verify", "--spec", '{"family":"SO","n":7,"subgroup":{"subspace":{"d":2,"flavor":"totally_singular"}}}',
-          "--c", "2", "--prime", "2"], "p != 2"),
+          "--c", "2", "--prime", "2"], "SO with odd n requires p != 2"),
+        (["verify", "--spec", '{"family":"SO","n":7,"subgroup":{"subspace":{"d":2,"flavor":"nondeg"}}}',
+          "--c", "2", "--prime", "2"], "SO with odd n requires p != 2"),
+        # a characteristic case that fixes whether p = 2 refuses the primes on the other side
+        (["verify", "--spec", '{"family":"Sp","n":6,"char":"odd","subgroup":{"subspace":{"d":2,"flavor":"nondeg"}}}',
+          "--c", "2", "--prime", "2"], "characteristic case 'odd' rules out p = 2"),
+        (["verify", "--spec", '{"family":"SL","n":4,"char":"2","subgroup":{"subspace":{"d":2}}}', "--c", "2"],
+         "characteristic case '2' rules out p = 2147483647"),
+        (["verify", "--spec", '{"family":"SL","n":4,"char":"2","subgroup":{"subspace":{"d":2}}}', "--c", "2",
+          "--rational"], "characteristic case '2' rules out p = 97"),
         # the projective line over F_2 has 3 points
         (["verify", "--spec", '{"family":"SL","n":2,"subgroup":{"subspace":{"d":1}}}', "--c", "4", "--prime", "2"],
          "at most (p^n - 1)/(p^d - 1) = 3 transversal 1-spaces"),
@@ -463,7 +473,8 @@ _PAIRS_ORDER = ["finite", "--family", "PGL", "--n", "2", "--action", "torus-norm
     ],
     ids=["pairs-q3-len3", "pairs-q7-len9", "pairs-q7-len-1", "line-q7-len9", "bounds-char4", "bounds-char-3",
          "so-tensor-c0", "sym2-c-2", "sym2-n0", "sym2-n1", "sym2-trials0", "sym2-rational",
-         "e6-subspace", "sl4-torus", "so7-ts-p2", "sl2-four-points-p2", "so8-nondeg-d1-p2",
+         "e6-subspace", "sl4-torus", "so7-ts-p2", "so7-nondeg-p2", "sp6-odd-p2", "sl4-char2-default",
+         "sl4-char2-rational", "sl2-four-points-p2", "so8-nondeg-d1-p2",
          "sp3-torus", "so2-torus", "sl-line", "sl-pairs", "b1-char4",
          "char3-on-p2-dataset", "b1-char0-on-p2-dataset"],
 )

@@ -392,6 +392,8 @@ def test_spec_from_json_round_trips():
     assert base_triple(spec).as_tuple() == (2, 2, 2)
     with pytest.raises(SpecValidationError):
         spec_from_json({"family": "SL", "n": 4, "subgroup": {"weird": {}}})
+    with pytest.raises(SpecValidationError, match="exceptional families take no n"):
+        spec_from_json({"family": "E6", "n": 6, "subgroup": {"parabolic": {"i": 1}}})
 
 
 def test_spec_from_json_requires_integers_and_strings():

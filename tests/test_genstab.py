@@ -14,7 +14,6 @@ from basesize.genstab import (
     rational_report,
     sample_configuration,
     stabilizer_algebra_dim_once,
-    stabilizer_algebra_dim_rational,
     stabilizer_report,
 )
 
@@ -75,7 +74,7 @@ def test_totally_singular_parts_are_drawn_without_an_inverse(family, n, d):
 
 
 def test_totally_singular_parts_at_p2():
-    # odd n needs 1/2, which F_2 lacks; even n needs no division
+    # SO with odd n is refused at p = 2; even n needs no division
     with pytest.raises(ConfigError, match="p != 2"):
         sample_configuration("SO", 7, 2, "totally_singular", 1, seed=0, p=2)
     cfg = sample_configuration("Sp", 6, 2, "totally_singular", 3, seed=0, p=2)
@@ -91,12 +90,19 @@ def test_totally_singular_parts_at_p2():
 
 
 def test_sampler_validates_inputs():
-    with pytest.raises(ConfigError):
-        sample_configuration("Sp", 6, 3, "nondeg", 2, seed=0)  # odd d
-    with pytest.raises(ConfigError):
-        sample_configuration("SL", 4, 2, "nondeg", 2, seed=0)
-    with pytest.raises(ConfigError):
-        sample_configuration("Sp", 6, 4, "totally_singular", 1, seed=0)  # above Witt index
+    for args, message in (
+        (("Sp", 6, 3, "nondeg"), "have even dimension"),
+        (("SL", 4, 2, "nondeg"), "SL parts carry no form"),
+        (("Sp", 6, 4, "totally_singular"), "exceeds the Witt index"),
+        (("Sp", 6, 2, "linear"), "flavor 'linear' invalid for Sp"),
+        (("SO", 7, 2, "linear"), "flavor 'linear' invalid for SO"),
+        (("Sp", 5, 2, "nondeg"), "Sp needs even n"),
+        (("GL", 4, 2, "linear"), "unknown family 'GL'"),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            sample_configuration(*args, 2, seed=0)
+    with pytest.raises(ConfigError, match="need c_max >= 1"):
+        estimate_b0("SL", 4, 2, "linear", c_max=0)
 
 
 # -- stabilizer dimensions -----------------------------------------------------
@@ -484,7 +490,7 @@ def test_head_rows_are_the_deleted_coordinates(family, n, d, flavor):
         rows = np.concatenate([genstab._part_rows(b, family, cfg.form, cfg.p) for b in cfg.parts[:h]])
         assert not rows[:, free].any()
         assert linalg.rank_mod(rows, cfg.p) == genstab._unknowns(family, n) - len(free), c
-    assert genstab._head_system(cfg)[0] == len(genstab._head(family, n, d, flavor, cfg.p)) > 0
+    assert genstab._head_system(cfg)[0] == len(genstab._head(family, n, d, flavor)) > 0
 
 
 @pytest.mark.parametrize("p", PRIMES + (3, 5))
@@ -500,7 +506,7 @@ def test_standard_heads_are_exact_mod_p(p):
         for d in ds:
             j = genstab.standard_form(family, n, d, flavor)
             assert j is None if family == "SL" else (j @ j.T == eye).all(), (family, flavor, n, d)
-            head = genstab._head(family, n, d, flavor, p)
+            head = genstab._head(family, n, d, flavor)
             joint = np.concatenate(head, axis=1)
             assert all(b.shape == (n, d) for b in head) and head, (family, flavor, n, d)
             for b in head:
@@ -520,13 +526,21 @@ def test_standard_heads_are_exact_mod_p(p):
                 assert len(head) == 1 and linalg.det_mod(gram(joint, j), p), (family, n, d)
 
 
-def test_so_of_odd_n_draws_every_part_at_p2():
-    # mod 2 the form of SO_3 is B(v, v) = v_3^2: its isometries fix <e_3>, the
-    # nondegenerate line the head would take, and no nondegenerate line
-    # spans a nondegenerate plane with it; generic lines do
-    assert all(genstab._head("SO", n, d, "nondeg", 2) == [] for n in (3, 5, 7) for d in range(1, n))
-    for seed in range(4):
-        assert estimate_b0("SO", 3, 1, "nondeg", c_max=4, trials=1, seed=seed, primes=(2,)).value == 2
+def test_so_of_odd_n_is_refused_at_p2(monkeypatch):
+    # mod 2 the form of SO_n with odd n is not alternating, so its isometry
+    # group is not SO_n: every route refuses the request before any draw
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a part was drawn for a group that is not SO_n")
+
+    monkeypatch.setattr(genstab, "_rng", unreachable)
+    for n, d in ((3, 1), (5, 2), (7, 2), (7, 3)):
+        for route in (
+            lambda: stabilizer_report("SO", n, d, "nondeg", 2, seed=0, trials=1, primes=(2,)),
+            lambda: estimate_b0("SO", n, d, "nondeg", c_max=3, trials=1, primes=(2,)),
+            lambda: sample_configuration("SO", n, d, "nondeg", 1, seed=0, p=2),
+        ):
+            with pytest.raises(ConfigError, match=r"^SO with odd n requires p != 2$"):
+                route()
 
 
 def test_negative_seeds_are_a_config_error_on_every_route():
@@ -611,20 +625,21 @@ def test_rational_agrees_with_modular_on_small_config():
     ):
         cfg = sample_configuration(family, n, d, flavor, 2, seed=5, p=101)
         dim_p = stabilizer_algebra_dim_once(cfg)
-        dim_q = stabilizer_algebra_dim_rational(
-            [np.asarray(b) for b in cfg.parts], family, n, form=cfg.form
-        )
-        assert dim_p == dim_q, (family, n, d, flavor)
+        # head-free over Q: every part's rows on every unknown
+        rows = np.concatenate([genstab._part_rows(b, family, cfg.form, None) for b in cfg.parts])
+        assert dim_p == genstab._unknowns(family, n) - linalg.rank_rational(rows.tolist()), (family, n, d, flavor)
 
 
 @pytest.mark.parametrize("family,n,d,flavor", [("SL", 4, 2, "linear"), ("Sp", 6, 2, "nondeg"), ("SO", 7, 2, "nondeg")])
 def test_rational_report_solves_the_configuration_drawn_at_97(family, n, d, flavor):
     rep = rational_report(family, n, d, flavor, 3, seed=2)
-    dim_p = stabilizer_algebra_dim_once(sample_configuration(family, n, d, flavor, 3, seed=2, p=97))
+    cfg = sample_configuration(family, n, d, flavor, 3, seed=2, p=97)
+    dim_p = stabilizer_algebra_dim_once(cfg)
     assert (rep.algebra_dim, rep.primes, rep.trials, rep.dims_by_prime) == (dim_p, (97,), 1, ((dim_p,),))
     assert rep.projective_dim == dim_p - (family == "SL")
-    unknowns = rep.first_system.unknowns
-    assert rep.first_system == genstab.SystemShape(unknowns, 0, unknowns, 3 * (n - d) * d, unknowns - dim_p)
+    # the Q route solves the head-reduced system of the mod-p route
+    assert rep.first_system == genstab._system_shape(cfg, dim_p)
+    assert rep.first_system.head_parts > 0
 
 
 # -- the formula's dimensions against the solver ---------------------------------
