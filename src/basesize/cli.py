@@ -36,11 +36,12 @@ dataset, a ``finite`` family or ``--n`` other than the action's, a
 ``--c`` above the transversal subspaces that fit over ``--prime``, a
 nondegenerate part of odd dimension for SO of even n at ``--prime 2``, SO
 of odd n at ``--prime 2``, a ``verify`` prime (``--prime``, a default
-prime or 97 for ``--rational``) on the side of p = 2 that the spec's
-``char`` rules out, a ``--tuple-length`` that no tuple of points, or of
-disjoint point pairs, can have, a verifier sampling failure (``sym2``
-forms at ``--prime 2`` among them) and a finite group that outgrows
-``--bound``.  Every run echoes the seeds and primes it used.
+prime or 97 for ``--rational``) that the spec's ``char`` rules out, on
+either side of p = 2 or of p = 3 (p = 5 too for ``"not235"``), a
+``--tuple-length`` that no tuple of points, or of disjoint point pairs,
+can have, a verifier sampling failure (``sym2`` forms at ``--prime 2``
+among them) and a finite group that outgrows ``--bound``.  Every run
+echoes the seeds and primes it used.
 ``emit`` output is byte-stable: it contains no timing or environment data.
 """
 from __future__ import annotations

@@ -47,8 +47,8 @@ CHAR_CASES = ("0", "2", "3", "odd", "not235", "any")
 
 #: the conditions on p that each characteristic case rules out
 _RULED_OUT = {
-    "0": ("p = 2", "p = 3"), "2": ("p != 2", "p = 3"), "3": ("p = 2",),
-    "odd": ("p = 2",), "not235": ("p = 2", "p = 3"), "any": (),
+    "0": ("p = 2", "p = 3"), "2": ("p != 2", "p = 3"), "3": ("p = 2", "p != 3"),
+    "odd": ("p = 2",), "not235": ("p = 2", "p = 3", "p = 5"), "any": (),
 }
 #: whether p = 2, or None when the characteristic case leaves it open
 _IS_TWO = {case: True if "p != 2" in out else False if "p = 2" in out else None
@@ -139,11 +139,12 @@ def spec_from_json(obj) -> ActionSpec:
 
 
 def require_char_prime(spec: ActionSpec, p: int) -> None:
-    """Refuse a prime on the side of p = 2 that the characteristic case of
-    ``spec`` rules out; p = 3 is not checked."""
-    two = _IS_TWO[spec.char]
-    if two is not None and two != (p == 2):
-        raise SpecValidationError(f"characteristic case {spec.char!r} rules out p = {p}")
+    """Refuse a prime at which a condition ("p = k" or "p != k") that the
+    characteristic case of ``spec`` rules out holds."""
+    for condition in _RULED_OUT[spec.char]:
+        _, op, k = condition.split()
+        if (p == int(k)) == (op == "="):
+            raise SpecValidationError(f"characteristic case {spec.char!r} rules out p = {p}")
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,12 @@ Coordinates.  For SL the unknowns are the n^2 entries of X in gl.  For Sp
 and SO they are Lie-algebra coordinates: X = J^T S with S symmetric
 (alternating J) or antisymmetric (symmetric J), so the unknowns are the
 n(n+1)/2 or n(n-1)/2 upper-triangle entries of S and no form rows are
-needed.  A part b with annihilator rows w gives the rows u^T S b = 0 with
-u = J w, folded onto the upper triangle.
+needed.  Every system has its rows from one rule, ``_product_rows``: the
+entries of L X R as rows over the entries of X, transposed for X^T.  A
+part b with annihilator rows A gives those of (A J^T) S b, folded onto the
+upper triangle.  Each ``standard_form`` J is a signed permutation, so a
+product with J only permutes and negates entries: it is exact in int64 and
+over Q, and the Q and F_p rows differ only in a last reduction mod p.
 
 Fixed head.  Over the algebraic closure GL_n is transitive on tuples of
 floor(n/d) independent d-spaces, and (Witt) Sp_n and SO_n are transitive on
@@ -198,7 +202,7 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_seed_sequence(seed, *key)))
 
 
-def _validate(family: str, n: int, d: int, flavor: str) -> None:
+def _validate(family: str, n: int, d: int, flavor: str, p: int) -> None:
     if family == "SL" and flavor != "linear":
         raise ConfigError("SL parts carry no form")
     if family in ("Sp", "SO") and flavor not in ("nondeg", "totally_singular"):
@@ -209,6 +213,10 @@ def _validate(family: str, n: int, d: int, flavor: str) -> None:
         raise ConfigError(f"need 1 <= d < n, got d={d}, n={n}")
     if flavor == "totally_singular" and d > n // 2:
         raise ConfigError("totally singular dimension exceeds the Witt index")
+    if (family, n % 2, p) == ("SO", 1, 2):
+        raise ConfigError("SO with odd n requires p != 2")
+    if (family, flavor, n % 2, d % 2, p) == ("SO", "nondeg", 0, 1, 2):
+        raise ConfigError("mod 2 the form of SO_n with even n is alternating: no nondegenerate odd-dimensional parts")
 
 
 def _part_stream(family: str, n: int, d: int, flavor: str, seed: int, p: int):
@@ -216,16 +224,12 @@ def _part_stream(family: str, n: int, d: int, flavor: str, seed: int, p: int):
     parts drawn with the open conditions enforced against every part before
     them: full column rank, pairwise transversality where dimensions allow,
     exact (non)degeneracy against the standard form.  Yields (part,
-    rejections before it), 0 for a head part.  A
-    condition that cannot hold raises ``ConfigError``, before any draw or at
-    the first transversal part beyond the number that fit; running out of
-    retries raises ``SamplingError``.  The RNG key holds no part count, so c
-    parts are a prefix of c + 1."""
-    _validate(family, n, d, flavor)
-    if (family, n % 2, p) == ("SO", 1, 2):
-        raise ConfigError("SO with odd n requires p != 2")
-    if (family, flavor, n % 2, d % 2, p) == ("SO", "nondeg", 0, 1, 2):
-        raise ConfigError("mod 2 the form of SO_n with even n is alternating: no nondegenerate odd-dimensional parts")
+    rejections before it), 0 for a head part.  A condition that cannot hold
+    raises ``ConfigError``, before any draw or at the first transversal part
+    beyond the number that fit; running out of retries raises
+    ``SamplingError``.  The RNG key holds no part count, so c parts are a
+    prefix of c + 1."""
+    _validate(family, n, d, flavor, p)
     j = standard_form(family, n, d, flavor)
     joint_rank = 2 * d - (d % 2 if (family, flavor, n) == ("SO", "totally_singular", 2 * d) else 0)
     # transversal d-spaces share no nonzero vector: (p^n - 1) / (p^d - 1) fit
@@ -236,7 +240,7 @@ def _part_stream(family: str, n: int, d: int, flavor: str, seed: int, p: int):
     yield from ((b, 0) for b in parts)
 
     def gram(x: np.ndarray) -> np.ndarray:
-        return linalg.matmul_mod(linalg.matmul_mod(x.T, j, p), x, p)
+        return linalg.matmul_mod(x.T @ j, x, p)  # J is a signed permutation: x^T J is exact
 
     # for nondegenerate parts a nonzero Gram determinant already implies
     # full column rank, so no rank is taken
@@ -251,7 +255,7 @@ def _part_stream(family: str, n: int, d: int, flavor: str, seed: int, p: int):
             if n % 2 == 0:
                 return np.concatenate([x, linalg.matmul_mod(s, x, p)])
             c = rng.integers(0, p, size=(m, 1), dtype=np.int64)
-            s = (s - linalg.matmul_mod(c, c.T, p) * ((p + 1) // 2)) % p  # (p + 1) / 2 = 1/2 mod p
+            s = (s - c @ c.T % p * ((p + 1) // 2)) % p  # c c^T < p^2 is exact; (p + 1) / 2 = 1/2 mod p
             return np.concatenate([x, linalg.matmul_mod(s, x, p), linalg.matmul_mod(c.T, x, p)])
         b = rng.integers(0, p, size=(n, d), dtype=np.int64)
         if flavor == "nondeg":
@@ -328,38 +332,31 @@ def _lie_coordinates(coef: np.ndarray, family: str) -> np.ndarray:
     return coef[:, i, j] - coef[:, j, i]
 
 
-def _span_constraint(b: np.ndarray, ann: np.ndarray, family: str, form, p: int | None = None):
-    """Rows of the linear system expressing X * col(b) inside col(b):
-    w^T X b = 0 for every row w of ``ann``, which annihilates col(b), and
-    every column b.  In gl the unknowns are the entries of X.  In sp/so,
-    X = J^T S, so w^T X b = u^T S b with u = J w, and the unknowns are the
-    upper-triangle entries of S.  That needs J J^T = I, as every
-    ``standard_form`` has.  With ``p`` the products are reduced mod p
-    before the fold adds them."""
-    n, d = b.shape
-    if family == "SL":
-        return np.einsum("ai,jb->abij", ann, b).reshape(len(ann) * d, n * n)
-    u = ann @ form.T if p is None else linalg.matmul_mod(ann, form.T, p)
-    coef = np.einsum("ai,jb->abij", u, b).reshape(len(ann) * d, n, n)
-    if p is not None:
-        coef %= p
-    return _lie_coordinates(coef, family)
+def _product_rows(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The entries of left X right as rows over the n x m entries of X, shape
+    (rows, n, m).  A term in X^T is this rule transposed on its last axes."""
+    return np.einsum("ai,jb->abij", left, right).reshape(-1, left.shape[1], right.shape[0])
+
+
+def _span_constraint(b: np.ndarray, ann: np.ndarray, family: str, form) -> np.ndarray:
+    """Rows expressing X * col(b) inside col(b): the entries of A X b for
+    ``ann`` = A, which annihilates col(b), or of (A J^T) S b in sp/so (as
+    J J^T = I).  Unreduced: a folded entry adds two products below p^2."""
+    rows = _product_rows(ann if family == "SL" else ann @ form.T, b)
+    return rows.reshape(len(rows), -1) if family == "SL" else _lie_coordinates(rows, family)
 
 
 def _part_rows(b: np.ndarray, family: str, form, p: int | None) -> np.ndarray:
     """The stabilizer rows of one part mod p, or over Q when ``p`` is None."""
     if p is None:
         return _span_constraint(b, np.array(linalg.nullspace_basis_rational(b.T.tolist()), dtype=object), family, form)
-    return _span_constraint(b, linalg.nullspace_basis_mod(b.T, p), family, form, p)
+    return _span_constraint(b, linalg.nullspace_basis_mod(b.T, p), family, form) % p
 
 
 def _form_constraint(j: np.ndarray) -> np.ndarray:
     """Rows over gl expressing X^T J + J X = 0."""
-    n = j.shape[0]
-    eye = np.eye(n, dtype=np.int64)
-    t1 = np.einsum("is,jr->rsij", j, eye)
-    t2 = np.einsum("ri,js->rsij", j, eye)
-    return (t1 + t2).reshape(n * n, n * n)
+    eye = np.eye(len(j), dtype=np.int64)
+    return (_product_rows(eye, j).swapaxes(1, 2) + _product_rows(j, eye)).reshape(j.size, j.size)
 
 
 # ---------------------------------------------------------------------------
@@ -446,13 +443,16 @@ def _subspace_algebra(family: str) -> tuple[str, int]:
     return ("gl", 1) if family == "SL" else (family.lower(), 0)
 
 
-def _runs(seed: int, trials: int, primes: tuple[int, ...]) -> list[tuple[int, int]]:
+def _runs(route: tuple, seed: int, trials: int, primes: tuple[int, ...]) -> list[tuple[int, int]]:
     """(prime, part stream seed) of every (prime, trial) pair, prime by
-    prime; the minimum over them needs at least one of each."""
+    prime, with ``route`` (family, n, d, flavor) admitted at every prime
+    first; the minimum over them needs at least one of each."""
     if trials < 1:
         raise ConfigError("need trials >= 1")
     if not primes:
         raise ConfigError("need at least one prime")
+    for p in primes:
+        _validate(*route, p)
     return [
         (p, int(_seed_sequence(seed, pi, t).generate_state(1, dtype=np.uint64)[0]))
         for pi, p in enumerate(primes)
@@ -491,7 +491,7 @@ def stabilizer_report(
 ) -> StabilizerReport:
     """Min-over-trials stabilizer dimension at each prime, cross-checked."""
     dims, resamples = [], 0
-    for p, s in _runs(seed, trials, primes):
+    for p, s in _runs((family, n, d, flavor), seed, trials, primes):
         config = sample_configuration(family, n, d, flavor, c, seed=s, p=p)
         resamples += config.resamples
         dims.append(stabilizer_algebra_dim_once(config))
@@ -519,7 +519,7 @@ def estimate_b0(
         raise ConfigError("need c_max >= 1")
     streams = [
         _dims((b for b, _ in _part_stream(family, n, d, flavor, s, p)), family, n, d, flavor, p)
-        for p, s in _runs(seed, trials, primes)
+        for p, s in _runs((family, n, d, flavor), seed, trials, primes)
     ]
     corr = _subspace_algebra(family)[1]
     proj_dims = []
@@ -586,8 +586,7 @@ def module_stabilizer_dim(
         algebra, blocks, eye = "so+so", [], np.eye(n, dtype=np.int64)
         for _ in range(c):
             w = rng.integers(0, p, size=(n, n), dtype=np.int64)
-            tx = np.einsum("ir,js->rsij", eye, w).reshape(n * n, n, n)
-            ty = np.einsum("is,rj->rsij", eye, w).reshape(n * n, n, n)
+            tx, ty = _product_rows(eye, w), _product_rows(w, eye).swapaxes(1, 2)  # X W, W Y^T
             blocks.append(np.concatenate([_lie_coordinates(tx, "SO"), _lie_coordinates(ty, "SO")], axis=1))
     system = np.concatenate(blocks, axis=0)
     dim = linalg.nullspace_dim_mod(system, p)

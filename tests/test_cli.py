@@ -306,6 +306,14 @@ def test_verify_accepts_a_small_prime(capsys):
     assert json.loads(out)["outputs"]["primes"] == [101]
 
 
+@pytest.mark.parametrize("char,prime", [("3", 3), ("not235", 7), ("0", 101)])
+def test_verify_runs_at_a_prime_its_characteristic_case_allows(capsys, char, prime):
+    spec = json.dumps({"family": "SL", "n": 4, "char": char, "subgroup": {"subspace": {"d": 2}}})
+    code, out, _ = run_cli(capsys, "verify", "--spec", spec, "--c", "3", "--prime", str(prime), "--trials", "1")
+    assert code == 0
+    assert json.loads(out)["outputs"]["primes"] == [prime]
+
+
 def test_verify_rational_records_the_one_prime_and_trial_it_runs(capsys):
     records = []
     for argv in (["--trials", "3"], ["--trials", "1"], []):
@@ -452,6 +460,15 @@ _PAIRS_ORDER = ["finite", "--family", "PGL", "--n", "2", "--action", "torus-norm
          "characteristic case '2' rules out p = 2147483647"),
         (["verify", "--spec", '{"family":"SL","n":4,"char":"2","subgroup":{"subspace":{"d":2}}}', "--c", "2",
           "--rational"], "characteristic case '2' rules out p = 97"),
+        # and so does one that fixes whether p = 3, or rules out p = 5
+        (["verify", "--spec", '{"family":"SL","n":4,"char":"3","subgroup":{"subspace":{"d":2}}}', "--c", "2"],
+         "characteristic case '3' rules out p = 2147483647"),
+        (["verify", "--spec", '{"family":"SL","n":4,"char":"not235","subgroup":{"subspace":{"d":2}}}', "--c", "2",
+          "--prime", "3"], "characteristic case 'not235' rules out p = 3"),
+        (["verify", "--spec", '{"family":"SL","n":4,"char":"0","subgroup":{"subspace":{"d":2}}}', "--c", "2",
+          "--prime", "3"], "characteristic case '0' rules out p = 3"),
+        (["verify", "--spec", '{"family":"SL","n":4,"char":"not235","subgroup":{"subspace":{"d":2}}}', "--c", "2",
+          "--prime", "5"], "characteristic case 'not235' rules out p = 5"),
         # the projective line over F_2 has 3 points
         (["verify", "--spec", '{"family":"SL","n":2,"subgroup":{"subspace":{"d":1}}}', "--c", "4", "--prime", "2"],
          "at most (p^n - 1)/(p^d - 1) = 3 transversal 1-spaces"),
@@ -474,7 +491,8 @@ _PAIRS_ORDER = ["finite", "--family", "PGL", "--n", "2", "--action", "torus-norm
     ids=["pairs-q3-len3", "pairs-q7-len9", "pairs-q7-len-1", "line-q7-len9", "bounds-char4", "bounds-char-3",
          "so-tensor-c0", "sym2-c-2", "sym2-n0", "sym2-n1", "sym2-trials0", "sym2-rational",
          "e6-subspace", "sl4-torus", "so7-ts-p2", "so7-nondeg-p2", "sp6-odd-p2", "sl4-char2-default",
-         "sl4-char2-rational", "sl2-four-points-p2", "so8-nondeg-d1-p2",
+         "sl4-char2-rational", "sl4-char3-default", "sl4-not235-p3", "sl4-char0-p3", "sl4-not235-p5",
+         "sl2-four-points-p2", "so8-nondeg-d1-p2",
          "sp3-torus", "so2-torus", "sl-line", "sl-pairs", "b1-char4",
          "char3-on-p2-dataset", "b1-char0-on-p2-dataset"],
 )

@@ -116,8 +116,30 @@ def test_form_algebra_dimensions_at_c0_via_identity_part():
         ("Sp", 6, 2, "nondeg", 21), ("SO", 7, 2, "nondeg", 21), ("SO", 8, 2, "nondeg", 28), ("SO", 8, 3, "nondeg", 28),
     ):
         j = standard_form(family, n, d, flavor)
+        assert np.array_equal(_form_constraint(j), _gl_form_rows(j))
         dim = linalg.nullspace_dim_mod(_form_constraint(j), PRIMES[0])
         assert dim == want
+
+
+def _unit(n, m, i, j):
+    e = np.zeros((n, m), dtype=np.int64)
+    e[i, j] = 1
+    return e
+
+
+def test_product_rows_are_the_entries_of_left_x_right():
+    # rectangular L (3 x 4) and R (5 x 2), so X is 4 x 5: the coefficient of
+    # X_ij in row (a, b) is entry (a, b) of L E_ij R; a term L Y^T R in a
+    # 5 x 4 unknown Y is the rule transposed on its last two axes
+    rng = np.random.default_rng(7)
+    left, right = rng.integers(-9, 10, size=(3, 4)), rng.integers(-9, 10, size=(5, 2))
+    rows = genstab._product_rows(left, right)
+    assert rows.shape == (6, 4, 5) and rows.dtype == np.int64
+    rows_t = rows.swapaxes(1, 2)
+    for i in range(4):
+        for j in range(5):
+            assert np.array_equal(rows[:, i, j], (left @ _unit(4, 5, i, j) @ right).ravel()), (i, j)
+            assert np.array_equal(rows_t[:, j, i], (left @ _unit(5, 4, j, i).T @ right).ravel()), (i, j)
 
 
 @pytest.mark.parametrize(
@@ -244,6 +266,28 @@ def _stream_dims(family, n, d, flavor, seed, p):
     return genstab._dims(parts, family, n, d, flavor, p)
 
 
+@pytest.mark.parametrize("family,n,d", [("Sp", 6, 2), ("SO", 7, 1), ("SO", 8, 3)])
+def test_unreduced_span_rows_at_the_largest_entries_are_exact(family, n, d):
+    # the mod-p rows are folded before their reduction: a folded entry adds
+    # two products of size up to (p - 1)^2, which int64 must hold exactly;
+    # alternating signs in A J^T make both kinds of fold reach that size
+    p = PRIMES[0]
+    form = genstab.standard_form(family, n, d, "nondeg")
+    u = (p - 1) * np.array([[(-1) ** i for i in range(n)]] * 3, dtype=np.int64)
+    ann, b = u @ form, np.full((n, 2), p - 1, dtype=np.int64)  # ann J^T = u, as J J^T = I
+    rows = genstab._span_constraint(b, ann, family, form)
+    exact = genstab._span_constraint(b.astype(object), ann.astype(object), family, form)
+    assert (rows % p).tolist() == (exact % p).tolist()
+    assert max(abs(int(v)) for v in exact.ravel()) == 2 * (p - 1) ** 2
+
+
+def _gl_form_rows(j):
+    """Rows over gl of X^T J + J X = 0, by index formulas of their own."""
+    n = len(j)
+    eye = np.eye(n, dtype=np.int64)
+    return (np.einsum("is,jr->rsij", j, eye) + np.einsum("ri,js->rsij", j, eye)).reshape(n * n, n * n)
+
+
 def _gl_reference_dim(cfg):
     """Nullity of the system over all n^2 entries of X: the span rows of
     every part and the n^2 rows of X^T J + J X = 0."""
@@ -252,7 +296,7 @@ def _gl_reference_dim(cfg):
         np.einsum("ai,jb->abij", linalg.nullspace_basis_mod(b.T, p), b).reshape(-1, n * n) % p
         for b in cfg.parts
     ]
-    blocks.append(genstab._form_constraint(cfg.form))
+    blocks.append(_gl_form_rows(cfg.form))
     return linalg.nullspace_dim_mod(np.concatenate(blocks), p)
 
 
@@ -337,7 +381,7 @@ def test_estimate_b0_draws_value_parts_per_stream_and_eliminates_each_once(monke
         assert sorted(added.values()) == [(value - head) * (n - d) * d] * streams
         # each stream's parts are the sampled configuration, with that head
         got = {s: list(parts) for s, parts in drawn.items()}
-        for p, s in genstab._runs(seed, trials, PRIMES):
+        for p, s in genstab._runs((family, n, d, flavor), seed, trials, PRIMES):
             cfg = sample_configuration(family, n, d, flavor, value, seed=s, p=p)
             assert len(got[s]) == value
             assert all((a == b).all() for a, b in zip(got[s], cfg.parts))
@@ -543,6 +587,24 @@ def test_so_of_odd_n_is_refused_at_p2(monkeypatch):
                 route()
 
 
+def test_every_prime_is_admitted_before_the_first_draw(monkeypatch):
+    # a route refused at one of its primes draws and solves nothing at the others
+    solves, draws = [], []
+    solve, rng = genstab.stabilizer_algebra_dim_once, genstab._rng
+    monkeypatch.setattr(genstab, "stabilizer_algebra_dim_once", lambda cfg: solves.append(cfg) or solve(cfg))
+    monkeypatch.setattr(genstab, "_rng", lambda *key: draws.append(key) or rng(*key))
+    primes = (PRIMES[0], 2)
+    for route, message in (
+        (("SO", 21, 4, "nondeg"), r"^SO with odd n requires p != 2$"),
+        (("SO", 8, 3, "nondeg"), r"^mod 2 the form of SO_n with even n is alternating"),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            stabilizer_report(*route, 6, seed=0, trials=5, primes=primes)
+        with pytest.raises(ConfigError, match=message):
+            estimate_b0(*route, c_max=6, trials=5, primes=primes)
+    assert solves == [] and draws == []
+
+
 def test_negative_seeds_are_a_config_error_on_every_route():
     routes = [
         lambda: stabilizer_report("SL", 4, 2, "linear", 2, seed=-5, trials=1),
@@ -581,7 +643,7 @@ def test_so_tensor_coordinates_match_the_gl_system_with_form_rows(n, c):
     rng = genstab._rng(seed, 0x30D, c)
     eye = np.eye(n, dtype=np.int64)
     zero = np.zeros((n * n, n * n), dtype=np.int64)
-    form = genstab._form_constraint(eye)
+    form = _gl_form_rows(eye)
     blocks = [np.concatenate([form, zero], axis=1), np.concatenate([zero, form], axis=1)]
     for _ in range(c):
         w = rng.integers(0, p, size=(n, n), dtype=np.int64)
