@@ -33,7 +33,6 @@ module spec, a ``verify`` spec outside the classical subspace actions
 dataset, a ``finite`` family or ``--n`` other than the action's, a
 ``--trials`` below 1 or a negative ``--seed`` on every ``verify`` route, a
 ``--bound`` or a module's ``--c`` below 1, a module ``n`` below 2, a
-``--c`` above the transversal subspaces that fit over ``--prime``, a
 nondegenerate part of odd dimension for SO of even n at ``--prime 2``, SO
 of odd n at ``--prime 2``, a ``verify`` prime (``--prime``, a default
 prime or 97 for ``--rational``) that the spec's ``char`` rules out, on

@@ -68,15 +68,18 @@ head enter one reduced echelon form exactly once, and it yields the
 nullity.  An estimate takes b0 parts per stream, and its dimensions
 cannot increase with c.
 
-Sampling.  A drawn part meets the open conditions against every part
-before it, the head included.  A totally singular part is the graph
-[x; S x] of a random symmetric (Sp) or antisymmetric (SO) m x m matrix S on
-a random m x d matrix x of rank d, and [x; (S - c c^T / 2) x; c^T x] with a
-random m-vector c for odd n (so p != 2).  The graphs are generic: they are
-all the totally singular d-spaces that project injectively onto the first
-m coordinates.  For SO_2d with d = m they lie in the family of
-span(e_1..e_d) (S = 0), where two generic members meet in dimension
-d mod 2, so pairs need rank 2d - d mod 2.
+Sampling.  A drawn part meets only its own conditions: full column rank,
+a nonzero Gram determinant for a nondegenerate part, and the graph below
+for a totally singular one.  No condition ties it to the parts before it:
+stabilizer dimension is upper semicontinuous on Omega^c, so a special
+configuration can only raise a nullity, and a zero nullity is a witness at
+any point.  A totally singular part is the graph [x; S x] of a random
+symmetric (Sp) or antisymmetric (SO) m x m matrix S on a random m x d
+matrix x of rank d, and [x; (S - c c^T / 2) x; c^T x] with a random
+m-vector c for odd n (so p != 2).  The graphs are generic: they are all
+the totally singular d-spaces that project injectively onto the first m
+coordinates.  For SO_2d with d = m they lie in the family of
+span(e_1..e_d) (S = 0).
 
 Characteristic caveat: the dimension computed here is the Lie-algebra
 stabilizer dimension, which matches the group stabilizer dimension at
@@ -98,7 +101,7 @@ RESAMPLE_BUDGET = 64
 
 
 class SamplingError(ValueError):
-    """Resampling budget exhausted while enforcing an open condition."""
+    """Resampling budget exhausted while drawing one part."""
 
 
 class ConfigError(ValueError):
@@ -221,23 +224,15 @@ def _validate(family: str, n: int, d: int, flavor: str, p: int) -> None:
 
 def _part_stream(family: str, n: int, d: int, flavor: str, seed: int, p: int):
     """Stream of parts of the requested flavor: the standard head, then
-    parts drawn with the open conditions enforced against every part before
-    them: full column rank, pairwise transversality where dimensions allow,
-    exact (non)degeneracy against the standard form.  Yields (part,
-    rejections before it), 0 for a head part.  A condition that cannot hold
-    raises ``ConfigError``, before any draw or at the first transversal part
-    beyond the number that fit; running out of retries raises
-    ``SamplingError``.  The RNG key holds no part count, so c parts are a
-    prefix of c + 1."""
+    drawn parts that each meet only their own conditions (module docstring,
+    "Sampling").  Yields (part, rejections before it), 0 for a head part.
+    A request that ``_validate`` refuses raises ``ConfigError`` before any
+    draw; running out of retries on one part raises ``SamplingError``.  The
+    RNG key holds no part count, so c parts are a prefix of c + 1."""
     _validate(family, n, d, flavor, p)
     j = standard_form(family, n, d, flavor)
-    joint_rank = 2 * d - (d % 2 if (family, flavor, n) == ("SO", "totally_singular", 2 * d) else 0)
-    # transversal d-spaces share no nonzero vector: (p^n - 1) / (p^d - 1) fit
-    most = (p**n - 1) // (p**d - 1) if 2 * d <= n and joint_rank == 2 * d else None
     rng = _rng(seed, 0xC0FF)
-    resamples = 0
-    parts = _head(family, n, d, flavor)
-    yield from ((b, 0) for b in parts)
+    yield from ((b, 0) for b in _head(family, n, d, flavor))
 
     def gram(x: np.ndarray) -> np.ndarray:
         return linalg.matmul_mod(x.T @ j, x, p)  # J is a signed permutation: x^T J is exact
@@ -262,32 +257,15 @@ def _part_stream(family: str, n: int, d: int, flavor: str, seed: int, p: int):
             return b if linalg.det_mod(gram(b), p) else None
         return b if linalg.rank_mod(b, p) == d else None
 
-    def compatible(b: np.ndarray) -> bool:
-        # pairwise open conditions against the parts already chosen
-        if 2 * d > n:
-            return True
-        for other in parts:
-            joint = np.concatenate([other, b], axis=1)
-            if flavor == "nondeg":
-                if linalg.det_mod(gram(joint), p) == 0:
-                    return False
-            elif linalg.rank_mod(joint, p) < joint_rank:
-                return False
-        return True
-
     while True:
-        if len(parts) == most:
-            raise ConfigError(f"F_{p}^{n} holds at most (p^n - 1)/(p^d - 1) = {most} transversal {d}-spaces")
         for rejects in range(RESAMPLE_BUDGET):
             b = try_one()
-            if b is not None and compatible(b):
+            if b is not None:
                 break
-            resamples += 1
         else:
-            raise SamplingError(f"resampling budget exhausted after {resamples} rejects")
+            raise SamplingError(f"resampling budget exhausted after {RESAMPLE_BUDGET} rejects")
         if flavor == "totally_singular" and np.any(gram(b)):  # a defect of the graph construction
             raise RuntimeError("totally singular part failed the exact form check")
-        parts.append(b)
         yield b, rejects
 
 

@@ -306,6 +306,16 @@ def test_verify_accepts_a_small_prime(capsys):
     assert json.loads(out)["outputs"]["primes"] == [101]
 
 
+def test_verify_answers_more_points_than_the_line_over_f2_holds(capsys):
+    # P^1(F_2) has 3 points, so 4 parts repeat one; parts need not be
+    # pairwise distinct, as a repeat only raises the nullity
+    spec = '{"family":"SL","n":2,"subgroup":{"subspace":{"d":1}}}'
+    code, out, _ = run_cli(capsys, "verify", "--spec", spec, "--c", "4", "--prime", "2")
+    assert code == 0
+    outputs = json.loads(out)["outputs"]
+    assert (outputs["primes"], outputs["projective_dim"]) == ([2], 0)
+
+
 @pytest.mark.parametrize("char,prime", [("3", 3), ("not235", 7), ("0", 101)])
 def test_verify_runs_at_a_prime_its_characteristic_case_allows(capsys, char, prime):
     spec = json.dumps({"family": "SL", "n": 4, "char": char, "subgroup": {"subspace": {"d": 2}}})
@@ -469,9 +479,6 @@ _PAIRS_ORDER = ["finite", "--family", "PGL", "--n", "2", "--action", "torus-norm
           "--prime", "3"], "characteristic case '0' rules out p = 3"),
         (["verify", "--spec", '{"family":"SL","n":4,"char":"not235","subgroup":{"subspace":{"d":2}}}', "--c", "2",
           "--prime", "5"], "characteristic case 'not235' rules out p = 5"),
-        # the projective line over F_2 has 3 points
-        (["verify", "--spec", '{"family":"SL","n":2,"subgroup":{"subspace":{"d":1}}}', "--c", "4", "--prime", "2"],
-         "at most (p^n - 1)/(p^d - 1) = 3 transversal 1-spaces"),
         # mod 2 the form of SO_8 is alternating: this used to run out of retries
         (["verify", "--spec", '{"family":"SO","n":8,"subgroup":{"subspace":{"d":1,"flavor":"nondeg"}}}',
           "--c", "1", "--prime", "2"], "alternating"),
@@ -492,7 +499,7 @@ _PAIRS_ORDER = ["finite", "--family", "PGL", "--n", "2", "--action", "torus-norm
          "so-tensor-c0", "sym2-c-2", "sym2-n0", "sym2-n1", "sym2-trials0", "sym2-rational",
          "e6-subspace", "sl4-torus", "so7-ts-p2", "so7-nondeg-p2", "sp6-odd-p2", "sl4-char2-default",
          "sl4-char2-rational", "sl4-char3-default", "sl4-not235-p3", "sl4-char0-p3", "sl4-not235-p5",
-         "sl2-four-points-p2", "so8-nondeg-d1-p2",
+         "so8-nondeg-d1-p2",
          "sp3-torus", "so2-torus", "sl-line", "sl-pairs", "b1-char4",
          "char3-on-p2-dataset", "b1-char0-on-p2-dataset"],
 )

@@ -82,11 +82,12 @@ def test_totally_singular_parts_at_p2():
     for b in cfg.parts:
         assert not linalg.matmul_mod(linalg.matmul_mod(b.T, cfg.form, 2), b, 2).any()
     # every vector of F_2^4 with (x1, x2) != 0 is the graph of a symmetric S;
-    # the first drawn part, after the head <e_1>, <f_1>, is any of these 12
-    # but <e_1> (<f_1> is no graph), and an alternating S would reach only 5
+    # the first drawn part, after the head <e_1>, <f_1>, is any of these 12,
+    # <e_1> among them (<f_1> is no graph), and an alternating S would reach
+    # only 6
     lines = {tuple(sample_configuration("Sp", 4, 1, "totally_singular", 3, seed=s, p=2).parts[2].ravel())
              for s in range(200)}
-    assert len(lines) == 11
+    assert len(lines) == 12
 
 
 def test_sampler_validates_inputs():
@@ -202,7 +203,7 @@ def test_sp_totally_singular_k3_has_no_dense_orbit_on_triples(n, d):
 
 def test_so10_half_dimension_odd_d_is_sampled():
     # two maximal totally singular subspaces of one SO10 family meet in odd
-    # dimension, so the sampler asks pairs for joint rank 2d - 1, not 2d
+    # dimension; the drawn graphs all lie in the family of the one head part
     spec = fm.ActionSpec("SO", fm.Subspace(5, "totally_singular"), n=10, char="odd")
     b0 = fm.base_triple(spec).b0
     assert (b0.lo, b0.hi) == (5, 5)
@@ -217,13 +218,20 @@ def test_estimate_b0_not_found():
     assert (est.c_max, len(est.projective_dims)) == (3, 3)
 
 
-def test_more_transversal_parts_than_fit_are_a_config_error():
-    # the projective line over F_2 has 3 points, all of them needed
-    assert estimate_b0("SL", 2, 1, "linear", c_max=5, trials=1, primes=(2,)).value == 3
-    # 5 pairwise transversal 2-spaces of F_2^4 form a spread, whose lines
-    # are F_4-lines: F_4 scalars keep a stabilizer, and a sixth cannot exist
-    with pytest.raises(ConfigError, match=r"at most \(p\^n - 1\)/\(p\^d - 1\) = 5 transversal 2-spaces"):
-        estimate_b0("SL", 4, 2, "linear", c_max=7, trials=1, primes=(2,))
+def test_small_prime_estimates_are_upper_bounds_drawn_from_omega():
+    # drawn parts need not be pairwise transversal: over F_2 a point of the
+    # projective line (which has 3) may repeat, and 2-spaces of F_2^4 need
+    # not form a spread (at most 5 transversal ones fit).  A special
+    # configuration only raises the nullity, so each value is an upper
+    # bound, at or above the one at the default primes
+    for n, d, value in ((2, 1, 4), (4, 2, 5)):
+        default = estimate_b0("SL", n, d, "linear", c_max=n + 4, trials=1).value
+        est = estimate_b0("SL", n, d, "linear", c_max=n + 4, trials=1, primes=(2,))
+        assert est.value == value >= default
+        # every part the estimate drew is a point of Omega: a d-space of F_2^n
+        [(p, stream_seed)] = genstab._runs(("SL", n, d, "linear"), est.seed, 1, (2,))
+        cfg = sample_configuration("SL", n, d, "linear", value, seed=stream_seed, p=p)
+        assert all(linalg.rank_mod(b, p) == d for b in cfg.parts)
 
 
 @pytest.mark.parametrize("n,d", [(6, 1), (6, 3), (8, 1), (8, 3)])
@@ -236,6 +244,30 @@ def test_odd_nondegenerate_parts_of_even_so_at_p2_are_a_config_error(monkeypatch
     monkeypatch.setattr(genstab, "_rng", unreachable)
     with pytest.raises(ConfigError, match="alternating"):
         estimate_b0("SO", n, d, "nondeg", c_max=3, trials=1, primes=(2,))
+
+
+@pytest.mark.parametrize("n", [8, 10, 12])
+def test_so_nondegenerate_lines_at_p3_reach_b0(n):
+    # a random line of F_3^n is nondegenerate with probability about 2/3;
+    # asking it also to span a nondegenerate plane with every earlier part
+    # ran out of retries at 19 of these 24 (n, seed) runs
+    default = estimate_b0("SO", n, 1, "nondeg", c_max=n + 2, trials=2).value
+    for seed in range(8):
+        est = estimate_b0("SO", n, 1, "nondeg", c_max=n + 2, trials=2, seed=seed, primes=(3,))
+        assert est.value is not None and est.value >= default == n - 1
+
+
+def test_totally_singular_parts_at_small_primes_are_drawn():
+    # the graphs need no part to be transversal to those before it, so every
+    # draw ends in a part; pairwise checks ran out of retries at 14 of these
+    # 732 runs (e.g. SO8 d=4 at p = 3 from c = 7 on)
+    cases = [("Sp", n, d) for n in range(2, 11, 2) for d in range(1, n // 2 + 1)]
+    cases += [("SO", n, d) for n in range(3, 11) for d in range(1, n // 2 + 1)]
+    for family, n, d in cases:
+        for p in (3, 5):
+            for c in range(1, n + 3):
+                cfg = sample_configuration(family, n, d, "totally_singular", c, seed=0, p=p)
+                assert len(cfg.parts) == c
 
 
 def test_semicontinuity_in_c():
