@@ -2,7 +2,7 @@
 
     bounds   --dataset <name> [--refine-long-root] [--mode b0|b1] [--char p]
     formula  --spec '<json>'
-    verify   --spec '<json>' --c N [--trials N] [--seed N] [--prime P] [--rational]
+    verify   --spec '<json>' --c N [--trials N] [--seed N] [--prime P]
     finite   --family PGL|SL|Sp --n N --q Q --action <name> --mode base|order [--bound N]
     emit     table:parab|table:ep|table:c|table:e [--format csv|json]
 
@@ -17,7 +17,9 @@ dataset header fixes; ``config`` records the one used as ``char``.
 
 Machine output is JSON on stdout (CSV for tables); errors go to stderr;
 ``verify`` records carry the size of their first solve (no rows when all
-parts head the basis) under ``diagnostics``, outside ``outputs``.  Exit
+parts head the basis) under ``diagnostics``, outside ``outputs``, with
+``certified`` from ``genstab.certificate`` when a subspace spec reaches
+projective_dim 0: ``--c`` then bounds b1 (SL) or b0 (Sp, SO).  Exit
 codes: 0 success, 2 request error, 3 inconclusive bound, and 1 only when
 stdout closes before the output is written.  The type of an error decides
 its code: every request the package cannot answer raises a ``ValueError``
@@ -26,21 +28,18 @@ one ``error:`` line; a traceback is a bug.  Exit 2 covers malformed spec
 JSON and datasets, a dataset characteristic other than "any", 0 or a
 prime, a record ``element_order`` other than a prime (or 0, for unipotent
 records only), a ``--prime``, ``--q`` or nonzero ``--char`` that is not a
-prime below 2^31, a ``--prime`` with ``--rational`` (whose parts are drawn
-at p = 97 in one trial, as ``config`` records), ``--rational`` with a
-module spec, a ``verify`` spec outside the classical subspace actions
+prime below 2^31, a ``verify`` spec outside the classical subspace actions
 (an exceptional family among them), a ``--char`` that contradicts the
 dataset, a ``finite`` family or ``--n`` other than the action's, a
 ``--trials`` below 1 or a negative ``--seed`` on every ``verify`` route, a
 ``--bound`` or a module's ``--c`` below 1, a module ``n`` below 2, a
 nondegenerate part of odd dimension for SO of even n at ``--prime 2``, SO
-of odd n at ``--prime 2``, a ``verify`` prime (``--prime``, a default
-prime or 97 for ``--rational``) that the spec's ``char`` rules out, on
-either side of p = 2 or of p = 3 (p = 5 too for ``"not235"``), a
-``--tuple-length`` that no tuple of points, or of disjoint point pairs,
-can have, a verifier sampling failure (``sym2`` forms at ``--prime 2``
-among them) and a finite group that outgrows ``--bound``.  Every run
-echoes the seeds and primes it used.
+of odd n at ``--prime 2``, a ``verify`` prime (``--prime`` or a default
+prime) that the spec's ``char`` rules out, on either side of p = 2 or of
+p = 3 (p = 5 too for ``"not235"``), a ``--tuple-length`` that no tuple of
+points, or of disjoint point pairs, can have, a verifier sampling failure
+(``sym2`` forms at ``--prime 2`` among them) and a finite group that
+outgrows ``--bound``.  Every run echoes the seeds and primes it used.
 ``emit`` output is byte-stable: it contains no timing or environment data.
 """
 from __future__ import annotations
@@ -175,32 +174,25 @@ def cmd_verify(args) -> int:
     if args.trials < 1:
         raise formulas.SpecValidationError("need --trials >= 1")
     if args.prime is not None:
-        if args.rational:
-            raise formulas.SpecValidationError(
-                f"--rational draws its parts at p = {genstab.RATIONAL_SAMPLE_PRIME} and takes no --prime")
         classdata.require_prime("--prime", args.prime)
     primes = (args.prime,) if args.prime else genstab.PRIMES
     if isinstance(spec_obj, dict) and "module" in spec_obj:
-        if args.rational:
-            raise formulas.SpecValidationError("--rational handles subspace specs, not module specs")
         n = formulas.json_field(spec_obj, "n", int, "module spec")
         rep = genstab.module_stabilizer_dim(spec_obj["module"], n, args.c, seed=args.seed, p=primes[0])
     else:
         spec = formulas.spec_from_json(spec_obj)
         if spec.family not in formulas.CLASSICAL_FAMILIES or not isinstance(spec.subgroup, formulas.Subspace):
             raise formulas.SpecValidationError("verify handles classical subspace actions")
-        for p in (genstab.RATIONAL_SAMPLE_PRIME,) if args.rational else primes:
+        for p in primes:
             formulas.require_char_prime(spec, p)
         route = (spec.family, spec.n, spec.subgroup.d, spec.subgroup.flavor, args.c)
-        if args.rational:
-            rep = genstab.rational_report(*route, seed=args.seed)
-        else:
-            rep = genstab.stabilizer_report(*route, seed=args.seed, trials=args.trials, primes=primes)
+        rep = genstab.stabilizer_report(*route, seed=args.seed, trials=args.trials, primes=primes)
     # config echoes the primes and trials that ran, which the route chose
-    config = {"spec": spec_obj, "c": args.c, "trials": rep.trials, "seed": args.seed,
-              "primes": list(rep.primes), "rational": bool(args.rational)}
+    config = {"spec": spec_obj, "c": args.c, "trials": rep.trials, "seed": args.seed, "primes": list(rep.primes)}
     out = dataclasses.asdict(rep)
     diagnostics = out.pop("first_system")
+    if certified := genstab.certificate(rep, args.c):
+        diagnostics["certified"] = certified
     print(json.dumps(_run_record("verify", config, out, started, diagnostics=diagnostics), sort_keys=True))
     return EXIT_OK
 
@@ -278,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--trials", type=int, default=5)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--prime", type=int, default=None)
-    v.add_argument("--rational", action="store_true")
     v.set_defaults(func=cmd_verify)
 
     fin = sub.add_parser("finite", help="exact base sizes for small finite groups")

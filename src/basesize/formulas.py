@@ -295,6 +295,7 @@ _SUBSPACE_RULES = {
          "subspace:SL.d-not-dividing-n (open interval; the numeric verifier pins instances)"),
     ),
     ("Sp", "On_in_Spn"): _rules(
+        (lambda c: c.d != 1, lambda c: f"On_in_Spn needs d = 1, got d={c.d}"),
         _SP_EVEN_N,
         (lambda c: c.two is None, _P2_OPEN.format("orthogonal subgroup of Sp is maximal only for p = 2")),
         (lambda c: not c.two, "orthogonal subgroup of Sp requires p = 2"),
@@ -333,6 +334,7 @@ _SUBSPACE_RULES = {
         (None, _k, "subspace:Sp.ts.generic-k"),
     ),
     ("SO", "nonsingular_1space"): _rules(
+        (lambda c: c.d != 1, lambda c: f"nonsingular_1space needs d = 1, got d={c.d}"),
         _SO_N,
         # for odd n this is the defining-characteristic-2 model of the
         # odd orthogonal group: the symplectic group on a hyperplane

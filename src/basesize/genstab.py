@@ -10,20 +10,18 @@ size ~2^31 a random configuration sits in the generic locus except with
 negligible probability; reports keep the minimum over independent trials
 (the generic fiber dimension is the minimal one) and cross-check a second
 prime.  Scalars are subtracted for linear-group actions, where the center
-acts trivially on subspace varieties.  ``rational_report`` solves one
-configuration, drawn at p = 97, over Q instead: the same head and free
-columns, with the rows of the later parts taken over Q.
+acts trivially on subspace varieties.
 
 Coordinates.  For SL the unknowns are the n^2 entries of X in gl.  For Sp
 and SO they are Lie-algebra coordinates: X = J^T S with S symmetric
 (alternating J) or antisymmetric (symmetric J), so the unknowns are the
 n(n+1)/2 or n(n-1)/2 upper-triangle entries of S and no form rows are
 needed.  Every system has its rows from one rule, ``_product_rows``: the
-entries of L X R as rows over the entries of X, transposed for X^T.  A
-part b with annihilator rows A gives those of (A J^T) S b, folded onto the
-upper triangle.  Each ``standard_form`` J is a signed permutation, so a
-product with J only permutes and negates entries: it is exact in int64 and
-over Q, and the Q and F_p rows differ only in a last reduction mod p.
+entries of L X R as rows over the entries of X, transposed for X^T.  A part
+b with annihilator rows A gives those of (A J^T) S b, folded onto the upper
+triangle.  Each ``standard_form`` J is a signed permutation, so a product
+with J only permutes and negates entries: the rows are exact integer
+products, reduced mod p once.
 
 Fixed head.  Over the algebraic closure GL_n is transitive on tuples of
 floor(n/d) independent d-spaces, and (Witt) Sp_n and SO_n are transitive on
@@ -49,11 +47,11 @@ Every head part is a coordinate block W, and every standard form J is
 monomial, so the rows of a head part are exactly coordinate functionals:
 W fixes X(outside W, W), or S(x, W) for x in the support of J e_j for some
 j outside W.  They delete columns, and only the later parts are eliminated
-on the columns left.  Sampling, the mod-p solve and the Q route share that
-one form and one basis.  The head of a configuration is the longest prefix
-of its parts equal to the standard head, by exact comparison, so the
-nullity is the free columns minus the rank for every configuration,
-generic or not.  The head does not depend on the prime.
+on the columns left, in the one form and basis that sampling also uses.
+The head of a configuration is the longest prefix of its parts equal to the
+standard head, by exact comparison, so the nullity is the free columns
+minus the rank for every configuration, generic or not.  The head does not
+depend on the prime.
 
 Part streams.  Each (prime, trial) pair takes its parts from one stream:
 the head, then parts drawn from an RNG whose key holds no part count, so
@@ -81,10 +79,16 @@ the totally singular d-spaces that project injectively onto the first m
 coordinates.  For SO_2d with d = m they lie in the family of
 span(e_1..e_d) (S = 0).
 
-Characteristic caveat: the dimension computed here is the Lie-algebra
-stabilizer dimension, which matches the group stabilizer dimension at
-generic points when the stabilizer scheme is smooth; the default primes
-avoid the bad small characteristics where smoothness can fail.
+Certificates.  In any characteristic the stabilizer in G of a point has
+dimension at most that of its Lie algebra, which lies in the algebra solved
+here: a projective nullity of 0 proves b0 <= c in characteristic p.  Each
+part reduces a Z_(p)-point of Omega (an integer block of full rank mod p,
+of Gram determinant prime to p if nondegenerate, or a graph of x and S over
+Z_(p)), so with annihilators over Z_(p) on the mod-p pivots the rank over Q
+is at least the rank mod p: the zero proves it in characteristic 0 too.
+For SL the gl system is the algebra A of the parts, and A^x is the
+stabilizer in GL_n: A = scalars proves b1 <= c.  A positive nullity is only
+evidence: the point may be special, or the Lie algebra exceed the group.
 """
 from __future__ import annotations
 
@@ -284,7 +288,7 @@ def sample_configuration(
 
 
 # ---------------------------------------------------------------------------
-# Constraint assembly, shared by the F_p and the Q routes
+# Constraint assembly
 
 def _unknowns(family: str, n: int) -> int:
     """Columns of the stabilizer system: the entries of X in gl, the
@@ -324,10 +328,8 @@ def _span_constraint(b: np.ndarray, ann: np.ndarray, family: str, form) -> np.nd
     return rows.reshape(len(rows), -1) if family == "SL" else _lie_coordinates(rows, family)
 
 
-def _part_rows(b: np.ndarray, family: str, form, p: int | None) -> np.ndarray:
-    """The stabilizer rows of one part mod p, or over Q when ``p`` is None."""
-    if p is None:
-        return _span_constraint(b, np.array(linalg.nullspace_basis_rational(b.T.tolist()), dtype=object), family, form)
+def _part_rows(b: np.ndarray, family: str, form, p: int) -> np.ndarray:
+    """The stabilizer rows of one part mod p."""
     return _span_constraint(b, linalg.nullspace_basis_mod(b.T, p), family, form) % p
 
 
@@ -457,6 +459,15 @@ def _report(algebra: str, correction: int, dims: list[int], trials: int, primes:
     )
 
 
+def certificate(rep: StabilizerReport, c: int) -> dict | None:
+    """What a subspace report (algebra gl, sp or so) of c parts proves at
+    projective dimension 0 (module docstring, "Certificates"), else None."""
+    if rep.projective_dim or rep.algebra not in ("gl", "sp", "so"):
+        return None
+    primes = [p for p, dims in zip(rep.primes, rep.dims_by_prime) if min(dims) == rep.algebra_dim]
+    return {"measure": "b1" if rep.algebra == "gl" else "b0", "c": c, "primes": primes}
+
+
 def stabilizer_report(
     family: str,
     n: int,
@@ -490,9 +501,11 @@ def estimate_b0(
 ) -> B0Estimate:
     """Smallest c <= c_max whose generic configuration has a
     zero-dimensional stabilizer, with the orbit-dimension lower bound
-    cross-checked.  Each (prime, trial) pair grows one part stream by one
-    part per c, so the estimate draws b0 parts per stream and eliminates
-    the rows of each part after the head once."""
+    cross-checked; a ``value`` is a certified upper bound on b1 for SL and
+    on b0 for Sp and SO (module docstring, "Certificates").  Each (prime,
+    trial) pair grows one part stream by one part per c, so the estimate
+    draws b0 parts per stream and eliminates the rows of each part after
+    the head once."""
     if c_max < 1:
         raise ConfigError("need c_max >= 1")
     streams = [
@@ -571,27 +584,3 @@ def module_stabilizer_dim(
     rows, columns = system.shape
     return _report(algebra, 0, [dim], 1, (p,), resamples, seed,
                    SystemShape(columns, 0, columns, rows, columns - dim))
-
-
-# ---------------------------------------------------------------------------
-# Rational-field variant (small n)
-
-#: the prime at which ``rational_report`` draws its parts, in one trial
-RATIONAL_SAMPLE_PRIME = 97
-
-
-def rational_report(family: str, n: int, d: int, flavor: str, c: int, seed: int) -> StabilizerReport:
-    """The stabilizer of one configuration drawn at ``RATIONAL_SAMPLE_PRIME``,
-    its small integer entries solved over Q: the system of
-    ``stabilizer_algebra_dim_once``, with the rows of the parts after the
-    head taken and ranked over Q.  A part of full rank mod p has full rank
-    over Q, so every part keeps its (n - d) d rows."""
-    if flavor == "totally_singular":
-        # a part totally singular mod p is not totally singular over Q
-        raise ConfigError("the rational route does not handle totally singular parts")
-    config = sample_configuration(family, n, d, flavor, c, seed=seed, p=RATIONAL_SAMPLE_PRIME)
-    h, free = _head_system(config)
-    rows = [r for b in config.parts[h:] for r in _part_rows(b, family, config.form, None)[:, free].tolist()]
-    dim = len(free) - linalg.rank_rational(rows)
-    return _report(*_subspace_algebra(family), [dim], 1, (RATIONAL_SAMPLE_PRIME,), config.resamples, seed,
-                   _system_shape(config, dim))

@@ -1,13 +1,11 @@
-"""Exact linear algebra over word-size prime fields and over the rationals.
+"""Exact linear algebra over word-size prime fields.
 
-Mod-p routines use int64 numpy arrays, primes p < 2**31 and one elimination
+The routines use int64 numpy arrays, primes p < 2**31 and one elimination
 kernel; a row operation multiplies two reduced entries, below 2**62.
 ``matmul_mod`` splits ``b`` into 16-bit limbs, b = hi * 2**16 + lo, so a @ hi
 and a @ lo stay below inner * 2**47: exact in int64 for inner < 2**16.
 """
 from __future__ import annotations
-
-from fractions import Fraction
 
 import numpy as np
 
@@ -131,49 +129,3 @@ def det_mod(a, p: int) -> int:
     if m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
     return det
-
-
-def nullspace_basis_rational(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Basis of the right nullspace over Q (row-reduce, then back-fill)."""
-    m = [list(map(Fraction, r)) for r in rows]
-    if not m:
-        return []
-    ncols = len(m[0])
-    red, pivots = _rref_rational(m)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
-    return basis
-
-
-def _rref_rational(m: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
-
-
-def rank_rational(rows: list[list[Fraction]]) -> int:
-    """Exact rank over Q.  Intended for small systems; no pivoting heuristics."""
-    return len(_rref_rational([list(map(Fraction, r)) for r in rows])[1])

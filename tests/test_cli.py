@@ -251,18 +251,6 @@ def test_run_record_replay_identical(capsys):
     assert a["config_hash"] == b["config_hash"]
 
 
-def test_verify_rational_refuses_totally_singular_parts(capsys):
-    # parts sampled mod p are totally singular mod p only, not over Q
-    code, out, err = run_cli(
-        capsys, "verify", "--spec",
-        '{"family":"Sp","n":8,"subgroup":{"subspace":{"d":3,"flavor":"totally_singular"}},"char":"odd"}',
-        "--c", "2", "--rational",
-    )
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ")
-
-
 def test_verify_sampling_failure_exit_2(capsys, monkeypatch):
     # with no resampling budget the first drawn part ends the run; the two
     # head parts of SL_4 on 2-spaces are fixed, so the third is the first drawn
@@ -287,10 +275,6 @@ _SL42 = '{"family":"SL","n":4,"subgroup":{"subspace":{"d":2}}}'
         # over these rings used to answer algebra_dim 8
         ["--prime", "1000001"], ["--prime", "2147483641"], ["--prime", "4"],
         ["--prime", "1"], ["--prime", "2147483659"], ["--trials", "0"], ["--trials", "-2"],
-        # --rational draws its parts at p = 97 and takes no --prime
-        ["--rational", "--prime", "97"], ["--rational", "--prime", "5"],
-        # --rational runs one trial, yet --trials is checked on every route
-        ["--rational", "--trials", "0"],
     ],
 )
 def test_verify_rejects_composite_primes_and_no_trials(capsys, argv):
@@ -324,34 +308,15 @@ def test_verify_runs_at_a_prime_its_characteristic_case_allows(capsys, char, pri
     assert json.loads(out)["outputs"]["primes"] == [prime]
 
 
-def test_verify_rational_records_the_one_prime_and_trial_it_runs(capsys):
-    records = []
-    for argv in (["--trials", "3"], ["--trials", "1"], []):
-        code, out, _ = run_cli(capsys, "verify", "--spec", _SL42, "--c", "3", "--rational", *argv)
-        assert code == 0
-        records.append(json.loads(out))
-    assert [(r["config"]["primes"], r["config"]["trials"]) for r in records] == [([97], 1)] * 3
-    # the same work gives the same record
-    assert len({(r["config_hash"], json.dumps(r["outputs"])) for r in records}) == 1
-    assert records[0]["outputs"] == {
-        "algebra": "gl", "algebra_dim": 4, "dims_by_prime": [[4]], "primes": [97], "projective_dim": 3,
-        "resamples": 0, "seed": 0, "stable": True, "trials": 1,
-    }
-    # the Q solve shares the mod-p head: two head parts leave 8 columns, and
-    # the one part after them gives (n - d) d = 4 rows
-    assert records[0]["diagnostics"] == {"unknowns": 16, "head_parts": 2, "columns": 8, "rows": 4, "rank": 4}
-
-
 @pytest.mark.parametrize(
     "argv",
     [
         [_SL42, "--trials", "3"],
         [_SL42, "--prime", "101", "--trials", "2"],
-        [_SL42, "--rational", "--trials", "3"],
         ['{"module":"sym2","n":2}', "--trials", "3"],
         ['{"module":"so_tensor","n":3}', "--prime", "101"],
     ],
-    ids=["mod-p", "mod-p-one-prime", "rational", "module", "module-one-prime"],
+    ids=["mod-p", "mod-p-one-prime", "module", "module-one-prime"],
 )
 def test_verify_config_records_the_primes_and_trials_that_ran(capsys, argv):
     code, out, _ = run_cli(capsys, "verify", "--spec", *argv, "--c", "3")
@@ -452,7 +417,6 @@ _PAIRS_ORDER = ["finite", "--family", "PGL", "--n", "2", "--action", "torus-norm
         (["verify", "--spec", '{"module":"sym2","n":0}', "--c", "1"], "n >= 2 and c >= 1"),
         (["verify", "--spec", '{"module":"sym2","n":1}', "--c", "1"], "n >= 2 and c >= 1"),
         (["verify", "--spec", '{"module":"sym2","n":2}', "--c", "2", "--trials", "0"], "need --trials >= 1"),
-        (["verify", "--spec", '{"module":"sym2","n":2}', "--c", "2", "--rational"], "--rational handles subspace"),
         # an exceptional family has no n: this used to reach genstab with n = None
         (["verify", "--spec", '{"family":"E6","subgroup":{"subspace":{"d":2}}}', "--c", "3"],
          "verify handles classical subspace actions"),
@@ -468,8 +432,6 @@ _PAIRS_ORDER = ["finite", "--family", "PGL", "--n", "2", "--action", "torus-norm
           "--c", "2", "--prime", "2"], "characteristic case 'odd' rules out p = 2"),
         (["verify", "--spec", '{"family":"SL","n":4,"char":"2","subgroup":{"subspace":{"d":2}}}', "--c", "2"],
          "characteristic case '2' rules out p = 2147483647"),
-        (["verify", "--spec", '{"family":"SL","n":4,"char":"2","subgroup":{"subspace":{"d":2}}}', "--c", "2",
-          "--rational"], "characteristic case '2' rules out p = 97"),
         # and so does one that fixes whether p = 3, or rules out p = 5
         (["verify", "--spec", '{"family":"SL","n":4,"char":"3","subgroup":{"subspace":{"d":2}}}', "--c", "2"],
          "characteristic case '3' rules out p = 2147483647"),
@@ -496,9 +458,9 @@ _PAIRS_ORDER = ["finite", "--family", "PGL", "--n", "2", "--action", "torus-norm
         (["bounds", "--dataset", "e7_a7_p2", "--mode", "b1", "--char", "0"], "--char 0 contradicts"),
     ],
     ids=["pairs-q3-len3", "pairs-q7-len9", "pairs-q7-len-1", "line-q7-len9", "bounds-char4", "bounds-char-3",
-         "so-tensor-c0", "sym2-c-2", "sym2-n0", "sym2-n1", "sym2-trials0", "sym2-rational",
+         "so-tensor-c0", "sym2-c-2", "sym2-n0", "sym2-n1", "sym2-trials0",
          "e6-subspace", "sl4-torus", "so7-ts-p2", "so7-nondeg-p2", "sp6-odd-p2", "sl4-char2-default",
-         "sl4-char2-rational", "sl4-char3-default", "sl4-not235-p3", "sl4-char0-p3", "sl4-not235-p5",
+         "sl4-char3-default", "sl4-not235-p3", "sl4-char0-p3", "sl4-not235-p5",
          "so8-nondeg-d1-p2",
          "sp3-torus", "so2-torus", "sl-line", "sl-pairs", "b1-char4",
          "char3-on-p2-dataset", "b1-char0-on-p2-dataset"],
@@ -515,10 +477,9 @@ def test_bad_input_exits_2_with_one_error_line(capsys, argv, message):
     "spec,extra",
     [
         ('{"family":"SL","n":4,"subgroup":{"subspace":{"d":2}}}', []),
-        ('{"family":"Sp","n":6,"subgroup":{"subspace":{"d":2,"flavor":"nondeg"}}}', ["--rational"]),
         ('{"module":"sym2","n":3}', []),
     ],
-    ids=["subspace", "rational", "module"],
+    ids=["subspace", "module"],
 )
 def test_verify_negative_seed_exits_2_on_every_route(capsys, spec, extra):
     # numpy's own refusal named no input: "expected non-negative integer"
@@ -597,7 +558,7 @@ def test_verify_diagnostics_sit_outside_the_stable_outputs(capsys):
         "primes": [2147483647, 2147483629], "projective_dim": 4, "resamples": 0, "seed": 4,
         "stable": True, "trials": 2,
     }
-    assert rec["config_hash"] == "e247da0cb47819f0"
+    assert rec["config_hash"] == "8ba855321505ba30"
     # sp_8 has 36 unknowns; two totally singular 2-spaces delete 11 columns
     # each, and the third part's 12 rows have rank 14 - 4
     assert rec["diagnostics"] == {"unknowns": 36, "head_parts": 2, "columns": 14, "rows": 12, "rank": 10}
@@ -610,10 +571,40 @@ def test_verify_diagnostics_sit_outside_the_stable_outputs(capsys):
         "primes": [2147483647, 2147483629], "projective_dim": 11, "resamples": 0, "seed": 0,
         "stable": True, "trials": 1,
     }
-    assert rec["config_hash"] == "edda63c9cfa1254a"
+    assert rec["config_hash"] == "64deb53b5d63bcf4"
     assert rec["diagnostics"] == {"unknowns": 36, "head_parts": 3, "columns": 12, "rows": 0, "rank": 0}
     code, out, _ = run_cli(capsys, "verify", "--spec", '{"module":"sym2","n":3}', "--c", "1", "--seed", "3")
     assert json.loads(out)["diagnostics"] == {"unknowns": 9, "head_parts": 0, "columns": 9, "rows": 10, "rank": 6}
+
+
+@pytest.mark.parametrize(
+    "spec,c,certified",
+    [
+        # A = scalars in gl: the zero bounds the generic b1
+        ('{"family":"SL","n":3,"subgroup":{"subspace":{"d":1}}}', 4, "b1"),
+        ('{"family":"Sp","n":6,"subgroup":{"subspace":{"d":2,"flavor":"nondeg"}}}', 4, "b0"),
+        # projective_dim 2: nothing is proved
+        ('{"family":"SL","n":3,"subgroup":{"subspace":{"d":1}}}', 3, None),
+    ],
+    ids=["sl3-c4-b1", "sp6-nondeg-c4-b0", "sl3-c3-none"],
+)
+def test_verify_certifies_a_zero_projective_dimension(capsys, spec, c, certified):
+    code, out, _ = run_cli(capsys, "verify", "--spec", spec, "--c", str(c), "--trials", "1")
+    assert code == 0
+    rec = json.loads(out)
+    if certified is None:
+        assert rec["outputs"]["projective_dim"] > 0 and "certified" not in rec["diagnostics"]
+    else:
+        assert rec["outputs"]["projective_dim"] == 0
+        assert rec["diagnostics"]["certified"] == {"measure": certified, "c": c, "primes": list(genstab.PRIMES)}
+
+
+def test_verify_rational_is_an_unknown_option(capsys):
+    # the characteristic-0 answer is the certificate of the mod-p route
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--spec", _SL42, "--c", "3", "--rational"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --rational" in capsys.readouterr().err
 
 
 _MALFORMED_SPECS = [
@@ -843,12 +834,15 @@ _MODULE_SPECS = st.builds(lambda kind, n: json.dumps({"module": kind, "n": n}),
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(_verify_specs(), _MODULE_SPECS), st.sampled_from([1, 2, 3, 4, 0, -1]),
-       st.sampled_from([[], ["--prime", "2"], ["--prime", "3"], ["--prime", "5"], ["--rational"]]))
+       st.sampled_from([[], ["--prime", "2"], ["--prime", "3"], ["--prime", "5"]]))
 def test_verify_fuzz_never_raises(spec, c, flags):
     record, err = _run_fuzzed(["verify", "--spec", spec, "--c", str(c), "--trials", "1", *flags])
     if record is not None:
         rec = record["outputs"]
         assert 0 <= rec["projective_dim"] <= rec["algebra_dim"]
+        # a certificate exactly when a subspace spec reaches projective dimension 0
+        subspace = "module" not in record["config"]["spec"]
+        assert ("certified" in record["diagnostics"]) == (subspace and rec["projective_dim"] == 0)
     elif c == 1:
         # one part meets no pairwise condition, so running out of retries
         # there would hide a condition that cannot hold

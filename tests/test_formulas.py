@@ -100,6 +100,10 @@ def test_sp_full_orthogonal():
     assert t.as_tuple() == (6, 6, 7)
     with pytest.raises(SpecValidationError):
         subspace_triple(ActionSpec("Sp", Subspace(1, "On_in_Spn"), n=6, char="odd"))
+    # the flavor names one action: any other d used to get the d = 1 triple
+    for d in (0, 2, 5, 6):
+        with pytest.raises(SpecValidationError, match=f"^On_in_Spn needs d = 1, got d={d}$"):
+            subspace_triple(ActionSpec("Sp", Subspace(d, "On_in_Spn"), n=6, char="2"))
 
 
 @pytest.mark.parametrize(
@@ -171,6 +175,10 @@ def test_nonsingular_1spaces():
     assert t.as_tuple() == (7, 7, 7)
     with pytest.raises(SpecValidationError):
         subspace_triple(ActionSpec("SO", Subspace(1, "nonsingular_1space"), n=8, char="odd"))
+    # any other d used to get the d = 1 triple
+    for n, d in ((7, 3), (7, 0), (8, 2), (8, 4)):
+        with pytest.raises(SpecValidationError, match=f"^nonsingular_1space needs d = 1, got d={d}$"):
+            subspace_triple(ActionSpec("SO", Subspace(d, "nonsingular_1space"), n=n, char="2"))
 
 
 # -- non-subspace classical ---------------------------------------------------

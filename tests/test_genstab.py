@@ -1,9 +1,12 @@
 import dataclasses
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 
 from basesize import formulas as fm, genstab, linalg
 from basesize.genstab import (
@@ -11,7 +14,6 @@ from basesize.genstab import (
     ConfigError,
     estimate_b0,
     module_stabilizer_dim,
-    rational_report,
     sample_configuration,
     stabilizer_algebra_dim_once,
     stabilizer_report,
@@ -642,7 +644,6 @@ def test_negative_seeds_are_a_config_error_on_every_route():
         lambda: stabilizer_report("SL", 4, 2, "linear", 2, seed=-5, trials=1),
         lambda: estimate_b0("SL", 4, 2, "linear", c_max=3, trials=1, seed=-5),
         lambda: sample_configuration("SL", 4, 2, "linear", 1, seed=-5),
-        lambda: rational_report("Sp", 6, 2, "nondeg", 3, seed=-5),
         lambda: module_stabilizer_dim("sym2", 3, 1, seed=-5),
     ]
     for route in routes:
@@ -708,7 +709,28 @@ def test_module_kind_validated():
             module_stabilizer_dim(kind, n, c, seed=0)
 
 
-# -- rational field -----------------------------------------------------------
+# -- characteristic 0 ------------------------------------------------------------
+
+def _q_matrix(rows) -> DomainMatrix:
+    rows = [[QQ(int(x)) for x in r] for r in rows]
+    return DomainMatrix(rows, (len(rows), len(rows[0])), QQ)
+
+
+def _q_part_rows(b: np.ndarray, family: str, form) -> np.ndarray:
+    """The stabilizer rows of an integer part over Q: sympy's annihilator of
+    it over QQ, each row scaled to integers, through genstab's row rule."""
+    ann = []
+    for r in _q_matrix(b.T).nullspace().to_list():
+        scale = math.lcm(*(x.denominator for x in r))
+        ann.append([x.numerator * (scale // x.denominator) for x in r])
+    return genstab._span_constraint(np.array(b.tolist(), dtype=object), np.array(ann, dtype=object), family, form)
+
+
+def _q_nullity(parts, family: str, n: int, form) -> int:
+    """Nullity over Q of the stabilizer system of integer parts, head-free:
+    every part's rows on every unknown."""
+    return genstab._unknowns(family, n) - _q_matrix(np.concatenate([_q_part_rows(b, family, form) for b in parts])).rank()
+
 
 def test_rational_agrees_with_modular_on_small_config():
     # the Sp case needs the standard form to be the symplectic form over Q
@@ -718,22 +740,67 @@ def test_rational_agrees_with_modular_on_small_config():
         ("Sp", 6, 2, "nondeg"), ("Sp", 8, 2, "nondeg"), ("SO", 6, 1, "nondeg"), ("SO", 8, 3, "nondeg"),
     ):
         cfg = sample_configuration(family, n, d, flavor, 2, seed=5, p=101)
-        dim_p = stabilizer_algebra_dim_once(cfg)
-        # head-free over Q: every part's rows on every unknown
-        rows = np.concatenate([genstab._part_rows(b, family, cfg.form, None) for b in cfg.parts])
-        assert dim_p == genstab._unknowns(family, n) - linalg.rank_rational(rows.tolist()), (family, n, d, flavor)
+        assert stabilizer_algebra_dim_once(cfg) == _q_nullity(cfg.parts, family, n, cfg.form), (family, n, d, flavor)
 
 
-@pytest.mark.parametrize("family,n,d,flavor", [("SL", 4, 2, "linear"), ("Sp", 6, 2, "nondeg"), ("SO", 7, 2, "nondeg")])
-def test_rational_report_solves_the_configuration_drawn_at_97(family, n, d, flavor):
-    rep = rational_report(family, n, d, flavor, 3, seed=2)
-    cfg = sample_configuration(family, n, d, flavor, 3, seed=2, p=97)
-    dim_p = stabilizer_algebra_dim_once(cfg)
-    assert (rep.algebra_dim, rep.primes, rep.trials, rep.dims_by_prime) == (dim_p, (97,), 1, ((dim_p,),))
-    assert rep.projective_dim == dim_p - (family == "SL")
-    # the Q route solves the head-reduced system of the mod-p route
-    assert rep.first_system == genstab._system_shape(cfg, dim_p)
-    assert rep.first_system.head_parts > 0
+def _integer_witness(family: str, n: int, d: int, flavor: str, c: int, seed: int) -> list[np.ndarray]:
+    """c integer parts: the standard head, then parts with small entries, the
+    graph [x; S x] of integer x and S for totally singular parts (scaled by 2
+    for odd n, where the graph has a 1/2) and any integer matrix otherwise."""
+    rng, m = np.random.default_rng(seed), n // 2
+    parts = genstab._head(family, n, d, flavor)
+    while len(parts) < c:
+        if flavor != "totally_singular":
+            parts.append(rng.integers(-3, 4, size=(n, d)))
+            continue
+        x, a = rng.integers(-3, 4, size=(m, d)), rng.integers(-3, 4, size=(m, m))
+        s = a + a.T if family == "Sp" else a - a.T
+        if n % 2 == 0:
+            parts.append(np.concatenate([x, s @ x]))
+        else:
+            v = rng.integers(-3, 4, size=(m, 1))
+            parts.append(np.concatenate([2 * x, (2 * s - v @ v.T) @ x, 2 * v.T @ x]))
+    return parts
+
+
+@pytest.mark.parametrize("family,n,d,flavor", [
+    ("Sp", 8, 3, "totally_singular"), ("Sp", 6, 2, "totally_singular"), ("SO", 8, 2, "totally_singular"),
+    ("SO", 10, 3, "totally_singular"), ("Sp", 10, 3, "totally_singular"), ("SO", 7, 2, "totally_singular"),
+    ("SL", 5, 2, "linear"), ("SL", 4, 1, "linear"), ("Sp", 8, 2, "nondeg"), ("SO", 7, 2, "nondeg"),
+    ("SO", 8, 3, "nondeg"),
+])
+def test_a_zero_nullity_mod_p_lifts_to_characteristic_0(family, n, d, flavor):
+    # an integer configuration, reduced mod p, is a Z_(p)-point: its rank
+    # over Q is at least its rank mod p, so a projective nullity 0 mod p is
+    # one over Q too (genstab's module docstring, "Certificates")
+    p, form, c_max, scalars = PRIMES[0], genstab.standard_form(family, n, d, flavor), 5, int(family == "SL")
+    parts = _integer_witness(family, n, d, flavor, c_max, seed=7)
+    for b in parts:  # each part lies in Omega over Q and mod p
+        assert linalg.rank_mod(b, p) == d
+        if form is not None:
+            gram = b.T @ form @ b  # small entries: exact in int64
+            assert not gram.any() if flavor == "totally_singular" else linalg.det_mod(gram, p)
+    dims_p = list(genstab._dims((b % p for b in parts), family, n, d, flavor, p))
+    dims_q = [_q_nullity(parts[:c], family, n, form) for c in range(1, c_max + 1)]
+    assert all(q <= dp for q, dp in zip(dims_q, dims_p)), (dims_q, dims_p)
+    assert all(q == scalars for q, dp in zip(dims_q, dims_p) if dp == scalars), (dims_q, dims_p)
+    # the witness reaches a certificate by c_max
+    assert dims_p[-1] == scalars
+
+
+def test_certificate_names_the_measure_and_the_primes_that_reached_zero():
+    rep = stabilizer_report("SL", 3, 1, "linear", 4, seed=0, trials=2)
+    assert rep.projective_dim == 0
+    assert genstab.certificate(rep, 4) == {"measure": "b1", "c": 4, "primes": list(PRIMES)}
+    rep = stabilizer_report("SO", 7, 2, "nondeg", 3, seed=0, trials=1)
+    assert genstab.certificate(rep, 3) == {"measure": "b0", "c": 3, "primes": list(PRIMES)}
+    # only the primes whose trials reached the minimum 0 are named
+    mixed = dataclasses.replace(rep, dims_by_prime=((2, 0), (1,)))
+    assert genstab.certificate(mixed, 3)["primes"] == [PRIMES[0]]
+    # a positive dimension proves nothing; module reports are not covered
+    assert genstab.certificate(stabilizer_report("SL", 3, 1, "linear", 3, seed=0, trials=1), 3) is None
+    assert module_stabilizer_dim("sym2", 2, 2, seed=3).algebra_dim == 0
+    assert genstab.certificate(module_stabilizer_dim("sym2", 2, 2, seed=3), 2) is None
 
 
 # -- the formula's dimensions against the solver ---------------------------------

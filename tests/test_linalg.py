@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,15 +51,6 @@ def test_matmul_mod_rejects_inner_dimension_2_16():
     assert linalg.matmul_mod(a[:, 1:], a[:, 1:].T, P)[0, 0] == 2**16 - 1
     with pytest.raises(ValueError, match="inner dimension"):
         linalg.matmul_mod(a, a.T, P)
-
-
-def test_rational_rank_and_nullspace():
-    rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    assert linalg.rank_rational(rows) == 1
-    ns = linalg.nullspace_basis_rational(rows)
-    assert len(ns) == 1
-    v = ns[0]
-    assert rows[0][0] * v[0] + rows[0][1] * v[1] == 0
 
 
 # -- reference: sympy's DomainMatrix over GF(p) ----------------------------------
