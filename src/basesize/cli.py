@@ -24,7 +24,8 @@ codes: 0 success, 2 request error, 3 inconclusive bound, and 1 only when
 stdout closes before the output is written.  The type of an error decides
 its code: every request the package cannot answer raises a ``ValueError``
 (or ``FileNotFoundError``), which ``main`` alone turns into exit 2 and
-one ``error:`` line; a traceback is a bug.  Exit 2 covers malformed spec
+one ``error:`` line; a traceback is a bug.  Exit 2 covers arguments that
+argparse rejects (an unknown option, a non-integer ``--c``), malformed spec
 JSON and datasets, a dataset characteristic other than "any", 0 or a
 prime, a record ``element_order`` other than a prime (or 0, for unipotent
 records only), a ``--prime``, ``--q`` or nonzero ``--char`` that is not a
@@ -249,8 +250,16 @@ def cmd_emit(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a rejected argument as a ``ValueError`` for ``main``, where
+    argparse would print usage and exit; subparsers inherit the class."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="basesize", description=__doc__.splitlines()[0])
+    ap = _Parser(prog="basesize", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="subcommand")
 
     b = sub.add_parser("bounds", help="criterion bounds from a class-dimension dataset")
@@ -292,14 +301,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
-    if not getattr(args, "subcommand", None):
-        ap.print_usage(sys.stderr)
-        return EXIT_SPEC_ERROR
     try:
+        args = ap.parse_args(argv)
+        if not getattr(args, "subcommand", None):
+            ap.print_usage(sys.stderr)
+            return EXIT_SPEC_ERROR
         return args.func(args)
     # the one place that turns a request error into exit 2: every such
-    # error of the package is a ValueError, json.JSONDecodeError,
+    # error is a ValueError, argparse's rejections, json.JSONDecodeError,
     # genstab.SamplingError and finitecheck.EnumerationBoundExceeded among them
     except (ValueError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)

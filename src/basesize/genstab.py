@@ -167,6 +167,7 @@ class B0Estimate:
     projective_dims: tuple[int, ...]  # indexed by c = 1..c_max (until found)
     lower_bound: int
     seed: int
+    certified: dict | None  # what the value proves, as ``certificate`` gives it; None without a value
 
 
 def standard_form(family: str, n: int, d: int, flavor: str) -> np.ndarray | None:
@@ -440,6 +441,11 @@ def _runs(route: tuple, seed: int, trials: int, primes: tuple[int, ...]) -> list
     ]
 
 
+def _by_prime(dims: list[int], trials: int) -> tuple[tuple[int, ...], ...]:
+    """The dimensions of ``_runs`` order, prime by prime."""
+    return tuple(tuple(dims[i : i + trials]) for i in range(0, len(dims), trials))
+
+
 def _report(algebra: str, correction: int, dims: list[int], trials: int, primes: tuple[int, ...],
             resamples: int, seed: int, first_system: SystemShape) -> StabilizerReport:
     """The report of every route: ``dims`` lists the trials prime by prime,
@@ -452,20 +458,27 @@ def _report(algebra: str, correction: int, dims: list[int], trials: int, primes:
         trials=trials,
         stable=len(set(dims)) == 1,
         primes=tuple(primes),
-        dims_by_prime=tuple(tuple(dims[i : i + trials]) for i in range(0, len(dims), trials)),
+        dims_by_prime=_by_prime(dims, trials),
         resamples=resamples,
         seed=seed,
         first_system=first_system,
     )
 
 
-def certificate(rep: StabilizerReport, c: int) -> dict | None:
-    """What a subspace report (algebra gl, sp or so) of c parts proves at
-    projective dimension 0 (module docstring, "Certificates"), else None."""
-    if rep.projective_dim or rep.algebra not in ("gl", "sp", "so"):
+def _certified(algebra: str, correction: int, c: int, primes, dims_by_prime) -> dict | None:
+    """The one rule for what a subspace solve (algebra gl, sp or so) of c
+    parts proves (module docstring, "Certificates"): b1 <= c for gl and
+    b0 <= c otherwise, at the primes whose minimum reached projective
+    dimension 0; None when no prime did, or for a module algebra."""
+    reached = [p for p, dims in zip(primes, dims_by_prime) if min(dims) == correction]
+    if not reached or algebra not in ("gl", "sp", "so"):
         return None
-    primes = [p for p, dims in zip(rep.primes, rep.dims_by_prime) if min(dims) == rep.algebra_dim]
-    return {"measure": "b1" if rep.algebra == "gl" else "b0", "c": c, "primes": primes}
+    return {"measure": "b1" if algebra == "gl" else "b0", "c": c, "primes": reached}
+
+
+def certificate(rep: StabilizerReport, c: int) -> dict | None:
+    """What a report of c parts proves at projective dimension 0, else None."""
+    return _certified(rep.algebra, rep.algebra_dim - rep.projective_dim, c, rep.primes, rep.dims_by_prime)
 
 
 def stabilizer_report(
@@ -502,7 +515,8 @@ def estimate_b0(
     """Smallest c <= c_max whose generic configuration has a
     zero-dimensional stabilizer, with the orbit-dimension lower bound
     cross-checked; a ``value`` is a certified upper bound on b1 for SL and
-    on b0 for Sp and SO (module docstring, "Certificates").  Each (prime,
+    on b0 for Sp and SO, which ``certified`` records with the primes whose
+    stream reached 0, by the rule of ``certificate``.  Each (prime,
     trial) pair grows one part stream by one part per c, so the estimate
     draws b0 parts per stream and eliminates the rows of each part after
     the head once."""
@@ -512,7 +526,7 @@ def estimate_b0(
         _dims((b for b, _ in _part_stream(family, n, d, flavor, s, p)), family, n, d, flavor, p)
         for p, s in _runs((family, n, d, flavor), seed, trials, primes)
     ]
-    corr = _subspace_algebra(family)[1]
+    algebra, corr = _subspace_algebra(family)
     proj_dims = []
     value = None
     for c in range(1, c_max + 1):
@@ -533,7 +547,8 @@ def estimate_b0(
             "this indicates a sampling or solver defect"
         )
     return B0Estimate(
-        value=value, c_max=c_max, projective_dims=tuple(proj_dims), lower_bound=lb, seed=seed
+        value=value, c_max=c_max, projective_dims=tuple(proj_dims), lower_bound=lb, seed=seed,
+        certified=_certified(algebra, corr, value, primes, _by_prime(dims, trials)),
     )
 
 

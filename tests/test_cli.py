@@ -456,6 +456,11 @@ _PAIRS_ORDER = ["finite", "--family", "PGL", "--n", "2", "--action", "torus-norm
         (["bounds", "--dataset", "e7_a7_p2", "--mode", "b0", "--char", "3"],
          "--char 3 contradicts the characteristic 2 of dataset e7_a7_p2"),
         (["bounds", "--dataset", "e7_a7_p2", "--mode", "b1", "--char", "0"], "--char 0 contradicts"),
+        # argparse's rejections are request errors too: main returns the code
+        (["verify", "--spec", _SL42, "--c", "x"], "argument --c: invalid int value: 'x'"),
+        (["verify", "--spec", _SL42], "the following arguments are required: --c"),
+        (["emit", "table:c", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+        (["nonsense"], "invalid choice: 'nonsense'"),
     ],
     ids=["pairs-q3-len3", "pairs-q7-len9", "pairs-q7-len-1", "line-q7-len9", "bounds-char4", "bounds-char-3",
          "so-tensor-c0", "sym2-c-2", "sym2-n0", "sym2-n1", "sym2-trials0",
@@ -463,7 +468,8 @@ _PAIRS_ORDER = ["finite", "--family", "PGL", "--n", "2", "--action", "torus-norm
          "sl4-char3-default", "sl4-not235-p3", "sl4-char0-p3", "sl4-not235-p5",
          "so8-nondeg-d1-p2",
          "sp3-torus", "so2-torus", "sl-line", "sl-pairs", "b1-char4",
-         "char3-on-p2-dataset", "b1-char0-on-p2-dataset"],
+         "char3-on-p2-dataset", "b1-char0-on-p2-dataset",
+         "c-not-int", "c-missing", "bad-format", "bad-subcommand"],
 )
 def test_bad_input_exits_2_with_one_error_line(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -601,10 +607,16 @@ def test_verify_certifies_a_zero_projective_dimension(capsys, spec, c, certified
 
 def test_verify_rational_is_an_unknown_option(capsys):
     # the characteristic-0 answer is the certificate of the mod-p route
+    assert main(["verify", "--spec", _SL42, "--c", "3", "--rational"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: unrecognized arguments: --rational\n"
+
+
+def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "--spec", _SL42, "--c", "3", "--rational"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --rational" in capsys.readouterr().err
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "--spec" in capsys.readouterr().out
 
 
 _MALFORMED_SPECS = [

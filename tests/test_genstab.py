@@ -218,6 +218,7 @@ def test_estimate_b0_not_found():
     est = estimate_b0("SO", 8, 4, "totally_singular", c_max=3, trials=2, seed=7)
     assert est.value is None
     assert (est.c_max, len(est.projective_dims)) == (3, 3)
+    assert est.certified is None
 
 
 def test_small_prime_estimates_are_upper_bounds_drawn_from_omega():
@@ -953,6 +954,20 @@ def test_estimate_b0_is_pinned(case):
     family, n, d, flavor = case
     est = estimate_b0(family, n, d, flavor, c_max=n + 2, trials=1, seed=0, primes=PRIMES[:1])
     assert (est.value, est.projective_dims, est.lower_bound) == B0_PINS[case]
+
+
+@pytest.mark.parametrize("case,measure", [(("SL", 3, 1, "linear"), "b1"), (("Sp", 6, 2, "totally_singular"), "b0")])
+def test_estimate_b0_certifies_its_value(case, measure):
+    family, n, d, flavor = case
+    value = B0_PINS[case][0]
+    est = estimate_b0(family, n, d, flavor, c_max=n + 2, trials=1, seed=0, primes=PRIMES[:1])
+    assert est.certified == {"measure": measure, "c": value, "primes": [PRIMES[0]]}
+    # one rule serves verify too: the report of the same value parts, drawn
+    # from the same streams, certifies the same
+    est = estimate_b0(family, n, d, flavor, c_max=n + 2, trials=2, seed=0)
+    rep = stabilizer_report(family, n, d, flavor, est.value, seed=0, trials=2)
+    assert est.certified == genstab.certificate(rep, est.value)
+    assert est.certified["primes"] == list(PRIMES)
 
 
 @pytest.mark.parametrize("family,n,d,flavor", _subspace_cases(8))

@@ -53,6 +53,17 @@ def test_matmul_mod_rejects_inner_dimension_2_16():
         linalg.matmul_mod(a, a.T, P)
 
 
+@pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
+@pytest.mark.parametrize("size", [11, 550], ids=["percent", "floor-division"])
+def test_mod_is_exact_on_every_int64(p, size):
+    # both sides of the size rule, at the ends of the int64 range, where
+    # (x // p) * p wraps
+    top = np.iinfo(np.int64).max
+    edges = [-top - 1, -top, -top - 1 + p - 1, -(2**62), -p, -1, 0, 1, p, 2**62, top - 1, top]
+    x = np.resize(np.array(edges, dtype=np.int64), size)
+    assert linalg._mod(x, p).tolist() == [v % p for v in x.tolist()]
+
+
 # -- reference: sympy's DomainMatrix over GF(p) ----------------------------------
 
 _PRIMES = (2, 3, 7, 2**31 - 1)
@@ -132,3 +143,56 @@ def test_echelon_mod_matches_rref_of_the_stack(blocks, p, cols):
         assert [echelon.pivots[i] for i in order] == pivots
         assert echelon.rows[order].tolist() == red[: len(pivots)].tolist()
         assert echelon.nullity == cols - len(pivots)
+
+
+@st.composite
+def _large_matrices(draw, p):
+    """(a, cuts): a mod p up to 40 x 40, tall or wide with a long side of 12,
+    25 or 40, and row cuts of a into blocks.  At p = 2**31 - 1 an extreme
+    draw takes entries p - 1 and 1 only: the first pivot rows hold p - 1
+    and 1, so their updates multiply (p - 1)**2, near 2**62, and go negative
+    before the reduction.  At p in {2, 3} the rows start with zeros of
+    random lengths, so rows are swapped and columns skipped.  A product of
+    thin factors gives low rank."""
+    rows = draw(st.sampled_from((40, 25, 12)))
+    cols = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        rows, cols = cols, rows
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if p > 3 and draw(st.booleans()):
+        a = rng.choice(np.array([1, p - 1], dtype=np.int64), size=(rows, cols), p=[0.2, 0.8])
+    elif draw(st.booleans()):
+        k = draw(st.integers(0, min(rows, cols)))
+        left = rng.integers(0, p, size=(rows, k), dtype=np.int64)
+        right = rng.integers(0, p, size=(k, cols), dtype=np.int64)
+        a = np.array((left.astype(object) @ right.astype(object)) % p, dtype=np.int64)
+    else:
+        a = rng.integers(0, p, size=(rows, cols), dtype=np.int64)
+    if p <= 3:
+        lead = rng.integers(0, cols + 1, size=rows)
+        a[np.arange(cols) < lead[:, None]] = 0
+    cuts = sorted(draw(st.lists(st.integers(1, rows), max_size=3, unique=True)))
+    return a, cuts
+
+
+@pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_mod_p_routines_match_sympy_up_to_40x40(p, data):
+    a, cuts = data.draw(_large_matrices(p))
+    ref = _reference(a, p)
+    ref_red, ref_pivots = ref.rref()
+    rank = len(ref_pivots)
+    assert linalg.rank_mod(a, p) == rank
+    assert linalg.nullspace_dim_mod(a, p) == a.shape[1] - rank
+    red, pivots = linalg.rref_mod(a, p)
+    assert pivots == list(ref_pivots)
+    assert red.tolist() == _ints(ref_red)
+    if a.shape[0] == a.shape[1]:
+        assert linalg.det_mod(a, p) == int(ref.det())
+    echelon = linalg.EchelonMod(a.shape[1], p)
+    for block in np.split(a, cuts):
+        echelon.add(block)
+    order = np.argsort(echelon.pivots)
+    assert [echelon.pivots[i] for i in order] == pivots
+    assert echelon.rows[order].tolist() == red[:rank].tolist()
