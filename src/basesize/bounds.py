@@ -65,14 +65,6 @@ def _sup_record(records: Sequence[ClassFusionRecord]) -> ClassFusionRecord:
     return max(records, key=lambda r: r.ratio)
 
 
-def q_value(records: Sequence[ClassFusionRecord], c: int) -> Fraction:
-    """Exact value of c/(c-1) * sup over records of the intersection ratio."""
-    sup = _sup_record(records)
-    if c < 2:
-        raise BoundInputError("q_value requires c >= 2")
-    return Fraction(c, c - 1) * sup.ratio
-
-
 def _least_c(records: Sequence[ClassFusionRecord], weak) -> tuple[int | None, ClassFusionRecord | None]:
     """Smallest c >= 2 at which every record meets the criterion, with the
     first record that needs that c (None when c = 2); (None, r) for the

@@ -34,6 +34,7 @@ prime below 2^31, a ``verify`` spec outside the classical subspace actions
 dataset, a ``finite`` family or ``--n`` other than the action's, a
 ``--trials`` below 1 or a negative ``--seed`` on every ``verify`` route, a
 ``--bound`` or a module's ``--c`` below 1, a module ``n`` below 2, a
+``verify`` system of 2^16 or more unknowns (SL from n = 256), a
 nondegenerate part of odd dimension for SO of even n at ``--prime 2``, SO
 of odd n at ``--prime 2``, a ``verify`` prime (``--prime`` or a default
 prime) that the spec's ``char`` rules out, on either side of p = 2 or of

@@ -66,26 +66,30 @@ head enter one reduced echelon form exactly once, and it yields the
 nullity.  An estimate takes b0 parts per stream, and its dimensions
 cannot increase with c.
 
-Sampling.  A drawn part meets only its own conditions: full column rank,
-a nonzero Gram determinant for a nondegenerate part, and the graph below
-for a totally singular one.  No condition ties it to the parts before it:
-stabilizer dimension is upper semicontinuous on Omega^c, so a special
-configuration can only raise a nullity, and a zero nullity is a witness at
-any point.  A totally singular part is the graph [x; S x] of a random
-symmetric (Sp) or antisymmetric (SO) m x m matrix S on a random m x d
-matrix x of rank d, and [x; (S - c c^T / 2) x; c^T x] with a random
-m-vector c for odd n (so p != 2).  The graphs are generic: they are all
-the totally singular d-spaces that project injectively onto the first m
-coordinates.  For SO_2d with d = m they lie in the family of
+Sampling.  Every drawn part is a graph [I_d; Y] over the first d
+coordinates, of full column rank as drawn; such d-spaces are dense and
+open, so a generic configuration can be read there.  A linear or
+nondegenerate part takes Y uniform, and a nondegenerate one is redrawn
+until its Gram determinant is nonzero, the sampler's only open condition.
+No condition ties a part to the parts before it: stabilizer dimension is
+upper semicontinuous on Omega^c, so a special configuration can only raise
+a nullity, and a zero nullity is a witness at any point.  A totally
+singular part is the graph [x; S x] of a random symmetric (Sp) or
+antisymmetric (SO) m x m matrix S on x = [I_d; Z], Z uniform, and
+[x; (S - c c^T / 2) x; c^T x] with a random m-vector c for odd n (so
+p != 2): all the totally singular d-spaces that project isomorphically onto
+the first d coordinates.  For SO_2d with d = m they lie in the family of
 span(e_1..e_d) (S = 0).
 
 Certificates.  In any characteristic the stabilizer in G of a point has
 dimension at most that of its Lie algebra, which lies in the algebra solved
-here: a projective nullity of 0 proves b0 <= c in characteristic p.  Each
-part reduces a Z_(p)-point of Omega (an integer block of full rank mod p,
-of Gram determinant prime to p if nondegenerate, or a graph of x and S over
-Z_(p)), so with annihilators over Z_(p) on the mod-p pivots the rank over Q
-is at least the rank mod p: the zero proves it in characteristic 0 too.
+here: a projective nullity of 0 proves b0 <= c in characteristic p.  A head
+part is a coordinate block, and a drawn part [I_d; Y] reduces a
+Z_(p)-point of Omega (Y integral but for the 1/2 of odd n, with Gram
+determinant prime to p if nondegenerate) whose annihilator [-Y I] has rank
+n - d over every field; ``nullspace_basis_mod`` returns its reduction
+[(-Y) mod p | I].  So the system reduces one matrix over Z_(p), whose rank
+over Q is at least its rank mod p: the zero proves it in characteristic 0.
 For SL the gl system is the algebra A of the parts, and A^x is the
 stabilizer in GL_n: A = scalars proves b1 <= c.  A positive nullity is only
 evidence: the point may be special, or the Lie algebra exceed the group.
@@ -225,6 +229,13 @@ def _validate(family: str, n: int, d: int, flavor: str, p: int) -> None:
         raise ConfigError("SO with odd n requires p != 2")
     if (family, flavor, n % 2, d % 2, p) == ("SO", "nondeg", 0, 1, 2):
         raise ConfigError("mod 2 the form of SO_n with even n is alternating: no nondegenerate odd-dimensional parts")
+    _check_size(_unknowns(family, n))
+
+
+def _check_size(unknowns: int) -> None:
+    """Refuse before allocating: ``EchelonMod``'s products reach the column count as inner dimension."""
+    if unknowns >= linalg.MAX_INNER:
+        raise ConfigError(f"the stabilizer system has {unknowns} unknowns, not below 2**16")
 
 
 def _part_stream(family: str, n: int, d: int, flavor: str, seed: int, p: int):
@@ -242,14 +253,13 @@ def _part_stream(family: str, n: int, d: int, flavor: str, seed: int, p: int):
     def gram(x: np.ndarray) -> np.ndarray:
         return linalg.matmul_mod(x.T @ j, x, p)  # J is a signed permutation: x^T J is exact
 
-    # for nondegenerate parts a nonzero Gram determinant already implies
-    # full column rank, so no rank is taken
+    def graph(rows: int) -> np.ndarray:  # [I_d; Y], Y uniform: of full column rank as drawn
+        return np.concatenate([np.eye(d, dtype=np.int64), rng.integers(0, p, size=(rows, d), dtype=np.int64)])
+
     def try_one() -> np.ndarray | None:
         if flavor == "totally_singular":  # the graph of the module docstring
             m = n // 2
-            x = rng.integers(0, p, size=(m, d), dtype=np.int64)
-            if linalg.rank_mod(x, p) < d:
-                return None
+            x = graph(m - d)
             a = rng.integers(0, p, size=(m, m), dtype=np.int64)
             s = np.triu(a) + np.triu(a, 1).T if family == "Sp" else (a - a.T) % p  # a + a^T: 0 diagonal at p = 2
             if n % 2 == 0:
@@ -257,10 +267,8 @@ def _part_stream(family: str, n: int, d: int, flavor: str, seed: int, p: int):
             c = rng.integers(0, p, size=(m, 1), dtype=np.int64)
             s = (s - c @ c.T % p * ((p + 1) // 2)) % p  # c c^T < p^2 is exact; (p + 1) / 2 = 1/2 mod p
             return np.concatenate([x, linalg.matmul_mod(s, x, p), linalg.matmul_mod(c.T, x, p)])
-        b = rng.integers(0, p, size=(n, d), dtype=np.int64)
-        if flavor == "nondeg":
-            return b if linalg.det_mod(gram(b), p) else None
-        return b if linalg.rank_mod(b, p) == d else None
+        b = graph(n - d)
+        return b if flavor == "linear" or linalg.det_mod(gram(b), p) else None
 
     while True:
         for rejects in range(RESAMPLE_BUDGET):
@@ -572,6 +580,7 @@ def module_stabilizer_dim(
         raise ConfigError(f"unsupported module kind {kind!r}")
     if n < 2 or c < 1:
         raise ConfigError(f"module actions need n >= 2 and c >= 1, got n={n}, c={c}")
+    _check_size(n * n if kind == "sym2" else n * (n - 1))  # gl, or the two strict upper triangles
     rng = _rng(seed, 0x30D, c)
     resamples = 0
     if kind == "sym2":

@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 MAX_PRIME = 2**31
+MAX_INNER = 2**16
 
 
 def _mod(x: np.ndarray, p: int) -> np.ndarray:
@@ -38,7 +39,7 @@ def _as_modmat(a, p: int) -> np.ndarray:
 def matmul_mod(a, b, p: int) -> np.ndarray:
     """Matrix product mod p, by 16-bit limbs of ``b``."""
     am, bm = _as_modmat(a, p), _as_modmat(b, p)
-    if am.shape[1] >= 2**16:
+    if am.shape[1] >= MAX_INNER:
         raise ValueError(f"inner dimension {am.shape[1]} is not below 2**16")
     return _mod((_mod(am @ (bm >> 16), p) << 16) + am @ (bm & 0xFFFF), p)
 
@@ -78,10 +79,6 @@ def _eliminate(a, p: int, reduce: bool) -> tuple[np.ndarray, list[int], int]:
 def rref_mod(a, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row-echelon form mod p; returns (matrix, pivot columns)."""
     return _eliminate(a, p, reduce=True)[:2]
-
-
-def rank_mod(a, p: int) -> int:
-    return len(_eliminate(a, p, reduce=False)[1])
 
 
 def nullspace_dim_mod(a, p: int) -> int:

@@ -9,7 +9,6 @@ from basesize.bounds import (
     BoundResult,
     Inconclusive,
     lower_bound_b0,
-    q_value,
     upper_bound_b0,
     upper_bound_b1,
 )
@@ -51,26 +50,6 @@ def test_lower_bound_is_ceiling(dim_g, dim_o):
 
 # -- the criterion quantity --------------------------------------------------
 
-def test_q_value_exact_rational():
-    recs = [rec(6, 4, long=True), rec(10, 6)]
-    assert q_value(recs, 3) == Fraction(1)
-    assert q_value(recs, 4) == Fraction(8, 9)
-
-
-def test_q_value_large_c_approaches_sup():
-    recs = [rec(9, 5)]
-    c = 10**6
-    assert q_value(recs, c) == Fraction(c, c - 1) * Fraction(5, 9)
-    assert q_value(recs, c) * Fraction(c - 1, c) == Fraction(5, 9)
-
-
-def test_q_value_empty_is_an_error():
-    # the empty list is refused first, whatever c is
-    for c in (-1, 0, 1, 2, 3):
-        with pytest.raises(BoundInputError, match="^no records: supremum over an empty set$"):
-            q_value([], c)
-
-
 @pytest.mark.parametrize(
     "bound", [lambda: upper_bound_b1([]), lambda: upper_bound_b1([], long_root_refinement=True),
               lambda: upper_bound_b0([], p=0), lambda: upper_bound_b0([], p=2), lambda: upper_bound_b0([], p=4)],
@@ -86,21 +65,6 @@ def test_b0_refuses_a_characteristic_that_is_neither_0_nor_prime(p):
     recs = [rec(10, 4), rec(12, 5, kind="semisimple", order=3)]
     with pytest.raises(BoundInputError, match=f"^p = {p} is neither 0 nor a prime below 2"):
         upper_bound_b0(recs, p=p)
-
-
-@given(
-    st.lists(
-        st.tuples(st.integers(1, 200), st.integers(0, 200)).filter(lambda t: t[1] <= t[0]),
-        min_size=1,
-        max_size=8,
-    ),
-    st.integers(2, 40),
-)
-def test_q_value_cross_multiplication(pairs, c):
-    recs = [rec(g, h) for g, h in pairs]
-    q = q_value(recs, c)
-    # the comparison against 1 is decided exactly by integer products
-    assert (q < 1) == all(c * h < (c - 1) * g for g, h in pairs)
 
 
 # -- generic upper bound -----------------------------------------------------

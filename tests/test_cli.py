@@ -284,6 +284,34 @@ def test_verify_rejects_composite_primes_and_no_trials(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "spec,unknowns",
+    [('{"family":"SL","n":256,"subgroup":{"subspace":{"d":2}}}', 65536), ('{"module":"so_tensor","n":257}', 65792)],
+    ids=["sl-256", "so-tensor-257"],
+)
+def test_verify_refuses_a_system_of_2_16_unknowns_before_allocating(capsys, monkeypatch, spec, unknowns):
+    # the elimination's products reach the column count as inner dimension,
+    # which must stay below 2**16; a huge n used to end in a numpy
+    # allocation error.  No head or row is built: so_tensor n = 257 would
+    # take tens of GB
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the system was built before the size was checked")
+
+    monkeypatch.setattr(genstab, "_head", unreachable)
+    monkeypatch.setattr(genstab, "_product_rows", unreachable)
+    code, out, err = run_cli(capsys, "verify", "--spec", spec, "--c", "1", "--trials", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: the stabilizer system has {unknowns} unknowns, not below 2**16\n"
+
+
+def test_verify_answers_just_below_2_16_unknowns(capsys):
+    # SL_255 has 65025 unknowns; one part is a head part, so nothing is eliminated
+    spec = '{"family":"SL","n":255,"subgroup":{"subspace":{"d":2}}}'
+    code, out, _ = run_cli(capsys, "verify", "--spec", spec, "--c", "1", "--trials", "1")
+    assert code == 0
+    assert json.loads(out)["diagnostics"]["unknowns"] == 255 * 255
+
+
 def test_verify_accepts_a_small_prime(capsys):
     code, out, _ = run_cli(capsys, "verify", "--spec", _SL42, "--c", "3", "--prime", "101")
     assert code == 0

@@ -295,7 +295,7 @@ def test_sl4_3_generic_subspace_tuple_has_scalar_stabilizer():
     rng = np.random.default_rng(1)
     for _ in range(50):
         bases = [rng.integers(0, 3, size=(4, 2)) for _ in range(5)]
-        if any(linalg.rank_mod(b, 3) < 2 for b in bases):
+        if any(linalg.nullspace_dim_mod(b, 3) for b in bases):
             continue  # a part that spans no 2-subspace
         order = _subspace_tuple_stabilizer_order(4, 3, bases)
         if order == 2:

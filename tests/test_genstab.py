@@ -34,7 +34,7 @@ def test_sl_parts_are_transverse():
     assert len(cfg.parts) == 4
     for i, a in enumerate(cfg.parts):
         for b in cfg.parts[i + 1 :]:
-            assert linalg.rank_mod(np.concatenate([a, b], axis=1), cfg.p) == 4
+            assert linalg.nullspace_dim_mod(np.concatenate([a, b], axis=1), cfg.p) == 0
 
 
 def test_totally_singular_exact():
@@ -44,7 +44,7 @@ def test_totally_singular_exact():
         assert not gram.any()
     # two generic half-dimension parts are complementary
     joint = np.concatenate(cfg.parts, axis=1)
-    assert linalg.rank_mod(joint, cfg.p) == 8
+    assert linalg.nullspace_dim_mod(joint, cfg.p) == 0
 
 
 def test_nondeg_gram_invertible():
@@ -69,10 +69,10 @@ def test_totally_singular_parts_are_drawn_without_an_inverse(family, n, d):
         cfg = sample_configuration(family, n, d, "totally_singular", 3, seed=10 * n + d, p=p)
         for i, b in enumerate(cfg.parts):
             assert not linalg.matmul_mod(linalg.matmul_mod(b.T, cfg.form, p), b, p).any()
-            assert linalg.rank_mod(b, p) == d
+            assert linalg.nullspace_dim_mod(b, p) == 0
             if 2 * d <= n:
                 for other in cfg.parts[:i]:
-                    assert linalg.rank_mod(np.concatenate([other, b], axis=1), p) == joint_rank
+                    assert linalg.nullspace_dim_mod(np.concatenate([other, b], axis=1), p) == 2 * d - joint_rank
 
 
 def test_totally_singular_parts_at_p2():
@@ -83,13 +83,28 @@ def test_totally_singular_parts_at_p2():
     assert len(cfg.parts) == 3
     for b in cfg.parts:
         assert not linalg.matmul_mod(linalg.matmul_mod(b.T, cfg.form, 2), b, 2).any()
-    # every vector of F_2^4 with (x1, x2) != 0 is the graph of a symmetric S;
-    # the first drawn part, after the head <e_1>, <f_1>, is any of these 12,
-    # <e_1> among them (<f_1> is no graph), and an alternating S would reach
-    # only 6
+    # the first drawn part, after the head <e_1>, <f_1>, is the graph [x; S x]
+    # on x = (1, z), z in F_2, and S x = (s11 + s12 z, s12 + s22 z) takes all
+    # 4 values for a symmetric S: 8 lines, <e_1> among them.  The 4 graphs
+    # over x = (0, 1) leave the chart, and an alternating S would reach only 4
     lines = {tuple(sample_configuration("Sp", 4, 1, "totally_singular", 3, seed=s, p=2).parts[2].ravel())
              for s in range(200)}
-    assert len(lines) == 12
+    assert len(lines) == 8
+
+
+@pytest.mark.parametrize("p", PRIMES + (3, 5))
+def test_every_drawn_part_is_a_graph_with_an_integral_annihilator(p):
+    # every part after the head is [I_d; Y], so it has rank d as drawn, and
+    # its annihilator mod p is [(-Y) mod p | I], the reduction of the
+    # integral [-Y I] (module docstring, "Certificates")
+    for (family, flavor, n), ds in sorted(_all_flavor_cases(9).items()):
+        for d in ds:
+            h = len(genstab._head(family, n, d, flavor))
+            cfg = sample_configuration(family, n, d, flavor, h + 3, seed=n * d, p=p)
+            for b in cfg.parts[h:]:
+                assert (b[:d] == np.eye(d, dtype=np.int64)).all(), (family, flavor, n, d)
+                want = np.concatenate([-b[d:] % p, np.eye(n - d, dtype=np.int64)], axis=1)
+                assert np.array_equal(linalg.nullspace_basis_mod(b.T, p), want), (family, flavor, n, d)
 
 
 def test_sampler_validates_inputs():
@@ -222,19 +237,21 @@ def test_estimate_b0_not_found():
 
 
 def test_small_prime_estimates_are_upper_bounds_drawn_from_omega():
-    # drawn parts need not be pairwise transversal: over F_2 a point of the
-    # projective line (which has 3) may repeat, and 2-spaces of F_2^4 need
-    # not form a spread (at most 5 transversal ones fit).  A special
+    # drawn parts need not be pairwise transversal: over F_2 a drawn point
+    # [1; y] of the projective line is e_1 again (y = 0) or e_1 + e_2, the
+    # third point after the head e_1, e_2, and 2-spaces of F_2^4 need not
+    # form a spread (at most 5 transversal ones fit).  A special
     # configuration only raises the nullity, so each value is an upper
-    # bound, at or above the one at the default primes
-    for n, d, value in ((2, 1, 4), (4, 2, 5)):
+    # bound, at or above the one at the default primes; this seed's SL_2
+    # stream draws e_1 + e_2 first, so it reaches the default 3
+    for n, d, value in ((2, 1, 3), (4, 2, 5)):
         default = estimate_b0("SL", n, d, "linear", c_max=n + 4, trials=1).value
         est = estimate_b0("SL", n, d, "linear", c_max=n + 4, trials=1, primes=(2,))
         assert est.value == value >= default
         # every part the estimate drew is a point of Omega: a d-space of F_2^n
         [(p, stream_seed)] = genstab._runs(("SL", n, d, "linear"), est.seed, 1, (2,))
         cfg = sample_configuration("SL", n, d, "linear", value, seed=stream_seed, p=p)
-        assert all(linalg.rank_mod(b, p) == d for b in cfg.parts)
+        assert all(linalg.nullspace_dim_mod(b, p) == 0 for b in cfg.parts)
 
 
 @pytest.mark.parametrize("n,d", [(6, 1), (6, 3), (8, 1), (8, 3)])
@@ -568,7 +585,7 @@ def test_head_rows_are_the_deleted_coordinates(family, n, d, flavor):
             continue
         rows = np.concatenate([genstab._part_rows(b, family, cfg.form, cfg.p) for b in cfg.parts[:h]])
         assert not rows[:, free].any()
-        assert linalg.rank_mod(rows, cfg.p) == genstab._unknowns(family, n) - len(free), c
+        assert linalg.nullspace_dim_mod(rows, cfg.p) == len(free), c
     assert genstab._head_system(cfg)[0] == len(genstab._head(family, n, d, flavor)) > 0
 
 
@@ -593,7 +610,7 @@ def test_standard_heads_are_exact_mod_p(p):
                 assert len(set(cols)) == d and (b == eye[:, cols]).all(), (family, flavor, n, d)
             if family == "SL":
                 assert len(head) == n // d
-                assert linalg.rank_mod(joint, p) == len(head) * d
+                assert linalg.nullspace_dim_mod(joint, p) == 0
             elif flavor == "totally_singular":
                 assert all(not gram(b, j).any() for b in head)
                 # two spaces of one SO_2d family meet in d mod 2: a pair heads no odd d
@@ -745,16 +762,22 @@ def test_rational_agrees_with_modular_on_small_config():
 
 
 def _integer_witness(family: str, n: int, d: int, flavor: str, c: int, seed: int) -> list[np.ndarray]:
-    """c integer parts: the standard head, then parts with small entries, the
-    graph [x; S x] of integer x and S for totally singular parts (scaled by 2
-    for odd n, where the graph has a 1/2) and any integer matrix otherwise."""
+    """c integer parts: the standard head, then graphs [I_d; Y] with small
+    integer Y, as the sampler draws them mod p: for totally singular parts
+    the graph [x; S x] of integer S on x = [I_d; Z] (scaled by 2 for odd n,
+    where the graph has a 1/2).  An integer graph has rank d over every
+    field, so no rank is checked."""
     rng, m = np.random.default_rng(seed), n // 2
     parts = genstab._head(family, n, d, flavor)
+
+    def graph(rows):
+        return np.concatenate([np.eye(d, dtype=np.int64), rng.integers(-3, 4, size=(rows, d))])
+
     while len(parts) < c:
         if flavor != "totally_singular":
-            parts.append(rng.integers(-3, 4, size=(n, d)))
+            parts.append(graph(n - d))
             continue
-        x, a = rng.integers(-3, 4, size=(m, d)), rng.integers(-3, 4, size=(m, m))
+        x, a = graph(m - d), rng.integers(-3, 4, size=(m, m))
         s = a + a.T if family == "Sp" else a - a.T
         if n % 2 == 0:
             parts.append(np.concatenate([x, s @ x]))
@@ -777,7 +800,6 @@ def test_a_zero_nullity_mod_p_lifts_to_characteristic_0(family, n, d, flavor):
     p, form, c_max, scalars = PRIMES[0], genstab.standard_form(family, n, d, flavor), 5, int(family == "SL")
     parts = _integer_witness(family, n, d, flavor, c_max, seed=7)
     for b in parts:  # each part lies in Omega over Q and mod p
-        assert linalg.rank_mod(b, p) == d
         if form is not None:
             gram = b.T @ form @ b  # small entries: exact in int64
             assert not gram.any() if flavor == "totally_singular" else linalg.det_mod(gram, p)
