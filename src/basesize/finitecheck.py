@@ -5,12 +5,17 @@ raise ValueError for any other q.  Before anything is listed, its
 closed-form order is checked against a hard element bound.  SL_2(q) is
 listed in closed form, and PGL_2(q) by a normal form: each class of
 scalar multiples of an invertible 2x2 matrix holds exactly one matrix
-whose first column is (1, c) or (0, 1).  The point pairs of the line take
+[[a, b], [c, d]] whose first column (a, c) is a listed point (1, x) or
+(0, 1).  Its image of the point (u : v) is read from a table of u a + v b
+by (k, b), k the index of (a, c), one of u c + v d by (k, d), and one from
+(x : y) to the index of the point.  The point pairs of the line take
 their group from the line's.  Sp_4(q) is generated by transvections over
 F_q (int64 arrays) that become permutations of an enumerated point set,
 with scalars acting trivially, and ``close_perm_group`` closes them by
 breadth-first search.  Base sizes come from an exhaustive pruned
-backtrack over stabilizer-orbit representatives.
+backtrack over stabilizer-orbit representatives.  Tuple stabilizers are
+counted at once: a packed bit table over the elements marks which fix each
+drawn point, and a tuple's stabilizer is the AND of its points' rows.
 
 Every action's ``perms`` lists each element once, in no particular order:
 the base search and the stabilizer counts read only the set of rows.
@@ -132,14 +137,21 @@ def close_perm_group(gen_perms: list[tuple[int, ...]], bound: int = DEFAULT_ELEM
     return np.concatenate(found)
 
 
-def _line_images(e1: np.ndarray, e2: np.ndarray, points: list, q: int) -> np.ndarray:
-    """Images of the given projective points under the matrices with
-    columns e1 and e2, one int32 column per point."""
-    inv = _inverses(q)
-    out = np.empty((e1.shape[0], len(points)), dtype=np.int32)
-    for col, (u, v) in enumerate(points):
-        x, y = ((u * e1 + v * e2) % q).T
-        out[:, col] = np.where(x, y * inv[x] % q, q)
+def _line_images(q: int) -> np.ndarray:
+    """The projective line under the matrices [[a_k, b], [c_k, d]] with
+    a_k d - b c_k != 0, (a_k, c_k) its k-th point: one int32 row per matrix
+    in grid order of (k, b, d), one column per point."""
+    pts, r = np.array(projective_line(q)), np.arange(q)
+    k, b, d = np.indices((q + 1, q, q)).reshape(3, -1)
+    keep = (pts[k, 0] * d - b * pts[k, 1]) % q != 0
+    kb, kd = (2 * q * k + b)[keep], (2 * q * k + q + d)[keep]
+    x, y = np.divmod(np.arange(q * q), q)
+    index = np.where(x, y * _inverses(q)[x] % q, q).astype(np.int32)  # of (x : y), at x * q + y
+    out = np.empty((kb.size, q + 1), dtype=np.int32)
+    for col, (u, v) in enumerate(pts):
+        # the image (x : y) = (u a_k + v b : u c_k + v d): x * q at (k, 0, b), y at (k, 1, d)
+        xy = (u * pts[..., None] + v * r) % q * [[q], [1]]
+        out[:, col] = index[np.take(xy, kb) + np.take(xy, kd)]
     return out
 
 
@@ -149,13 +161,7 @@ def pgl2_line_action(q: int, bound: int = DEFAULT_ELEMENT_BOUND) -> PermAction:
     [[0, b], [1, d]] with b != 0."""
     classdata.require_prime("q =", q)
     _check_order(q**3 - q, bound)
-    points = projective_line(q)
-    # the first column, the image of (1, 0), runs over the listed points
-    # (1, c) and (0, 1); the second, the image of (0, 1), over all (b, d)
-    k, b, d = np.indices((q + 1, q, q)).reshape(3, -1)
-    e1, e2 = np.array(points)[k], np.stack([b, d], axis=1)
-    keep = (e1[:, 0] * d - b * e1[:, 1]) % q != 0
-    return PermAction(points=points, perms=_line_images(e1[keep], e2[keep], points, q))
+    return PermAction(points=projective_line(q), perms=_line_images(q))
 
 
 def pgl2_pairs_action(q: int, bound: int = DEFAULT_ELEMENT_BOUND) -> PermAction:
@@ -209,8 +215,8 @@ def sp4_decomposition_action(q: int, bound: int = DEFAULT_ELEMENT_BOUND) -> Perm
 # Base size and stabilizers
 
 def stabilizer_order(action: PermAction, tup: tuple[int, ...]) -> int:
-    """Exact order of the pointwise stabilizer of the tuple (the whole
-    group for the empty tuple)."""
+    """Exact order of the pointwise stabilizer of one tuple (the whole
+    group for the empty tuple): the reference for the counts below."""
     mask = np.ones(action.order, dtype=bool)
     for t in tup:
         mask &= action.perms[:, t] == t
@@ -228,8 +234,7 @@ def _exists_base(perms: np.ndarray, idx: np.ndarray, depth: int) -> bool:
     for pt in range(m):
         if seen[pt]:
             continue
-        orbit = np.unique(sub[:, pt])
-        seen[orbit] = True
+        seen[sub[:, pt]] = True
         keep = sub[:, pt] == pt
         if keep.all():
             continue  # a point fixed by the whole current stabilizer never helps
@@ -259,27 +264,31 @@ def exact_base_size(action: PermAction, seed: int = 0) -> int:
 #: tuples drawn per modal order
 TUPLE_SAMPLES = 200
 
+_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)  # set bits per byte value
+
 
 def generic_tuple_stabilizer_order(
     action: PermAction, length: int, seed: int = 0, general_position=None,
 ) -> int:
     """Modal stabilizer order over ``TUPLE_SAMPLES`` seeded tuples of
     ``length`` distinct points, or drawn by ``general_position(points,
-    length, rng)`` as point indices.  At finite field sizes the dense locus
-    need not dominate a raw sample count, so callers draw inside the open
-    conditions they mean, as the sampler does for configurations.
+    length, rng)`` as point indices; a tie goes to the smaller order.  At
+    finite field sizes the dense locus need not dominate a raw sample count,
+    so callers draw inside the open conditions they mean, as the sampler
+    does for configurations.  The tuples drawn, and the order returned, are
+    those of a loop that calls ``stabilizer_order`` on each tuple in turn.
     """
-    rng = random.Random(seed)
-    m = len(action.points)
-    counts: dict[int, int] = {}
-    for _ in range(TUPLE_SAMPLES):
-        if general_position is None:
-            tup = tuple(rng.sample(range(m), length))
-        else:
-            tup = general_position(action.points, length, rng)
-        order = stabilizer_order(action, tup)
-        counts[order] = counts.get(order, 0) + 1
-    return max(counts.items(), key=lambda kv: (kv[1], -kv[0]))[0]
+    rng, m = random.Random(seed), len(action.points)
+    tuples = np.array([rng.sample(range(m), length) if general_position is None
+                       else general_position(action.points, length, rng) for _ in range(TUPLE_SAMPLES)],
+                      dtype=action.perms.dtype).reshape(TUPLE_SAMPLES, length)
+    used, rows = np.unique(tuples, return_inverse=True)
+    fixes = np.packbits((action.perms[:, used] == used).T, axis=1)  # row i: the elements fixing used[i]
+    stab = np.tile(np.packbits(np.ones(action.order, dtype=bool)), (TUPLE_SAMPLES, 1))
+    for col in rows.reshape(tuples.shape).T:
+        stab &= fixes[col]
+    orders, counts = np.unique(np.take(_POPCOUNT, stab).sum(axis=1), return_counts=True)
+    return int(orders[counts.argmax()])
 
 
 def disjoint_pairs(points: list, length: int, rng: random.Random) -> tuple[int, ...]:

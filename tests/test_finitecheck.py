@@ -104,6 +104,25 @@ def test_pairs_listing_matches_sorting_whole_rows(q):
     assert action.perms.flags.c_contiguous
 
 
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_line_images_follow_the_matrix_rule(q):
+    # [[a, b], [c, d]] in grid order of ((a, c), b, d), the first column a
+    # listed point, sends (u : v) to (ua + vb : uc + vd)
+    pts = np.array(fc.projective_line(q))
+    k, b, d = np.indices((q + 1, q, q)).reshape(3, -1)
+    a, c = pts[k].T
+    keep = (a * d - b * c) % q != 0
+    a, b, c, d = a[keep], b[keep], c[keep], d[keep]
+    u, v = pts.T
+    x = (np.outer(a, u) + np.outer(b, v)) % q
+    y = (np.outer(c, u) + np.outer(d, v)) % q
+    inv = np.array([0] + [pow(t, q - 2, q) for t in range(1, q)])
+    want = np.where(x, y * inv[x] % q, q).astype(np.int32)
+    got = fc.pgl2_line_action(q).perms
+    assert (got.dtype, got.shape, got.flags.c_contiguous) == (np.dtype(np.int32), want.shape, True)
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("q", [0, 1, 4, 9])
 @pytest.mark.parametrize(
     "build",
@@ -173,6 +192,56 @@ def test_torus_normalizer_generic_pair_order_two():
             a, 2, seed=1, general_position=fc.disjoint_pairs
         )
         assert order == 2
+
+
+def _modal_stabilizer_order(action, length, seed, draw):
+    """The most common ``stabilizer_order`` over the draws of
+    ``generic_tuple_stabilizer_order``, replayed tuple by tuple; a tie
+    goes to the smaller order."""
+    import random
+    from collections import Counter
+
+    rng = random.Random(seed)
+    m = len(action.points)
+    counts = Counter(
+        fc.stabilizer_order(action, tuple(rng.sample(range(m), length)) if draw is None
+                            else draw(action.points, length, rng))
+        for _ in range(fc.TUPLE_SAMPLES)
+    )
+    return min(counts, key=lambda order: (-counts[order], order))
+
+
+@pytest.mark.parametrize(
+    "build,q,draw",
+    [(fc.pgl2_line_action, 7, None), (fc.pgl2_pairs_action, 7, None),
+     (fc.pgl2_pairs_action, 7, fc.disjoint_pairs), (fc.pgl2_pairs_action, 11, fc.disjoint_pairs),
+     (fc.sp4_decomposition_action, 3, None)],
+)
+@pytest.mark.parametrize("length", [0, 1, 2, 3])
+def test_tuple_stabilizer_order_is_the_modal_per_tuple_order(build, q, draw, length):
+    action = build(q)
+    for seed in (0, 1, 5):
+        assert (fc.generic_tuple_stabilizer_order(action, length, seed=seed, general_position=draw)
+                == _modal_stabilizer_order(action, length, seed, draw))
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_tuple_stabilizer_tie_goes_to_the_smaller_order(monkeypatch, first):
+    # two pairs of line points that share a point, and two that do not
+    a = fc.pgl2_pairs_action(5)
+    tups = [tuple(a.points.index(pair) for pair in pairs) for pairs in (((0, 1), (0, 2)), ((0, 1), (2, 3)))]
+    orders = [fc.stabilizer_order(a, t) for t in tups]
+    assert orders[0] != orders[1]
+    drawn = iter([tups[first], tups[1 - first]])
+    monkeypatch.setattr(fc, "TUPLE_SAMPLES", 2)
+    order = fc.generic_tuple_stabilizer_order(a, 2, general_position=lambda points, length, rng: next(drawn))
+    assert order == min(orders)
+
+
+def test_empty_tuple_stabilizer_order_is_the_group_order():
+    # |PGL_2(2)| = 6 is not a multiple of 8: the padding bits of a packed
+    # row over the group must not count
+    assert fc.generic_tuple_stabilizer_order(fc.pgl2_line_action(2), 0) == 6
 
 
 @pytest.mark.parametrize("q,length", [(7, 2), (11, 6), (13, 7)])
