@@ -56,15 +56,17 @@ depend on the prime.
 Part streams.  Each (prime, trial) pair takes its parts from one stream:
 the head, then parts drawn from an RNG whose key holds no part count, so
 the configuration of c parts is a prefix of the one of c + 1
-(``sample_configuration`` returns that prefix).
-``stabilizer_algebra_dim_once`` solves one configuration: the free column
-count when every part is a head part, else one elimination of the stacked
-rows after the head.  ``estimate_b0`` runs ``_dims`` on each stream
-instead.  While every part is a head part it yields the free column count;
-from the first part past the head on, the rows of every part after the
-head enter one reduced echelon form exactly once, and it yields the
-nullity.  An estimate takes b0 parts per stream, and its dimensions
-cannot increase with c.
+(``sample_configuration`` returns that prefix).  Both routes solve a
+configuration part by part, the same way.  While every part is a head part
+the nullity is the free column count; from the first part past the head
+on, the rows of each part enter one reduced echelon form
+(``linalg.EchelonMod``) exactly once.  Once the nullity is the dimension of
+the scalars, which lie in every stabilizer (1 in gl, 0 in sp and so), no
+later part's rows are assembled.  ``stabilizer_algebra_dim_once`` solves
+one configuration and takes its last part by rank alone
+(``EchelonMod.nullity_with``); ``estimate_b0`` runs ``_dims`` on each
+stream, which yields the nullity after every part.  An estimate takes b0
+parts per stream, and its dimensions cannot increase with c.
 
 Sampling.  Every drawn part is a graph [I_d; Y] over the first d
 coordinates, of full column rank as drawn; such d-spaces are dense and
@@ -87,7 +89,7 @@ here: a projective nullity of 0 proves b0 <= c in characteristic p.  A head
 part is a coordinate block, and a drawn part [I_d; Y] reduces a
 Z_(p)-point of Omega (Y integral but for the 1/2 of odd n, with Gram
 determinant prime to p if nondegenerate) whose annihilator [-Y I] has rank
-n - d over every field; ``nullspace_basis_mod`` returns its reduction
+n - d over every field; ``_part_rows`` reads off its reduction
 [(-Y) mod p | I].  So the system reduces one matrix over Z_(p), whose rank
 over Q is at least its rank mod p: the zero proves it in characteristic 0.
 For SL the gl system is the algebra A of the parts, and A^x is the
@@ -140,8 +142,9 @@ class Configuration:
 @dataclass(frozen=True)
 class SystemShape:
     """Size of one solve: the unknowns, the head parts whose rows became
-    deleted columns, the columns left, and the rows eliminated on them with
-    their rank."""
+    deleted columns, the columns left, and the rows of the parts after the
+    head on them with their rank.  A solve whose nullity reaches the
+    scalars stops there, so it need not eliminate all of ``rows``."""
 
     unknowns: int
     head_parts: int
@@ -338,8 +341,15 @@ def _span_constraint(b: np.ndarray, ann: np.ndarray, family: str, form) -> np.nd
 
 
 def _part_rows(b: np.ndarray, family: str, form, p: int) -> np.ndarray:
-    """The stabilizer rows of one part mod p."""
-    return _span_constraint(b, linalg.nullspace_basis_mod(b.T, p), family, form) % p
+    """The stabilizer rows of one part mod p.  A graph [I_k; Y], as every
+    drawn part is, has the annihilator [(-Y) mod p | I] (module docstring,
+    "Certificates"); any other part takes a nullspace basis."""
+    k = b.shape[1]
+    if np.array_equal(b[:k], np.eye(k, dtype=np.int64)):
+        ann = np.concatenate([-b[k:] % p, np.eye(len(b) - k, dtype=np.int64)], axis=1)
+    else:
+        ann = linalg.nullspace_basis_mod(b.T, p)
+    return _span_constraint(b, ann, family, form) % p
 
 
 def _form_constraint(j: np.ndarray) -> np.ndarray:
@@ -365,13 +375,16 @@ def _head(family: str, n: int, d: int, flavor: str) -> list[np.ndarray]:
     return [eye[:, cols]]
 
 
-def _free_columns(family: str, n: int, form, blocks) -> np.ndarray:
-    """The columns left when the rows of ``blocks``, head parts, which are
-    coordinate blocks, are deleted (module docstring, "Fixed head")."""
-    mask = np.zeros((n, n), dtype=bool)
-    for b in blocks:
-        w = b.any(axis=1)
-        mask |= np.outer(~w if form is None else form[:, ~w].any(axis=1), w)
+def _deleted(b: np.ndarray, form) -> np.ndarray:
+    """The entries of X (of S in sp/so) that head part ``b``, a coordinate
+    block, fixes at 0, as an n x n mask (module docstring, "Fixed head")."""
+    w = b.any(axis=1)
+    return np.outer(~w if form is None else form[:, ~w].any(axis=1), w)
+
+
+def _free_columns(family: str, n: int, mask: np.ndarray) -> np.ndarray:
+    """The columns left when the entries in ``mask``, from ``_deleted``, are
+    deleted."""
     if family == "SL":
         return (~mask).ravel().nonzero()[0]
     return (~(mask | mask.T)[_upper(n, family)]).nonzero()[0]
@@ -381,16 +394,19 @@ def _dims(parts, family: str, n: int, d: int, flavor: str, p: int):
     """Stabilizer algebra dimension after each of ``parts`` (any iterable),
     c = 1, 2, ..., as the module docstring's "Part streams" describes."""
     head, form = _head(family, n, d, flavor), standard_form(family, n, d, flavor)
-    h, free, echelon = 0, _free_columns(family, n, form, []), None
+    floor = _subspace_algebra(family)[1]
+    h, mask, echelon = 0, np.zeros((n, n), dtype=bool), None
     for b in parts:
         if echelon is None and h < len(head) and np.array_equal(b, head[h]):
+            mask |= _deleted(b, form)
             h += 1
-            free = _free_columns(family, n, form, head[:h])
-            yield len(free)
+            yield len(_free_columns(family, n, mask))
             continue
         if echelon is None:
+            free = _free_columns(family, n, mask)
             echelon = linalg.EchelonMod(len(free), p)
-        echelon.add(_part_rows(b, family, form, p)[:, free])
+        if echelon.nullity > floor:
+            echelon.add(_part_rows(b, family, form, p)[:, free])
         yield echelon.nullity
 
 
@@ -401,19 +417,30 @@ def _head_system(config: Configuration):
     head = _head(config.family, config.n, config.d, config.flavor)
     h = next((i for i, (b, s) in enumerate(zip(config.parts, head)) if not np.array_equal(b, s)),
              min(len(config.parts), len(head)))
-    return h, _free_columns(config.family, config.n, config.form, head[:h])
+    mask = np.zeros((config.n, config.n), dtype=bool)
+    for b in head[:h]:
+        mask |= _deleted(b, config.form)
+    return h, _free_columns(config.family, config.n, mask)
 
 
 def stabilizer_algebra_dim_once(config: Configuration) -> int:
     """Exact nullspace dimension of the stabilizer system for one sampled
     configuration, in gl for SL and in Lie coordinates for Sp/SO: the
-    columns its head leaves minus the rank of the stacked rows of the parts
-    after the head."""
+    columns its head leaves minus the rank of the rows of the parts after
+    the head, solved part by part as the module docstring's "Part streams"
+    describes."""
     h, free = _head_system(config)
-    if h == len(config.parts):
-        return len(free)
-    rows = [_part_rows(b, config.family, config.form, config.p)[:, free] for b in config.parts[h:]]
-    return linalg.nullspace_dim_mod(np.concatenate(rows), config.p)
+    floor = _subspace_algebra(config.family)[1]
+    echelon = linalg.EchelonMod(len(free), config.p)
+    parts = config.parts[h:]
+    for i, b in enumerate(parts, 1):
+        if echelon.nullity == floor:
+            break
+        rows = _part_rows(b, config.family, config.form, config.p)[:, free]
+        if i == len(parts):
+            return echelon.nullity_with(rows)
+        echelon.add(rows)
+    return echelon.nullity
 
 
 def _system_shape(config: Configuration, dim: int) -> SystemShape:

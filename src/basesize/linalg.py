@@ -36,21 +36,26 @@ def _as_modmat(a, p: int) -> np.ndarray:
     return m
 
 
+def _matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Product mod p of reduced int64 arrays with inner dimension below 2**16."""
+    return _mod((_mod(a @ (b >> 16), p) << 16) + a @ (b & 0xFFFF), p)
+
+
 def matmul_mod(a, b, p: int) -> np.ndarray:
     """Matrix product mod p, by 16-bit limbs of ``b``."""
     am, bm = _as_modmat(a, p), _as_modmat(b, p)
     if am.shape[1] >= MAX_INNER:
         raise ValueError(f"inner dimension {am.shape[1]} is not below 2**16")
-    return _mod((_mod(am @ (bm >> 16), p) << 16) + am @ (bm & 0xFFFF), p)
+    return _matmul(am, bm, p)
 
 
-def _eliminate(a, p: int, reduce: bool) -> tuple[np.ndarray, list[int], int]:
-    """Row-reduce ``a`` mod p to unit pivots, clearing above them too when
-    ``reduce``.  A pivot row is zero left of its column c, so a step changes
-    columns c.. only, and one slice update clears every row below (above)
-    it: a row already zero in column c is left as it is.  Returns (matrix,
-    pivot columns, det of a square ``a``)."""
-    m = _as_modmat(a, p)
+def _eliminate(m: np.ndarray, p: int, reduce: bool) -> tuple[np.ndarray, list[int], int]:
+    """Row-reduce ``m``, a reduced int64 array, mod p in place to unit
+    pivots.  A pivot row is zero left of its column c, so a step changes
+    columns c.. only: one slice update clears column c from every other row
+    when ``reduce`` (reduced row-echelon form), else from the rows below
+    it, and leaves a row already zero in column c as it is.  Returns (m,
+    pivot columns, det of a square ``m``)."""
     pivots: list[int] = []
     det = 1
     for c in range(m.shape[1]):
@@ -66,23 +71,24 @@ def _eliminate(a, p: int, reduce: bool) -> tuple[np.ndarray, list[int], int]:
         det = det * int(m[r, c]) % p
         row = _mod(m[r, c:] * pow(int(m[r, c]), -1, p), p)
         m[r, c:] = row
-        if nz.size > 1:  # else every row below is zero in column c
+        if reduce:
+            f = m[:, c:c + 1].copy()
+            f[r] = 0
+            m[:, c:] = _mod(m[:, c:] - f * row, p)
+        elif nz.size > 1:  # else every row below is zero in column c
             below = m[r + 1 :, c:]
             below[:] = _mod(below - below[:, :1] * row, p)
-        if reduce:
-            above = m[:r, c:]
-            above[:] = _mod(above - above[:, :1] * row, p)
         pivots.append(c)
     return m, pivots, det if len(pivots) == len(m) else 0
 
 
 def rref_mod(a, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row-echelon form mod p; returns (matrix, pivot columns)."""
-    return _eliminate(a, p, reduce=True)[:2]
+    return _eliminate(_as_modmat(a, p), p, reduce=True)[:2]
 
 
 def nullspace_dim_mod(a, p: int) -> int:
-    m, pivots, _ = _eliminate(a, p, reduce=False)
+    m, pivots, _ = _eliminate(_as_modmat(a, p), p, reduce=False)
     return m.shape[1] - len(pivots)
 
 
@@ -97,11 +103,14 @@ class EchelonMod:
     """Reduced row-echelon form mod p of a growing stack of row blocks.
 
     The kept rows have unit pivots and are zero in every other pivot
-    column, so ``add`` clears a new block's pivot columns with one product,
-    row-reduces only the remainder, and clears the new pivot columns from
-    the kept rows with one more product."""
+    column, so a new block is projected onto the free columns with one
+    product: ``add`` row-reduces that remainder in place and clears the new
+    pivot columns from the kept rows with one more product, and
+    ``nullity_with`` takes only its rank."""
 
     def __init__(self, ncols: int, p: int):
+        if ncols >= MAX_INNER:
+            raise ValueError(f"{ncols} columns is not below 2**16")
         self.p = p
         self.rows = np.zeros((0, ncols), dtype=np.int64)
         self.pivots: list[int] = []
@@ -110,21 +119,32 @@ class EchelonMod:
     def nullity(self) -> int:
         return self.rows.shape[1] - len(self.pivots)
 
-    def add(self, block) -> None:
+    def _project(self, block) -> tuple[np.ndarray, np.ndarray]:
+        """(free columns, ``block`` less its pivot-column combination of
+        the kept rows, on the free columns)."""
         p = self.p
         b = _as_modmat(block, p)
         free = _complement(self.pivots, b.shape[1])
         rest = b[:, free]
         if self.pivots:
-            rest = _mod(rest - matmul_mod(b[:, self.pivots], self.rows[:, free], p), p)
-        red, found = rref_mod(rest, p)
+            rest = _mod(rest - _matmul(b[:, self.pivots], self.rows[:, free], p), p)
+        return free, rest
+
+    def nullity_with(self, block) -> int:
+        """The nullity after ``add(block)``, keeping nothing."""
+        return nullspace_dim_mod(self._project(block)[1], self.p)
+
+    def add(self, block) -> None:
+        p = self.p
+        free, rest = self._project(block)
+        red, found, _ = _eliminate(rest, p, reduce=True)
         if not found:
             return
-        new = np.zeros((len(found), b.shape[1]), dtype=np.int64)
+        new = np.zeros((len(found), self.rows.shape[1]), dtype=np.int64)
         new[:, free] = red[: len(found)]
         pivots = free[found].tolist()
         if self.pivots:
-            self.rows = _mod(self.rows - matmul_mod(self.rows[:, pivots], new, p), p)
+            self.rows = _mod(self.rows - _matmul(self.rows[:, pivots], new, p), p)
         self.rows = np.concatenate([self.rows, new])
         self.pivots += pivots
 
@@ -141,7 +161,7 @@ def nullspace_basis_mod(a, p: int) -> np.ndarray:
 
 def det_mod(a, p: int) -> int:
     """Determinant mod p by elimination."""
-    m, _, det = _eliminate(a, p, reduce=False)
+    m = _as_modmat(a, p)
     if m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
-    return det
+    return _eliminate(m, p, reduce=False)[2]

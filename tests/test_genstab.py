@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 
@@ -105,6 +106,9 @@ def test_every_drawn_part_is_a_graph_with_an_integral_annihilator(p):
                 assert (b[:d] == np.eye(d, dtype=np.int64)).all(), (family, flavor, n, d)
                 want = np.concatenate([-b[d:] % p, np.eye(n - d, dtype=np.int64)], axis=1)
                 assert np.array_equal(linalg.nullspace_basis_mod(b.T, p), want), (family, flavor, n, d)
+                # _part_rows reads it off the graph: the same rows as from the basis
+                rows = genstab._span_constraint(b, want, family, cfg.form) % p
+                assert np.array_equal(genstab._part_rows(b, family, cfg.form, p), rows), (family, flavor, n, d)
 
 
 def test_sampler_validates_inputs():
@@ -376,6 +380,8 @@ def test_lie_coordinates_match_the_gl_system_with_form_rows(family, n, d, flavor
         ("SL", 5, 1, "linear"), ("SL", 6, 2, "linear"),
         ("Sp", 6, 2, "nondeg"), ("Sp", 8, 4, "totally_singular"),
         ("SO", 7, 2, "nondeg"), ("SO", 10, 5, "totally_singular"),
+        # past b0 within five parts: the solves stop at the scalars
+        ("SL", 3, 1, "linear"), ("Sp", 4, 1, "totally_singular"), ("SO", 5, 2, "nondeg"),
     ],
 )
 def test_configurations_nest_and_incremental_dims_match_the_stacked_solve(family, n, d, flavor):
@@ -390,6 +396,94 @@ def test_configurations_nest_and_incremental_dims_match_the_stacked_solve(family
         stacked = np.concatenate([genstab._part_rows(b, family, cfg.form, p) for b in cfg.parts])
         assert next(dims) == linalg.nullspace_dim_mod(stacked, p) == stabilizer_algebra_dim_once(cfg)
         prev = cfg
+
+
+def _stacked_dim(cfg):
+    """The reference solve: one elimination of every part's rows stacked,
+    each part's annihilator a nullspace basis."""
+    rows = [
+        genstab._span_constraint(b, linalg.nullspace_basis_mod(b.T, cfg.p), cfg.family, cfg.form) % cfg.p
+        for b in cfg.parts
+    ]
+    return linalg.nullspace_dim_mod(np.concatenate(rows), cfg.p)
+
+
+def _recording(monkeypatch):
+    """Counts of EchelonMod.add, EchelonMod.nullity_with and the
+    nullspace bases that _part_rows takes, while the test runs."""
+    counts = {"add": 0, "rank": 0, "basis": 0}
+    add, rank, basis = linalg.EchelonMod.add, linalg.EchelonMod.nullity_with, linalg.nullspace_basis_mod
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(linalg.EchelonMod, "add", counted("add", add))
+    monkeypatch.setattr(linalg.EchelonMod, "nullity_with", counted("rank", rank))
+    monkeypatch.setattr(linalg, "nullspace_basis_mod", counted("basis", basis))
+    return counts
+
+
+def _sl_repeated(cfg):
+    # the second head part repeats the first: the head is one part
+    return dataclasses.replace(cfg, parts=(cfg.parts[0],) + cfg.parts[:1] + cfg.parts[2:])
+
+
+# (family, n, d, flavor, c, build) -> (EchelonMod.add calls, nullity_with calls, nullspace bases)
+_ONE_PATH_CASES = {
+    ("SL", 6, 2, "linear", 3, None): (0, 0, 0),  # every part in the head
+    ("SL", 6, 2, "linear", 4, None): (0, 1, 0),  # one drawn part: rank alone
+    ("Sp", 8, 2, "totally_singular", 3, None): (0, 1, 0),
+    ("SO", 8, 3, "nondeg", 2, None): (0, 1, 0),
+    ("SL", 6, 2, "linear", 5, None): (1, 1, 0),  # b1 = 5: the last drawn part by rank alone
+    # past b0: nothing is assembled once the nullity is the scalars
+    ("SL", 6, 2, "linear", 6, None): (2, 0, 0),
+    ("SL", 4, 2, "linear", 8, None): (3, 0, 0),  # b1 = 5, then 1 for gl
+    ("Sp", 8, 2, "totally_singular", 7, None): (2, 0, 0),  # b0 = 4, then 0 for sp
+    ("SO", 7, 2, "nondeg", 8, None): (2, 0, 0),  # b0 = 3, then 0 for so
+    # a head prefix broken early: the parts after the one-part head, the
+    # third head block [0; I_2] among them, which is not a graph
+    ("SL", 6, 2, "linear", 5, _sl_repeated): (3, 1, 1),
+    # dual configurations: (n - d)-spaces that are not graphs
+    ("SL", 5, 2, "linear", 3, _dual_configuration): (2, 1, 3),
+    ("SL", 6, 2, "linear", 4, _dual_configuration): (3, 1, 3),  # the dual of <e_5, e_6> is a graph
+}
+
+
+@pytest.mark.parametrize("case", list(_ONE_PATH_CASES), ids=lambda case: "-".join(str(x) for x in case[:5])
+                         + ("" if case[5] is None else case[5].__name__))
+def test_one_solve_path_matches_the_stacked_rows(case, monkeypatch):
+    # stabilizer_algebra_dim_once feeds the parts after the head to one
+    # EchelonMod, measures the last by rank alone and assembles nothing once
+    # the nullity is the dimension of the scalars; it must equal one
+    # elimination of every part's stacked rows
+    family, n, d, flavor, c, build = case
+    for seed in range(3):
+        cfg = sample_configuration(family, n, d, flavor, c, seed=seed)
+        cfg = cfg if build is None else build(cfg)
+        want = _stacked_dim(cfg)
+        counts = _recording(monkeypatch)
+        assert stabilizer_algebra_dim_once(cfg) == want, seed
+        assert (counts["add"], counts["rank"], counts["basis"]) == _ONE_PATH_CASES[case], seed
+        monkeypatch.undo()
+
+
+def test_the_part_stream_assembles_nothing_past_the_scalars(monkeypatch):
+    # _dims keeps yielding the floor, and the stream keeps drawing its parts
+    rows = []
+    part_rows = genstab._part_rows
+    monkeypatch.setattr(genstab, "_part_rows", lambda b, *args: rows.append(b) or part_rows(b, *args))
+    for (family, n, d, flavor), (head, value, floor) in {
+        ("SL", 4, 2, "linear"): (2, 5, 1), ("Sp", 8, 2, "totally_singular"): (2, 4, 0),
+    }.items():
+        rows.clear()
+        drawn = []
+        stream = (drawn.append(b) or b for b, _ in genstab._part_stream(family, n, d, flavor, 7, PRIMES[0]))
+        dims = list(itertools.islice(genstab._dims(stream, family, n, d, flavor, PRIMES[0]), 9))
+        assert dims[value - 1 :] == [floor] * (10 - value) and dims[value - 2] > floor
+        assert len(drawn) == 9 and len(rows) == value - head
 
 
 # (family, n, d, flavor, trials, seed) -> (value, head parts per stream)

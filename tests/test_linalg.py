@@ -29,6 +29,23 @@ def test_det_mod():
     assert linalg.det_mod([[1, 2], [2, 4]], 11) == 0
 
 
+def test_det_mod_refuses_a_non_square_matrix_before_eliminating(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a non-square matrix was eliminated")
+
+    monkeypatch.setattr(linalg, "_eliminate", unreachable)
+    for a in ([[1, 2, 3], [4, 5, 6]], [[1], [2]]):
+        with pytest.raises(ValueError, match="square"):
+            linalg.det_mod(a, 11)
+
+
+def test_echelon_mod_refuses_2_16_columns():
+    # its products reach the column count as inner dimension
+    assert linalg.EchelonMod(2**16 - 1, P).nullity == 2**16 - 1
+    with pytest.raises(ValueError, match="not below 2"):
+        linalg.EchelonMod(2**16, P)
+
+
 def test_matmul_mod_matches_object_arithmetic():
     # the fast path must agree with exact arithmetic near the overflow edge
     rng = np.random.default_rng(2)
@@ -142,6 +159,21 @@ def test_echelon_mod_matches_rref_of_the_stack(blocks, p, cols):
         assert [echelon.pivots[i] for i in order] == pivots
         assert echelon.rows[order].tolist() == red[: len(pivots)].tolist()
         assert echelon.nullity == cols - len(pivots)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_matrices(), min_size=2, max_size=4), st.sampled_from(_PRIMES), st.integers(1, 6))
+def test_echelon_nullity_with_is_the_nullity_after_add_and_keeps_nothing(blocks, p, cols):
+    # the last block measured by rank alone, after any stack before it
+    *head, last = [np.resize(a, (a.shape[0], cols)) % p for a, _ in blocks]
+    echelon = linalg.EchelonMod(cols, p)
+    for block in head:
+        echelon.add(block)
+    rows, pivots = echelon.rows.copy(), list(echelon.pivots)
+    nullity = echelon.nullity_with(last)
+    assert echelon.rows.tolist() == rows.tolist() and echelon.pivots == pivots
+    echelon.add(last)
+    assert nullity == echelon.nullity == linalg.nullspace_dim_mod(np.concatenate(head + [last]), p)
 
 
 @st.composite
