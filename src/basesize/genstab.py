@@ -51,22 +51,24 @@ on the columns left, in the one form and basis that sampling also uses.
 The head of a configuration is the longest prefix of its parts equal to the
 standard head, by exact comparison, so the nullity is the free columns
 minus the rank for every configuration, generic or not.  The head does not
-depend on the prime.
+depend on the prime.  Drawn parts follow the whole head, so the head of a
+sampled configuration of c parts is the first c standard head parts.
 
 Part streams.  Each (prime, trial) pair takes its parts from one stream:
 the head, then parts drawn from an RNG whose key holds no part count, so
 the configuration of c parts is a prefix of the one of c + 1
-(``sample_configuration`` returns that prefix).  Both routes solve a
-configuration part by part, the same way.  While every part is a head part
-the nullity is the free column count; from the first part past the head
-on, the rows of each part enter one reduced echelon form
-(``linalg.EchelonMod``) exactly once.  Once the nullity is the dimension of
-the scalars, which lie in every stabilizer (1 in gl, 0 in sp and so), no
-later part's rows are assembled.  ``stabilizer_algebra_dim_once`` solves
-one configuration and takes its last part by rank alone
-(``EchelonMod.nullity_with``); ``estimate_b0`` runs ``_dims`` on each
-stream, which yields the nullity after every part.  An estimate takes b0
-parts per stream, and its dimensions cannot increase with c.
+(``sample_configuration`` returns that prefix).  One walker, ``_Walk``,
+solves a configuration part by part for both routes.  While every part is
+the next head part the nullity is the free column count; from the first
+part past the head on, the rows of each part enter one reduced echelon
+form (``linalg.EchelonMod``) exactly once.  Once the nullity is the
+dimension of the scalars, which lie in every stabilizer (1 in gl, 0 in sp
+and so), no later part's rows are assembled.  ``estimate_b0`` steps one
+walk per stream by one part per c and reads the nullity after each, so an
+estimate takes b0 parts per stream, and its dimensions cannot increase
+with c.  ``stabilizer_algebra_dim_once`` walks one configuration: it adds
+every part but the last and takes the last by rank alone
+(``EchelonMod.nullity_with``).
 
 Sampling.  Every drawn part is a graph [I_d; Y] over the first d
 coordinates, of full column rank as drawn; such d-spaces are dense and
@@ -127,14 +129,11 @@ class Configuration:
     n: int
     d: int
     flavor: str  # "linear" | "nondeg" | "totally_singular"
-    form: np.ndarray | None
     parts: tuple[np.ndarray, ...]
     seed: int
     resamples: int
 
     def __post_init__(self):
-        if self.form is not None:
-            self.form.setflags(write=False)
         for b in self.parts:
             b.setflags(write=False)
 
@@ -144,7 +143,8 @@ class SystemShape:
     """Size of one solve: the unknowns, the head parts whose rows became
     deleted columns, the columns left, and the rows of the parts after the
     head on them with their rank.  A solve whose nullity reaches the
-    scalars stops there, so it need not eliminate all of ``rows``."""
+    scalars stops there, so it need not eliminate all of ``rows``.  A
+    subspace report counts it from the request and its answer alone."""
 
     unknowns: int
     head_parts: int
@@ -294,7 +294,7 @@ def sample_configuration(
     stream = _part_stream(family, n, d, flavor, seed, p)
     drawn = [next(stream) for _ in range(c)]
     return Configuration(
-        family=family, p=p, n=n, d=d, flavor=flavor, form=standard_form(family, n, d, flavor),
+        family=family, p=p, n=n, d=d, flavor=flavor,
         parts=tuple(b for b, _ in drawn), seed=seed, resamples=sum(r for _, r in drawn),
     )
 
@@ -375,81 +375,77 @@ def _head(family: str, n: int, d: int, flavor: str) -> list[np.ndarray]:
     return [eye[:, cols]]
 
 
-def _deleted(b: np.ndarray, form) -> np.ndarray:
-    """The entries of X (of S in sp/so) that head part ``b``, a coordinate
-    block, fixes at 0, as an n x n mask (module docstring, "Fixed head")."""
-    w = b.any(axis=1)
-    return np.outer(~w if form is None else form[:, ~w].any(axis=1), w)
+class _Walk:
+    """One solve grown part by part (module docstring, "Part streams"):
+    while every part is the next standard head part, its rows delete
+    columns and the echelon restarts, empty, on the columns left; the rows
+    of every later part enter that echelon until its nullity is the
+    dimension of the scalars."""
 
+    def __init__(self, family: str, n: int, d: int, flavor: str, p: int):
+        self.family, self.n, self.p = family, n, p
+        self.form, self.head = standard_form(family, n, d, flavor), _head(family, n, d, flavor)
+        self.floor = _subspace_algebra(family)[1]
+        self.heads, self.in_head, self.mask = 0, True, np.zeros((n, n), dtype=bool)
+        self.free = np.arange(_unknowns(family, n))
+        self.echelon = linalg.EchelonMod(len(self.free), p)
 
-def _free_columns(family: str, n: int, mask: np.ndarray) -> np.ndarray:
-    """The columns left when the entries in ``mask``, from ``_deleted``, are
-    deleted."""
-    if family == "SL":
-        return (~mask).ravel().nonzero()[0]
-    return (~(mask | mask.T)[_upper(n, family)]).nonzero()[0]
+    def _delete(self, b: np.ndarray) -> None:
+        """Delete the entries of X (of S in sp/so) that head part ``b``, a
+        coordinate block, fixes at 0 (module docstring, "Fixed head"), and
+        restart the echelon on the columns left."""
+        w = b.any(axis=1)
+        self.mask |= np.outer(~w if self.form is None else self.form[:, ~w].any(axis=1), w)
+        kept = ~self.mask.ravel() if self.family == "SL" else ~(self.mask | self.mask.T)[_upper(self.n, self.family)]
+        self.free = kept.nonzero()[0]
+        self.echelon = linalg.EchelonMod(len(self.free), self.p)
 
+    def _rows(self, b: np.ndarray) -> np.ndarray | None:
+        """The rows of part ``b`` on the free columns; None for a head part,
+        whose rows are deleted columns, and once the nullity is the floor."""
+        if self.in_head and self.heads < len(self.head) and np.array_equal(b, self.head[self.heads]):
+            self.heads += 1
+            self._delete(b)
+            return None
+        self.in_head = False
+        if self.echelon.nullity == self.floor:
+            return None
+        return _part_rows(b, self.family, self.form, self.p)[:, self.free]
 
-def _dims(parts, family: str, n: int, d: int, flavor: str, p: int):
-    """Stabilizer algebra dimension after each of ``parts`` (any iterable),
-    c = 1, 2, ..., as the module docstring's "Part streams" describes."""
-    head, form = _head(family, n, d, flavor), standard_form(family, n, d, flavor)
-    floor = _subspace_algebra(family)[1]
-    h, mask, echelon = 0, np.zeros((n, n), dtype=bool), None
-    for b in parts:
-        if echelon is None and h < len(head) and np.array_equal(b, head[h]):
-            mask |= _deleted(b, form)
-            h += 1
-            yield len(_free_columns(family, n, mask))
-            continue
-        if echelon is None:
-            free = _free_columns(family, n, mask)
-            echelon = linalg.EchelonMod(len(free), p)
-        if echelon.nullity > floor:
-            echelon.add(_part_rows(b, family, form, p)[:, free])
-        yield echelon.nullity
+    def add(self, b: np.ndarray) -> int:
+        """The nullity with part ``b`` added."""
+        if (rows := self._rows(b)) is not None:
+            self.echelon.add(rows)
+        return self.echelon.nullity
 
-
-def _head_system(config: Configuration):
-    """(head parts, free columns) of one configuration.  Its head is the
-    longest prefix of its parts equal to the standard head, by exact
-    comparison, so any configuration gets its exact nullity."""
-    head = _head(config.family, config.n, config.d, config.flavor)
-    h = next((i for i, (b, s) in enumerate(zip(config.parts, head)) if not np.array_equal(b, s)),
-             min(len(config.parts), len(head)))
-    mask = np.zeros((config.n, config.n), dtype=bool)
-    for b in head[:h]:
-        mask |= _deleted(b, config.form)
-    return h, _free_columns(config.family, config.n, mask)
+    def nullity_with(self, b: np.ndarray) -> int:
+        """The nullity with part ``b``, by rank alone: it is not kept."""
+        rows = self._rows(b)
+        return self.echelon.nullity if rows is None else self.echelon.nullity_with(rows)
 
 
 def stabilizer_algebra_dim_once(config: Configuration) -> int:
-    """Exact nullspace dimension of the stabilizer system for one sampled
-    configuration, in gl for SL and in Lie coordinates for Sp/SO: the
-    columns its head leaves minus the rank of the rows of the parts after
-    the head, solved part by part as the module docstring's "Part streams"
-    describes."""
-    h, free = _head_system(config)
-    floor = _subspace_algebra(config.family)[1]
-    echelon = linalg.EchelonMod(len(free), config.p)
-    parts = config.parts[h:]
-    for i, b in enumerate(parts, 1):
-        if echelon.nullity == floor:
-            break
-        rows = _part_rows(b, config.family, config.form, config.p)[:, free]
-        if i == len(parts):
-            return echelon.nullity_with(rows)
-        echelon.add(rows)
-    return echelon.nullity
+    """Exact nullspace dimension of the stabilizer system for one
+    configuration, in gl for SL and in Lie coordinates for Sp/SO: one walk
+    adds every part but the last and takes the last by rank alone (module
+    docstring, "Part streams").  Any parts are solved exactly; only the
+    prefix equal to the standard head deletes columns."""
+    walk = _Walk(config.family, config.n, config.d, config.flavor, config.p)
+    for b in config.parts[:-1]:
+        walk.add(b)
+    return walk.nullity_with(config.parts[-1])
 
 
-def _system_shape(config: Configuration, dim: int) -> SystemShape:
-    """The shape of ``stabilizer_algebra_dim_once(config)``, whose answer is
-    ``dim``, counted without assembling it: every part after the head gives
-    (n - d) d rows."""
-    h, free = _head_system(config)
-    rows = (len(config.parts) - h) * (config.n - config.d) * config.d
-    return SystemShape(_unknowns(config.family, config.n), h, len(free), rows, len(free) - dim)
+def _system_shape(family: str, n: int, d: int, flavor: str, c: int, dim: int) -> SystemShape:
+    """The shape of the solve of a sampled configuration of c parts, whose
+    answer is ``dim``: its head is the first c standard head parts (module
+    docstring, "Fixed head"), walked alone, and every part after them gives
+    (n - d) d rows.  Head parts eliminate nothing, so the prime is unread."""
+    walk = _Walk(family, n, d, flavor, PRIMES[0])
+    for b in walk.head[:c]:
+        walk.add(b)
+    columns = walk.echelon.nullity
+    return SystemShape(_unknowns(family, n), walk.heads, columns, (c - walk.heads) * (n - d) * d, columns - dim)
 
 
 def _subspace_algebra(family: str) -> tuple[str, int]:
@@ -532,8 +528,7 @@ def stabilizer_report(
         config = sample_configuration(family, n, d, flavor, c, seed=s, p=p)
         resamples += config.resamples
         dims.append(stabilizer_algebra_dim_once(config))
-        if len(dims) == 1:
-            first_system = _system_shape(config, dims[0])
+    first_system = _system_shape(family, n, d, flavor, c, dims[0])
     return _report(*_subspace_algebra(family), dims, trials, primes, resamples, seed, first_system)
 
 
@@ -558,14 +553,14 @@ def estimate_b0(
     if c_max < 1:
         raise ConfigError("need c_max >= 1")
     streams = [
-        _dims((b for b, _ in _part_stream(family, n, d, flavor, s, p)), family, n, d, flavor, p)
+        (_Walk(family, n, d, flavor, p), _part_stream(family, n, d, flavor, s, p))
         for p, s in _runs((family, n, d, flavor), seed, trials, primes)
     ]
     algebra, corr = _subspace_algebra(family)
     proj_dims = []
     value = None
     for c in range(1, c_max + 1):
-        dims = [next(s) for s in streams]
+        dims = [walk.add(next(stream)[0]) for walk, stream in streams]
         if c == 1:
             # dim H from the first trial at the first prime, for the lower
             # bound from dim G and dim Omega = dim G - dim H

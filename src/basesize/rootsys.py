@@ -111,35 +111,23 @@ class RootSystem:
 
 @lru_cache(maxsize=None)
 def build_root_system(family: str, rank: int) -> RootSystem:
-    """Enumerate the positive roots from the Cartan matrix by the standard
-    closure algorithm: grow height layers using root-string lengths."""
+    """Enumerate the positive roots as the closure of the simple roots under
+    the simple reflections s_i(beta) = beta - <beta, alpha_i^vee> alpha_i.
+    Every positive root of height above 1 reflects down to a positive root
+    of smaller height, so it is a rising image (pairing below 0) of that
+    root: the rising images, all positive, reach every root."""
     validate_type(family, rank)
     cartan = cartan_matrix(family, rank)
     simple = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
-    roots: set[tuple[int, ...]] = set(simple)
-    layer = list(simple)
+    roots, layer = set(simple), simple
     while layer:
-        nxt = []
-        for beta in layer:
-            for i in range(rank):
-                cand = list(beta)
-                cand[i] += 1
-                cand = tuple(cand)
-                if cand in roots:
-                    continue
-                # alpha_i-string through beta: p - q = <beta, alpha_i^vee>
-                p = 0
-                down = list(beta)
-                while True:
-                    down[i] -= 1
-                    if down[i] < 0 or tuple(down) not in roots:
-                        break
-                    p += 1
-                pairing = sum(beta[j] * cartan[i][j] for j in range(rank))
-                if p - pairing >= 1:
-                    roots.add(cand)
-                    nxt.append(cand)
-        layer = nxt
+        layer = {
+            beta[:i] + (beta[i] - k,) + beta[i + 1 :]
+            for beta in layer
+            for i, row in enumerate(cartan)
+            if (k := sum(x * a for x, a in zip(beta, row))) < 0
+        } - roots
+        roots |= layer
     ordered = tuple(sorted(roots))
     expected = POSITIVE_ROOT_COUNTS[family](rank)
     if len(ordered) != expected:

@@ -28,6 +28,11 @@ def test_primes_are_prime():
     assert all(p < 2**31 for p in PRIMES)
 
 
+def _form(cfg):
+    """The standard form that a configuration's parts were drawn in."""
+    return genstab.standard_form(cfg.family, cfg.n, cfg.d, cfg.flavor)
+
+
 # -- sampling ------------------------------------------------------------------
 
 def test_sl_parts_are_transverse():
@@ -41,7 +46,7 @@ def test_sl_parts_are_transverse():
 def test_totally_singular_exact():
     cfg = sample_configuration("Sp", 8, 4, "totally_singular", 2, seed=2)
     for b in cfg.parts:
-        gram = linalg.matmul_mod(linalg.matmul_mod(b.T, cfg.form, cfg.p), b, cfg.p)
+        gram = linalg.matmul_mod(linalg.matmul_mod(b.T, _form(cfg), cfg.p), b, cfg.p)
         assert not gram.any()
     # two generic half-dimension parts are complementary
     joint = np.concatenate(cfg.parts, axis=1)
@@ -51,7 +56,7 @@ def test_totally_singular_exact():
 def test_nondeg_gram_invertible():
     cfg = sample_configuration("Sp", 6, 2, "nondeg", 3, seed=3)
     for b in cfg.parts:
-        gram = linalg.matmul_mod(linalg.matmul_mod(b.T, cfg.form, cfg.p), b, cfg.p)
+        gram = linalg.matmul_mod(linalg.matmul_mod(b.T, _form(cfg), cfg.p), b, cfg.p)
         assert linalg.det_mod(gram, cfg.p) != 0
 
 
@@ -69,7 +74,7 @@ def test_totally_singular_parts_are_drawn_without_an_inverse(family, n, d):
     for p in PRIMES:
         cfg = sample_configuration(family, n, d, "totally_singular", 3, seed=10 * n + d, p=p)
         for i, b in enumerate(cfg.parts):
-            assert not linalg.matmul_mod(linalg.matmul_mod(b.T, cfg.form, p), b, p).any()
+            assert not linalg.matmul_mod(linalg.matmul_mod(b.T, _form(cfg), p), b, p).any()
             assert linalg.nullspace_dim_mod(b, p) == 0
             if 2 * d <= n:
                 for other in cfg.parts[:i]:
@@ -83,7 +88,7 @@ def test_totally_singular_parts_at_p2():
     cfg = sample_configuration("Sp", 6, 2, "totally_singular", 3, seed=0, p=2)
     assert len(cfg.parts) == 3
     for b in cfg.parts:
-        assert not linalg.matmul_mod(linalg.matmul_mod(b.T, cfg.form, 2), b, 2).any()
+        assert not linalg.matmul_mod(linalg.matmul_mod(b.T, _form(cfg), 2), b, 2).any()
     # the first drawn part, after the head <e_1>, <f_1>, is the graph [x; S x]
     # on x = (1, z), z in F_2, and S x = (s11 + s12 z, s12 + s22 z) takes all
     # 4 values for a symmetric S: 8 lines, <e_1> among them.  The 4 graphs
@@ -107,8 +112,8 @@ def test_every_drawn_part_is_a_graph_with_an_integral_annihilator(p):
                 want = np.concatenate([-b[d:] % p, np.eye(n - d, dtype=np.int64)], axis=1)
                 assert np.array_equal(linalg.nullspace_basis_mod(b.T, p), want), (family, flavor, n, d)
                 # _part_rows reads it off the graph: the same rows as from the basis
-                rows = genstab._span_constraint(b, want, family, cfg.form) % p
-                assert np.array_equal(genstab._part_rows(b, family, cfg.form, p), rows), (family, flavor, n, d)
+                rows = genstab._span_constraint(b, want, family, _form(cfg)) % p
+                assert np.array_equal(genstab._part_rows(b, family, _form(cfg), p), rows), (family, flavor, n, d)
 
 
 def test_sampler_validates_inputs():
@@ -316,10 +321,23 @@ def test_duality_matches():
 
 # -- Lie-algebra coordinates and nested part streams ------------------------------
 
+def _walk_dims(parts, family, n, d, flavor, p):
+    """The nullity after each of ``parts`` (any iterable), by one walk."""
+    walk = genstab._Walk(family, n, d, flavor, p)
+    return (walk.add(b) for b in parts)
+
+
 def _stream_dims(family, n, d, flavor, seed, p):
     """The solver over one part stream, from c = 1."""
-    parts = (b for b, _ in genstab._part_stream(family, n, d, flavor, seed, p))
-    return genstab._dims(parts, family, n, d, flavor, p)
+    return _walk_dims((b for b, _ in genstab._part_stream(family, n, d, flavor, seed, p)), family, n, d, flavor, p)
+
+
+def _walked(cfg):
+    """One walk that has added every part of ``cfg``."""
+    walk = genstab._Walk(cfg.family, cfg.n, cfg.d, cfg.flavor, cfg.p)
+    for b in cfg.parts:
+        walk.add(b)
+    return walk
 
 
 @pytest.mark.parametrize("family,n,d", [("Sp", 6, 2), ("SO", 7, 1), ("SO", 8, 3)])
@@ -352,7 +370,7 @@ def _gl_reference_dim(cfg):
         np.einsum("ai,jb->abij", linalg.nullspace_basis_mod(b.T, p), b).reshape(-1, n * n) % p
         for b in cfg.parts
     ]
-    blocks.append(_gl_form_rows(cfg.form))
+    blocks.append(_gl_form_rows(_form(cfg)))
     return linalg.nullspace_dim_mod(np.concatenate(blocks), p)
 
 
@@ -393,7 +411,7 @@ def test_configurations_nest_and_incremental_dims_match_the_stacked_solve(family
         if prev is not None:
             assert all((a == b).all() for a, b in zip(prev.parts, cfg.parts))
             assert cfg.resamples >= prev.resamples
-        stacked = np.concatenate([genstab._part_rows(b, family, cfg.form, p) for b in cfg.parts])
+        stacked = np.concatenate([genstab._part_rows(b, family, _form(cfg), p) for b in cfg.parts])
         assert next(dims) == linalg.nullspace_dim_mod(stacked, p) == stabilizer_algebra_dim_once(cfg)
         prev = cfg
 
@@ -402,7 +420,7 @@ def _stacked_dim(cfg):
     """The reference solve: one elimination of every part's rows stacked,
     each part's annihilator a nullspace basis."""
     rows = [
-        genstab._span_constraint(b, linalg.nullspace_basis_mod(b.T, cfg.p), cfg.family, cfg.form) % cfg.p
+        genstab._span_constraint(b, linalg.nullspace_basis_mod(b.T, cfg.p), cfg.family, _form(cfg)) % cfg.p
         for b in cfg.parts
     ]
     return linalg.nullspace_dim_mod(np.concatenate(rows), cfg.p)
@@ -471,7 +489,7 @@ def test_one_solve_path_matches_the_stacked_rows(case, monkeypatch):
 
 
 def test_the_part_stream_assembles_nothing_past_the_scalars(monkeypatch):
-    # _dims keeps yielding the floor, and the stream keeps drawing its parts
+    # the walk keeps giving the floor, and the stream keeps drawing its parts
     rows = []
     part_rows = genstab._part_rows
     monkeypatch.setattr(genstab, "_part_rows", lambda b, *args: rows.append(b) or part_rows(b, *args))
@@ -481,7 +499,7 @@ def test_the_part_stream_assembles_nothing_past_the_scalars(monkeypatch):
         rows.clear()
         drawn = []
         stream = (drawn.append(b) or b for b, _ in genstab._part_stream(family, n, d, flavor, 7, PRIMES[0]))
-        dims = list(itertools.islice(genstab._dims(stream, family, n, d, flavor, PRIMES[0]), 9))
+        dims = list(itertools.islice(_walk_dims(stream, family, n, d, flavor, PRIMES[0]), 9))
         assert dims[value - 1 :] == [floor] * (10 - value) and dims[value - 2] > floor
         assert len(drawn) == 9 and len(rows) == value - head
 
@@ -531,7 +549,7 @@ def test_estimate_b0_draws_value_parts_per_stream_and_eliminates_each_once(monke
             cfg = sample_configuration(family, n, d, flavor, value, seed=s, p=p)
             assert len(got[s]) == value
             assert all((a == b).all() for a, b in zip(got[s], cfg.parts))
-            assert genstab._head_system(cfg)[0] == head
+            assert _walked(cfg).heads == head
 
 
 def test_trials_below_one_and_no_primes_are_rejected():
@@ -549,7 +567,7 @@ def test_trials_below_one_and_no_primes_are_rejected():
 
 def _plain_dim(cfg):
     """Nullity of the stacked rows of every part in the standard basis."""
-    rows = np.concatenate([genstab._part_rows(b, cfg.family, cfg.form, cfg.p) for b in cfg.parts])
+    rows = np.concatenate([genstab._part_rows(b, cfg.family, _form(cfg), cfg.p) for b in cfg.parts])
     return linalg.nullspace_dim_mod(rows, cfg.p)
 
 
@@ -586,6 +604,34 @@ def test_stabilizer_reports_are_pinned():
                 count += 1
     assert count == 548
     assert digest.hexdigest() == REPORT_DIGEST, digest.hexdigest()
+
+
+def test_first_system_is_the_walk_of_the_first_sampled_configuration():
+    # stabilizer_report counts the first solve from the standard head
+    # alone; walking the configuration that solve sampled must give the same
+    # head parts and free columns, and the rows after the head with their rank
+    shapes = {}
+    for (family, flavor, n), ds in sorted(_all_flavor_cases(10).items()):
+        for d in ds:
+            for c in range(1, 5):
+                rep = stabilizer_report(family, n, d, flavor, c, seed=0, trials=1, primes=PRIMES[:1])
+                [(p, s)] = genstab._runs((family, n, d, flavor), 0, 1, PRIMES[:1])
+                cfg = sample_configuration(family, n, d, flavor, c, seed=s, p=p)
+                walk = _walked(cfg)
+                rows = [genstab._part_rows(b, family, _form(cfg), p)[:, walk.free] for b in cfg.parts[walk.heads :]]
+                rank = len(walk.free) - linalg.nullspace_dim_mod(np.concatenate(rows), p) if rows else 0
+                want = genstab.SystemShape(
+                    genstab._unknowns(family, n), walk.heads, len(walk.free), sum(map(len, rows)), rank
+                )
+                assert rep.first_system == want, (family, flavor, n, d, c)
+                shapes[family, flavor, n, d, c] = want
+    assert len(shapes) == 548
+    # c below the head length: the first c of SL_6's three blocks
+    assert [shapes["SL", "linear", 6, 2, c].head_parts for c in (1, 2, 3, 4)] == [1, 2, 3, 3]
+    assert shapes["SL", "linear", 6, 2, 1].rows == 0
+    # SO_10 on totally singular 5-spaces: pairs meet, so the head is one part
+    assert [shapes["SO", "totally_singular", 10, 5, c].head_parts for c in (1, 2, 3, 4)] == [1, 1, 1, 1]
+    assert shapes["SO", "totally_singular", 10, 5, 4].rows == 3 * 5 * 5
 
 
 @pytest.mark.parametrize("family,flavor,n", sorted(_ADAPTED_CASES))
@@ -643,13 +689,10 @@ def test_degenerate_heads_fall_back_to_a_shorter_head(family, n, d, flavor, buil
     # the head is the longest prefix equal to the standard head, so a
     # hand-built configuration is solved on the columns that prefix leaves
     cfg = _degenerate(family, n, d, flavor, build)
-    h, free = genstab._head_system(cfg)
+    walk = _walked(cfg)
     dim = stabilizer_algebra_dim_once(cfg)
-    assert h == head
-    assert dim == _plain_dim(cfg)
-    assert genstab._system_shape(cfg, dim) == genstab.SystemShape(
-        genstab._unknowns(family, n), head, len(free), (5 - head) * (n - d) * d, len(free) - dim
-    )
+    assert walk.heads == head
+    assert dim == _plain_dim(cfg) == walk.echelon.nullity
 
 
 @_DEGENERATE_CASES
@@ -657,7 +700,7 @@ def test_degenerate_parts_on_the_incremental_path(family, n, d, flavor, build, h
     # the same parts one at a time: every prefix has the nullity of its
     # plain system, whatever head it allows
     cfg = _degenerate(family, n, d, flavor, build)
-    dims = genstab._dims(cfg.parts, family, n, d, flavor, cfg.p)
+    dims = _walk_dims(cfg.parts, family, n, d, flavor, cfg.p)
     for c in range(1, 6):
         assert next(dims) == _plain_dim(dataclasses.replace(cfg, parts=cfg.parts[:c])), c
 
@@ -674,13 +717,14 @@ def test_head_rows_are_the_deleted_coordinates(family, n, d, flavor):
     # is the free columns minus the rank of the later rows
     cfg = sample_configuration(family, n, d, flavor, 5, seed=9)
     for c in range(1, 6):
-        h, free = genstab._head_system(dataclasses.replace(cfg, parts=cfg.parts[:c]))
+        walk = _walked(dataclasses.replace(cfg, parts=cfg.parts[:c]))
+        h, free = walk.heads, walk.free
         if not h:
             continue
-        rows = np.concatenate([genstab._part_rows(b, family, cfg.form, cfg.p) for b in cfg.parts[:h]])
+        rows = np.concatenate([genstab._part_rows(b, family, _form(cfg), cfg.p) for b in cfg.parts[:h]])
         assert not rows[:, free].any()
         assert linalg.nullspace_dim_mod(rows, cfg.p) == len(free), c
-    assert genstab._head_system(cfg)[0] == len(genstab._head(family, n, d, flavor)) > 0
+    assert _walked(cfg).heads == len(genstab._head(family, n, d, flavor)) > 0
 
 
 @pytest.mark.parametrize("p", PRIMES + (3, 5))
@@ -852,7 +896,7 @@ def test_rational_agrees_with_modular_on_small_config():
         ("Sp", 6, 2, "nondeg"), ("Sp", 8, 2, "nondeg"), ("SO", 6, 1, "nondeg"), ("SO", 8, 3, "nondeg"),
     ):
         cfg = sample_configuration(family, n, d, flavor, 2, seed=5, p=101)
-        assert stabilizer_algebra_dim_once(cfg) == _q_nullity(cfg.parts, family, n, cfg.form), (family, n, d, flavor)
+        assert stabilizer_algebra_dim_once(cfg) == _q_nullity(cfg.parts, family, n, _form(cfg)), (family, n, d, flavor)
 
 
 def _integer_witness(family: str, n: int, d: int, flavor: str, c: int, seed: int) -> list[np.ndarray]:
@@ -897,7 +941,7 @@ def test_a_zero_nullity_mod_p_lifts_to_characteristic_0(family, n, d, flavor):
         if form is not None:
             gram = b.T @ form @ b  # small entries: exact in int64
             assert not gram.any() if flavor == "totally_singular" else linalg.det_mod(gram, p)
-    dims_p = list(genstab._dims((b % p for b in parts), family, n, d, flavor, p))
+    dims_p = list(_walk_dims((b % p for b in parts), family, n, d, flavor, p))
     dims_q = [_q_nullity(parts[:c], family, n, form) for c in range(1, c_max + 1)]
     assert all(q <= dp for q, dp in zip(dims_q, dims_p)), (dims_q, dims_p)
     assert all(q == scalars for q, dp in zip(dims_q, dims_p) if dp == scalars), (dims_q, dims_p)
