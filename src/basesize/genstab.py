@@ -17,11 +17,12 @@ and SO they are Lie-algebra coordinates: X = J^T S with S symmetric
 (alternating J) or antisymmetric (symmetric J), so the unknowns are the
 n(n+1)/2 or n(n-1)/2 upper-triangle entries of S and no form rows are
 needed.  Every system has its rows from one rule, ``_product_rows``: the
-entries of L X R as rows over the entries of X, transposed for X^T.  A part
-b with annihilator rows A gives those of (A J^T) S b, folded onto the upper
-triangle.  Each ``standard_form`` J is a signed permutation, so a product
-with J only permutes and negates entries: the rows are exact integer
-products, reduced mod p once.
+entries of L X R as rows over a list of (i, j) entries of X, with i and j
+swapped for X^T.  A part b with annihilator rows A gives those of
+(A J^T) S b, the columns of S[i, j] and S[j, i] folded into one.  Each
+``standard_form`` J is a signed permutation, so a product with J only
+permutes and negates entries: the rows are exact integer products, reduced
+mod p once.
 
 Fixed head.  Over the algebraic closure GL_n is transitive on tuples of
 floor(n/d) independent d-spaces, and (Witt) Sp_n and SO_n are transitive on
@@ -61,14 +62,20 @@ the configuration of c parts is a prefix of the one of c + 1
 solves a configuration part by part for both routes.  While every part is
 the next head part the nullity is the free column count; from the first
 part past the head on, the rows of each part enter one reduced echelon
-form (``linalg.EchelonMod``) exactly once.  Once the nullity is the
-dimension of the scalars, which lie in every stabilizer (1 in gl, 0 in sp
-and so), no later part's rows are assembled.  ``estimate_b0`` steps one
-walk per stream by one part per c and reads the nullity after each, so an
-estimate takes b0 parts per stream, and its dimensions cannot increase
-with c.  ``stabilizer_algebra_dim_once`` walks one configuration: it adds
-every part but the last and takes the last by rank alone
-(``EchelonMod.nullity_with``).
+form (``linalg.EchelonMod``) exactly once, built on the free columns
+alone: ``_part_rows`` takes the walk's free (i, j) pairs, so no deleted
+column is assembled.  Once the nullity is the dimension of the scalars,
+which lie in every stabilizer (1 in gl, 0 in sp and so), no later part's
+rows are assembled.  ``estimate_b0`` steps one walk per stream by one part
+per c and reads the nullity after each, so an estimate takes b0 parts per
+stream, and its dimensions cannot increase with c.
+``stabilizer_algebra_dim_once`` walks one configuration: it adds every
+part but the last and takes the last by rank alone
+(``EchelonMod.nullity_with``), which eliminates in sparsity order
+(``linalg``, "Order").  For SL with n = k d and the head's k diagonal
+blocks X_0..X_{k-1} left, a drawn graph [I_d; Y] gives the rows
+Y_i X_0 = X_i Y_i, each block of them on its own X_i and the shared X_0:
+with the columns of X_0, the densest, last, no pivot step leaves its block.
 
 Sampling.  Every drawn part is a graph [I_d; Y] over the first d
 coordinates, of full column rank as drawn; such d-spaces are dense and
@@ -316,46 +323,58 @@ def _upper(n: int, family: str) -> tuple[np.ndarray, np.ndarray]:
     return (r[:, None] <= r if family == "Sp" else r[:, None] < r).nonzero()
 
 
-def _lie_coordinates(coef: np.ndarray, family: str) -> np.ndarray:
-    """Fold rows over the n x n entries of S (shape (rows, n, n)) onto the
-    upper-triangle entries that parametrise S: symmetric for Sp,
-    antisymmetric for SO."""
-    i, j = _upper(coef.shape[-1], family)
-    if family == "Sp":
-        return coef[:, i, j] + coef[:, j, i] * (i != j)
-    return coef[:, i, j] - coef[:, j, i]
+def _coordinates(family: str, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (i, j) pair of every column of the stabilizer system: the entries
+    of X row by row in gl, ``_upper`` in sp and so."""
+    return tuple(np.indices((n, n)).reshape(2, -1)) if family == "SL" else _upper(n, family)
 
 
-def _product_rows(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """The entries of left X right as rows over the n x m entries of X, shape
-    (rows, n, m).  A term in X^T is this rule transposed on its last axes."""
-    return np.einsum("ai,jb->abij", left, right).reshape(-1, left.shape[1], right.shape[0])
+def _product_rows(left: np.ndarray, right: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The entries of left X right as rows over the entries X[i_k, j_k] of X
+    only: column k is left[:, i_k] (x) right[j_k, :], with row (a, b) at a *
+    right.shape[1] + b.  A term in X^T is this rule with i and j swapped."""
+    return np.einsum("ak,kb->abk", left[:, i], right[j]).reshape(-1, len(i))
 
 
-def _span_constraint(b: np.ndarray, ann: np.ndarray, family: str, form) -> np.ndarray:
+def _lie_rows(left: np.ndarray, right: np.ndarray, family: str, pairs) -> np.ndarray:
+    """The entries of left S right as rows over the entries S[i_k, j_k] of
+    ``pairs`` (upper-triangle entries, ``_upper``): S is symmetric for Sp and
+    antisymmetric for SO, so the column of S[j, i] is added or subtracted."""
+    i, j = pairs
+    mirror = _product_rows(left, right, j, i)
+    return _product_rows(left, right, i, j) + (mirror * (i != j) if family == "Sp" else -mirror)
+
+
+def _span_constraint(b: np.ndarray, ann: np.ndarray, family: str, form, pairs=None) -> np.ndarray:
     """Rows expressing X * col(b) inside col(b): the entries of A X b for
     ``ann`` = A, which annihilates col(b), or of (A J^T) S b in sp/so (as
-    J J^T = I).  Unreduced: a folded entry adds two products below p^2."""
-    rows = _product_rows(ann if family == "SL" else ann @ form.T, b)
-    return rows.reshape(len(rows), -1) if family == "SL" else _lie_coordinates(rows, family)
+    J J^T = I), on the columns whose (i, j) pairs are ``pairs`` (default
+    all, ``_coordinates``).  Unreduced: a folded entry adds two products
+    below p^2."""
+    pairs = _coordinates(family, len(b)) if pairs is None else pairs
+    if family == "SL":
+        return _product_rows(ann, b, *pairs)
+    return _lie_rows(ann @ form.T, b, family, pairs)
 
 
-def _part_rows(b: np.ndarray, family: str, form, p: int) -> np.ndarray:
-    """The stabilizer rows of one part mod p.  A graph [I_k; Y], as every
-    drawn part is, has the annihilator [(-Y) mod p | I] (module docstring,
+def _part_rows(b: np.ndarray, family: str, form, p: int, pairs=None) -> np.ndarray:
+    """The stabilizer rows of one part mod p, on the columns whose (i, j)
+    pairs are ``pairs`` (default all): a walk passes its free columns, so
+    no deleted column is built.  A graph [I_k; Y], as every drawn part
+    is, has the annihilator [(-Y) mod p | I] (module docstring,
     "Certificates"); any other part takes a nullspace basis."""
     k = b.shape[1]
     if np.array_equal(b[:k], np.eye(k, dtype=np.int64)):
         ann = np.concatenate([-b[k:] % p, np.eye(len(b) - k, dtype=np.int64)], axis=1)
     else:
         ann = linalg.nullspace_basis_mod(b.T, p)
-    return _span_constraint(b, ann, family, form) % p
+    return _span_constraint(b, ann, family, form, pairs) % p
 
 
 def _form_constraint(j: np.ndarray) -> np.ndarray:
     """Rows over gl expressing X^T J + J X = 0."""
-    eye = np.eye(len(j), dtype=np.int64)
-    return (_product_rows(eye, j).swapaxes(1, 2) + _product_rows(j, eye)).reshape(j.size, j.size)
+    eye, (r, s) = np.eye(len(j), dtype=np.int64), _coordinates("SL", len(j))
+    return _product_rows(eye, j, s, r) + _product_rows(j, eye, r, s)
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +406,7 @@ class _Walk:
         self.form, self.head = standard_form(family, n, d, flavor), _head(family, n, d, flavor)
         self.floor = _subspace_algebra(family)[1]
         self.heads, self.in_head, self.mask = 0, True, np.zeros((n, n), dtype=bool)
+        self.coords = self.pairs = _coordinates(family, n)
         self.free = np.arange(_unknowns(family, n))
         self.echelon = linalg.EchelonMod(len(self.free), p)
 
@@ -396,8 +416,9 @@ class _Walk:
         restart the echelon on the columns left."""
         w = b.any(axis=1)
         self.mask |= np.outer(~w if self.form is None else self.form[:, ~w].any(axis=1), w)
-        kept = ~self.mask.ravel() if self.family == "SL" else ~(self.mask | self.mask.T)[_upper(self.n, self.family)]
-        self.free = kept.nonzero()[0]
+        fixed = self.mask if self.family == "SL" else self.mask | self.mask.T
+        self.free = (~fixed[self.coords]).nonzero()[0]
+        self.pairs = tuple(x[self.free] for x in self.coords)
         self.echelon = linalg.EchelonMod(len(self.free), self.p)
 
     def _rows(self, b: np.ndarray) -> np.ndarray | None:
@@ -410,7 +431,7 @@ class _Walk:
         self.in_head = False
         if self.echelon.nullity == self.floor:
             return None
-        return _part_rows(b, self.family, self.form, self.p)[:, self.free]
+        return _part_rows(b, self.family, self.form, self.p, self.pairs)
 
     def add(self, b: np.ndarray) -> int:
         """The nullity with part ``b`` added."""
@@ -619,12 +640,12 @@ def module_stabilizer_dim(
             blocks.append(_form_constraint(s))
     else:
         # so_tensor: so_n of the identity form, so X and Y are antisymmetric;
-        # the unknowns are their strict upper triangles, [X | Y]
-        algebra, blocks, eye = "so+so", [], np.eye(n, dtype=np.int64)
+        # the unknowns are their strict upper triangles, [X | Y]; the rows are
+        # those of X W and of W Y^T = -W Y
+        algebra, blocks, eye, upper = "so+so", [], np.eye(n, dtype=np.int64), _upper(n, "SO")
         for _ in range(c):
             w = rng.integers(0, p, size=(n, n), dtype=np.int64)
-            tx, ty = _product_rows(eye, w), _product_rows(w, eye).swapaxes(1, 2)  # X W, W Y^T
-            blocks.append(np.concatenate([_lie_coordinates(tx, "SO"), _lie_coordinates(ty, "SO")], axis=1))
+            blocks.append(np.concatenate([_lie_rows(eye, w, "SO", upper), -_lie_rows(w, eye, "SO", upper)], axis=1))
     system = np.concatenate(blocks, axis=0)
     dim = linalg.nullspace_dim_mod(system, p)
     rows, columns = system.shape

@@ -13,6 +13,18 @@ than three.  Floor division rounds toward minus infinity, so
 x - (x // p) * p lies in 0..p-1 for every int64 x, negatives included;
 int64 products and differences wrap modulo 2**64, so the result is exact
 even where (x // p) * p leaves the int64 range.
+
+Order.  A rank does not depend on the order of rows or columns, so
+``nullspace_dim_mod`` eliminates in sparsity order: columns by ascending
+nonzero count, then rows by leading nonzero column, both stable sorts
+(Markowitz's rule, Management Science 3(3), 1957, in its static form).  A
+block-sparse system, such as the stabilizer rows of one subspace with the
+shared columns last, then keeps every pivot step inside its own block.  An
+RREF does depend on the column order, so ``rref_mod``,
+``nullspace_basis_mod`` and ``EchelonMod.add`` take the columns as given.
+Below a pivot the update stops at the last row nonzero in the pivot column:
+the rows past it are unchanged by it, so pivots and determinants are those
+of the full update.
 """
 from __future__ import annotations
 
@@ -54,8 +66,9 @@ def _eliminate(m: np.ndarray, p: int, reduce: bool) -> tuple[np.ndarray, list[in
     pivots.  A pivot row is zero left of its column c, so a step changes
     columns c.. only: one slice update clears column c from every other row
     when ``reduce`` (reduced row-echelon form), else from the rows below
-    it, and leaves a row already zero in column c as it is.  Returns (m,
-    pivot columns, det of a square ``m``)."""
+    it down to the last one nonzero in column c, and leaves a row already
+    zero in column c as it is.  Returns (m, pivot columns, det of a square
+    ``m``)."""
     pivots: list[int] = []
     det = 1
     for c in range(m.shape[1]):
@@ -76,7 +89,7 @@ def _eliminate(m: np.ndarray, p: int, reduce: bool) -> tuple[np.ndarray, list[in
             f[r] = 0
             m[:, c:] = _mod(m[:, c:] - f * row, p)
         elif nz.size > 1:  # else every row below is zero in column c
-            below = m[r + 1 :, c:]
+            below = m[r + 1 : r + nz[-1] + 1, c:]
             below[:] = _mod(below - below[:, :1] * row, p)
         pivots.append(c)
     return m, pivots, det if len(pivots) == len(m) else 0
@@ -88,8 +101,17 @@ def rref_mod(a, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def nullspace_dim_mod(a, p: int) -> int:
-    m, pivots, _ = _eliminate(_as_modmat(a, p), p, reduce=False)
-    return m.shape[1] - len(pivots)
+    """Dimension of the right nullspace mod p: the columns less the rank,
+    eliminated in sparsity order, which cannot change a rank (module
+    docstring, "Order").  Rows and columns may be empty, rows all zero."""
+    m = _as_modmat(a, p)
+    if not m.size:  # no rows or no columns: rank 0
+        return m.shape[1]
+    m = m[:, np.argsort(np.count_nonzero(m, axis=0), kind="stable")]
+    nz = m != 0
+    lead = np.where(nz.any(axis=1), nz.argmax(axis=1), m.shape[1])  # a zero row goes last
+    m = m[np.argsort(lead, kind="stable")]
+    return m.shape[1] - len(_eliminate(m, p, reduce=False)[1])
 
 
 def _complement(pivots: list[int], ncols: int) -> np.ndarray:

@@ -157,16 +157,19 @@ def _unit(n, m, i, j):
 def test_product_rows_are_the_entries_of_left_x_right():
     # rectangular L (3 x 4) and R (5 x 2), so X is 4 x 5: the coefficient of
     # X_ij in row (a, b) is entry (a, b) of L E_ij R; a term L Y^T R in a
-    # 5 x 4 unknown Y is the rule transposed on its last two axes
+    # 5 x 4 unknown Y is the rule with the pairs swapped; any subset of the
+    # pairs, in any order, gives those columns alone
     rng = np.random.default_rng(7)
     left, right = rng.integers(-9, 10, size=(3, 4)), rng.integers(-9, 10, size=(5, 2))
-    rows = genstab._product_rows(left, right)
-    assert rows.shape == (6, 4, 5) and rows.dtype == np.int64
-    rows_t = rows.swapaxes(1, 2)
-    for i in range(4):
-        for j in range(5):
-            assert np.array_equal(rows[:, i, j], (left @ _unit(4, 5, i, j) @ right).ravel()), (i, j)
-            assert np.array_equal(rows_t[:, j, i], (left @ _unit(5, 4, j, i).T @ right).ravel()), (i, j)
+    i, j = np.indices((4, 5)).reshape(2, -1)
+    r, s = np.indices((5, 4)).reshape(2, -1)
+    rows, rows_t = genstab._product_rows(left, right, i, j), genstab._product_rows(left, right, s, r)
+    assert rows.shape == rows_t.shape == (6, 20) and rows.dtype == np.int64
+    for k in range(20):
+        assert np.array_equal(rows[:, k], (left @ _unit(4, 5, i[k], j[k]) @ right).ravel()), k
+        assert np.array_equal(rows_t[:, k], (left @ _unit(5, 4, r[k], s[k]).T @ right).ravel()), k
+    some = rng.permutation(20)[:7]
+    assert np.array_equal(genstab._product_rows(left, right, i[some], j[some]), rows[:, some])
 
 
 @pytest.mark.parametrize(
@@ -606,6 +609,15 @@ def test_stabilizer_reports_are_pinned():
     assert digest.hexdigest() == REPORT_DIGEST, digest.hexdigest()
 
 
+@pytest.mark.parametrize("n,d", [(30, 6), (36, 9), (40, 8)])
+def test_sl_on_one_part_past_the_head_keeps_gl_of_one_block(n, d):
+    # n = k d at c = k + 1: the head leaves X = diag(X_0, .., X_{k-1}), and
+    # the drawn graph [I_d; Y] gives Y_i X_0 = X_i Y_i, so X_i = Y_i X_0 Y_i^-1
+    # and X_0 is free: the algebra is gl_d
+    rep = stabilizer_report("SL", n, d, "linear", n // d + 1, seed=0, trials=1, primes=PRIMES[:1])
+    assert (rep.algebra_dim, rep.projective_dim) == (d * d, d * d - 1)
+
+
 def test_first_system_is_the_walk_of_the_first_sampled_configuration():
     # stabilizer_report counts the first solve from the standard head
     # alone; walking the configuration that solve sampled must give the same
@@ -823,6 +835,17 @@ def test_one_form_gives_orthogonal_algebra():
 def test_so3_tensor_rigid():
     rep = module_stabilizer_dim("so_tensor", 3, 1, seed=3)
     assert rep.algebra_dim == 0
+
+
+@pytest.mark.parametrize("kind", genstab.MODULE_KINDS)
+def test_module_stabilizer_dims_are_pinned(kind):
+    # sym2: one generic form leaves so_n; two are simultaneously diagonal,
+    # (I, D) with distinct entries, so X is diagonal and antisymmetric: 0.
+    # so_tensor: X W = W Y makes X commute with the generic symmetric W W^T,
+    # so X is diagonal and antisymmetric, and Y = W^-1 X W: 0
+    for n in range(2, 9):
+        want = [n * (n - 1) // 2, 0] if kind == "sym2" else [0, 0]
+        assert [module_stabilizer_dim(kind, n, c, seed=n).algebra_dim for c in (1, 2)] == want, n
 
 
 @pytest.mark.parametrize("n,c", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (5, 1)])

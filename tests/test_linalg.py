@@ -226,3 +226,80 @@ def test_mod_p_routines_match_sympy_up_to_40x40(p, data):
     order = np.argsort(echelon.pivots)
     assert [echelon.pivots[i] for i in order] == pivots
     assert echelon.rows[order].tolist() == red[:rank].tolist()
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0, 0), (3, 5), (5, 3), (3, 3)])
+def test_empty_and_zero_matrices(shape):
+    # no rows, no columns, or only zero rows: rank 0, so the nullity is the
+    # column count; det of the empty matrix is 1, of a zero one 0
+    a = np.zeros(shape, dtype=np.int64)
+    assert linalg.nullspace_dim_mod(a, P) == shape[1]
+    assert linalg.rref_mod(a, P)[1] == []
+    if shape[0] == shape[1]:
+        assert linalg.det_mod(a, P) == (0 if a.size else 1)
+    echelon = linalg.EchelonMod(shape[1], P)
+    assert echelon.nullity_with(a) == shape[1]
+    echelon.add(a)
+    assert echelon.nullity == shape[1] and echelon.pivots == []
+
+
+def test_echelon_nullity_with_on_no_free_columns():
+    # every column a pivot: the remainder of a new block has no columns
+    echelon = linalg.EchelonMod(3, 7)
+    echelon.add(np.eye(3, dtype=np.int64))
+    assert echelon.nullity_with([[1, 2, 3]]) == 0
+    assert echelon.nullity_with(np.zeros((0, 3), dtype=np.int64)) == 0
+
+
+@st.composite
+def _block_arrows(draw, p):
+    """(a, square): k row blocks, block i over its own columns and one
+    shared block of columns, as the rows of a drawn part of the SL system
+    after the head, then a tip of rows over the shared block alone.  Square
+    when each row block is as tall as its own columns and the tip as the
+    shared block.  Entries are zeroed at a random density, so pivot rows
+    are swapped and eliminations stop early; a product of thin factors
+    gives a block of low rank."""
+    k = draw(st.integers(2, 6))
+    own = draw(st.lists(st.integers(1, 12), min_size=k, max_size=k))
+    shared = draw(st.integers(1, 10))
+    square = draw(st.booleans())
+    heights = own if square else draw(st.lists(st.integers(0, 14), min_size=k, max_size=k))
+    tip = shared if square else draw(st.integers(0, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from((0.3, 0.7, 1.0)))
+
+    def block(rows, cols):
+        if draw(st.booleans()):
+            return rng.integers(0, p, size=(rows, cols), dtype=np.int64)
+        inner = draw(st.integers(0, min(rows, cols)))
+        left = rng.integers(0, p, size=(rows, inner), dtype=np.int64)
+        right = rng.integers(0, p, size=(inner, cols), dtype=np.int64)
+        return np.array((left.astype(object) @ right.astype(object)) % p, dtype=np.int64).reshape(rows, cols)
+
+    ncols = sum(own) + shared
+    a = np.zeros((sum(heights) + tip, ncols), dtype=np.int64)
+    r = c = 0
+    for h, w in zip(heights, own):
+        cols = np.r_[c : c + w, ncols - shared : ncols]
+        a[r : r + h, cols] = block(h, w + shared)
+        r, c = r + h, c + w
+    a[r:, ncols - shared :] = block(tip, shared)
+    a[rng.random(a.shape) > density] = 0
+    return a, square
+
+
+@pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_block_arrow_nullities_ignore_row_and_column_order(p, data):
+    # up to 94 x 82, past the cap of _large_matrices: the rank-only solve
+    # reorders rows and columns; the RREF and det keep the order given
+    a, square = data.draw(_block_arrows(p))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    b = a[rng.permutation(a.shape[0])][:, rng.permutation(a.shape[1])]
+    nullity = a.shape[1] - len(linalg.rref_mod(a, p)[1])
+    assert linalg.nullspace_dim_mod(a, p) == linalg.nullspace_dim_mod(b, p) == nullity
+    if square:
+        for m in (a, b):
+            assert linalg.det_mod(m, p) == int(_reference(m, p).det())
