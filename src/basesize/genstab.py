@@ -48,7 +48,8 @@ Every head part is a coordinate block W, and every standard form J is
 monomial, so the rows of a head part are exactly coordinate functionals:
 W fixes X(outside W, W), or S(x, W) for x in the support of J e_j for some
 j outside W.  They delete columns, and only the later parts are eliminated
-on the columns left, in the one form and basis that sampling also uses.
+on the columns left, in the one form and basis that sampling also uses,
+and a walk counts the columns of every head prefix once, as it starts.
 The head of a configuration is the longest prefix of its parts equal to the
 standard head, by exact comparison, so the nullity is the free columns
 minus the rank for every configuration, generic or not.  The head does not
@@ -59,14 +60,15 @@ Part streams.  Each (prime, trial) pair takes its parts from one stream:
 the head, then parts drawn from an RNG whose key holds no part count, so
 the configuration of c parts is a prefix of the one of c + 1
 (``sample_configuration`` returns that prefix).  One walker, ``_Walk``,
-solves a configuration part by part for both routes.  While every part is
-the next head part the nullity is the free column count; from the first
-part past the head on, the rows of each part enter one reduced echelon
-form (``linalg.EchelonMod``) exactly once, built on the free columns
-alone: ``_part_rows`` takes the walk's free (i, j) pairs, so no deleted
-column is assembled.  Once the nullity is the dimension of the scalars,
-which lie in every stabilizer (1 in gl, 0 in sp and so), no later part's
-rows are assembled.  ``estimate_b0`` steps one walk per stream by one part
+solves a configuration part by part for both routes.  It counts the
+columns of every head prefix once, as it starts, so a head part costs one
+exact comparison and leaves the nullity at its prefix's count.  The first
+part past the head builds the free (i, j) pairs and one reduced echelon
+form (``linalg.EchelonMod``) on them, which the rows of each part enter
+exactly once: ``_part_rows`` takes those pairs, so no deleted column is
+assembled.  Once the nullity is the dimension of the scalars, which lie in
+every stabilizer (1 in gl, 0 in sp and so), no later part's rows are
+assembled.  ``estimate_b0`` steps one walk per stream by one part
 per c and reads the nullity after each, so an estimate takes b0 parts per
 stream, and its dimensions cannot increase with c.
 ``stabilizer_algebra_dim_once`` walks one configuration: it adds every
@@ -258,20 +260,21 @@ def _part_stream(family: str, n: int, d: int, flavor: str, seed: int, p: int):
     _validate(family, n, d, flavor, p)
     j = standard_form(family, n, d, flavor)
     rng = _rng(seed, 0xC0FF)
+    eye, m = np.eye(d, dtype=np.int64), n // 2
+    upper = np.triu(np.ones((m, m), dtype=bool))
     yield from ((b, 0) for b in _head(family, n, d, flavor))
 
     def gram(x: np.ndarray) -> np.ndarray:
         return linalg.matmul_mod(x.T @ j, x, p)  # J is a signed permutation: x^T J is exact
 
     def graph(rows: int) -> np.ndarray:  # [I_d; Y], Y uniform: of full column rank as drawn
-        return np.concatenate([np.eye(d, dtype=np.int64), rng.integers(0, p, size=(rows, d), dtype=np.int64)])
+        return np.concatenate([eye, rng.integers(0, p, size=(rows, d), dtype=np.int64)])
 
     def try_one() -> np.ndarray | None:
         if flavor == "totally_singular":  # the graph of the module docstring
-            m = n // 2
             x = graph(m - d)
             a = rng.integers(0, p, size=(m, m), dtype=np.int64)
-            s = np.triu(a) + np.triu(a, 1).T if family == "Sp" else (a - a.T) % p  # a + a^T: 0 diagonal at p = 2
+            s = np.where(upper, a, a.T) if family == "Sp" else (a - a.T) % p  # a + a^T: 0 diagonal at p = 2
             if n % 2 == 0:
                 return np.concatenate([x, linalg.matmul_mod(s, x, p)])
             c = rng.integers(0, p, size=(m, 1), dtype=np.int64)
@@ -396,39 +399,42 @@ def _head(family: str, n: int, d: int, flavor: str) -> list[np.ndarray]:
 
 class _Walk:
     """One solve grown part by part (module docstring, "Part streams"):
-    while every part is the next standard head part, its rows delete
-    columns and the echelon restarts, empty, on the columns left; the rows
-    of every later part enter that echelon until its nullity is the
-    dimension of the scalars."""
+    ``columns`` counts what each head prefix leaves, and the first part past
+    the head builds the ``pairs`` and the echelon that every later part
+    enters."""
 
     def __init__(self, family: str, n: int, d: int, flavor: str, p: int):
-        self.family, self.n, self.p = family, n, p
+        self.family, self.p, self.floor = family, p, _subspace_algebra(family)[1]
         self.form, self.head = standard_form(family, n, d, flavor), _head(family, n, d, flavor)
-        self.floor = _subspace_algebra(family)[1]
-        self.heads, self.in_head, self.mask = 0, True, np.zeros((n, n), dtype=bool)
-        self.coords = self.pairs = _coordinates(family, n)
-        self.free = np.arange(_unknowns(family, n))
-        self.echelon = linalg.EchelonMod(len(self.free), p)
+        self.coords, self.heads, self.echelon = _coordinates(family, n), 0, None
+        # head prefix h deletes the entries of X (of S in sp/so) that its
+        # coordinate blocks W fix at 0 (module docstring, "Fixed head"):
+        # X(outside W, W), or S(x, W) for x in the support of J e_j, j outside W
+        w = np.array([0 * self.head[0], *self.head]).any(axis=2)
+        out = ~w if self.form is None else ~w @ (self.form != 0).T
+        fixed = np.logical_or.accumulate(out[:, :, None] & w[:, None, :])
+        fixed = fixed if family == "SL" else fixed | fixed.transpose(0, 2, 1)
+        self.deleted = fixed[:, self.coords[0], self.coords[1]]
+        self.columns = (~self.deleted).sum(axis=1).tolist()
 
-    def _delete(self, b: np.ndarray) -> None:
-        """Delete the entries of X (of S in sp/so) that head part ``b``, a
-        coordinate block, fixes at 0 (module docstring, "Fixed head"), and
-        restart the echelon on the columns left."""
-        w = b.any(axis=1)
-        self.mask |= np.outer(~w if self.form is None else self.form[:, ~w].any(axis=1), w)
-        fixed = self.mask if self.family == "SL" else self.mask | self.mask.T
-        self.free = (~fixed[self.coords]).nonzero()[0]
-        self.pairs = tuple(x[self.free] for x in self.coords)
-        self.echelon = linalg.EchelonMod(len(self.free), self.p)
+    @property
+    def free(self) -> np.ndarray:
+        """The columns that the head prefix leaves."""
+        return (~self.deleted[self.heads]).nonzero()[0]
+
+    @property
+    def nullity(self) -> int:
+        return self.columns[self.heads] if self.echelon is None else self.echelon.nullity
 
     def _rows(self, b: np.ndarray) -> np.ndarray | None:
         """The rows of part ``b`` on the free columns; None for a head part,
         whose rows are deleted columns, and once the nullity is the floor."""
-        if self.in_head and self.heads < len(self.head) and np.array_equal(b, self.head[self.heads]):
-            self.heads += 1
-            self._delete(b)
-            return None
-        self.in_head = False
+        if self.echelon is None:
+            if self.heads < len(self.head) and np.array_equal(b, self.head[self.heads]):
+                self.heads += 1
+                return None
+            self.pairs = tuple(x[self.free] for x in self.coords)
+            self.echelon = linalg.EchelonMod(len(self.pairs[0]), self.p)
         if self.echelon.nullity == self.floor:
             return None
         return _part_rows(b, self.family, self.form, self.p, self.pairs)
@@ -437,12 +443,12 @@ class _Walk:
         """The nullity with part ``b`` added."""
         if (rows := self._rows(b)) is not None:
             self.echelon.add(rows)
-        return self.echelon.nullity
+        return self.nullity
 
     def nullity_with(self, b: np.ndarray) -> int:
         """The nullity with part ``b``, by rank alone: it is not kept."""
         rows = self._rows(b)
-        return self.echelon.nullity if rows is None else self.echelon.nullity_with(rows)
+        return self.nullity if rows is None else self.echelon.nullity_with(rows)
 
 
 def stabilizer_algebra_dim_once(config: Configuration) -> int:
@@ -460,13 +466,12 @@ def stabilizer_algebra_dim_once(config: Configuration) -> int:
 def _system_shape(family: str, n: int, d: int, flavor: str, c: int, dim: int) -> SystemShape:
     """The shape of the solve of a sampled configuration of c parts, whose
     answer is ``dim``: its head is the first c standard head parts (module
-    docstring, "Fixed head"), walked alone, and every part after them gives
-    (n - d) d rows.  Head parts eliminate nothing, so the prime is unread."""
+    docstring, "Fixed head"), whose columns a walk counts as it starts, and
+    every part after them gives (n - d) d rows.  The prime is unread."""
     walk = _Walk(family, n, d, flavor, PRIMES[0])
-    for b in walk.head[:c]:
-        walk.add(b)
-    columns = walk.echelon.nullity
-    return SystemShape(_unknowns(family, n), walk.heads, columns, (c - walk.heads) * (n - d) * d, columns - dim)
+    heads = min(c, len(walk.head))
+    columns = walk.columns[heads]
+    return SystemShape(_unknowns(family, n), heads, columns, (c - heads) * (n - d) * d, columns - dim)
 
 
 def _subspace_algebra(family: str) -> tuple[str, int]:
@@ -533,16 +538,8 @@ def certificate(rep: StabilizerReport, c: int) -> dict | None:
     return _certified(rep.algebra, rep.algebra_dim - rep.projective_dim, c, rep.primes, rep.dims_by_prime)
 
 
-def stabilizer_report(
-    family: str,
-    n: int,
-    d: int,
-    flavor: str,
-    c: int,
-    seed: int,
-    trials: int = 5,
-    primes: tuple[int, ...] = PRIMES,
-) -> StabilizerReport:
+def stabilizer_report(family: str, n: int, d: int, flavor: str, c: int, seed: int, trials: int = 5,
+                      primes: tuple[int, ...] = PRIMES) -> StabilizerReport:
     """Min-over-trials stabilizer dimension at each prime, cross-checked."""
     dims, resamples = [], 0
     for p, s in _runs((family, n, d, flavor), seed, trials, primes):
@@ -553,16 +550,8 @@ def stabilizer_report(
     return _report(*_subspace_algebra(family), dims, trials, primes, resamples, seed, first_system)
 
 
-def estimate_b0(
-    family: str,
-    n: int,
-    d: int,
-    flavor: str,
-    c_max: int,
-    trials: int = 5,
-    seed: int = 0,
-    primes: tuple[int, ...] = PRIMES,
-) -> B0Estimate:
+def estimate_b0(family: str, n: int, d: int, flavor: str, c_max: int, trials: int = 5, seed: int = 0,
+                primes: tuple[int, ...] = PRIMES) -> B0Estimate:
     """Smallest c <= c_max whose generic configuration has a
     zero-dimensional stabilizer, with the orbit-dimension lower bound
     cross-checked; a ``value`` is a certified upper bound on b1 for SL and

@@ -25,6 +25,11 @@ RREF does depend on the column order, so ``rref_mod``,
 Below a pivot the update stops at the last row nonzero in the pivot column:
 the rows past it are unchanged by it, so pivots and determinants are those
 of the full update.
+
+Echelon.  A row kept by ``EchelonMod`` has a unit pivot and is zero in every
+other pivot column: the pivot columns are the identity by construction, so
+the rows are stored on the free columns only, and a new block costs its
+projection, its own pivots and one product over the free columns.
 """
 from __future__ import annotations
 
@@ -42,7 +47,7 @@ def _mod(x: np.ndarray, p: int) -> np.ndarray:
 def _as_modmat(a, p: int) -> np.ndarray:
     if not (2 <= p < MAX_PRIME):
         raise ValueError(f"prime {p} out of supported range")
-    m = _mod(np.array(a, dtype=np.int64), p)
+    m = _mod(np.asarray(a, dtype=np.int64), p)  # a new array: the input is never written
     if m.ndim != 2:
         raise ValueError("expected a 2-d array")
     return m
@@ -63,34 +68,34 @@ def matmul_mod(a, b, p: int) -> np.ndarray:
 
 def _eliminate(m: np.ndarray, p: int, reduce: bool) -> tuple[np.ndarray, list[int], int]:
     """Row-reduce ``m``, a reduced int64 array, mod p in place to unit
-    pivots.  A pivot row is zero left of its column c, so a step changes
-    columns c.. only: one slice update clears column c from every other row
-    when ``reduce`` (reduced row-echelon form), else from the rows below
-    it down to the last one nonzero in column c, and leaves a row already
-    zero in column c as it is.  Returns (m, pivot columns, det of a square
-    ``m``)."""
+    pivots; returns (m, pivot columns, det of a square ``m``).  A step
+    changes columns c.. only.  When ``reduce`` (reduced row-echelon form)
+    it seeks a nonzero only if the pivot entry is 0, clears column c from
+    every row with one slice update and writes the scaled pivot row back;
+    else it clears column c from the rows below down to the last one
+    nonzero in it, leaving a row already zero in column c as it is."""
     pivots: list[int] = []
     det = 1
     for c in range(m.shape[1]):
         r = len(pivots)
         if r == len(m):
             break
-        nz = m[r:, c].nonzero()[0]
-        if nz.size == 0:
-            continue
-        if nz[0]:
-            m[[r, r + nz[0]]] = m[[r + nz[0], r]]
-            det = -det
-        det = det * int(m[r, c]) % p
-        row = _mod(m[r, c:] * pow(int(m[r, c]), -1, p), p)
-        m[r, c:] = row
+        if not reduce or not m[r, c]:
+            nz = m[r:, c].nonzero()[0]
+            if nz.size == 0:
+                continue
+            if nz[0]:
+                m[[r, r + nz[0]]] = m[[r + nz[0], r]]
+                det = -det
+        x = int(m[r, c])
+        det = det * x % p
+        row = _mod(m[r, c:] * pow(x, -1, p), p)
         if reduce:
-            f = m[:, c:c + 1].copy()
-            f[r] = 0
-            m[:, c:] = _mod(m[:, c:] - f * row, p)
+            m[:, c:] = _mod(m[:, c:] - m[:, c : c + 1] * row, p)
         elif nz.size > 1:  # else every row below is zero in column c
             below = m[r + 1 : r + nz[-1] + 1, c:]
             below[:] = _mod(below - below[:, :1] * row, p)
+        m[r, c:] = row
         pivots.append(c)
     return m, pivots, det if len(pivots) == len(m) else 0
 
@@ -114,67 +119,66 @@ def nullspace_dim_mod(a, p: int) -> int:
     return m.shape[1] - len(_eliminate(m, p, reduce=False)[1])
 
 
-def _complement(pivots: list[int], ncols: int) -> np.ndarray:
-    """The columns that are not pivots, in order."""
-    free = np.ones(ncols, dtype=bool)
-    free[pivots] = False
-    return free.nonzero()[0]
-
-
 class EchelonMod:
-    """Reduced row-echelon form mod p of a growing stack of row blocks.
-
-    The kept rows have unit pivots and are zero in every other pivot
-    column, so a new block is projected onto the free columns with one
-    product: ``add`` row-reduces that remainder in place and clears the new
-    pivot columns from the kept rows with one more product, and
-    ``nullity_with`` takes only its rank."""
+    """Reduced row-echelon form mod p of a growing stack of row blocks,
+    stored on the free columns (module docstring, "Echelon"): ``tail``
+    holds the kept rows on the increasing columns ``free``.  ``add``
+    row-reduces a block's projected remainder in place, clears its pivot
+    columns from ``tail`` and appends its rows' free part; ``nullity_with``
+    takes only the remainder's rank."""
 
     def __init__(self, ncols: int, p: int):
         if ncols >= MAX_INNER:
             raise ValueError(f"{ncols} columns is not below 2**16")
         self.p = p
-        self.rows = np.zeros((0, ncols), dtype=np.int64)
+        self.tail = np.zeros((0, ncols), dtype=np.int64)
+        self.free = np.arange(ncols)
         self.pivots: list[int] = []
 
     @property
     def nullity(self) -> int:
-        return self.rows.shape[1] - len(self.pivots)
+        return len(self.free)
 
-    def _project(self, block) -> tuple[np.ndarray, np.ndarray]:
-        """(free columns, ``block`` less its pivot-column combination of
-        the kept rows, on the free columns)."""
-        p = self.p
-        b = _as_modmat(block, p)
-        free = _complement(self.pivots, b.shape[1])
-        rest = b[:, free]
-        if self.pivots:
-            rest = _mod(rest - _matmul(b[:, self.pivots], self.rows[:, free], p), p)
-        return free, rest
+    @property
+    def rows(self) -> np.ndarray:
+        """The kept rows on every column, in ``pivots`` order, read-only."""
+        rows = np.concatenate([np.eye(len(self.pivots), dtype=np.int64), self.tail], axis=1)
+        rows = rows[:, np.argsort(self.pivots + self.free.tolist())]
+        rows.setflags(write=False)
+        return rows
+
+    def _project(self, block) -> np.ndarray:
+        """``block`` less its pivot-column combination of the kept rows, on
+        the free columns."""
+        b = _as_modmat(block, self.p)
+        if not self.pivots:  # every column is free
+            return b
+        return _mod(b[:, self.free] - _matmul(b[:, self.pivots], self.tail, self.p), self.p)
 
     def nullity_with(self, block) -> int:
         """The nullity after ``add(block)``, keeping nothing."""
-        return nullspace_dim_mod(self._project(block)[1], self.p)
+        return nullspace_dim_mod(self._project(block), self.p)
 
     def add(self, block) -> None:
         p = self.p
-        free, rest = self._project(block)
-        red, found, _ = _eliminate(rest, p, reduce=True)
+        red, found, _ = _eliminate(self._project(block), p, reduce=True)
         if not found:
             return
-        new = np.zeros((len(found), self.rows.shape[1]), dtype=np.int64)
-        new[:, free] = red[: len(found)]
-        pivots = free[found].tolist()
+        keep = np.ones(len(self.free), dtype=bool)
+        keep[found] = False
+        new = red[: len(found), keep]
+        tail = self.tail[:, keep]
         if self.pivots:
-            self.rows = _mod(self.rows - _matmul(self.rows[:, pivots], new, p), p)
-        self.rows = np.concatenate([self.rows, new])
-        self.pivots += pivots
+            tail = _mod(tail - _matmul(self.tail[:, found], new, p), p)
+        self.tail = np.concatenate([tail, new])
+        self.pivots += self.free[found].tolist()
+        self.free = self.free[keep]
 
 
 def nullspace_basis_mod(a, p: int) -> np.ndarray:
     """Basis of the right nullspace mod p, one vector per row."""
     m, pivots = rref_mod(a, p)
-    free = _complement(pivots, m.shape[1])
+    free = np.setdiff1d(np.arange(m.shape[1]), pivots)
     basis = np.zeros((free.size, m.shape[1]), dtype=np.int64)
     basis[np.arange(free.size), free] = 1
     basis[:, pivots] = -m[: len(pivots), free].T % p

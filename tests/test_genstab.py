@@ -739,6 +739,47 @@ def test_head_rows_are_the_deleted_coordinates(family, n, d, flavor):
     assert _walked(cfg).heads == len(genstab._head(family, n, d, flavor)) > 0
 
 
+@pytest.mark.parametrize("family,flavor,n", sorted(_ADAPTED_CASES))
+def test_head_prefix_counts_match_the_part_by_part_rule(family, flavor, n):
+    # the walk counts every head prefix as it starts; fed its head one part
+    # at a time, it must give the nullity of the stacked full rows of the
+    # parts so far, and past the head its free columns and pairs must be the
+    # columns on which every one of those rows is zero
+    p, coords = PRIMES[0], genstab._coordinates(family, n)
+    for d in _ADAPTED_CASES[family, flavor, n]:
+        head, form = genstab._head(family, n, d, flavor), genstab.standard_form(family, n, d, flavor)
+        rows = [genstab._part_rows(b, family, form, p) for b in head]
+        walk = genstab._Walk(family, n, d, flavor, p)
+        for h, b in enumerate(head, 1):
+            assert walk.add(b) == linalg.nullspace_dim_mod(np.concatenate(rows[:h]), p) and walk.heads == h, (d, h)
+        # the first drawn part of a stream, which follows the whole head
+        drawn = next(itertools.islice(genstab._part_stream(family, n, d, flavor, n + d, p), len(head), None))[0]
+        walk.add(drawn)
+        free = (~np.concatenate(rows).any(axis=0)).nonzero()[0]
+        assert walk.heads == len(head) and walk.free.tolist() == free.tolist(), d
+        assert [x.tolist() for x in walk.pairs] == [x[free].tolist() for x in coords], d
+        assert np.array_equal(genstab._part_rows(drawn, family, form, p, walk.pairs),
+                              genstab._part_rows(drawn, family, form, p)[:, free]), d
+
+
+@pytest.mark.parametrize("family,n,d,flavor", [("SL", 6, 2, "linear"), ("Sp", 8, 2, "totally_singular"),
+                                               ("SO", 9, 3, "nondeg")])
+def test_head_parts_after_a_drawn_part_are_eliminated(family, n, d, flavor):
+    # a first part that is not the head part deletes nothing, and a part
+    # equal to a head part after a drawn part enters the echelon
+    cfg = sample_configuration(family, n, d, flavor, len(genstab._head(family, n, d, flavor)) + 2, seed=4)
+    head, drawn = cfg.parts[: -2], cfg.parts[-2:]
+    for parts, heads in [(drawn[:1] + head, 0), (head[:1] + drawn[:1] + head, 1), (head + drawn + head, len(head))]:
+        walk = _walk_dims(parts, family, n, d, flavor, cfg.p)
+        for c in range(1, len(parts) + 1):
+            assert next(walk) == _plain_dim(dataclasses.replace(cfg, parts=parts[:c])), (heads, c)
+        walk = _walked(dataclasses.replace(cfg, parts=parts))
+        assert walk.heads == heads and len(walk.free) == walk.columns[heads]
+        assert walk.echelon.nullity == _plain_dim(dataclasses.replace(cfg, parts=parts))
+        if not heads:
+            assert walk.free.tolist() == list(range(genstab._unknowns(family, n)))
+
+
 @pytest.mark.parametrize("p", PRIMES + (3, 5))
 def test_standard_heads_are_exact_mod_p(p):
     # the sampler yields these blocks unchecked, so check every one here:

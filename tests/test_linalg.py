@@ -159,6 +159,10 @@ def test_echelon_mod_matches_rref_of_the_stack(blocks, p, cols):
         assert [echelon.pivots[i] for i in order] == pivots
         assert echelon.rows[order].tolist() == red[: len(pivots)].tolist()
         assert echelon.nullity == cols - len(pivots)
+        # the rows are stored on the increasing free columns, and are the
+        # identity on the pivots
+        assert echelon.free.tolist() == sorted(set(range(cols)) - set(pivots))
+        assert echelon.rows[:, echelon.pivots].tolist() == np.eye(len(pivots), dtype=np.int64).tolist()
 
 
 @settings(max_examples=150, deadline=None)
@@ -174,6 +178,32 @@ def test_echelon_nullity_with_is_the_nullity_after_add_and_keeps_nothing(blocks,
     assert echelon.rows.tolist() == rows.tolist() and echelon.pivots == pivots
     echelon.add(last)
     assert nullity == echelon.nullity == linalg.nullspace_dim_mod(np.concatenate(head + [last]), p)
+
+
+@pytest.mark.parametrize("p", _PRIMES)
+@pytest.mark.parametrize("shape", [(5, 7), (7, 5), (6, 6), (40, 30)], ids=str)  # 40 x 30: _mod's floor division
+@pytest.mark.parametrize("writeable", [True, False], ids=["writeable", "read-only"])
+def test_no_routine_writes_into_its_argument(p, shape, writeable):
+    # reduced int64 inputs, read-only as Configuration parts are or not, of
+    # full rank and with a repeated row: each routine works on its own copy
+    rng = np.random.default_rng(shape[0] * p)
+    a = rng.integers(0, p, size=shape, dtype=np.int64)
+    a[-1] = a[0]
+    b = rng.integers(0, p, size=(shape[1], 4), dtype=np.int64)
+    for x in (a, b):
+        x.setflags(write=writeable)
+    before = a.tobytes(), b.tobytes()
+    linalg.rref_mod(a, p)
+    linalg.nullspace_dim_mod(a, p)
+    linalg.nullspace_basis_mod(a, p)
+    linalg.matmul_mod(a, b, p)
+    if shape[0] == shape[1]:
+        linalg.det_mod(a, p)
+    echelon = linalg.EchelonMod(shape[1], p)
+    for block in (a[:3], a, b.T):  # an empty echelon, then one with pivots
+        echelon.nullity_with(block)
+        echelon.add(block)
+    assert (a.tobytes(), b.tobytes()) == before
 
 
 @st.composite
