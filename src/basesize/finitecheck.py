@@ -6,14 +6,15 @@ closed-form order is checked against a hard element bound.  SL_2(q) is
 listed in closed form, and PGL_2(q) by a normal form: each class of
 scalar multiples of an invertible 2x2 matrix holds exactly one matrix
 [[a, b], [c, d]] whose first column (a, c) is a listed point (1, x) or
-(0, 1).  Its image of the point (u : v) is read from a table of u a + v b
-by (k, b), k the index of (a, c), one of u c + v d by (k, d), and one from
-(x : y) to the index of the point.  The point pairs of the line take
-their group from the line's.  Sp_4(q) is generated by transvections over
-F_q (int64 arrays) that become permutations of an enumerated point set,
-with scalars acting trivially, and ``close_perm_group`` closes them by
-breadth-first search.  Base sizes come from an exhaustive pruned
-backtrack over stabilizer-orbit representatives.  Tuple stabilizers are
+(0, 1).  Its images of all points (u : v) come in one pass from a table of
+u a + v b by (k, b), k the index of (a, c), one of u c + v d by (k, d),
+both with the points on the last axis, and one from (x : y) to the index
+of the point.  The point pairs of the line take their group from the
+line's.  Sp_4(q) is generated by transvections over F_q (int64 arrays)
+that become permutations of an enumerated point set, with scalars acting
+trivially, and ``close_perm_group`` closes them by breadth-first search.
+Base sizes come from an exhaustive pruned backtrack over stabilizer-orbit
+representatives, started at the counting bound.  Tuple stabilizers are
 counted at once: a packed bit table over the elements marks which fix each
 drawn point, and a tuple's stabilizer is the AND of its points' rows.
 
@@ -140,19 +141,18 @@ def close_perm_group(gen_perms: list[tuple[int, ...]], bound: int = DEFAULT_ELEM
 def _line_images(q: int) -> np.ndarray:
     """The projective line under the matrices [[a_k, b], [c_k, d]] with
     a_k d - b c_k != 0, (a_k, c_k) its k-th point: one int32 row per matrix
-    in grid order of (k, b, d), one column per point."""
-    pts, r = np.array(projective_line(q)), np.arange(q)
+    in grid order of (k, b, d), one column per point, all in one pass."""
+    pts, r = np.array(projective_line(q), dtype=np.int32), np.arange(q, dtype=np.int32)
     k, b, d = np.indices((q + 1, q, q)).reshape(3, -1)
     keep = (pts[k, 0] * d - b * pts[k, 1]) % q != 0
     kb, kd = (2 * q * k + b)[keep], (2 * q * k + q + d)[keep]
     x, y = np.divmod(np.arange(q * q), q)
     index = np.where(x, y * _inverses(q)[x] % q, q).astype(np.int32)  # of (x : y), at x * q + y
-    out = np.empty((kb.size, q + 1), dtype=np.int32)
-    for col, (u, v) in enumerate(pts):
-        # the image (x : y) = (u a_k + v b : u c_k + v d): x * q at (k, 0, b), y at (k, 1, d)
-        xy = (u * pts[..., None] + v * r) % q * [[q], [1]]
-        out[:, col] = index[np.take(xy, kb) + np.take(xy, kd)]
-    return out
+    # every point's image (x : y) = (u a_k + v b : u c_k + v d), the points
+    # (u, v) on the last axis: x * q at (k, 0, b), y at (k, 1, d)
+    xy = (pts[..., None, None] * pts[:, 0] + r[:, None] * pts[:, 1]) % q * np.int32([[[q]], [[1]]])
+    xy = xy.reshape(-1, q + 1)
+    return index[np.take(xy, kb, axis=0) + np.take(xy, kd, axis=0)]
 
 
 def pgl2_line_action(q: int, bound: int = DEFAULT_ELEMENT_BOUND) -> PermAction:
@@ -223,22 +223,21 @@ def stabilizer_order(action: PermAction, tup: tuple[int, ...]) -> int:
     return int(np.count_nonzero(mask))
 
 
-def _exists_base(perms: np.ndarray, idx: np.ndarray, depth: int) -> bool:
-    if idx.size == 1:
+def _exists_base(sub: np.ndarray, depth: int) -> bool:
+    """Whether some ``depth`` points have trivial stabilizer in the group listed by ``sub``'s rows."""
+    if sub.shape[0] == 1:
         return True
     if depth == 0:
         return False
-    m = perms.shape[1]
-    seen = np.zeros(m, dtype=bool)
-    sub = perms[idx]
-    for pt in range(m):
+    seen = np.zeros(sub.shape[1], dtype=bool)
+    for pt in range(sub.shape[1]):
         if seen[pt]:
             continue
         seen[sub[:, pt]] = True
         keep = sub[:, pt] == pt
         if keep.all():
             continue  # a point fixed by the whole current stabilizer never helps
-        if _exists_base(perms, idx[keep], depth - 1):
+        if _exists_base(sub[keep], depth - 1):
             return True
     return False
 
@@ -246,17 +245,16 @@ def _exists_base(perms: np.ndarray, idx: np.ndarray, depth: int) -> bool:
 def exact_base_size(action: PermAction, seed: int = 0) -> int:
     """Minimal number of points whose pointwise stabilizer is trivial.
 
-    Exhaustive backtracking over stabilizer-orbit representatives decides,
-    for c = 1, 2, ..., whether some c points have trivial stabilizer; a base
-    stays a base when points are added, so the first such c is the base
-    size.  ``seed`` is unused: the search is deterministic.
+    The images of c base points tell the elements apart, so |G| <= n (n - 1)
+    ... (n - c + 1) on n points.  From the least such c on, exhaustive
+    backtracking over stabilizer-orbit representatives decides whether some
+    c points have trivial stabilizer; a base stays a base when points are
+    added, so the first such c is the base size.  ``seed`` is unused.
     """
-    perms = action.perms
-    if perms.shape[0] == 1:
-        return 0
-    all_idx = np.arange(perms.shape[0])
-    for c in range(1, perms.shape[1] + 1):
-        if _exists_base(perms, all_idx, c):
+    order, n = action.perms.shape
+    start = next((c for c in range(n + 1) if math.perm(n, c) >= order), n + 1)
+    for c in range(start, n + 1):
+        if _exists_base(action.perms, c):
             return c
     raise RuntimeError("the action is not faithful")
 

@@ -48,28 +48,29 @@ Every head part is a coordinate block W, and every standard form J is
 monomial, so the rows of a head part are exactly coordinate functionals:
 W fixes X(outside W, W), or S(x, W) for x in the support of J e_j for some
 j outside W.  They delete columns, and only the later parts are eliminated
-on the columns left, in the one form and basis that sampling also uses,
-and a walk counts the columns of every head prefix once, as it starts.
-The head of a configuration is the longest prefix of its parts equal to the
-standard head, by exact comparison, so the nullity is the free columns
-minus the rank for every configuration, generic or not.  The head does not
-depend on the prime.  Drawn parts follow the whole head, so the head of a
-sampled configuration of c parts is the first c standard head parts.
+on the columns left, in the one form and basis that sampling also uses.
+The blocks are disjoint, so a walk starts from one table, of the shortest
+head prefix that deletes each column, and reads every prefix's count off
+it.  The head of a configuration is the longest prefix of its parts equal
+to the standard head, by exact comparison, so the nullity is the free
+columns minus the rank for every configuration, generic or not.  The head
+does not depend on the prime.  Drawn parts follow the whole head, so the
+head of a sampled configuration of c parts is the first c standard head
+parts.
 
 Part streams.  Each (prime, trial) pair takes its parts from one stream:
 the head, then parts drawn from an RNG whose key holds no part count, so
 the configuration of c parts is a prefix of the one of c + 1
 (``sample_configuration`` returns that prefix).  One walker, ``_Walk``,
-solves a configuration part by part for both routes.  It counts the
-columns of every head prefix once, as it starts, so a head part costs one
-exact comparison and leaves the nullity at its prefix's count.  The first
-part past the head builds the free (i, j) pairs and one reduced echelon
-form (``linalg.EchelonMod``) on them, which the rows of each part enter
-exactly once: ``_part_rows`` takes those pairs, so no deleted column is
-assembled.  Once the nullity is the dimension of the scalars, which lie in
-every stabilizer (1 in gl, 0 in sp and so), no later part's rows are
-assembled.  ``estimate_b0`` steps one walk per stream by one part
-per c and reads the nullity after each, so an estimate takes b0 parts per
+solves a configuration part by part for both routes: a head part costs
+one exact comparison and leaves the nullity at its prefix's count.  The
+first part past the head builds the free (i, j) pairs and one reduced
+echelon form (``linalg.EchelonMod``) on them, which the rows of each part
+enter exactly once: ``_part_rows`` takes those pairs, so no deleted column
+is assembled.  Once the nullity is the dimension of the scalars, which lie
+in every stabilizer (1 in gl, 0 in sp and so), no later part's rows are
+assembled.  ``estimate_b0`` steps one walk per stream by one part per c
+and reads the nullity after each, so an estimate takes b0 parts per
 stream, and its dimensions cannot increase with c.
 ``stabilizer_algebra_dim_once`` walks one configuration: it adds every
 part but the last and takes the last by rank alone
@@ -399,28 +400,29 @@ def _head(family: str, n: int, d: int, flavor: str) -> list[np.ndarray]:
 
 class _Walk:
     """One solve grown part by part (module docstring, "Part streams"):
-    ``columns`` counts what each head prefix leaves, and the first part past
-    the head builds the ``pairs`` and the echelon that every later part
-    enters."""
+    ``first`` is each column's shortest deleting head prefix, ``columns``
+    what each head prefix leaves, and the first part past the head builds
+    the ``pairs`` and the echelon that every later part enters."""
 
     def __init__(self, family: str, n: int, d: int, flavor: str, p: int):
         self.family, self.p, self.floor = family, p, _subspace_algebra(family)[1]
         self.form, self.head = standard_form(family, n, d, flavor), _head(family, n, d, flavor)
         self.coords, self.heads, self.echelon = _coordinates(family, n), 0, None
-        # head prefix h deletes the entries of X (of S in sp/so) that its
-        # coordinate blocks W fix at 0 (module docstring, "Fixed head"):
-        # X(outside W, W), or S(x, W) for x in the support of J e_j, j outside W
+        # head part h deletes X(outside W, W) for its block W, or S(x, W) for x
+        # in the support of J e_j, j outside W (module docstring, "Fixed head"):
+        # entry (x, j) is first deleted by the part holding j (or x, in sp/so)
         w = np.array([0 * self.head[0], *self.head]).any(axis=2)
         out = ~w if self.form is None else ~w @ (self.form != 0).T
-        fixed = np.logical_or.accumulate(out[:, :, None] & w[:, None, :])
-        fixed = fixed if family == "SL" else fixed | fixed.transpose(0, 2, 1)
-        self.deleted = fixed[:, self.coords[0], self.coords[1]]
-        self.columns = (~self.deleted).sum(axis=1).tolist()
+        part, never = w.argmax(axis=0), len(w)  # the head part holding coordinate j, 0 for none
+        first = np.where(out[part].T & (part > 0), part, never)
+        self.first = (first if family == "SL" else np.minimum(first, first.T))[self.coords]
+        deleted = np.bincount(self.first, minlength=never).cumsum()[:never]  # by each head prefix
+        self.columns = (len(self.first) - deleted).tolist()
 
     @property
     def free(self) -> np.ndarray:
         """The columns that the head prefix leaves."""
-        return (~self.deleted[self.heads]).nonzero()[0]
+        return (self.first > self.heads).nonzero()[0]
 
     @property
     def nullity(self) -> int:

@@ -1,5 +1,6 @@
 import hashlib
-from itertools import product
+import math
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -385,6 +386,62 @@ def test_exact_base_size_is_the_least_base_length():
             if any(fc.stabilizer_order(action, tup) == 1 for tup in combinations(range(m), c))
         )
         assert fc.exact_base_size(action) == least
+
+
+def _least_base_by_subsets(action):
+    """The least c for which some c points have stabilizer_order 1."""
+    m = len(action.points)
+    return next(c for c in range(m + 1)
+                if any(fc.stabilizer_order(action, tup) == 1 for tup in combinations(range(m), c)))
+
+
+def _perm_action(rows):
+    perms = np.array(rows, dtype=np.int32)
+    return fc.PermAction(list(range(perms.shape[1])), perms)
+
+
+@pytest.mark.parametrize("label,action,want,bound", [
+    ("trivial", _perm_action([[0, 1, 2]]), 0, 0),
+    ("regular cyclic", _perm_action([[(i + s) % 5 for i in range(5)] for s in range(5)]), 1, 1),
+    ("S_4", _perm_action(list(permutations(range(4)))), 3, 3),
+    ("two disjoint transpositions", _perm_action([[0, 1, 2, 3], [1, 0, 2, 3], [0, 1, 3, 2], [1, 0, 3, 2]]), 2, 1),
+    ("row-shuffled PGL_2(5)",
+     fc.PermAction(fc.projective_line(5), np.random.default_rng(3).permutation(fc.pgl2_line_action(5).perms)), 3, 3),
+])
+def test_exact_base_size_is_the_brute_force_minimum(label, action, want, bound):
+    # the search starts at the counting bound, the least c with
+    # |G| <= n (n - 1) ... (n - c + 1), and a base may lie above it
+    n = len(action.points)
+    assert next(c for c in range(n + 1) if math.perm(n, c) >= action.order) == bound, label
+    assert fc.exact_base_size(action) == _least_base_by_subsets(action) == want, label
+
+
+@pytest.mark.parametrize("build,qs,depth", [(fc.pgl2_line_action, (2, 5, 7, 11, 19), 3),
+                                            (fc.pgl2_pairs_action, (5, 7, 13), 2)])
+def test_base_search_starts_at_the_counting_bound(monkeypatch, build, qs, depth):
+    # PGL_2(q) on the q + 1 line points has order (q + 1) q (q - 1), and on
+    # the point pairs at most n (n - 1): one search level each (q = 2 is S_3)
+    search, top = fc._exists_base, []
+
+    def recorder(sub, c):
+        if sub is action.perms:
+            top.append(c)
+        return search(sub, c)
+
+    monkeypatch.setattr(fc, "_exists_base", recorder)
+    for q in qs:
+        action, top[:] = build(q), []
+        want = 2 if q == 2 else depth
+        assert fc.exact_base_size(action) == want and top == [want], q
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 1, 2], [0, 1, 2], [1, 2, 0]],  # a repeated row, within the count 3 * 2 * 1
+    list(permutations(range(3))) * 2,  # 12 rows on 3 points
+])
+def test_base_search_of_repeated_rows_raises(rows):
+    with pytest.raises(RuntimeError, match="the action is not faithful"):
+        fc.exact_base_size(_perm_action(rows))
 
 
 def _action_digest(action):

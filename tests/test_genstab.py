@@ -762,6 +762,27 @@ def test_head_prefix_counts_match_the_part_by_part_rule(family, flavor, n):
                               genstab._part_rows(drawn, family, form, p)[:, free]), d
 
 
+@pytest.mark.parametrize("n,ds", [(40, (1, 3, 13, 20, 39)), (64, (1, 8, 21, 32)), (255, (1, 2, 17, 85, 127))])
+def test_sl_head_prefix_counts_are_the_closed_form(n, ds):
+    # each of SL's disjoint head blocks deletes the d (n - d) entries X(outside W, W)
+    for d in ds:
+        walk = genstab._Walk("SL", n, d, "linear", PRIMES[0])
+        assert walk.columns == [n * n - h * d * (n - d) for h in range(n // d + 1)], d
+
+
+def test_a_long_head_is_counted_in_square_memory():
+    # one first-prefix table of n x n entries, not a mask per head prefix
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        walk = genstab._Walk("SL", 255, 1, "linear", PRIMES[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(walk.columns) == 256 and peak < 8e6, peak
+
+
 @pytest.mark.parametrize("family,n,d,flavor", [("SL", 6, 2, "linear"), ("Sp", 8, 2, "totally_singular"),
                                                ("SO", 9, 3, "nondeg")])
 def test_head_parts_after_a_drawn_part_are_eliminated(family, n, d, flavor):
